@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -268,57 +269,79 @@ def _metadata(rc: RunConfig, cohort, models) -> dict:
     }
 
 
-def _balance_rows(cohort, model: str, cfg: AuditConfig) -> list[dict]:
-    """Matching diagnostics per level pair, mirroring the matched audit's
-    contrasts for one model's scored records."""
-    scores = score_values(cohort, model)
-    eligible = np.flatnonzero(~np.isnan(scores))
+def _safe_name(text: str) -> str:
+    return "".join(ch if ch.isalnum() or ch in "-_." else "-" for ch in text)
+
+
+def _match_rows(cohort, cfg: AuditConfig, model: str | None = None,
+                pairs_dir: str | None = None) -> list[dict]:
+    """Matching diagnostics, one row per level pair of every protected
+    attribute that partitions.
+
+    With ``model`` the contrasts mirror the matched audit's: only that model's
+    scored records take part and each row leads with the model name.  With
+    ``pairs_dir`` each contrast's pairs are exported there and named in its
+    row, and skipped attributes are noted on stderr.
+    """
+    subset = None
+    lead: dict = {}
+    if model is not None:
+        subset = np.flatnonzero(~np.isnan(score_values(cohort, model)))
+        lead = {"model": model}
     rows: list[dict] = []
     for col in cohort.schema.protected_columns:
         try:
-            part = subgroup_partition(cohort, col.name, cfg.min_group_size, subset=eligible)
-        except InsufficientDataError:
+            part = subgroup_partition(cohort, col.name, cfg.min_group_size, subset=subset)
+        except InsufficientDataError as exc:
+            if pairs_dir is not None:
+                print(f"note: skipping {col.name!r}: {exc}", file=sys.stderr)
             continue
-        levels = part.levels
-        for i in range(len(levels)):
-            for j in range(i + 1, len(levels)):
-                row: dict = {"model": model, "attribute": col.name}
-                try:
-                    sample, _ = match_contrast(
-                        cohort, col.name, levels[i], levels[j],
-                        cfg.propensity_covariates,
-                        caliper_multiplier=cfg.caliper_multiplier,
-                        ridge=cfg.ridge, subset=eligible,
-                    )
-                except (FitError, PropensityError) as exc:
-                    row.update(
-                        treated_level=levels[i], control_level=levels[j],
-                        status="failed", detail=str(exc), covariates=[],
-                        matched_n=0, passes_min_n=False,
-                    )
-                    rows.append(row)
-                    continue
-                bal = balance_report(cohort, sample, cfg.propensity_covariates, cfg.min_matched_n)
-                status = STATUS_OK if bal.passes_min_n else "skipped"
-                detail = "" if bal.passes_min_n else (
-                    f"{len(sample.pairs)} pairs ({sample.n_matched} records) "
-                    f"below min_matched_n={cfg.min_matched_n}"
+        for level_a, level_b in combinations(part.levels, 2):
+            row = {**lead, "attribute": col.name}
+            try:
+                sample, prop = match_contrast(
+                    cohort, col.name, level_a, level_b,
+                    cfg.propensity_covariates,
+                    caliper_multiplier=cfg.caliper_multiplier,
+                    ridge=cfg.ridge, subset=subset,
                 )
-                row.update(
-                    treated_level=sample.treated_level,
-                    control_level=sample.control_level,
-                    caliper=sample.caliper,
-                    unmatched_treated=sample.unmatched_treated,
-                    matched_n=bal.matched_n,
-                    passes_min_n=bal.passes_min_n,
-                    status=status,
-                    detail=detail,
-                    covariates=[
-                        {"name": c.name, "smd_before": c.smd_before, "smd_after": c.smd_after}
-                        for c in bal.covariates
-                    ],
-                )
+            except (FitError, PropensityError) as exc:
+                row.update(treated_level=level_a, control_level=level_b,
+                           status="failed", detail=str(exc))
+                if model is not None:
+                    # report.json's failed balance rows list covariates before
+                    # the counts; update() below keeps a key where it stands.
+                    row["covariates"] = []
+                row.update(matched_n=0, passes_min_n=False, covariates=[])
                 rows.append(row)
+                continue
+            bal = balance_report(cohort, sample, cfg.propensity_covariates,
+                                 cfg.min_matched_n, propensity=prop)
+            row.update(
+                treated_level=sample.treated_level,
+                control_level=sample.control_level,
+                caliper=sample.caliper,
+                unmatched_treated=sample.unmatched_treated,
+                matched_n=bal.matched_n,
+                passes_min_n=bal.passes_min_n,
+                status=STATUS_OK if bal.passes_min_n else "skipped",
+                detail="" if bal.passes_min_n else (
+                    f"{len(sample.pairs)} pairs ({bal.matched_n} records) "
+                    f"below min_matched_n={cfg.min_matched_n}"
+                ),
+            )
+            if pairs_dir is not None:
+                name = (f"pairs_{_safe_name(col.name)}_{_safe_name(sample.treated_level)}"
+                        f"_vs_{_safe_name(sample.control_level)}.csv")
+                pair_path = os.path.join(pairs_dir, name)
+                export_pairs(cohort, sample, pair_path)
+                print(pair_path)
+                row["pairs_file"] = name
+            row["covariates"] = [
+                {"name": c.name, "smd_before": c.smd_before, "smd_after": c.smd_after}
+                for c in bal.covariates
+            ]
+            rows.append(row)
     return rows
 
 
@@ -340,7 +363,7 @@ def _audit_pipeline(rc: RunConfig, models) -> tuple:
         subgroup_all.extend(bootstrap_audit(cohort, model, cfg, rc.workers))
         if cfg.propensity_covariates:
             matched_all.extend(matched_audit(cohort, model, cfg, rc.workers))
-            balance_rows.extend(_balance_rows(cohort, model, cfg))
+            balance_rows.extend(_match_rows(cohort, cfg, model=model))
         scores = score_values(cohort, model)
         keep = ~np.isnan(scores)
         calibration[model] = calibration_curve(
@@ -415,10 +438,6 @@ def cmd_compare(args) -> int:
     return render_code if render_code != EXIT_OK else code
 
 
-def _safe_name(text: str) -> str:
-    return "".join(ch if ch.isalnum() or ch in "-_." else "-" for ch in text)
-
-
 def cmd_match(args) -> int:
     rc = load_run_config(args.config, {"output_dir": args.output_dir})
     if not rc.audit.propensity_covariates:
@@ -427,55 +446,7 @@ def cmd_match(args) -> int:
     cfg = rc.audit
     os.makedirs(rc.output_dir, exist_ok=True)
 
-    rows: list[dict] = []
-    for col in cohort.schema.protected_columns:
-        try:
-            part = subgroup_partition(cohort, col.name, cfg.min_group_size)
-        except InsufficientDataError as exc:
-            print(f"note: skipping {col.name!r}: {exc}", file=sys.stderr)
-            continue
-        levels = part.levels
-        for i in range(len(levels)):
-            for j in range(i + 1, len(levels)):
-                try:
-                    sample, _ = match_contrast(
-                        cohort, col.name, levels[i], levels[j],
-                        cfg.propensity_covariates,
-                        caliper_multiplier=cfg.caliper_multiplier, ridge=cfg.ridge,
-                    )
-                except (FitError, PropensityError) as exc:
-                    rows.append({
-                        "attribute": col.name, "treated_level": levels[i],
-                        "control_level": levels[j], "status": "failed",
-                        "detail": str(exc), "matched_n": 0, "passes_min_n": False,
-                        "covariates": [],
-                    })
-                    continue
-                bal = balance_report(cohort, sample, cfg.propensity_covariates, cfg.min_matched_n)
-                name = (f"pairs_{_safe_name(col.name)}_{_safe_name(sample.treated_level)}"
-                        f"_vs_{_safe_name(sample.control_level)}.csv")
-                pair_path = os.path.join(rc.output_dir, name)
-                export_pairs(cohort, sample, pair_path)
-                print(pair_path)
-                rows.append({
-                    "attribute": col.name,
-                    "treated_level": sample.treated_level,
-                    "control_level": sample.control_level,
-                    "caliper": sample.caliper,
-                    "unmatched_treated": sample.unmatched_treated,
-                    "matched_n": bal.matched_n,
-                    "passes_min_n": bal.passes_min_n,
-                    "status": STATUS_OK if bal.passes_min_n else "skipped",
-                    "detail": "" if bal.passes_min_n else (
-                        f"{len(sample.pairs)} pairs ({bal.matched_n} records) "
-                        f"below min_matched_n={cfg.min_matched_n}"
-                    ),
-                    "pairs_file": name,
-                    "covariates": [
-                        {"name": c.name, "smd_before": c.smd_before, "smd_after": c.smd_after}
-                        for c in bal.covariates
-                    ],
-                })
+    rows = _match_rows(cohort, cfg, pairs_dir=rc.output_dir)
 
     summary_path = os.path.join(rc.output_dir, "matching.json")
     try:

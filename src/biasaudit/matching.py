@@ -148,16 +148,25 @@ def greedy_match(
     Distance is absolute difference of logit propensities.  Treated records
     choose in descending propensity order (hardest to match first); each takes
     the nearest still-unmatched control, ties going to the lower control
-    index.  A pair is rejected when its distance exceeds the caliper,
-    ``caliper_multiplier`` times the pooled standard deviation of the logit
-    propensities; pass ``caliper_multiplier=None`` to disable the caliper.
-    Rejected and unmatchable treated records are counted, never silently
-    dropped.
+    index.  "Nearest" is judged on the rounded float distance
+    ``abs(control_logit - treated_logit)``: two different control logits can
+    round to the same distance, and then the lower control index wins even if
+    it is farther in exact arithmetic.  A pair is rejected when its distance
+    exceeds the caliper, ``caliper_multiplier`` times the pooled standard
+    deviation of the logit propensities; pass ``caliper_multiplier=None`` to
+    disable the caliper.  Rejected and unmatchable treated records are
+    counted, never silently dropped.
+
+    Cost is O(n log n): the controls are sorted once, each treated record
+    binary-searches its logit, and removed controls are skipped through
+    path-compressed "next/previous live slot" links.
     """
     prop = np.asarray(propensities, dtype=float)
     flags = np.asarray(treated, dtype=bool)
     if prop.shape != flags.shape or prop.ndim != 1:
         raise ValueError("propensities and treated flags must be equal-length 1-d")
+    if not np.all(np.isfinite(prop)):
+        raise ValueError("propensities must be finite")
     logits = _logit(prop)
 
     caliper: float | None = None
@@ -176,24 +185,75 @@ def greedy_match(
     # Descending propensity; ties broken by ascending original position so the
     # visit order is deterministic.
     order = np.lexsort((treated_pos, -logits[treated_pos]))
-    control_logits = logits[control_pos]
-    available = np.ones(control_pos.size, dtype=bool)
+    visit = treated_pos[order]
+
+    # Controls sorted once by (logit, position).  Slot k of the sorted array
+    # holds the control at position ``c_pos[k]``; equal logits form a run
+    # [run_start, run_end] whose slots ascend by position, so a run's first
+    # live slot is its lowest-index live control.
+    slot_control = np.argsort(logits[control_pos], kind="stable")
+    sorted_logits = logits[control_pos[slot_control]]
+    m = sorted_logits.size
+    _, starts, lengths = np.unique(sorted_logits, return_index=True, return_counts=True)
+    run_start = np.repeat(starts, lengths).tolist()
+    run_end = np.repeat(starts + lengths - 1, lengths).tolist()
+    visit_logits = logits[visit]
+    insert_at = np.searchsorted(sorted_logits, visit_logits, side="left").tolist()
+    c_logit = sorted_logits.tolist()
+    c_pos = control_pos[slot_control].tolist()
+
+    # Path-compressed "next live slot >= k" (sentinel m) and "previous live
+    # slot <= k" (stored shifted by one, sentinel -1 at position 0).
+    nxt = list(range(m + 1))
+    prv = list(range(m + 1))
+
+    def next_live(k: int) -> int:
+        while nxt[k] != k:
+            nxt[k] = nxt[nxt[k]]
+            k = nxt[k]
+        return k
+
+    def prev_live(k: int) -> int:
+        k += 1
+        while prv[k] != k:
+            prv[k] = prv[prv[k]]
+            k = prv[k]
+        return k - 1
 
     pairs: list[MatchedPair] = []
     unmatched = 0
-    for t in treated_pos[order]:
-        if not available.any():
+    live = m
+    for t, tl, pos in zip(visit.tolist(), visit_logits.tolist(), insert_at):
+        if live == 0:
             unmatched += 1
             continue
-        live = np.flatnonzero(available)
-        dist = np.abs(control_logits[live] - logits[t])
-        best = live[int(np.argmin(dist))]  # first minimum: lowest control index
-        d = float(abs(control_logits[best] - logits[t]))
-        if caliper is not None and d > caliper:
+        best_d = np.inf
+        best_slot = -1
+        # Right of the insertion point (logits >= tl): the next live slot opens
+        # the nearest run.  Rounding can give further runs the same float
+        # distance, so keep walking while the distance holds.
+        k = next_live(pos)
+        side_d = abs(c_logit[k] - tl) if k < m else np.inf
+        while k < m and abs(c_logit[k] - tl) == side_d:
+            if side_d < best_d or (side_d == best_d and c_pos[k] < c_pos[best_slot]):
+                best_d, best_slot = side_d, k
+            k = next_live(run_end[k] + 1)
+        # Left of it (logits < tl): the previous live slot lies in the nearest
+        # run, whose first live slot holds its lowest-index live control.
+        k = prev_live(pos - 1)
+        side_d = abs(c_logit[k] - tl) if k >= 0 else np.inf
+        while k >= 0 and abs(c_logit[k] - tl) == side_d:
+            first = next_live(run_start[k])
+            if side_d < best_d or (side_d == best_d and c_pos[first] < c_pos[best_slot]):
+                best_d, best_slot = side_d, first
+            k = prev_live(run_start[k] - 1)
+        if caliper is not None and best_d > caliper:
             unmatched += 1
             continue
-        available[best] = False
-        pairs.append(MatchedPair(treated=int(t), control=int(control_pos[best]), distance=d))
+        nxt[best_slot] = best_slot + 1
+        prv[best_slot + 1] = best_slot
+        live -= 1
+        pairs.append(MatchedPair(treated=t, control=c_pos[best_slot], distance=best_d))
 
     pairs.sort(key=lambda p: p.treated)
     return MatchedSample(pairs=tuple(pairs), unmatched_treated=unmatched, caliper=caliper)
@@ -213,7 +273,8 @@ def match_contrast(
 
     The smaller level is treated (tie broken toward ``level_a``), so every
     treated record can in principle find a control.  Pair indices in the
-    returned sample are cohort record positions.
+    returned sample are cohort record positions.  A propensity fit that did
+    not converge raises PropensityError rather than matching on its scores.
     """
     values = attribute_values(cohort, attribute)
     pool = range(cohort.n) if subset is None else [int(i) for i in subset]
@@ -227,6 +288,11 @@ def match_contrast(
     prop = estimate_propensity(
         cohort, attribute, treated_level, control_level, covariates, ridge=ridge, subset=subset
     )
+    if not prop.model.converged:
+        raise PropensityError(
+            f"propensity fit did not converge after {prop.model.iterations} iterations "
+            f"(gradient norm {prop.model.final_gradient_norm:.3g})"
+        )
     raw = greedy_match(prop.propensities, prop.treated, caliper_multiplier)
     pairs = tuple(
         replace(p, treated=int(prop.indices[p.treated]), control=int(prop.indices[p.control]))
@@ -291,18 +357,29 @@ def balance_report(
     matched: MatchedSample,
     covariates,
     min_matched_n: int = 100,
+    propensity: PropensityResult | None = None,
 ) -> BalanceReport:
     """Covariate SMDs before and after matching for one contrast.
 
-    "Before" compares all records of the two levels; "after" compares the two
+    "Before" compares the two levels over the records the match drew from:
+    those the propensity model saw when ``propensity`` (from match_contrast)
+    is given, else all records of the two levels.  "After" compares the two
     arms of the matched pairs.  ``passes_min_n`` reports whether the matched
     sample reaches ``min_matched_n`` records counting both arms.
     """
     if matched.attribute is None or matched.treated_level is None or matched.control_level is None:
         raise ValueError("matched sample lacks contrast labels; build it via match_contrast")
-    values = attribute_values(cohort, matched.attribute)
-    before_a = [i for i, v in enumerate(values) if v == matched.treated_level]
-    before_b = [i for i, v in enumerate(values) if v == matched.control_level]
+    if propensity is not None:
+        if (propensity.attribute, propensity.treated_level, propensity.control_level) != (
+            matched.attribute, matched.treated_level, matched.control_level
+        ):
+            raise ValueError("propensity result belongs to a different contrast")
+        before_a = propensity.indices[propensity.treated]
+        before_b = propensity.indices[~propensity.treated]
+    else:
+        values = attribute_values(cohort, matched.attribute)
+        before_a = [i for i, v in enumerate(values) if v == matched.treated_level]
+        before_b = [i for i, v in enumerate(values) if v == matched.control_level]
     after_a = [p.treated for p in matched.pairs]
     after_b = [p.control for p in matched.pairs]
 

@@ -4,15 +4,20 @@ Everything here deliberately takes a different computational route from the
 code under test: AUROC by explicit pair enumeration instead of ranks, Youden
 by an exact-rational exhaustive scan instead of the cumulative-count trick,
 t-tail probabilities by high-precision quadrature of the density instead of
-the incomplete-beta closed form, and gradients by finite differences.
+the incomplete-beta closed form, gradients by finite differences, and greedy
+matching by scanning every live control instead of a sorted index.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import warnings
+
 import mpmath as mp
 import numpy as np
+
+from biasaudit.matching import MatchedPair, MatchedSample, _logit
 
 
 def pairwise_auroc(labels, scores) -> float:
@@ -80,3 +85,54 @@ def fd_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         step[i] = h
         g[i] = (f(x + step) - f(x - step)) / (2 * h)
     return g
+
+
+def scan_greedy_match(propensities, treated, caliper_multiplier=0.2) -> MatchedSample:
+    """Greedy 1:1 matching by an O(n_t * n_c) scan of every live control.
+
+    Same contract as ``biasaudit.matching.greedy_match``: treated records
+    choose in descending logit order (ties by ascending position), each takes
+    the live control at the smallest float distance with ties to the lower
+    control index, and the caliper is ``caliper_multiplier`` times the
+    standard deviation of all logits (disabled, with a warning, at zero
+    spread).
+    """
+    prop = np.asarray(propensities, dtype=float)
+    flags = np.asarray(treated, dtype=bool)
+    logits = _logit(prop)
+
+    caliper = None
+    if caliper_multiplier is not None:
+        spread = float(np.std(logits))
+        if spread == 0.0:
+            warnings.warn(
+                "logit propensities have zero spread; caliper disabled for this match",
+                stacklevel=2,
+            )
+        else:
+            caliper = caliper_multiplier * spread
+
+    treated_pos = np.flatnonzero(flags)
+    control_pos = np.flatnonzero(~flags)
+    order = np.lexsort((treated_pos, -logits[treated_pos]))
+    control_logits = logits[control_pos]
+    available = np.ones(control_pos.size, dtype=bool)
+
+    pairs = []
+    unmatched = 0
+    for t in treated_pos[order]:
+        if not available.any():
+            unmatched += 1
+            continue
+        live = np.flatnonzero(available)
+        dist = np.abs(control_logits[live] - logits[t])
+        best = live[int(np.argmin(dist))]  # first minimum: lowest control index
+        d = float(abs(control_logits[best] - logits[t]))
+        if caliper is not None and d > caliper:
+            unmatched += 1
+            continue
+        available[best] = False
+        pairs.append(MatchedPair(treated=int(t), control=int(control_pos[best]), distance=d))
+
+    pairs.sort(key=lambda p: p.treated)
+    return MatchedSample(pairs=tuple(pairs), unmatched_treated=unmatched, caliper=caliper)

@@ -615,6 +615,35 @@ class TestMatchedAudit:
         assert b_by_opp["a"] == [STATUS_FAILED]
         assert b_by_opp["c"] == [STATUS_OK]
 
+    def test_non_converged_fit_is_failed_not_skipped(self):
+        # Level a sits far out on x, so without a ridge its contrasts have a
+        # separating covariate and the propensity fit cannot converge.
+        rng = np.random.default_rng(13)
+        n = 90
+        x = rng.normal(0, 1, 3 * n)
+        x[:n] += 20.0
+        cohort = build_cohort(
+            labels=rng.integers(0, 2, 3 * n).tolist(),
+            scores=rng.uniform(0, 1, 3 * n).tolist(),
+            protected={"g": ["a"] * n + ["b"] * n + ["c"] * n},
+            covariates={"x": x.tolist()},
+        )
+        config = AuditConfig(
+            metrics=("AUROC",),
+            n_bootstrap=8,
+            min_group_size=10,
+            min_matched_n=20,
+            propensity_covariates=("x",),
+            ridge=0.0,
+            seed=14,
+        )
+        results = {r.level: r for r in matched_audit(cohort, "score", config)}
+        for cell in results["a"].cells:
+            assert cell.status == STATUS_FAILED
+            assert "propensity fit did not converge" in cell.detail
+        b_vs = {c.opponent: c.status for c in results["b"].cells}
+        assert b_vs == {"a": STATUS_FAILED, "c": STATUS_OK}
+
     def test_exchangeable_levels_rarely_flag(self):
         # Levels drawn from one distribution: any single cohort can land on a
         # real sample-level gap, so the check is a rate over seeds, not one run.

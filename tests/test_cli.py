@@ -1,8 +1,10 @@
 """Command-line interface: configs, subcommands, exit codes, output stability."""
 
+import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from biasaudit.cli import (
@@ -14,6 +16,7 @@ from biasaudit.cli import (
     main,
 )
 from biasaudit.errors import ConfigError
+from biasaudit.matching import smd
 
 
 SYNTH_DOC = {
@@ -63,6 +66,14 @@ def make_cohort(tmp_path, synth_overrides=None, name="cohort.csv"):
     out = str(tmp_path / name)
     assert main(["synth", config, out]) == EXIT_OK
     return out
+
+
+def make_separated_config(tmp_path):
+    """sofa separates Black from the other race levels and the fit has no
+    ridge, so those contrasts' propensity fits cannot converge."""
+    covariates = [dict(SYNTH_DOC["covariates"][0], shifts={"race": {"Black": 30.0}})]
+    cohort = make_cohort(tmp_path, synth_overrides={"covariates": covariates})
+    return make_run_config(tmp_path, cohort, audit=dict(RUN_AUDIT, ridge=0.0))
 
 
 def make_run_config(tmp_path, cohort_path, name="run.json", **overrides):
@@ -414,6 +425,54 @@ class TestAuditCommand:
         doc = json.load(open(tmp_path / "report" / "report.json"))
         assert all(r["status"] == "insufficient" for r in doc["subgroup"])
 
+    def test_non_converged_propensity_fit_reported_failed(self, tmp_path):
+        config = make_separated_config(tmp_path)
+        assert main(["audit", config]) == EXIT_OK
+        doc = json.load(open(tmp_path / "report" / "report.json"))
+        failed = [r for r in doc["balance"] if "Black" in (r["treated_level"], r["control_level"])]
+        assert len(failed) == 2
+        for row in failed:
+            assert list(row) == ["model", "attribute", "treated_level", "control_level",
+                                 "status", "detail", "covariates", "matched_n", "passes_min_n"]
+            assert row["status"] == "failed"
+            assert row["detail"].startswith("propensity fit did not converge after")
+        cells = [c for r in doc["matched"] if r["level"] == "Black" for c in r["cells"]]
+        assert cells and all(c["status"] == "failed" for c in cells)
+        assert all("did not converge" in c["detail"] for c in cells)
+
+    def test_balance_before_uses_scored_records(self, tmp_path):
+        # A second model scores every record; "score" leaves every third record
+        # unscored, and those records, when Black, gain 4 on sofa.  The "before"
+        # SMD of "score"'s balance rows must ignore them.
+        cohort_path = make_cohort(tmp_path)
+        with open(cohort_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for i, row in enumerate(rows):
+            row["full"] = row["score"]
+            if i % 3 == 0:
+                row["score"] = ""
+                if row["race"] == "Black":
+                    row["sofa"] = repr(float(row["sofa"]) + 4.0)
+        with open(cohort_path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        schema = dict(RUN_SCHEMA, score_columns=["score", "full"])
+        config = make_run_config(tmp_path, cohort_path, schema=schema)
+        assert main(["audit", config]) == EXIT_OK
+        doc = json.load(open(tmp_path / "report" / "report.json"))
+        (bal,) = [r for r in doc["balance"] if r["model"] == "score"
+                  and {r["treated_level"], r["control_level"]} == {"Black", "White"}]
+        sofa = np.asarray([float(r["sofa"]) for r in rows])
+        race = np.asarray([r["race"] for r in rows])
+        scored = np.asarray([r["score"] != "" for r in rows])
+        treated = race == bal["treated_level"]
+        control = race == bal["control_level"]
+        expected = smd(sofa, np.flatnonzero(treated & scored), np.flatnonzero(control & scored))
+        everyone = smd(sofa, np.flatnonzero(treated), np.flatnonzero(control))
+        assert bal["covariates"][0]["smd_before"] == pytest.approx(expected, rel=1e-12)
+        assert abs(everyone - expected) > 0.2
+
     def test_render_failure_exits_4(self, tmp_path, capsys):
         cohort = make_cohort(tmp_path)
         blocker = tmp_path / "blocked"
@@ -542,6 +601,23 @@ class TestMatchCommand:
         one_pair_file = tmp_path / "report" / sorted(pair_files)[0]
         header = open(one_pair_file).readline().strip()
         assert header == "treated_id,control_id,distance"
+
+    def test_non_converged_propensity_fit_reported_failed(self, tmp_path, capsys):
+        config = make_separated_config(tmp_path)
+        capsys.readouterr()
+        assert main(["match", config]) == EXIT_OK
+        printed = {os.path.basename(p) for p in capsys.readouterr().out.splitlines()}
+        doc = json.load(open(tmp_path / "report" / "matching.json"))
+        by_status = {}
+        for row in doc["contrasts"]:
+            by_status.setdefault(row["status"], []).append(row)
+        assert len(by_status["failed"]) == 2
+        for row in by_status["failed"]:
+            assert list(row) == ["attribute", "treated_level", "control_level", "status",
+                                 "detail", "matched_n", "passes_min_n", "covariates"]
+            assert "Black" in (row["treated_level"], row["control_level"])
+            assert row["detail"].startswith("propensity fit did not converge after")
+        assert not any("Black" in name for name in printed)
 
     def test_match_needs_covariates(self, tmp_path, capsys):
         cohort = make_cohort(tmp_path)

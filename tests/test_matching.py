@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from biasaudit.matching import (
 )
 
 from helpers import build_cohort
+from oracles import scan_greedy_match
 
 
 def confounded_cohort(seed: int, n: int = 1200, effect: float = 1.2):
@@ -36,6 +38,19 @@ def confounded_cohort(seed: int, n: int = 1200, effect: float = 1.2):
 match_case = st.integers(2, 40).flatmap(
     lambda n: st.tuples(
         st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n),
+        st.lists(st.booleans(), min_size=n, max_size=n),
+    )
+)
+
+# Propensities from a small discrete set or rounded to 2 decimals, so equal
+# logits (and equal distances) are common.
+tied_props = st.one_of(
+    st.sampled_from([0.05, 0.2, 0.25, 0.5, 0.75, 0.8, 0.95]),
+    st.floats(0.01, 0.99).map(lambda v: round(v, 2)),
+)
+tied_case = st.integers(2, 60).flatmap(
+    lambda n: st.tuples(
+        st.lists(tied_props, min_size=n, max_size=n),
         st.lists(st.booleans(), min_size=n, max_size=n),
     )
 )
@@ -162,6 +177,42 @@ class TestGreedyMatch:
         for p in sample.pairs:
             assert p.distance <= sample.caliper
 
+    @given(tied_case, st.sampled_from([None, 0.2, 0.05]))
+    def test_equals_scan_oracle(self, case, cm):
+        props, flags = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # zero-spread draws disable the caliper
+            assert greedy_match(props, flags, cm) == scan_greedy_match(props, flags, cm)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_float_distance_tie_goes_to_lower_control_index(self, sign):
+        # Control logits {-2.2e-16, 0, 4.4e-16, 8.9e-16} are distinct, but each
+        # lies at float distance exactly 10 from a treated logit of +-10.  The
+        # control at index 0 is the farthest in exact arithmetic and still wins.
+        u = 2.0**-54
+        control_props = [0.5 - u, 0.5, 0.5 + 2 * u, 0.5 + 4 * u]
+        if sign < 0:
+            control_props = control_props[::-1]
+        props = control_props + [expit(sign * 10.0)]
+        logits = np.log(props) - np.log1p(-np.asarray(props))
+        assert len(set(logits[:4].tolist())) == 4
+        assert len({abs(c - logits[4]) for c in logits[:4].tolist()}) == 1
+        flags = [False] * 4 + [True]
+        sample = greedy_match(props, flags, caliper_multiplier=None)
+        assert [(p.treated, p.control) for p in sample.pairs] == [(4, 0)]
+        assert sample == scan_greedy_match(props, flags, caliper_multiplier=None)
+
+    @pytest.mark.parametrize("cm", [None, 0.2])
+    def test_long_removed_chains_match_scan_oracle(self, cm):
+        # ~3,000 records on 2-decimal propensities with nearly half treated:
+        # runs of equal logits empty out, so the live-slot search skips long
+        # stretches of removed controls.
+        rng = np.random.default_rng(3001)
+        n = 3000
+        props = np.round(expit(rng.normal(0.0, 1.5, n)), 2).clip(0.01, 0.99)
+        flags = rng.uniform(0, 1, n) < 0.45
+        assert greedy_match(props, flags, cm) == scan_greedy_match(props, flags, cm)
+
     @given(match_case)
     def test_deterministic(self, case):
         props, flags = case
@@ -239,6 +290,22 @@ class TestMatchContrast:
         for p in sample.pairs:
             assert p.treated < 150 and p.control < 150
 
+    def test_non_converged_fit_raises(self):
+        # x > 0 separates the levels completely; without a ridge the fit runs
+        # off to infinity and reports converged=False.
+        x = np.random.default_rng(79).normal(0.0, 1.0, 200)
+        cohort = build_cohort(
+            labels=[i % 2 for i in range(200)],
+            scores=[0.5] * 200,
+            protected={"g": np.where(x > 0, "A", "B").tolist()},
+            covariates={"x": x.tolist()},
+        )
+        assert not estimate_propensity(cohort, "g", "A", "B", ["x"], ridge=0.0).model.converged
+        with pytest.raises(PropensityError, match=r"did not converge after \d+ iterations \(gradient norm"):
+            match_contrast(cohort, "g", "A", "B", ["x"], ridge=0.0)
+        sample, prop = match_contrast(cohort, "g", "A", "B", ["x"], ridge=1.0)
+        assert prop.model.converged
+
 
 class TestBalanceReport:
     def test_matching_repairs_confounded_balance(self):
@@ -294,6 +361,37 @@ class TestBalanceReport:
         names = [c.name for c in bal.covariates]
         assert names[0] == "x"
         assert "unit=icu" in names and "unit=ward" in names
+
+    def test_before_uses_the_population_the_model_saw(self):
+        # Records 300+ are left out of the match and pull level A's x down; the
+        # "before" SMDs must describe the 300 records the match drew from.
+        cohort = confounded_cohort(428, n=400)
+        x = np.asarray([rec.covariates["x"] for rec in cohort.records])
+        groups = np.asarray([rec.protected["g"] for rec in cohort.records])
+        x[300:][groups[300:] == "A"] = -2.0
+        cohort = build_cohort(
+            labels=[i % 2 for i in range(400)],
+            scores=[0.5] * 400,
+            protected={"g": groups.tolist()},
+            covariates={"x": x.tolist()},
+        )
+        sample, prop = match_contrast(cohort, "g", "A", "B", ["x"], subset=range(300))
+        (row,) = balance_report(cohort, sample, ["x"], propensity=prop).covariates
+        seen = np.arange(300)
+        assert row.smd_before == smd(
+            x, seen[groups[:300] == sample.treated_level], seen[groups[:300] == sample.control_level]
+        )
+        (everyone,) = balance_report(cohort, sample, ["x"]).covariates
+        assert everyone.smd_before < row.smd_before - 0.3
+        assert everyone.smd_after == row.smd_after
+
+    def test_propensity_from_another_contrast_rejected(self):
+        cohort = confounded_cohort(429, n=120)
+        sample, _ = match_contrast(cohort, "g", "A", "B", ["x"])
+        _, other = match_contrast(cohort, "g", "A", "B", ["x"], subset=range(60))
+        other = replace(other, treated_level=other.control_level, control_level=other.treated_level)
+        with pytest.raises(ValueError, match="different contrast"):
+            balance_report(cohort, sample, ["x"], propensity=other)
 
     def test_unknown_covariate_rejected(self):
         cohort = confounded_cohort(11, n=60)
