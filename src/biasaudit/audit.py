@@ -24,17 +24,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import betainc
-from scipy.stats import rankdata
 
 from ._rng import stream
 from .cohort import Cohort, label_values, score_values, subgroup_partition
 from .errors import ConfigError, FitError, InsufficientDataError, PropensityError
 from .matching import match_contrast
+from .metrics import (
+    _THRESHOLD_METRICS,
+    METRICS,
+    _count_keys,
+    _count_table,
+    _metric_table,
+    _tabulate,
+    _youden_cut,
+)
 
 log = logging.getLogger(__name__)
-
-METRICS = ("PPV", "SENS", "SPEC", "FNR", "FPR", "AUROC")
-_THRESHOLD_METRICS = ("PPV", "SENS", "SPEC", "FNR", "FPR")
 
 STATUS_OK = "ok"
 STATUS_INSUFFICIENT = "insufficient"
@@ -61,6 +66,8 @@ class ThresholdPolicy:
             raise ConfigError("fixed threshold policy needs a value")
         if self.kind == "youden" and self.value is not None:
             raise ConfigError("youden threshold policy takes no value")
+        if self.value is not None and not math.isfinite(self.value):
+            raise ConfigError(f"fixed threshold must be finite, got {self.value}")
 
     @classmethod
     def youden(cls) -> "ThresholdPolicy":
@@ -69,6 +76,17 @@ class ThresholdPolicy:
     @classmethod
     def fixed(cls, value: float) -> "ThresholdPolicy":
         return cls(kind="fixed", value=float(value))
+
+    def resolve(self, grid: np.ndarray, table: np.ndarray) -> tuple[float | None, int | None]:
+        """The threshold and its cut on ``grid`` for a count table.
+
+        Youden pools every row of ``table``; (None, None) when the pooled
+        records hold one class.
+        """
+        if self.kind == "fixed":
+            return self.value, int(np.searchsorted(grid, self.value))
+        cut = _youden_cut(table.sum(axis=0))
+        return (None, None) if cut is None else (float(grid[cut]), cut)
 
 
 @dataclass(frozen=True)
@@ -99,6 +117,10 @@ class AuditConfig:
             raise ConfigError("duplicate metrics in config")
         if self.n_bootstrap < 2:
             raise ConfigError(f"n_bootstrap must be >= 2, got {self.n_bootstrap}")
+        for name in ("alpha", "ridge", "caliper_multiplier"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.min_group_size < 0:
@@ -235,46 +257,6 @@ def t_test_one_sample(samples, mu0: float = 0.0) -> TTestResult:
     return TTestResult(t_stat=t_stat, p_value=_t_two_sided(t_stat, df), df=df)
 
 
-def _metric_matrix(y: np.ndarray, s: np.ndarray, codes: np.ndarray, n_levels: int,
-                   metrics: tuple[str, ...], threshold: float | None) -> np.ndarray:
-    """Per-level metric values, nan where undefined.  Shape (n_levels, n_metrics)."""
-    out = np.full((n_levels, len(metrics)), np.nan)
-    need_threshold = any(m in _THRESHOLD_METRICS for m in metrics)
-    for g in range(n_levels):
-        mask = codes == g
-        if not mask.any():
-            continue
-        yg = y[mask]
-        sg = s[mask]
-        pos = yg == 1
-        n_pos = int(pos.sum())
-        n_neg = yg.size - n_pos
-        tp = fp = tn = fn = 0
-        if need_threshold and threshold is not None:
-            pred = sg >= threshold
-            tp = int(np.count_nonzero(pred & pos))
-            fp = int(np.count_nonzero(pred & ~pos))
-            fn = n_pos - tp
-            tn = n_neg - fp
-        for j, m in enumerate(metrics):
-            if m == "AUROC":
-                if n_pos and n_neg:
-                    ranks = rankdata(sg)
-                    out[g, j] = (float(ranks[pos].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-            elif threshold is not None:
-                if m == "PPV" and tp + fp:
-                    out[g, j] = tp / (tp + fp)
-                elif m == "SENS" and n_pos:
-                    out[g, j] = tp / n_pos
-                elif m == "SPEC" and n_neg:
-                    out[g, j] = tn / n_neg
-                elif m == "FNR" and n_pos:
-                    out[g, j] = fn / n_pos
-                elif m == "FPR" and n_neg:
-                    out[g, j] = fp / n_neg
-    return out
-
-
 def _diffs_from_values(values: np.ndarray) -> np.ndarray:
     """Column-wise diff-from-average; columns with < 2 defined entries go all-nan."""
     out = np.full_like(values, np.nan)
@@ -286,22 +268,17 @@ def _diffs_from_values(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pooled_youden(y: np.ndarray, s: np.ndarray) -> float | None:
-    from .metrics import _youden_or_none
-
-    return _youden_or_none(y, s)
-
-
 class _Prep:
-    """Eligible-record arrays and per-attribute level codes for one model."""
+    """Eligible records of one model, their score grid, and per-attribute
+    count keys over that grid (see ``metrics._count_keys``)."""
 
     def __init__(self, cohort: Cohort, model: str, config: AuditConfig):
         scores = score_values(cohort, model)
         self.eligible = np.flatnonzero(~np.isnan(scores))
         if self.eligible.size == 0:
             raise InsufficientDataError(f"model {model!r} scored no records")
-        self.y = label_values(cohort)[self.eligible]
-        self.s = scores[self.eligible]
+        y = label_values(cohort)[self.eligible]
+        self.grid, ranks = np.unique(scores[self.eligible], return_inverse=True)
         self.n = int(self.eligible.size)
         self.attributes: list[tuple[str, tuple[str, ...], np.ndarray]] = []
         self.skipped: list[tuple[str, str]] = []
@@ -315,7 +292,7 @@ class _Prep:
             codes = np.full(self.n, -1, dtype=np.int32)
             for g, (_, idx) in enumerate(part.groups):
                 codes[np.searchsorted(self.eligible, np.asarray(idx, dtype=np.int64))] = g
-            self.attributes.append((col.name, part.levels, codes))
+            self.attributes.append((col.name, part.levels, _count_keys(ranks, y, codes, self.grid.size)))
 
 
 def _run_replicates(fn, n_replicates: int, workers: int) -> list:
@@ -366,35 +343,25 @@ def group_diffs(cohort: Cohort, indices, attribute: str, metric: str, model: str
     if metric in _THRESHOLD_METRICS and threshold is None:
         raise ConfigError(f"metric {metric} needs a threshold")
     part = subgroup_partition(cohort, attribute, min_group_size, subset=indices)
-    y_all = label_values(cohort)
-    s_all = score_values(cohort, model)
-    result: dict[str, GroupDiff] = {}
-    values: list[float | None] = []
-    for level, idx in part.groups:
-        arr = np.asarray(idx, dtype=np.int64)
-        sg = s_all[arr]
-        keep = ~np.isnan(sg)
-        yg = y_all[arr][keep]
-        sg = sg[keep]
-        if yg.size == 0:
-            values.append(None)
-            result[level] = GroupDiff(value=None, diff=None, n=0)
-            continue
-        mat = _metric_matrix(yg, sg, np.zeros(yg.size, dtype=np.int32), 1, (metric,), threshold)
-        v = mat[0, 0]
-        values.append(None if np.isnan(v) else float(v))
-        result[level] = GroupDiff(value=None if np.isnan(v) else float(v), diff=None, n=int(yg.size))
-    defined = [v for v in values if v is not None]
-    if len(defined) < 2:
+    idx = np.concatenate([np.asarray(g, dtype=np.int64) for _, g in part.groups])
+    codes = np.repeat(np.arange(len(part.groups)), [len(g) for _, g in part.groups])
+    s = score_values(cohort, model)[idx]
+    keep = ~np.isnan(s)
+    grid, table = _tabulate(label_values(cohort)[idx][keep], s[keep], codes[keep], len(part.groups))
+    cut = None if threshold is None else np.searchsorted(grid, threshold)
+    values = _metric_table(table[1:], (metric,), cut)[:, 0]
+    defined = values[~np.isnan(values)]
+    if defined.size < 2:
         raise InsufficientDataError(
-            f"{metric} is defined for {len(defined)} level(s) of {attribute!r}; "
+            f"{metric} is defined for {defined.size} level(s) of {attribute!r}; "
             "need at least 2 to diff against their average"
         )
     avg = float(np.mean(defined))
-    for level, v in zip(result.keys(), values):
-        if v is not None:
-            result[level] = GroupDiff(value=v, diff=v - avg, n=result[level].n)
-    return result
+    return {
+        level: GroupDiff(value=None, diff=None, n=int(n)) if np.isnan(v)
+        else GroupDiff(value=float(v), diff=float(v) - avg, n=int(n))
+        for (level, _), v, n in zip(part.groups, values, table[1:].sum(axis=(1, 2)))
+    }
 
 
 def bootstrap_audit(cohort: Cohort, model: str, config: AuditConfig, workers: int = 1) -> list[SubgroupAuditResult]:
@@ -415,31 +382,15 @@ def bootstrap_audit(cohort: Cohort, model: str, config: AuditConfig, workers: in
     need_threshold = any(m in _THRESHOLD_METRICS for m in metrics)
     policy = config.threshold_policy
 
-    cells: list[tuple[str, str, str]] = []
-    layout: list[tuple[str, tuple[str, ...], np.ndarray]] = prep.attributes
-    for attr, levels, _ in layout:
-        for level in levels:
-            for m in metrics:
-                cells.append((attr, level, m))
-    n_cells = len(cells)
+    cells = [(attr, level, m) for attr, levels, _ in prep.attributes for level in levels for m in metrics]
 
     def replicate(b: int) -> np.ndarray:
         rng = stream(config.seed, "bootstrap", b)
         idx = rng.integers(0, prep.n, prep.n)
-        yb = prep.y[idx]
-        sb = prep.s[idx]
-        threshold: float | None = None
-        if need_threshold:
-            threshold = policy.value if policy.kind == "fixed" else _pooled_youden(yb, sb)
-        out = np.empty(n_cells)
-        cursor = 0
-        for attr, levels, codes in layout:
-            mat = _metric_matrix(yb, sb, codes[idx], len(levels), metrics, threshold)
-            diffs = _diffs_from_values(mat)
-            block = len(levels) * len(metrics)
-            out[cursor : cursor + block] = diffs.ravel()
-            cursor += block
-        return out
+        tables = [_count_table(keys[idx], len(levels), prep.grid.size) for _, levels, keys in prep.attributes]
+        # Every attribute's table holds all records, so any of them pools.
+        _, cut = policy.resolve(prep.grid, tables[0]) if need_threshold else (None, None)
+        return np.concatenate([_diffs_from_values(_metric_table(t[1:], metrics, cut)).ravel() for t in tables])
 
     draws = np.vstack(_run_replicates(replicate, config.n_bootstrap, workers))
     return [
@@ -499,67 +450,40 @@ def matched_audit(cohort: Cohort, model: str, config: AuditConfig, workers: int 
                     per_level_cells[(attr, lj)].append(MatchedCell(opponent=li, status=STATUS_SKIPPED, detail=detail))
                     continue
 
-                t_idx = np.asarray([p.treated for p in sample.pairs], dtype=np.int64)
-                c_idx = np.asarray([p.control for p in sample.pairs], dtype=np.int64)
-                y_t, s_t = y_all[t_idx], s_all[t_idx]
-                y_c, s_c = y_all[c_idx], s_all[c_idx]
-                n_pairs = t_idx.size
-                treated_level = sample.treated_level
+                # Treated records are level 0, their controls level 1.
+                pair_idx = np.asarray([p.treated for p in sample.pairs]
+                                      + [p.control for p in sample.pairs], dtype=np.int64)
+                n_pairs = len(sample.pairs)
+                grid, ranks = np.unique(s_all[pair_idx], return_inverse=True)
+                keys = _count_keys(ranks, y_all[pair_idx], np.repeat([0, 1], n_pairs), grid.size)
 
-                def replicate(b: int, _data=(y_t, s_t, y_c, s_c, n_pairs, attr, li, lj)) -> np.ndarray:
-                    yt, st, yc, sc, np_, attr_, li_, lj_ = _data
+                def replicate(b: int, _data=(grid, keys, n_pairs, attr, li, lj)) -> np.ndarray:
+                    grid_, keys_, np_, attr_, li_, lj_ = _data
                     rng = stream(config.seed, "matched", attr_, li_, lj_, b)
                     draw = rng.integers(0, np_, np_)
-                    ytb, stb = yt[draw], st[draw]
-                    ycb, scb = yc[draw], sc[draw]
-                    threshold: float | None = None
-                    if need_threshold:
-                        if policy.kind == "fixed":
-                            threshold = policy.value
-                        else:
-                            threshold = _pooled_youden(
-                                np.concatenate([ytb, ycb]), np.concatenate([stb, scb])
-                            )
-                    y2 = np.concatenate([ytb, ycb])
-                    s2 = np.concatenate([stb, scb])
-                    codes = np.concatenate([np.zeros(np_, dtype=np.int32), np.ones(np_, dtype=np.int32)])
-                    mat = _metric_matrix(y2, s2, codes, 2, metrics, threshold)
-                    # Treated-perspective diff: (treated - control) / 2 when both defined.
-                    out = np.full(len(metrics), np.nan)
-                    both = np.isfinite(mat[0]) & np.isfinite(mat[1])
-                    out[both] = (mat[0, both] - mat[1, both]) / 2.0
-                    return out
+                    table = _count_table(keys_[np.concatenate([draw, draw + np_])], 2, grid_.size)
+                    _, cut = policy.resolve(grid_, table) if need_threshold else (None, None)
+                    mat = _metric_table(table[1:], metrics, cut)
+                    # Treated-perspective diff; nan unless both arms are defined.
+                    return (mat[0] - mat[1]) / 2.0
 
                 draws = np.vstack(_run_replicates(replicate, config.n_bootstrap, workers))
+                arms = ((sample.treated_level, sample.control_level, 1.0),
+                        (sample.control_level, sample.treated_level, -1.0))
                 for m_j, metric in enumerate(metrics):
-                    treated_result = _cell_result(model, attr, treated_level, metric, draws[:, m_j], config.alpha)
-                    mirrored = _cell_result(model, attr,
-                                            lj if treated_level == li else li,
-                                            metric, -draws[:, m_j], config.alpha)
-                    for level, res in ((li, treated_result if treated_level == li else mirrored),
-                                       (lj, treated_result if treated_level == lj else mirrored)):
-                        opponent = lj if level == li else li
+                    for level, opponent, sign in arms:
+                        res = _cell_result(model, attr, level, metric, sign * draws[:, m_j], config.alpha)
                         per_level_cells[(attr, level)].append(
-                            MatchedCell(
-                                opponent=opponent,
-                                status=res.status,
-                                result=res,
-                                detail=f"{n_pairs} pairs",
-                            )
+                            MatchedCell(opponent=opponent, status=res.status, result=res, detail=f"{n_pairs} pairs")
                         )
 
-    results: list[MatchedAuditResult] = []
-    for attr, levels, _ in prep.attributes:
-        opponent_order = {level: [o for o in levels if o != level] for level in levels}
-        for level in levels:
-            cells = per_level_cells[(attr, level)]
-            ordered = []
-            for opp in opponent_order[level]:
-                for c in cells:
-                    if c.opponent == opp:
-                        ordered.append(c)
-            results.append(MatchedAuditResult(model=model, attribute=attr, level=level, cells=tuple(ordered)))
-    return results
+    # Contrasts run in level order, so each level's cells are already in
+    # opponent order.
+    return [
+        MatchedAuditResult(model=model, attribute=attr, level=level, cells=tuple(per_level_cells[(attr, level)]))
+        for attr, levels, _ in prep.attributes
+        for level in levels
+    ]
 
 
 def summarize_discrepancy(
@@ -698,18 +622,12 @@ def build_comparison(
         keep = ~np.isnan(scores)
         y = label_values(cohort)[keep]
         s = scores[keep]
+        grid, table = _tabulate(y, s, 0, 1)
         entry: dict = {"n": int(keep.sum())}
-        threshold: float | None = None
+        cut = None
         if any(x in _THRESHOLD_METRICS for x in config.metrics):
-            threshold = (
-                config.threshold_policy.value
-                if config.threshold_policy.kind == "fixed"
-                else _pooled_youden(y, s)
-            )
-            entry["threshold"] = threshold
-        mat = _metric_matrix(y, s, np.zeros(y.size, dtype=np.int32), 1, config.metrics, threshold)
-        for j, name in enumerate(config.metrics):
-            v = mat[0, j]
+            entry["threshold"], cut = config.threshold_policy.resolve(grid, table)
+        for name, v in zip(config.metrics, _metric_table(table[1:], config.metrics, cut)[0]):
             entry[name] = None if np.isnan(v) else float(v)
         overall[m] = entry
 

@@ -55,7 +55,7 @@ from .errors import (
 )
 from .matching import balance_report, export_pairs, match_contrast
 from .metrics import calibration_curve
-from .report import build_bundle, render
+from .report import build_bundle, render, safe_name
 from .synth import config_from_dict as synth_config_from_dict
 from .synth import generate
 
@@ -269,10 +269,6 @@ def _metadata(rc: RunConfig, cohort, models) -> dict:
     }
 
 
-def _safe_name(text: str) -> str:
-    return "".join(ch if ch.isalnum() or ch in "-_." else "-" for ch in text)
-
-
 def _match_rows(cohort, cfg: AuditConfig, model: str | None = None,
                 pairs_dir: str | None = None) -> list[dict]:
     """Matching diagnostics, one row per level pair of every protected
@@ -331,8 +327,8 @@ def _match_rows(cohort, cfg: AuditConfig, model: str | None = None,
                 ),
             )
             if pairs_dir is not None:
-                name = (f"pairs_{_safe_name(col.name)}_{_safe_name(sample.treated_level)}"
-                        f"_vs_{_safe_name(sample.control_level)}.csv")
+                name = (f"pairs_{safe_name(col.name)}_{safe_name(sample.treated_level)}"
+                        f"_vs_{safe_name(sample.control_level)}.csv")
                 pair_path = os.path.join(pairs_dir, name)
                 export_pairs(cohort, sample, pair_path)
                 print(pair_path)

@@ -6,6 +6,20 @@ a zero denominator) the convention is: ratio fields inside result objects are
 ``None``, while the scalar entry points ``auroc`` and ``youden_threshold``
 raise ``UndefinedMetricError`` so callers decide whether skipping is
 acceptable.
+
+One count kernel computes every AUROC, Youden threshold and confusion count
+in the package.  ``np.unique`` finds a sample's distinct scores (its grid)
+and each record's rank on it once; one ``bincount`` over (level, label,
+rank) then gives the positives and negatives per level at each distinct
+score.  The rule ``score >= t`` predicts positive for the ranks from
+``searchsorted(grid, t)`` up, so confusion counts are sums over a rank
+suffix; the Youden threshold maximizes the integer ``tp*N + tn*P`` over the
+scores present, the smallest winning a tie; AUROC is the Mann-Whitney U over
+P*N, the doubled U being ``sum(pos * (2*neg_below + neg_at))``.  Counts, the
+doubled U and ``tp*N + tn*P`` are exact integers below 2**53 for any sample
+under 9e7 records, so every metric is one correctly rounded division of
+exact values.  A bootstrap replicate gathers precomputed per-record keys and
+counts them again; it sorts nothing.
 """
 
 from __future__ import annotations
@@ -13,9 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import UndefinedMetricError
+
+METRICS = ("PPV", "SENS", "SPEC", "FNR", "FPR", "AUROC")
+_THRESHOLD_METRICS = ("PPV", "SENS", "SPEC", "FNR", "FPR")
 
 
 @dataclass(frozen=True)
@@ -86,21 +102,93 @@ def _validate(labels, scores) -> tuple[np.ndarray, np.ndarray]:
     return y.astype(np.int64), s
 
 
+def _tabulate(labels: np.ndarray, scores: np.ndarray, codes, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The score grid of a sample and its count table (see ``_count_table``)."""
+    grid, ranks = np.unique(scores, return_inverse=True)
+    return grid, _count_table(_count_keys(ranks, labels, codes, grid.size), n_levels, grid.size)
+
+
+def _count_keys(ranks: np.ndarray, labels: np.ndarray, codes, n_grid: int) -> np.ndarray:
+    """Per-record bincount keys ``((code + 1) * 2 + label) * n_grid + rank``.
+
+    ``codes`` are level codes in ``range(n_levels)``, or -1 for a record in
+    no level; a scalar code puts every record in that level.
+    """
+    return ((np.asarray(codes, dtype=np.int64) + 1) * 2 + labels) * n_grid + ranks
+
+
+def _count_table(keys: np.ndarray, n_levels: int, n_grid: int) -> np.ndarray:
+    """Counts of ``keys`` shaped (n_levels + 1, 2, n_grid): [code + 1, label, rank].
+
+    Row 0 holds the records with code -1, so ``table[1:]`` is the per-level
+    table and ``table.sum(0)`` the pooled one.
+    """
+    return np.bincount(keys, minlength=(n_levels + 1) * 2 * n_grid).reshape(n_levels + 1, 2, n_grid)
+
+
+def _youden_cut(pooled: np.ndarray) -> int | None:
+    """Grid index of the Youden threshold of a pooled (2, n_grid) table.
+
+    Only scores present in the table are candidates; None on one class.
+    """
+    neg, pos = pooled
+    n_neg, n_pos = int(neg.sum()), int(pos.sum())
+    if n_neg == 0 or n_pos == 0:
+        return None
+    tn = np.cumsum(neg) - neg
+    tp = n_pos - np.cumsum(pos) + pos
+    # J = tp/P + tn/N - 1; maximizing the integer tp*N + tn*P is equivalent
+    # and makes the tie toward the smallest threshold exact.
+    j_num = tp * n_neg + tn * n_pos
+    j_num[neg + pos == 0] = -1
+    return int(np.argmax(j_num))
+
+
+def _confusion_at(table: np.ndarray, cut: int) -> tuple[np.ndarray, ...]:
+    """Per-level (tp, fp, tn, fn) of a (n_levels, 2, n_grid) table at ``cut``."""
+    neg, pos = table[:, 0], table[:, 1]
+    tp = pos[:, cut:].sum(axis=1)
+    fp = neg[:, cut:].sum(axis=1)
+    return tp, fp, neg.sum(axis=1) - fp, pos.sum(axis=1) - tp
+
+
+def _ratio_terms(tp, fp, tn, fn) -> dict:
+    """(numerator, denominator) of each ratio metric; a zero denominator
+    leaves the metric undefined."""
+    return {
+        "PPV": (tp, tp + fp),
+        "SENS": (tp, tp + fn),
+        "SPEC": (tn, tn + fp),
+        "FNR": (fn, tp + fn),
+        "FPR": (fp, tn + fp),
+    }
+
+
+def _metric_table(table: np.ndarray, metrics: tuple[str, ...], cut: int | None) -> np.ndarray:
+    """Metric values per level of a (n_levels, 2, n_grid) count table.
+
+    Shape (n_levels, len(metrics)), nan where undefined.  Threshold metrics
+    need ``cut`` (None leaves them nan).
+    """
+    out = np.full((table.shape[0], len(metrics)), np.nan)
+    terms = {} if cut is None else _ratio_terms(*_confusion_at(table, cut))
+    if "AUROC" in metrics:
+        neg, pos = table[:, 0], table[:, 1]
+        # 2*cumsum(neg) - neg = 2*neg_below + neg_at: the doubled U.
+        u2 = np.sum(pos * (2 * np.cumsum(neg, axis=1) - neg), axis=1)
+        terms["AUROC"] = (u2 / 2.0, pos.sum(axis=1) * neg.sum(axis=1))
+    for j, m in enumerate(metrics):
+        if m in terms:
+            num, den = terms[m]
+            np.divide(num, den, out=out[:, j], where=den > 0)
+    return out
+
+
 def confusion(labels, scores, threshold: float) -> ConfusionCounts:
     """Count outcomes of the decision rule ``score >= threshold``."""
-    y, s = _validate(labels, scores)
-    pred = s >= threshold
-    pos = y == 1
-    return ConfusionCounts(
-        tp=int(np.sum(pred & pos)),
-        fp=int(np.sum(pred & ~pos)),
-        tn=int(np.sum(~pred & ~pos)),
-        fn=int(np.sum(~pred & pos)),
-    )
-
-
-def _ratio(num: int, den: int) -> float | None:
-    return None if den == 0 else num / den
+    grid, table = _tabulate(*_validate(labels, scores), 0, 1)
+    tp, fp, tn, fn = (int(c[0]) for c in _confusion_at(table[1:], np.searchsorted(grid, threshold)))
+    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
 def threshold_metrics(counts: ConfusionCounts, threshold: float = float("nan")) -> ThresholdMetrics:
@@ -111,57 +199,26 @@ def threshold_metrics(counts: ConfusionCounts, threshold: float = float("nan")) 
     that field only; sensitivity + fnr = 1 and specificity + fpr = 1 hold to
     float rounding whenever both terms are defined (shared denominators).
     """
+    terms = _ratio_terms(counts.tp, counts.fp, counts.tn, counts.fn)
+    r = {m: None if den == 0 else num / den for m, (num, den) in terms.items()}
     return ThresholdMetrics(
-        threshold=threshold,
-        ppv=_ratio(counts.tp, counts.tp + counts.fp),
-        sensitivity=_ratio(counts.tp, counts.positives),
-        specificity=_ratio(counts.tn, counts.negatives),
-        fnr=_ratio(counts.fn, counts.positives),
-        fpr=_ratio(counts.fp, counts.negatives),
+        threshold=threshold, ppv=r["PPV"], sensitivity=r["SENS"],
+        specificity=r["SPEC"], fnr=r["FNR"], fpr=r["FPR"],
     )
-
-
-def _auroc_or_none(y: np.ndarray, s: np.ndarray) -> float | None:
-    """Rank-based AUROC (Mann-Whitney with midranks); None on single-class."""
-    n_pos = int(np.sum(y))
-    n_neg = y.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        return None
-    ranks = rankdata(s)
-    rank_sum = float(np.sum(ranks[y == 1]))
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def auroc(labels, scores) -> float:
     """Area under the ROC curve: P(score_pos > score_neg) + 0.5 P(tie).
 
-    Computed from midranks, which is exactly the average over all
+    The Mann-Whitney U over P*N, which is exactly the average over all
     positive/negative pairs.  Raises UndefinedMetricError when only one class
     is present; callers auditing subgroups catch this and record the skip.
     """
-    y, s = _validate(labels, scores)
-    value = _auroc_or_none(y, s)
-    if value is None:
+    _, table = _tabulate(*_validate(labels, scores), 0, 1)
+    value = _metric_table(table[1:], ("AUROC",), None)[0, 0]
+    if np.isnan(value):
         raise UndefinedMetricError("AUROC undefined: labels contain a single class")
-    return value
-
-
-def _youden_or_none(y: np.ndarray, s: np.ndarray) -> float | None:
-    n_pos = int(np.sum(y))
-    n_neg = y.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        return None
-    order = np.argsort(s, kind="stable")
-    ss = s[order]
-    ys = y[order]
-    uniq, first = np.unique(ss, return_index=True)
-    cum_pos = np.concatenate(([0], np.cumsum(ys)))
-    tp = n_pos - cum_pos[first]
-    tn = first - cum_pos[first]
-    # J = tp/P + tn/N - 1; maximizing the integer tp*N + tn*P is equivalent
-    # and makes the tie toward the smallest threshold exact.
-    j_num = tp * n_neg + tn * n_pos
-    return float(uniq[int(np.argmax(j_num))])
+    return float(value)
 
 
 def youden_threshold(labels, scores) -> float:
@@ -172,11 +229,11 @@ def youden_threshold(labels, scores) -> float:
     smallest threshold wins.  Raises UndefinedMetricError on single-class
     input.
     """
-    y, s = _validate(labels, scores)
-    value = _youden_or_none(y, s)
-    if value is None:
+    grid, table = _tabulate(*_validate(labels, scores), 0, 1)
+    cut = _youden_cut(table[1])
+    if cut is None:
         raise UndefinedMetricError("Youden threshold undefined: labels contain a single class")
-    return value
+    return float(grid[cut])
 
 
 def calibration_curve(labels, scores, n_bins: int = 10) -> CalibrationCurve:

@@ -19,6 +19,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
+from xml.sax.saxutils import escape
 
 from .audit import (
     STATUS_OK,
@@ -55,6 +56,17 @@ def fmt_rounded(x: float | None, places: int = 2) -> str:
     if x is None:
         return ""
     return repr(round_half_even(x, places))
+
+
+def safe_name(text: str) -> str:
+    """``text`` with every character but letters, digits and ``-_.`` turned
+    into ``-``: a model or level name fit for a file name."""
+    return "".join(ch if ch.isalnum() or ch in "-_." else "-" for ch in text)
+
+
+def _md_cell(text) -> str:
+    """A name fit for a markdown table cell: ``|`` escaped."""
+    return str(text).replace("|", "\\|")
 
 
 def _fmt_stat(x: float | None) -> str:
@@ -377,7 +389,7 @@ def _markdown(bundle: ReportBundle, places: int) -> str:
             if key not in seen:
                 seen.append(key)
         for attr, level in seen:
-            cells = [f"{attr} = {level}"]
+            cells = [_md_cell(f"{attr} = {level}")]
             for m in metrics:
                 cell = ""
                 for r in rows:
@@ -400,7 +412,7 @@ def _markdown(bundle: ReportBundle, places: int) -> str:
         lines.append("|---|---|---|---|---|---|")
         for r in bundle.discrepancy:
             lines.append(
-                f"| {r['model']} | {r['attribute']} | {r['metric']} | {r['matching']} "
+                f"| {_md_cell(r['model'])} | {_md_cell(r['attribute'])} | {r['metric']} | {r['matching']} "
                 f"| {fmt_rounded(r['gap'], places)} | {r['n_levels']} |"
             )
         lines.append("")
@@ -411,13 +423,15 @@ def _markdown(bundle: ReportBundle, places: int) -> str:
         lines.append("| Model | Contrast | Covariate | SMD before | SMD after |")
         lines.append("|---|---|---|---|---|")
         for r in bundle.balance:
-            contrast = f"{r['attribute']}: {r['treated_level']} vs {r['control_level']}"
+            model = _md_cell(r.get("model", ""))
+            contrast = _md_cell(f"{r['attribute']}: {r['treated_level']} vs {r['control_level']}")
             if r.get("status") and r["status"] != STATUS_OK:
-                lines.append(f"| {r.get('model', '')} | {contrast} | ({r['status']}: {r.get('detail', '')}) | | |")
+                detail = _md_cell(r.get("detail", ""))
+                lines.append(f"| {model} | {contrast} | ({r['status']}: {detail}) | | |")
                 continue
             for c in r.get("covariates", []):
                 lines.append(
-                    f"| {r.get('model', '')} | {contrast} | {c['name']} "
+                    f"| {model} | {contrast} | {_md_cell(c['name'])} "
                     f"| {fmt_rounded(c['smd_before'], 4)} | {fmt_rounded(c['smd_after'], 4)} |"
                 )
         lines.append("")
@@ -426,7 +440,7 @@ def _markdown(bundle: ReportBundle, places: int) -> str:
         lines.append("## Calibration")
         lines.append("")
         for model in bundle.calibration:
-            lines.append(f"![calibration {model}](calibration_{model}.svg)")
+            lines.append(f"![calibration {safe_name(model)}](calibration_{safe_name(model)}.svg)")
         lines.append("")
 
     if bundle.comparison is not None:
@@ -439,7 +453,7 @@ def _markdown(bundle: ReportBundle, places: int) -> str:
         lines.append("| Model | n | " + " | ".join(metric_names) + " |")
         lines.append("|---|---|" + "---|" * len(metric_names))
         for m, entry in cmp["overall"].items():
-            cells = [m, str(entry["n"])]
+            cells = [_md_cell(m), str(entry["n"])]
             cells += [_fmt_stat(entry[name]) for name in metric_names]
             lines.append("| " + " | ".join(cells) + " |")
         lines.append("")
@@ -449,8 +463,8 @@ def _markdown(bundle: ReportBundle, places: int) -> str:
         lines.append("|---|---|---|---|---|---|")
         for d in cmp["deltas"]:
             lines.append(
-                f"| {d['attribute']} | {d['level']} | {d['metric']} | {d['phase']} "
-                f"| {d['opponent'] or ''} | {fmt_rounded(d['delta'], places)} |"
+                f"| {_md_cell(d['attribute'])} | {_md_cell(d['level'])} | {d['metric']} | {d['phase']} "
+                f"| {_md_cell(d['opponent'] or '')} | {fmt_rounded(d['delta'], places)} |"
             )
         lines.append("")
 
@@ -476,7 +490,7 @@ def _svg_calibration(model: str, entry: dict) -> str:
         f'<line x1="{sx(0)}" y1="{sy(0)}" x2="{sx(1)}" y2="{sy(1)}" '
         'stroke="#999" stroke-dasharray="4 3" stroke-width="1"/>',
         f'<text x="{size // 2}" y="20" text-anchor="middle" font-size="13">'
-        f"calibration: {model}</text>",
+        f"calibration: {escape(model)}</text>",
         f'<text x="{size // 2}" y="{size - 8}" text-anchor="middle" font-size="11">mean score</text>',
         f'<text x="12" y="{size // 2}" text-anchor="middle" font-size="11" '
         f'transform="rotate(-90 12 {size // 2})">positive fraction</text>',
@@ -539,5 +553,5 @@ def render(bundle: ReportBundle, out_dir, formats=_FORMATS) -> list[str]:
         emit("report.md", _markdown(bundle, places))
     if "svg" in formats:
         for model, entry in bundle.calibration.items():
-            emit(f"calibration_{model}.svg", _svg_calibration(model, entry))
+            emit(f"calibration_{safe_name(model)}.svg", _svg_calibration(model, entry))
     return written

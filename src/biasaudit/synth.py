@@ -30,7 +30,7 @@ from .cohort import (
 )
 from .errors import ConfigError
 from .glm import encode_design, fit_logistic, predict_proba
-from .metrics import _auroc_or_none
+from .metrics import _metric_table, _tabulate
 
 _MECHANISMS = ("score_noise", "score_shift", "label_flip")
 
@@ -332,26 +332,30 @@ def generate(config: SynthConfig) -> tuple[Cohort, dict]:
 def _empirical_summary(cohort: Cohort, model: str) -> dict:
     y = label_values(cohort)
     s = score_values(cohort, model)
+    _, table = _tabulate(y, s, 0, 1)
+    auc = _metric_table(table[1:], ("AUROC",), None)[0, 0]
     out: dict = {
         "prevalence": float(y.mean()),
-        "auroc_overall": _auroc_or_none(y, s),
+        "auroc_overall": None if np.isnan(auc) else float(auc),
         "subgroups": [],
     }
     for col in cohort.schema.protected_columns:
-        vals = attribute_values(cohort, col.name)
-        for level in cohort.attribute_levels[col.name]:
-            idx = [i for i, v in enumerate(vals) if v == level]
-            if not idx:
-                continue
-            arr = np.asarray(idx)
-            out["subgroups"].append(
-                {
-                    "attribute": col.name,
-                    "level": level,
-                    "n": len(idx),
-                    "auroc": _auroc_or_none(y[arr], s[arr]),
-                }
-            )
+        levels = cohort.attribute_levels[col.name]
+        code_of = {level: g for g, level in enumerate(levels)}
+        codes = np.fromiter((code_of.get(v, -1) for v in attribute_values(cohort, col.name)),
+                            dtype=np.int64, count=cohort.n)
+        _, table = _tabulate(y, s, codes, len(levels))
+        aucs = _metric_table(table[1:], ("AUROC",), None)[:, 0]
+        for level, n, auc in zip(levels, table[1:].sum(axis=(1, 2)), aucs):
+            if n:
+                out["subgroups"].append(
+                    {
+                        "attribute": col.name,
+                        "level": level,
+                        "n": int(n),
+                        "auroc": None if np.isnan(auc) else float(auc),
+                    }
+                )
     return out
 
 

@@ -4,8 +4,11 @@ Everything here deliberately takes a different computational route from the
 code under test: AUROC by explicit pair enumeration instead of ranks, Youden
 by an exact-rational exhaustive scan instead of the cumulative-count trick,
 t-tail probabilities by high-precision quadrature of the density instead of
-the incomplete-beta closed form, gradients by finite differences, and greedy
-matching by scanning every live control instead of a sorted index.
+the incomplete-beta closed form, gradients by finite differences, greedy
+matching by scanning every live control instead of a sorted index, subgroup
+metric matrices by per-level masks and midranks instead of one count table,
+and the AUROC standard error by DeLong's placement values instead of the
+bootstrap.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import warnings
 
 import mpmath as mp
 import numpy as np
+from scipy.stats import rankdata
 
 from biasaudit.matching import MatchedPair, MatchedSample, _logit
 
@@ -136,3 +140,71 @@ def scan_greedy_match(propensities, treated, caliper_multiplier=0.2) -> MatchedS
 
     pairs.sort(key=lambda p: p.treated)
     return MatchedSample(pairs=tuple(pairs), unmatched_treated=unmatched, caliper=caliper)
+
+
+_THRESHOLD_METRICS = ("PPV", "SENS", "SPEC", "FNR", "FPR")
+
+
+def rank_metric_matrix(y: np.ndarray, s: np.ndarray, codes: np.ndarray, n_levels: int,
+                       metrics: tuple[str, ...], threshold: float | None) -> np.ndarray:
+    """Per-level metric values, nan where undefined.  Shape (n_levels, n_metrics).
+
+    Level by level: a boolean mask per level, confusion counts by comparing
+    each score with the threshold, and AUROC from midranks.
+    """
+    out = np.full((n_levels, len(metrics)), np.nan)
+    need_threshold = any(m in _THRESHOLD_METRICS for m in metrics)
+    for g in range(n_levels):
+        mask = codes == g
+        if not mask.any():
+            continue
+        yg = y[mask]
+        sg = s[mask]
+        pos = yg == 1
+        n_pos = int(pos.sum())
+        n_neg = yg.size - n_pos
+        tp = fp = tn = fn = 0
+        if need_threshold and threshold is not None:
+            pred = sg >= threshold
+            tp = int(np.count_nonzero(pred & pos))
+            fp = int(np.count_nonzero(pred & ~pos))
+            fn = n_pos - tp
+            tn = n_neg - fp
+        for j, m in enumerate(metrics):
+            if m == "AUROC":
+                if n_pos and n_neg:
+                    ranks = rankdata(sg)
+                    out[g, j] = (float(ranks[pos].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+            elif threshold is not None:
+                if m == "PPV" and tp + fp:
+                    out[g, j] = tp / (tp + fp)
+                elif m == "SENS" and n_pos:
+                    out[g, j] = tp / n_pos
+                elif m == "SPEC" and n_neg:
+                    out[g, j] = tn / n_neg
+                elif m == "FNR" and n_pos:
+                    out[g, j] = fn / n_pos
+                elif m == "FPR" and n_neg:
+                    out[g, j] = fp / n_neg
+    return out
+
+
+def delong_auroc_se(labels, scores) -> float:
+    """Standard error of the AUROC by DeLong, DeLong & Clarke-Pearson (1988).
+
+    Each positive's placement is its win fraction over all negatives (ties
+    count half), each negative's the positives' win fraction over it; the
+    AUROC variance is var(positive placements)/P + var(negative
+    placements)/N.  O(P*N) pairs; fine for a few thousand records.
+    """
+    y = np.asarray(labels)
+    s = np.asarray(scores, dtype=float)
+    pos = s[y == 1]
+    neg = s[y == 0]
+    if pos.size < 2 or neg.size < 2:
+        raise ValueError("DeLong needs at least two records of each class")
+    diff = pos[:, None] - neg[None, :]
+    psi = (diff > 0) + 0.5 * (diff == 0)
+    v10 = psi.mean(axis=1)
+    v01 = psi.mean(axis=0)
+    return float(np.sqrt(v10.var(ddof=1) / pos.size + v01.var(ddof=1) / neg.size))

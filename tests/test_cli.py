@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -485,6 +486,55 @@ class TestAuditCommand:
         config = make_run_config(tmp_path, str(tmp_path / "ghost.csv"))
         assert main(["audit", config]) == EXIT_CONFIG
         assert "cannot read cohort file" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", float("nan")),
+        ("ridge", float("inf")),
+        ("caliper_multiplier", float("nan")),
+        ("caliper_multiplier", float("inf")),
+        ("threshold", float("nan")),
+        ("threshold", {"kind": "fixed", "value": float("-inf")}),
+    ])
+    def test_non_finite_config_float_exits_2(self, tmp_path, capsys, key, value):
+        # json.load accepts the NaN/Infinity literals that json.dump writes here.
+        config = make_run_config(tmp_path, str(tmp_path / "unread.csv"),
+                                 audit=dict(RUN_AUDIT, **{key: value}))
+        assert "NaN" in open(config).read() or "Infinity" in open(config).read()
+        assert main(["audit", config]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be finite" in err
+        assert not (tmp_path / "report").exists()
+
+    def test_awkward_model_name_renders_every_format(self, tmp_path):
+        import xml.etree.ElementTree as ET
+
+        cohort = make_cohort(tmp_path)
+        name = "risk v2/<b>|x"
+        config = make_run_config(tmp_path, cohort,
+                                 schema=dict(RUN_SCHEMA, score_columns=[[name, "score"]]))
+        assert main(["audit", config]) == EXIT_OK
+        report_dir = tmp_path / "report"
+        assert {p.name for p in report_dir.iterdir()} == {
+            "report.json", "subgroup.csv", "matched.csv", "discrepancy.csv", "balance.csv",
+            "calibration.csv", "report.md", "calibration_risk-v2--b--x.svg"}
+        assert json.load(open(report_dir / "report.json"))["metadata"]["models"] == [name]
+        svg = ET.parse(report_dir / "calibration_risk-v2--b--x.svg").getroot()
+        assert any(el.text == f"calibration: {name}" for el in svg.iter())
+        md = (report_dir / "report.md").read_text()
+        assert "](calibration_risk-v2--b--x.svg)" in md
+        tables = 0
+        columns = None
+        for line in md.splitlines():
+            if not line.startswith("|"):
+                columns = None
+                continue
+            # Cells split on unescaped pipes; the first row is the header.
+            n = len(re.split(r"(?<!\\)\|", line)) - 2
+            if columns is None:
+                columns, tables = n, tables + 1
+            assert n == columns, line
+        assert tables >= 3
 
 
 class TestCompareCommand:

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from biasaudit.errors import UndefinedMetricError
 from biasaudit.metrics import (
+    METRICS,
     CalibrationCurve,
     ConfusionCounts,
     auroc,
@@ -12,8 +13,9 @@ from biasaudit.metrics import (
     threshold_metrics,
     youden_threshold,
 )
+from biasaudit.metrics import _count_keys, _count_table, _metric_table, _tabulate, _youden_cut
 
-from oracles import exhaustive_youden, pairwise_auroc
+from oracles import delong_auroc_se, exhaustive_youden, pairwise_auroc, rank_metric_matrix
 
 LABELS4 = [0, 0, 1, 1]
 SCORES4 = [0.1, 0.4, 0.35, 0.8]
@@ -170,6 +172,72 @@ class TestYoudenThreshold:
         if not both_classes(y):
             return
         assert youden_threshold(y, s) in s
+
+
+GRID = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
+
+
+@st.composite
+def leveled_instances(draw):
+    """Tie-heavy labels/scores with level codes in [-1, n_levels); levels may
+    be empty or hold one class, and -1 marks records in no level."""
+    n = draw(st.integers(1, 150))
+    n_levels = draw(st.integers(1, 4))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
+    s = np.array(draw(st.lists(st.sampled_from(GRID), min_size=n, max_size=n)))
+    codes = np.array(draw(st.lists(st.integers(-1, n_levels - 1), min_size=n, max_size=n)), dtype=np.int64)
+    threshold = draw(st.one_of(
+        st.none(),
+        st.sampled_from(GRID),  # on a grid value
+        st.sampled_from((-0.5, 0.05, 0.3, 0.8, 0.95, 1.5)),  # between or outside
+    ))
+    return y, s, codes, n_levels, threshold
+
+
+class TestCountKernel:
+    """The count-table kernel against the per-level rank reference."""
+
+    @given(leveled_instances())
+    def test_metric_table_equals_rank_reference_bit_for_bit(self, case):
+        y, s, codes, n_levels, threshold = case
+        grid, table = _tabulate(y, s, codes, n_levels)
+        cut = None if threshold is None else np.searchsorted(grid, threshold)
+        got = _metric_table(table[1:], METRICS, cut)
+        want = rank_metric_matrix(y, s, codes, n_levels, METRICS, threshold)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @given(leveled_instances(), st.integers(0, 2**32 - 1))
+    def test_resample_over_full_grid_equals_reference(self, case, seed):
+        # A bootstrap replicate counts gathered keys over the full sample's
+        # grid, so some grid scores are absent from the replicate; a draw
+        # shorter than the sample leaves more of them absent.
+        y, s, codes, n_levels, _ = case
+        grid, ranks = np.unique(s, return_inverse=True)
+        keys = _count_keys(ranks, y, codes, grid.size)
+        rng = np.random.default_rng(seed)
+        idx = rng.integers(0, y.size, rng.integers(1, y.size + 1))
+        table = _count_table(keys[idx], n_levels, grid.size)
+        cut = _youden_cut(table.sum(axis=0))
+        yb, sb = y[idx], s[idx]
+        if both_classes(yb.tolist()):
+            assert grid[cut] == exhaustive_youden(yb, sb)
+        else:
+            assert cut is None
+        threshold = None if cut is None else float(grid[cut])
+        want = rank_metric_matrix(yb, sb, codes[idx], n_levels, METRICS, threshold)
+        assert np.array_equal(_metric_table(table[1:], METRICS, cut), want, equal_nan=True)
+
+
+class TestBootstrapAurocSpread:
+    def test_bootstrap_sd_is_within_15_percent_of_delong_se(self):
+        # Three synthetic groups of 2,000 records with different separation.
+        rng = np.random.default_rng(20240611)
+        for shift in (0.5, 1.0, 1.8):
+            y = (rng.random(2000) < 0.3).astype(np.int64)
+            s = 1.0 / (1.0 + np.exp(-(rng.normal(size=2000) + shift * y)))
+            draws = [auroc(y[i], s[i]) for i in (rng.integers(0, 2000, 2000) for _ in range(400))]
+            se = delong_auroc_se(y, s)
+            assert abs(np.std(draws, ddof=1) / se - 1.0) < 0.15, (shift, np.std(draws, ddof=1), se)
 
 
 class TestCalibrationCurve:
