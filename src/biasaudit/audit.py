@@ -21,6 +21,7 @@ import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 from scipy.special import betainc
@@ -421,61 +422,55 @@ def matched_audit(cohort: Cohort, model: str, config: AuditConfig, workers: int 
     y_all = label_values(cohort)
     s_all = score_values(cohort, model)
 
-    per_level_cells: dict[tuple[str, str], list[MatchedCell]] = {}
+    per_level_cells: dict[tuple[str, str], list[MatchedCell]] = {
+        (attr, level): [] for attr, levels, _ in prep.attributes for level in levels
+    }
     for attr, levels, _ in prep.attributes:
-        for level in levels:
-            per_level_cells[(attr, level)] = []
+        for li, lj in combinations(levels, 2):
+            try:
+                sample, _ = match_contrast(
+                    cohort, attr, li, lj, config.propensity_covariates,
+                    caliper_multiplier=config.caliper_multiplier,
+                    ridge=config.ridge, subset=prep.eligible,
+                )
+            except (FitError, PropensityError) as exc:
+                detail = str(exc)
+                per_level_cells[(attr, li)].append(MatchedCell(opponent=lj, status=STATUS_FAILED, detail=detail))
+                per_level_cells[(attr, lj)].append(MatchedCell(opponent=li, status=STATUS_FAILED, detail=detail))
+                continue
+            if sample.n_matched < config.min_matched_n:
+                detail = (f"{len(sample.pairs)} pairs ({sample.n_matched} records) "
+                          f"below min_matched_n={config.min_matched_n}")
+                per_level_cells[(attr, li)].append(MatchedCell(opponent=lj, status=STATUS_SKIPPED, detail=detail))
+                per_level_cells[(attr, lj)].append(MatchedCell(opponent=li, status=STATUS_SKIPPED, detail=detail))
+                continue
 
-    for attr, levels, _ in prep.attributes:
-        for i in range(len(levels)):
-            for j in range(i + 1, len(levels)):
-                li, lj = levels[i], levels[j]
-                try:
-                    sample, _ = match_contrast(
-                        cohort, attr, li, lj, config.propensity_covariates,
-                        caliper_multiplier=config.caliper_multiplier,
-                        ridge=config.ridge, subset=prep.eligible,
+            # Treated records are level 0, their controls level 1.
+            pair_idx = np.asarray([p.treated for p in sample.pairs]
+                                  + [p.control for p in sample.pairs], dtype=np.int64)
+            n_pairs = len(sample.pairs)
+            grid, ranks = np.unique(s_all[pair_idx], return_inverse=True)
+            keys = _count_keys(ranks, y_all[pair_idx], np.repeat([0, 1], n_pairs), grid.size)
+
+            def replicate(b: int, _data=(grid, keys, n_pairs, attr, li, lj)) -> np.ndarray:
+                grid_, keys_, np_, attr_, li_, lj_ = _data
+                rng = stream(config.seed, "matched", attr_, li_, lj_, b)
+                draw = rng.integers(0, np_, np_)
+                table = _count_table(keys_[np.concatenate([draw, draw + np_])], 2, grid_.size)
+                _, cut = policy.resolve(grid_, table) if need_threshold else (None, None)
+                mat = _metric_table(table[1:], metrics, cut)
+                # Treated-perspective diff; nan unless both arms are defined.
+                return (mat[0] - mat[1]) / 2.0
+
+            draws = np.vstack(_run_replicates(replicate, config.n_bootstrap, workers))
+            arms = ((sample.treated_level, sample.control_level, 1.0),
+                    (sample.control_level, sample.treated_level, -1.0))
+            for m_j, metric in enumerate(metrics):
+                for level, opponent, sign in arms:
+                    res = _cell_result(model, attr, level, metric, sign * draws[:, m_j], config.alpha)
+                    per_level_cells[(attr, level)].append(
+                        MatchedCell(opponent=opponent, status=res.status, result=res, detail=f"{n_pairs} pairs")
                     )
-                except (FitError, PropensityError) as exc:
-                    detail = str(exc)
-                    per_level_cells[(attr, li)].append(MatchedCell(opponent=lj, status=STATUS_FAILED, detail=detail))
-                    per_level_cells[(attr, lj)].append(MatchedCell(opponent=li, status=STATUS_FAILED, detail=detail))
-                    continue
-                if sample.n_matched < config.min_matched_n:
-                    detail = (
-                        f"{len(sample.pairs)} pairs ({sample.n_matched} records) "
-                        f"below min_matched_n={config.min_matched_n}"
-                    )
-                    per_level_cells[(attr, li)].append(MatchedCell(opponent=lj, status=STATUS_SKIPPED, detail=detail))
-                    per_level_cells[(attr, lj)].append(MatchedCell(opponent=li, status=STATUS_SKIPPED, detail=detail))
-                    continue
-
-                # Treated records are level 0, their controls level 1.
-                pair_idx = np.asarray([p.treated for p in sample.pairs]
-                                      + [p.control for p in sample.pairs], dtype=np.int64)
-                n_pairs = len(sample.pairs)
-                grid, ranks = np.unique(s_all[pair_idx], return_inverse=True)
-                keys = _count_keys(ranks, y_all[pair_idx], np.repeat([0, 1], n_pairs), grid.size)
-
-                def replicate(b: int, _data=(grid, keys, n_pairs, attr, li, lj)) -> np.ndarray:
-                    grid_, keys_, np_, attr_, li_, lj_ = _data
-                    rng = stream(config.seed, "matched", attr_, li_, lj_, b)
-                    draw = rng.integers(0, np_, np_)
-                    table = _count_table(keys_[np.concatenate([draw, draw + np_])], 2, grid_.size)
-                    _, cut = policy.resolve(grid_, table) if need_threshold else (None, None)
-                    mat = _metric_table(table[1:], metrics, cut)
-                    # Treated-perspective diff; nan unless both arms are defined.
-                    return (mat[0] - mat[1]) / 2.0
-
-                draws = np.vstack(_run_replicates(replicate, config.n_bootstrap, workers))
-                arms = ((sample.treated_level, sample.control_level, 1.0),
-                        (sample.control_level, sample.treated_level, -1.0))
-                for m_j, metric in enumerate(metrics):
-                    for level, opponent, sign in arms:
-                        res = _cell_result(model, attr, level, metric, sign * draws[:, m_j], config.alpha)
-                        per_level_cells[(attr, level)].append(
-                            MatchedCell(opponent=opponent, status=res.status, result=res, detail=f"{n_pairs} pairs")
-                        )
 
     # Contrasts run in level order, so each level's cells are already in
     # opponent order.
@@ -499,18 +494,9 @@ def summarize_discrepancy(
     unrounded; rendering applies display rounding.
     """
     summaries: list[DiscrepancySummary] = []
-    models: list[str] = []
-    attrs: list[str] = []
-    for r in subgroup_results:
-        if r.model not in models:
-            models.append(r.model)
-        if r.attribute not in attrs:
-            attrs.append(r.attribute)
-    for r in matched_results:
-        if r.model not in models:
-            models.append(r.model)
-        if r.attribute not in attrs:
-            attrs.append(r.attribute)
+    rows = (*subgroup_results, *matched_results)
+    models = dict.fromkeys(r.model for r in rows)
+    attrs = dict.fromkeys(r.attribute for r in rows)
 
     for model in models:
         for attr in attrs:

@@ -55,7 +55,7 @@ from .errors import (
 )
 from .matching import balance_report, export_pairs, match_contrast
 from .metrics import calibration_curve
-from .report import build_bundle, render, safe_name
+from .report import _FORMATS, build_bundle, render, safe_name
 from .synth import config_from_dict as synth_config_from_dict
 from .synth import generate
 
@@ -86,10 +86,28 @@ class RunConfig:
     config_hash: str = ""
 
 
-def _check_keys(doc: dict, allowed: tuple[str, ...], where: str) -> None:
+def _check_keys(doc, allowed: tuple[str, ...], where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
     unknown = [k for k in doc if k not in allowed]
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+
+
+def _convert(kind, value, key: str):
+    """``int(value)`` or ``float(value)``; a ConfigError naming ``key`` when
+    the value does not convert."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from None
+
+
+def _names(value, key: str) -> tuple[str, ...]:
+    """A JSON list of strings as a tuple; ConfigError otherwise."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"{key} must be a list of names, got {value!r}")
+    return tuple(value)
 
 
 def _schema_from_dict(doc: dict) -> CohortSchema:
@@ -143,7 +161,7 @@ def _threshold_from_value(value) -> ThresholdPolicy:
     if value is None or value == "youden":
         return ThresholdPolicy.youden()
     if isinstance(value, (int, float)):
-        return ThresholdPolicy.fixed(float(value))
+        return ThresholdPolicy.fixed(_convert(float, value, "threshold"))
     if isinstance(value, dict):
         _check_keys(value, ("kind", "value"), "threshold policy")
         kind = value.get("kind", "youden")
@@ -152,51 +170,61 @@ def _threshold_from_value(value) -> ThresholdPolicy:
         if kind == "fixed":
             if "value" not in value:
                 raise ConfigError("fixed threshold policy needs 'value'")
-            return ThresholdPolicy.fixed(float(value["value"]))
+            return ThresholdPolicy.fixed(_convert(float, value["value"], "threshold value"))
     raise ConfigError(f"cannot interpret threshold policy {value!r}")
 
 
 def _audit_from_dict(doc: dict) -> AuditConfig:
     _check_keys(doc, _AUDIT_KEYS, "audit config")
     kwargs: dict = {}
-    if "metrics" in doc:
-        kwargs["metrics"] = tuple(doc["metrics"])
+    for key in ("metrics", "propensity_covariates"):
+        if key in doc:
+            kwargs[key] = _names(doc[key], key)
     for key in ("n_bootstrap", "seed", "min_group_size", "min_matched_n", "rounding"):
         if key in doc:
-            kwargs[key] = int(doc[key])
+            kwargs[key] = _convert(int, doc[key], key)
     for key in ("alpha", "ridge"):
         if key in doc:
-            kwargs[key] = float(doc[key])
+            kwargs[key] = _convert(float, doc[key], key)
     if "caliper_multiplier" in doc:
         cm = doc["caliper_multiplier"]
-        kwargs["caliper_multiplier"] = None if cm is None else float(cm)
-    if "propensity_covariates" in doc:
-        kwargs["propensity_covariates"] = tuple(doc["propensity_covariates"])
+        kwargs["caliper_multiplier"] = None if cm is None else _convert(float, cm, "caliper_multiplier")
     if "threshold" in doc:
         kwargs["threshold_policy"] = _threshold_from_value(doc["threshold"])
     return AuditConfig(**kwargs)
 
 
-def load_run_config(path, overrides: dict | None = None) -> RunConfig:
-    """Load a run config JSON file; ``overrides`` are flag values that win
-    over file values (None entries are ignored)."""
+def _read_json(path):
     try:
         with open(os.fspath(path), "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+
+
+def load_run_config(path, overrides: dict | None = None) -> RunConfig:
+    """Load a run config JSON file; ``overrides`` are flag values that win
+    over file values (None entries are ignored)."""
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     _check_keys(doc, _RUN_KEYS, "run config")
     for key in ("cohort", "schema"):
         if key not in doc:
             raise ConfigError(f"run config needs {key!r}")
+    for key in ("cohort", "output_dir"):
+        if not isinstance(doc.get(key, ""), str):
+            raise ConfigError(f"{key} must be a path, got {doc[key]!r}")
+    formats = _names(doc.get("formats", list(_FORMATS)), "formats")
+    if not set(formats) <= set(_FORMATS):
+        raise ConfigError(f"formats must be among {_FORMATS}, got {list(formats)}")
 
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    _check_keys(doc.get("audit", {}), _AUDIT_KEYS, "audit config")
     audit_doc = dict(doc.get("audit", {}))
     for key in ("seed", "n_bootstrap"):
         if key in overrides:
@@ -225,10 +253,10 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
         schema=schema,
         audit=audit,
         output_dir=overrides.get("output_dir", doc.get("output_dir", "report")),
-        formats=tuple(doc.get("formats", ("json", "csv", "markdown", "svg"))),
-        workers=int(overrides.get("workers", doc.get("workers", 1))),
-        calibration_bins=int(doc.get("calibration_bins", 10)),
-        models=None if models is None else tuple(models),
+        formats=formats,
+        workers=_convert(int, overrides.get("workers", doc.get("workers", 1)), "workers"),
+        calibration_bins=_convert(int, doc.get("calibration_bins", 10), "calibration_bins"),
+        models=None if models is None else _names(models, "models"),
         config_hash=config_hash,
     )
 
@@ -269,6 +297,20 @@ def _metadata(rc: RunConfig, cohort, models) -> dict:
     }
 
 
+def _distinct_files(owners) -> None:
+    """ConfigError when two owners would write one file; ``owners`` yields
+    (owner description, names of the files it may write)."""
+    seen: dict[str, str] = {}
+    for owner, names in owners:
+        for name in names:
+            if seen.setdefault(name, owner) != owner:
+                raise ConfigError(f"{seen[name]} and {owner} both map to the file name {name!r}")
+
+
+def _pairs_name(attribute: str, treated: str, control: str) -> str:
+    return f"pairs_{safe_name(attribute)}_{safe_name(treated)}_vs_{safe_name(control)}.csv"
+
+
 def _match_rows(cohort, cfg: AuditConfig, model: str | None = None,
                 pairs_dir: str | None = None) -> list[dict]:
     """Matching diagnostics, one row per level pair of every protected
@@ -277,14 +319,15 @@ def _match_rows(cohort, cfg: AuditConfig, model: str | None = None,
     With ``model`` the contrasts mirror the matched audit's: only that model's
     scored records take part and each row leads with the model name.  With
     ``pairs_dir`` each contrast's pairs are exported there and named in its
-    row, and skipped attributes are noted on stderr.
+    row, and skipped attributes are noted on stderr; two contrasts that could
+    write the same pair file raise ConfigError before any is written.
     """
     subset = None
     lead: dict = {}
     if model is not None:
         subset = np.flatnonzero(~np.isnan(score_values(cohort, model)))
         lead = {"model": model}
-    rows: list[dict] = []
+    contrasts: list[tuple[str, str, str]] = []
     for col in cohort.schema.protected_columns:
         try:
             part = subgroup_partition(cohort, col.name, cfg.min_group_size, subset=subset)
@@ -292,52 +335,58 @@ def _match_rows(cohort, cfg: AuditConfig, model: str | None = None,
             if pairs_dir is not None:
                 print(f"note: skipping {col.name!r}: {exc}", file=sys.stderr)
             continue
-        for level_a, level_b in combinations(part.levels, 2):
-            row = {**lead, "attribute": col.name}
-            try:
-                sample, prop = match_contrast(
-                    cohort, col.name, level_a, level_b,
-                    cfg.propensity_covariates,
-                    caliper_multiplier=cfg.caliper_multiplier,
-                    ridge=cfg.ridge, subset=subset,
-                )
-            except (FitError, PropensityError) as exc:
-                row.update(treated_level=level_a, control_level=level_b,
-                           status="failed", detail=str(exc))
-                if model is not None:
-                    # report.json's failed balance rows list covariates before
-                    # the counts; update() below keeps a key where it stands.
-                    row["covariates"] = []
-                row.update(matched_n=0, passes_min_n=False, covariates=[])
-                rows.append(row)
-                continue
-            bal = balance_report(cohort, sample, cfg.propensity_covariates,
-                                 cfg.min_matched_n, propensity=prop)
-            row.update(
-                treated_level=sample.treated_level,
-                control_level=sample.control_level,
-                caliper=sample.caliper,
-                unmatched_treated=sample.unmatched_treated,
-                matched_n=bal.matched_n,
-                passes_min_n=bal.passes_min_n,
-                status=STATUS_OK if bal.passes_min_n else "skipped",
-                detail="" if bal.passes_min_n else (
-                    f"{len(sample.pairs)} pairs ({bal.matched_n} records) "
-                    f"below min_matched_n={cfg.min_matched_n}"
-                ),
+        contrasts += [(col.name, a, b) for a, b in combinations(part.levels, 2)]
+    if pairs_dir is not None:
+        # Either level may end up treated, so a contrast may write either name.
+        _distinct_files((f"contrast {attr!r}: {a!r} vs {b!r}", {_pairs_name(attr, a, b), _pairs_name(attr, b, a)})
+                        for attr, a, b in contrasts)
+
+    rows: list[dict] = []
+    for attribute, level_a, level_b in contrasts:
+        row = {**lead, "attribute": attribute}
+        try:
+            sample, prop = match_contrast(
+                cohort, attribute, level_a, level_b,
+                cfg.propensity_covariates,
+                caliper_multiplier=cfg.caliper_multiplier,
+                ridge=cfg.ridge, subset=subset,
             )
-            if pairs_dir is not None:
-                name = (f"pairs_{safe_name(col.name)}_{safe_name(sample.treated_level)}"
-                        f"_vs_{safe_name(sample.control_level)}.csv")
-                pair_path = os.path.join(pairs_dir, name)
-                export_pairs(cohort, sample, pair_path)
-                print(pair_path)
-                row["pairs_file"] = name
-            row["covariates"] = [
-                {"name": c.name, "smd_before": c.smd_before, "smd_after": c.smd_after}
-                for c in bal.covariates
-            ]
+        except (FitError, PropensityError) as exc:
+            row.update(treated_level=level_a, control_level=level_b,
+                       status="failed", detail=str(exc))
+            if model is not None:
+                # report.json's failed balance rows list covariates before
+                # the counts; update() below keeps a key where it stands.
+                row["covariates"] = []
+            row.update(matched_n=0, passes_min_n=False, covariates=[])
             rows.append(row)
+            continue
+        bal = balance_report(cohort, sample, cfg.propensity_covariates,
+                             cfg.min_matched_n, propensity=prop)
+        row.update(
+            treated_level=sample.treated_level,
+            control_level=sample.control_level,
+            caliper=sample.caliper,
+            unmatched_treated=sample.unmatched_treated,
+            matched_n=bal.matched_n,
+            passes_min_n=bal.passes_min_n,
+            status=STATUS_OK if bal.passes_min_n else "skipped",
+            detail="" if bal.passes_min_n else (
+                f"{len(sample.pairs)} pairs ({bal.matched_n} records) "
+                f"below min_matched_n={cfg.min_matched_n}"
+            ),
+        )
+        if pairs_dir is not None:
+            name = _pairs_name(attribute, sample.treated_level, sample.control_level)
+            pair_path = os.path.join(pairs_dir, name)
+            export_pairs(cohort, sample, pair_path)
+            print(pair_path)
+            row["pairs_file"] = name
+        row["covariates"] = [
+            {"name": c.name, "smd_before": c.smd_before, "smd_after": c.smd_after}
+            for c in bal.covariates
+        ]
+        rows.append(row)
     return rows
 
 
@@ -349,6 +398,7 @@ def _audit_pipeline(rc: RunConfig, models) -> tuple:
         if m not in available:
             raise ConfigError(f"unknown model {m!r}; cohort has {available}")
     models = tuple(models) if models else available
+    _distinct_files((f"model {m!r}", {f"calibration_{safe_name(m)}.svg"}) for m in models)
 
     cfg = rc.audit
     subgroup_all = []
@@ -457,16 +507,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {args.config}") from exc
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    config = synth_config_from_dict(doc)
+    config = synth_config_from_dict(_read_json(args.config))
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     cohort, manifest = generate(config)
@@ -484,6 +525,13 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _print_issues(issues, prefix: str) -> None:
+    for issue in issues:
+        loc = f"line {issue.line}" if issue.line else "file"
+        col = f", column {issue.column}" if issue.column else ""
+        print(f"{prefix}: {loc}{col}: {issue.message}", file=sys.stderr)
+
+
 def cmd_validate(args) -> int:
     rc = load_run_config(args.config, {})
     report_path = args.report or os.path.join(rc.output_dir, "validation_report.json")
@@ -498,10 +546,7 @@ def cmd_validate(args) -> int:
         cohort = _read_cohort(rc)
     except CohortValidationError as exc:
         emit({"valid": False, "issues": [i.to_dict() for i in exc.issues], "dropped_rows": []})
-        for issue in exc.issues:
-            loc = f"line {issue.line}" if issue.line else "file"
-            col = f", column {issue.column}" if issue.column else ""
-            print(f"invalid: {loc}{col}: {issue.message}", file=sys.stderr)
+        _print_issues(exc.issues, "invalid")
         print(report_path)
         return EXIT_CONFIG
     except SchemaError as exc:
@@ -569,10 +614,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CohortValidationError as exc:
-        for issue in exc.issues:
-            loc = f"line {issue.line}" if issue.line else "file"
-            col = f", column {issue.column}" if issue.column else ""
-            print(f"error: {loc}{col}: {issue.message}", file=sys.stderr)
+        _print_issues(exc.issues, "error")
         return EXIT_CONFIG
     except (ConfigError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,17 +6,22 @@ is strict about anything that would silently corrupt an audit (bad labels,
 out-of-range scores, duplicate ids) and lenient only where the downstream
 analysis has a well-defined answer (missing values).
 
-Missing values are carried as the ``MISSING`` sentinel rather than ``nan`` or
-``None`` so that "absent" is distinguishable from both legitimate data and
-from bugs.
+A parsed cohort is a set of columns: labels, one score array per model,
+level codes per protected attribute and one array per covariate.  Missing
+values are nan in a float column and -1 in a code column; wherever values
+are handed out one by one (``attribute_values``, ``Cohort.records``) an
+absent value is the ``MISSING`` sentinel rather than ``nan`` or ``None``, so
+that "absent" is distinguishable from both legitimate data and from bugs.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -145,12 +150,12 @@ class CohortSchema:
 
 @dataclass(frozen=True)
 class CohortRecord:
-    """One row of the cohort.  Mappings are never mutated after construction.
+    """One row of the cohort, as ``Cohort.records`` presents it.
 
     ``scores`` holds only the models that scored this record (absent scores
     are simply missing keys); ``protected`` keeps continuous attributes as raw
-    floats, binning happens at the cohort level; ``covariates`` values are
-    float, int 0/1, str, or MISSING depending on the declared kind.
+    floats; ``covariates`` values are float, int 0/1, str, or MISSING
+    depending on the declared kind.
     """
 
     id: str
@@ -160,43 +165,107 @@ class CohortRecord:
     covariates: dict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cohort:
-    """An immutable, validated cohort.
+    """An immutable, validated cohort stored as read-only columns.
+
+    ``labels`` is int64; ``scores`` holds a float array per model, nan where
+    unscored; ``codes`` holds per protected attribute int64 codes into
+    ``attribute_levels``, -1 where missing; ``continuous`` keeps the raw
+    floats of continuous attributes; ``covariates`` holds floats for numeric
+    and binary covariates (nan where missing) and codes into
+    ``covariate_levels`` for categorical ones.
 
     ``attribute_levels`` fixes the reporting order of subgroup levels: for
-    categorical attributes, distinct non-missing values in first-appearance
-    order; for continuous attributes, bin labels in ascending band order.
-    ``breakpoints`` stores the resolved bin boundaries of each continuous
-    attribute so partitions and serialization round-trips stay consistent.
-    ``diagnostics`` records rows dropped during parsing (and why).
+    categorical attributes (and categorical covariates), distinct values in
+    first-appearance order; for continuous attributes, bin labels in
+    ascending order of the resolved ``breakpoints``.  ``diagnostics`` records
+    rows dropped during parsing (and why).
     """
 
-    records: tuple[CohortRecord, ...]
     schema: CohortSchema
+    ids: tuple[str, ...]
+    labels: np.ndarray
+    scores: dict[str, np.ndarray]
+    codes: dict[str, np.ndarray]
+    covariates: dict[str, np.ndarray]
     attribute_levels: dict[str, tuple[str, ...]]
+    covariate_levels: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    continuous: dict[str, np.ndarray] = field(default_factory=dict)
     breakpoints: dict[str, tuple[float, ...]] = field(default_factory=dict)
     diagnostics: tuple[RowIssue, ...] = ()
 
+    def __post_init__(self):
+        for arr in self._arrays():
+            arr.flags.writeable = False
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return (self.labels, *self.scores.values(), *self.codes.values(),
+                *self.continuous.values(), *self.covariates.values())
+
+    def __eq__(self, other):
+        if not isinstance(other, Cohort):
+            return NotImplemented
+        fields = ("schema", "ids", "attribute_levels", "covariate_levels", "breakpoints", "diagnostics")
+        return all(getattr(self, f) == getattr(other, f) for f in fields) and all(
+            np.array_equal(a, b, equal_nan=True)
+            for a, b in zip(self._arrays(), other._arrays())
+        )
+
     @property
     def n(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
     @property
     def model_names(self) -> tuple[str, ...]:
         return self.schema.model_names
 
+    @cached_property
+    def records(self) -> tuple[CohortRecord, ...]:
+        """The rows as CohortRecords, built on first access."""
+        columns = _python_columns(self)
+        scores = [(model, columns[name]) for model, name in self.schema.score_columns]
+        protected = [(col.name, columns[col.name]) for col in self.schema.protected_columns]
+        covariates = [(col.name, columns[col.name]) for col in self.schema.covariate_columns]
+        return tuple(
+            CohortRecord(
+                id=rid,
+                label=label,
+                scores={m: s[i] for m, s in scores if s[i] is not MISSING},
+                protected={name: v[i] for name, v in protected},
+                covariates={name: v[i] for name, v in covariates},
+            )
+            for i, (rid, label) in enumerate(zip(self.ids, columns[self.schema.label_column]))
+        )
 
-def _fmt_edge(x: float) -> str:
-    return format(x, "g")
+
+def _present(values: np.ndarray, cast) -> list:
+    """Python values of a float column, MISSING where nan."""
+    return [MISSING if v != v else cast(v) for v in values.tolist()]
+
+
+def _decode(codes: np.ndarray, levels: tuple) -> list:
+    """The level each code names, MISSING where the code is -1."""
+    lookup = np.empty(len(levels) + 1, dtype=object)
+    lookup[:] = (*levels, MISSING)
+    return lookup[codes].tolist()
+
+
+def _encode_levels(values) -> tuple[tuple[str, ...], np.ndarray]:
+    """Distinct non-None values in first-appearance order, and the code of
+    each value among them (-1 for None)."""
+    index: dict[str, int] = {}
+    codes = np.fromiter(
+        (-1 if v is None else index.setdefault(v, len(index)) for v in values),
+        dtype=np.int64, count=len(values),
+    )
+    return tuple(index), codes
 
 
 def _bin_labels(breakpoints: tuple[float, ...]) -> tuple[str, ...]:
-    labels = []
-    for i in range(len(breakpoints) - 1):
-        close = "]" if i == len(breakpoints) - 2 else ")"
-        labels.append(f"[{_fmt_edge(breakpoints[i])} - {_fmt_edge(breakpoints[i + 1])}{close}")
-    return tuple(labels)
+    last = len(breakpoints) - 2
+    return tuple(f"[{a:g} - {b:g}{']' if i == last else ')'}"
+                 for i, (a, b) in enumerate(zip(breakpoints, breakpoints[1:])))
 
 
 def _resolve_breakpoints(observed: np.ndarray, edges: tuple[float, ...] | None) -> tuple[float, ...]:
@@ -223,16 +292,17 @@ def _resolve_breakpoints(observed: np.ndarray, edges: tuple[float, ...] | None) 
     return bp
 
 
-def _assign_bin(value: float, breakpoints: tuple[float, ...], labels: tuple[str, ...]) -> str:
-    if value < breakpoints[0] or value > breakpoints[-1]:
-        raise ValueError(
-            f"value {value!r} falls outside the bin range "
-            f"[{breakpoints[0]}, {breakpoints[-1]}]"
-        )
-    if value == breakpoints[-1]:
-        return labels[-1]
-    idx = int(np.searchsorted(breakpoints, value, side="right")) - 1
-    return labels[idx]
+def _outside_message(value: float, breakpoints: tuple[float, ...]) -> str:
+    return f"value {value!r} falls outside the bin range [{breakpoints[0]}, {breakpoints[-1]}]"
+
+
+def _bin_codes(values: np.ndarray, breakpoints: tuple[float, ...]) -> np.ndarray:
+    """Band index of each value: bands are left-closed, the last one also
+    right-closed; -1 for nan and for values outside the breakpoints."""
+    codes = np.searchsorted(breakpoints, values, side="right") - 1
+    codes[values == breakpoints[-1]] = len(breakpoints) - 2
+    codes[np.isnan(values) | (values < breakpoints[0]) | (values > breakpoints[-1])] = -1
+    return codes
 
 
 def bin_continuous(values, edges: tuple[float, ...] | None = None) -> list:
@@ -248,38 +318,36 @@ def bin_continuous(values, edges: tuple[float, ...] | None = None) -> list:
     data under tertiles) or an observed value falls outside explicit edges.
     """
     vals = list(values)
-    observed = np.asarray([v for v in vals if v is not MISSING], dtype=float)
-    bp = _resolve_breakpoints(observed, edges)
-    labels = _bin_labels(bp)
-    return [v if v is MISSING else _assign_bin(float(v), bp, labels) for v in vals]
+    present = np.asarray([v is not MISSING for v in vals], dtype=bool)
+    raw = np.asarray([np.nan if v is MISSING else float(v) for v in vals], dtype=float)
+    bp = _resolve_breakpoints(raw[present], edges)
+    codes = _bin_codes(raw, bp)
+    outside = np.flatnonzero(present & (codes < 0))
+    if outside.size:
+        raise ValueError(_outside_message(float(raw[outside[0]]), bp))
+    return _decode(codes, _bin_labels(bp))
 
 
 def attribute_values(cohort: Cohort, attribute: str) -> list:
     """Per-record level labels for one protected attribute.
 
-    Categorical values come back as-is; continuous values are mapped through
-    the cohort's stored breakpoints.  MISSING stays MISSING.
+    Categorical values come back as-is; continuous values as the label of
+    their bin.  MISSING stays MISSING.
     """
-    col = cohort.schema.protected(attribute)
-    raw = [rec.protected[attribute] for rec in cohort.records]
-    if col.kind == "categorical":
-        return raw
-    bp = cohort.breakpoints[attribute]
-    labels = _bin_labels(bp)
-    return [v if v is MISSING else _assign_bin(float(v), bp, labels) for v in raw]
+    cohort.schema.protected(attribute)
+    return _decode(cohort.codes[attribute], cohort.attribute_levels[attribute])
 
 
 def label_values(cohort: Cohort) -> np.ndarray:
-    return np.fromiter((rec.label for rec in cohort.records), dtype=np.int64, count=cohort.n)
+    """Labels as a fresh int64 array."""
+    return cohort.labels.copy()
 
 
 def score_values(cohort: Cohort, model: str) -> np.ndarray:
-    """Scores for one model as a float array, nan where the record was unscored."""
+    """Scores for one model as a fresh float array, nan where the record was unscored."""
     if model not in cohort.model_names:
         raise ConfigError(f"unknown model {model!r}; cohort has {cohort.model_names}")
-    return np.fromiter(
-        (rec.scores.get(model, np.nan) for rec in cohort.records), dtype=float, count=cohort.n
-    )
+    return cohort.scores[model].copy()
 
 
 @dataclass(frozen=True)
@@ -319,20 +387,14 @@ def subgroup_partition(
     """
     values = attribute_values(cohort, attribute)
     pool = range(cohort.n) if subset is None else sorted(int(i) for i in subset)
-    order = list(cohort.attribute_levels[attribute])
-    buckets: dict[str, list[int]] = {level: [] for level in order}
-    missing_idx: list[int] = []
+    buckets: dict = {level: [] for level in (*cohort.attribute_levels[attribute], MISSING)}
     for i in pool:
-        v = values[i]
-        if v is MISSING:
-            missing_idx.append(i)
-        else:
-            buckets[v].append(i)
+        buckets[values[i]].append(i)
+    missing_idx = buckets.pop(MISSING)
 
     groups: list[tuple[str, tuple[int, ...]]] = []
     excluded: list[tuple[str, int, str]] = []
-    for level in order:
-        idx = buckets[level]
+    for level, idx in buckets.items():
         if not idx:
             excluded.append((level, 0, "empty"))
         elif len(idx) < min_group_size:
@@ -353,37 +415,12 @@ def subgroup_partition(
     return SubgroupPartition(attribute=attribute, groups=tuple(groups), excluded=tuple(excluded))
 
 
-def _build(records: list[CohortRecord], schema: CohortSchema, diagnostics: tuple[RowIssue, ...] = ()) -> Cohort:
-    """Assemble a Cohort: derive attribute level order and bin breakpoints."""
-    attribute_levels: dict[str, tuple[str, ...]] = {}
-    breakpoints: dict[str, tuple[float, ...]] = {}
-    for col in schema.protected_columns:
-        raw = [rec.protected[col.name] for rec in records]
-        if col.kind == "categorical":
-            seen: list[str] = []
-            for v in raw:
-                if v is not MISSING and v not in seen:
-                    seen.append(v)
-            attribute_levels[col.name] = tuple(seen)
-        else:
-            observed = np.asarray([v for v in raw if v is not MISSING], dtype=float)
-            bp = _resolve_breakpoints(observed, col.bin_edges)
-            breakpoints[col.name] = bp
-            attribute_levels[col.name] = _bin_labels(bp)
-    return Cohort(
-        records=tuple(records),
-        schema=schema,
-        attribute_levels=attribute_levels,
-        breakpoints=breakpoints,
-        diagnostics=diagnostics,
-    )
-
-
-def _parse_float(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValueError("non-finite")
-    return value
+def _to_float(text) -> float:
+    """``float(text)``, nan when it does not parse (or is None)."""
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        return math.nan
 
 
 def parse_cohort(source, schema: CohortSchema) -> Cohort:
@@ -392,16 +429,19 @@ def parse_cohort(source, schema: CohortSchema) -> Cohort:
     ``source`` is a path or an open text stream.  Rows with a missing label or
     with every score missing are dropped and logged in ``diagnostics``; any
     other defect (malformed number, label outside {0, 1}, score outside
-    [0, 1], missing or duplicate id, ragged row) is collected and raised as a
-    CohortValidationError listing each offending line.
+    [0, 1], missing or duplicate id, ragged row, continuous value outside its
+    explicit bin edges) is collected and raised as a CohortValidationError
+    listing each offending line.
+
+    Issues come in line order, and within a line in column order (id,
+    label, scores, protected attributes, covariates).
     """
     if hasattr(source, "read"):
         text = source.read()
     else:
         with open(os.fspath(source), "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
-    reader = csv.reader(io.StringIO(text), delimiter=schema.delimiter)
-    rows = list(reader)
+    rows = list(csv.reader(io.StringIO(text), delimiter=schema.delimiter))
     if not rows:
         raise CohortValidationError([RowIssue(None, None, "empty cohort file")])
 
@@ -413,129 +453,148 @@ def parse_cohort(source, schema: CohortSchema) -> Cohort:
     absent = [c for c in required if c not in header]
     if absent:
         raise SchemaError(f"cohort header is missing column(s): {', '.join(absent)}")
-    pos = {name: header.index(name) for name in required}
+    rank = {name: r for r, name in enumerate(required)}
 
-    tokens = set(schema.missing_tokens)
-    issues: list[RowIssue] = []
-    dropped: list[RowIssue] = []
-    records: list[CohortRecord] = []
-    seen_ids: set[str] = set()
-
+    # (line, column rank, issue): raised in line-then-column order.
+    issues: list[tuple[int, int, RowIssue]] = []
+    lines: list[int] = []
+    body: list[list[str]] = []
     for line_no, row in enumerate(rows[1:], start=2):
-        if not row or all(not f.strip() for f in row):
+        if not "".join(row).strip():
             continue
         if len(row) != len(header):
-            issues.append(RowIssue(line_no, None, f"expected {len(header)} fields, found {len(row)}"))
+            issues.append((line_no, -1, RowIssue(line_no, None, f"expected {len(header)} fields, found {len(row)}")))
             continue
+        lines.append(line_no)
+        body.append(row)
+    table = list(zip(*body)) or [()] * len(header)
+    m = len(body)
+    tokens = set(schema.missing_tokens)
 
-        def cell(name: str):
-            raw = row[pos[name]].strip()
-            return MISSING if raw in tokens else raw
+    def check() -> None:
+        if issues:
+            raise CohortValidationError([issue for *_, issue in sorted(issues, key=lambda t: t[:2])])
 
-        row_bad = False
+    def flag(rows_at, name: str, message) -> None:
+        for k in np.asarray(rows_at, dtype=np.int64).tolist():
+            issues.append((lines[k], rank[name], RowIssue(lines[k], name, message(k))))
 
-        rid = cell(schema.id_column)
-        if rid is MISSING:
-            issues.append(RowIssue(line_no, schema.id_column, "missing id"))
-            row_bad = True
-        elif rid in seen_ids:
-            issues.append(RowIssue(line_no, schema.id_column, f"duplicate id {rid!r}"))
-            row_bad = True
+    def cells(name: str) -> list:
+        """Stripped cells of one column, None for a missing token."""
+        return [None if c in tokens else c for c in map(str.strip, table[header.index(name)])]
+
+    def floats(name: str, what: str) -> np.ndarray:
+        raw = cells(name)
+        values = np.fromiter(map(_to_float, raw), dtype=float, count=m)
+        present = np.fromiter((v is not None for v in raw), dtype=bool, count=m)
+        unparseable = present & ~np.isfinite(values)
+        flag(np.flatnonzero(unparseable), name, lambda k: f"unparseable {what} {raw[k]!r}")
+        values[unparseable] = np.nan
+        return values
+
+    def zero_one(name: str, what: str) -> np.ndarray:
+        raw = cells(name)
+        flag([k for k, v in enumerate(raw) if v not in (None, "0", "1")], name,
+             lambda k: f"{what} must be 0 or 1, got {raw[k]!r}")
+        return np.fromiter((np.nan if v is None else v == "1" for v in raw), dtype=float, count=m)
+
+    ids = cells(schema.id_column)
+    seen: set = set()
+    for k, rid in enumerate(ids):
+        if rid is None or rid in seen:
+            flag([k], schema.id_column, lambda k: "missing id" if ids[k] is None else f"duplicate id {ids[k]!r}")
+        seen.add(rid)
+
+    # Categorical columns stay lists of text until the kept rows are known:
+    # their levels are numbered in first-appearance order among those rows.
+    read: dict[str, list | np.ndarray] = {schema.label_column: zero_one(schema.label_column, "label")}
+    for _, name in schema.score_columns:
+        values = read[name] = floats(name, "score")
+        flag(np.flatnonzero((values < 0.0) | (values > 1.0)), name, lambda k: f"score {float(values[k])} outside [0, 1]")
+    for col in (*schema.protected_columns, *schema.covariate_columns):
+        if col.kind == "categorical":
+            read[col.name] = cells(col.name)
+        elif col.kind == "binary":
+            read[col.name] = zero_one(col.name, "binary covariate")
         else:
-            seen_ids.add(rid)
+            read[col.name] = floats(col.name, "numeric value")
+    check()
 
-        label_raw = cell(schema.label_column)
-        label: int | None = None
-        if label_raw is MISSING:
-            label = None
-        elif label_raw in ("0", "1"):
-            label = int(label_raw)
-        else:
-            issues.append(RowIssue(line_no, schema.label_column, f"label must be 0 or 1, got {label_raw!r}"))
-            row_bad = True
-
-        scores: dict = {}
-        for model, colname in schema.score_columns:
-            raw = cell(colname)
-            if raw is MISSING:
-                continue
-            try:
-                value = _parse_float(raw)
-            except ValueError:
-                issues.append(RowIssue(line_no, colname, f"unparseable score {raw!r}"))
-                row_bad = True
-                continue
-            if not 0.0 <= value <= 1.0:
-                issues.append(RowIssue(line_no, colname, f"score {value} outside [0, 1]"))
-                row_bad = True
-                continue
-            scores[model] = value
-
-        protected: dict = {}
-        for col in schema.protected_columns:
-            raw = cell(col.name)
-            if raw is MISSING:
-                protected[col.name] = MISSING
-            elif col.kind == "categorical":
-                protected[col.name] = raw
-            else:
-                try:
-                    protected[col.name] = _parse_float(raw)
-                except ValueError:
-                    issues.append(RowIssue(line_no, col.name, f"unparseable numeric value {raw!r}"))
-                    row_bad = True
-
-        covariates: dict = {}
-        for col in schema.covariate_columns:
-            raw = cell(col.name)
-            if raw is MISSING:
-                covariates[col.name] = MISSING
-            elif col.kind == "categorical":
-                covariates[col.name] = raw
-            elif col.kind == "binary":
-                if raw in ("0", "1"):
-                    covariates[col.name] = int(raw)
-                else:
-                    issues.append(RowIssue(line_no, col.name, f"binary covariate must be 0 or 1, got {raw!r}"))
-                    row_bad = True
-            else:
-                try:
-                    covariates[col.name] = _parse_float(raw)
-                except ValueError:
-                    issues.append(RowIssue(line_no, col.name, f"unparseable numeric value {raw!r}"))
-                    row_bad = True
-
-        if row_bad:
-            continue
-        if label is None:
-            dropped.append(RowIssue(line_no, schema.label_column, "label missing; row dropped"))
-            continue
-        if not scores:
-            dropped.append(RowIssue(line_no, None, "all scores missing; row dropped"))
-            continue
-        records.append(
-            CohortRecord(id=rid, label=label, scores=scores, protected=protected, covariates=covariates)
-        )
-
-    if issues:
-        raise CohortValidationError(issues)
-    if not records:
+    unscored = ~np.any([np.isfinite(read[name]) for _, name in schema.score_columns], axis=0)
+    unlabelled = np.isnan(read[schema.label_column])
+    dropped = tuple(
+        RowIssue(lines[k], schema.label_column, "label missing; row dropped") if unlabelled[k]
+        else RowIssue(lines[k], None, "all scores missing; row dropped")
+        for k in np.flatnonzero(unlabelled | unscored).tolist()
+    )
+    keep = np.flatnonzero(~(unlabelled | unscored))
+    if keep.size == 0:
         raise CohortValidationError([RowIssue(None, None, "no usable rows after validation")])
+    kept = keep.tolist()
 
-    try:
-        return _build(records, schema, diagnostics=tuple(dropped))
-    except ValueError as exc:
-        raise CohortValidationError([RowIssue(None, None, str(exc))]) from exc
+    level_of: dict[str, tuple[str, ...]] = {}
+
+    def column(name: str) -> np.ndarray:
+        values = read[name]
+        if not isinstance(values, list):
+            return values[keep]
+        level_of[name], codes = _encode_levels([values[k] for k in kept])
+        return codes
+
+    codes: dict[str, np.ndarray] = {}
+    continuous: dict[str, np.ndarray] = {}
+    breakpoints: dict[str, tuple[float, ...]] = {}
+    for col in schema.protected_columns:
+        if col.kind == "categorical":
+            codes[col.name] = column(col.name)
+            continue
+        values = continuous[col.name] = column(col.name)
+        try:
+            bp = breakpoints[col.name] = _resolve_breakpoints(values[~np.isnan(values)], col.bin_edges)
+        except ValueError as exc:
+            raise CohortValidationError([RowIssue(None, None, str(exc))]) from exc
+        level_of[col.name] = _bin_labels(bp)
+        codes[col.name] = _bin_codes(values, bp)
+        flag(keep[~np.isnan(values) & (codes[col.name] < 0)], col.name,
+             lambda k: _outside_message(float(read[col.name][k]), bp))
+    check()
+
+    return Cohort(
+        schema=schema,
+        ids=tuple(ids[k] for k in kept),
+        labels=column(schema.label_column).astype(np.int64),
+        scores={model: column(name) for model, name in schema.score_columns},
+        codes=codes,
+        covariates={col.name: column(col.name) for col in schema.covariate_columns},
+        attribute_levels={col.name: level_of[col.name] for col in schema.protected_columns},
+        covariate_levels={col.name: level_of[col.name] for col in schema.covariate_columns
+                          if col.kind == "categorical"},
+        continuous=continuous,
+        breakpoints=breakpoints,
+        diagnostics=dropped,
+    )
 
 
-def _render_value(value, kind: str, missing_token: str) -> str:
-    if value is MISSING:
-        return missing_token
-    if kind == "float":
-        return repr(float(value))
-    if kind == "int":
-        return str(int(value))
-    return str(value)
+def _python_columns(cohort: Cohort) -> dict[str, list]:
+    """Every file column but the id, in file order, as per-row Python values:
+    int labels, float scores and numbers, int 0/1, str levels, and MISSING
+    where a value is absent."""
+    schema = cohort.schema
+    out = {schema.label_column: cohort.labels.tolist()}
+    for model, name in schema.score_columns:
+        out[name] = _present(cohort.scores[model], float)
+    for col in schema.protected_columns:
+        if col.kind == "continuous":
+            out[col.name] = _present(cohort.continuous[col.name], float)
+        else:
+            out[col.name] = _decode(cohort.codes[col.name], cohort.attribute_levels[col.name])
+    for col in schema.covariate_columns:
+        values = cohort.covariates[col.name]
+        if col.kind == "categorical":
+            out[col.name] = _decode(values, cohort.covariate_levels[col.name])
+        else:
+            out[col.name] = _present(values, float if col.kind == "numeric" else int)
+    return out
 
 
 def write_cohort(cohort: Cohort, path) -> None:
@@ -547,37 +606,20 @@ def write_cohort(cohort: Cohort, path) -> None:
     re-parsed cohort re-derives identical bins.
     """
     schema = cohort.schema
+    columns = _python_columns(cohort)
     if not schema.missing_tokens:
-        has_missing = any(
-            v is MISSING
-            for rec in cohort.records
-            for v in (*rec.protected.values(), *rec.covariates.values())
-        ) or any(len(rec.scores) < len(schema.score_columns) for rec in cohort.records)
-        if has_missing:
+        if any(v is MISSING for values in columns.values() for v in values):
             raise ValueError("cohort has missing values but the schema declares no missing tokens")
         token = ""
     else:
         token = schema.missing_tokens[0]
-
-    header = [schema.id_column, schema.label_column]
-    header += [c for _, c in schema.score_columns]
-    header += [p.name for p in schema.protected_columns]
-    header += [c.name for c in schema.covariate_columns]
+    # str() of a float is its repr, so every value renders with str().
+    cells = [[token if v is MISSING else str(v) for v in values] for values in columns.values()]
 
     def _emit(fh) -> None:
         writer = csv.writer(fh, delimiter=schema.delimiter, lineterminator="\n")
-        writer.writerow(header)
-        for rec in cohort.records:
-            row = [rec.id, str(rec.label)]
-            for model, _ in schema.score_columns:
-                row.append(repr(float(rec.scores[model])) if model in rec.scores else token)
-            for col in schema.protected_columns:
-                kind = "float" if col.kind == "continuous" else "str"
-                row.append(_render_value(rec.protected[col.name], kind, token))
-            for col in schema.covariate_columns:
-                kind = {"numeric": "float", "binary": "int", "categorical": "str"}[col.kind]
-                row.append(_render_value(rec.covariates[col.name], kind, token))
-            writer.writerow(row)
+        writer.writerow([schema.id_column, *columns])
+        writer.writerows(zip(cohort.ids, *cells))
 
     if hasattr(path, "write"):
         _emit(path)
@@ -595,21 +637,9 @@ def with_score_column(cohort: Cohort, model: str, column: str, scores) -> Cohort
     if model in cohort.model_names:
         raise ConfigError(f"model name {model!r} already present")
     schema = replace(cohort.schema, score_columns=cohort.schema.score_columns + ((model, column),))
-    arr = np.asarray(scores, dtype=float)
+    arr = np.array(scores, dtype=float)
     if arr.shape != (cohort.n,):
         raise ValueError(f"scores must align with {cohort.n} records, got shape {arr.shape}")
     if np.any((arr < 0) & ~np.isnan(arr)) or np.any((arr > 1) & ~np.isnan(arr)):
         raise ValueError("scores must lie in [0, 1]")
-    records = []
-    for rec, s in zip(cohort.records, arr):
-        scores_map = dict(rec.scores)
-        if not np.isnan(s):
-            scores_map[model] = float(s)
-        records.append(replace(rec, scores=scores_map))
-    return Cohort(
-        records=tuple(records),
-        schema=schema,
-        attribute_levels=dict(cohort.attribute_levels),
-        breakpoints=dict(cohort.breakpoints),
-        diagnostics=cohort.diagnostics,
-    )
+    return replace(cohort, schema=schema, scores={**cohort.scores, model: arr})

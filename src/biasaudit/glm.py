@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .cohort import MISSING, MISSING_LABEL, Cohort
+from .cohort import MISSING_LABEL, Cohort
 from .errors import ConfigError, FitError
 
 log = logging.getLogger(__name__)
@@ -88,12 +88,13 @@ def _covariate_kind(cohort: Cohort, name: str) -> str:
     raise ConfigError(f"unknown covariate {name!r}")
 
 
-def _raw_column(cohort: Cohort, indices, name: str) -> list:
-    return [cohort.records[i].covariates[name] for i in indices]
-
-
-def _grouping_value(v) -> str:
-    return MISSING_LABEL if v is MISSING else str(v)
+def _groups(cohort: Cohort, idx: list[int], name: str) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Group codes of a categorical covariate on rows ``idx``, indexing the
+    group names returned with them.  Missing values group under
+    MISSING_LABEL, together with a level that carries that very name."""
+    names = (*cohort.covariate_levels[name], MISSING_LABEL)
+    remap = np.asarray([names.index(level) for level in names])
+    return remap[cohort.covariates[name][idx]], names
 
 
 def encode_design(
@@ -129,14 +130,15 @@ def encode_design(
 
     for name in names:
         kind = _covariate_kind(cohort, name)
-        raw = _raw_column(cohort, idx, name)
         if kind in ("numeric", "binary"):
-            observed = np.asarray([v for v in raw if v is not MISSING], dtype=float)
+            raw = cohort.covariates[name][idx]
+            missing = np.isnan(raw)
+            observed = raw[~missing]
             if observed.size == 0:
                 raise ConfigError(f"covariate {name!r} is entirely missing on the encoded subset")
             mean = float(observed.mean())
-            filled = np.asarray([mean if v is MISSING else float(v) for v in raw])
-            has_missing = len(observed) < len(raw)
+            filled = np.where(missing, mean, raw)
+            has_missing = observed.size < raw.size
             if kind == "numeric":
                 sd = float(filled.std())
                 if sd == 0.0:
@@ -156,16 +158,14 @@ def encode_design(
                     vectors.append(filled)
             if has_missing and name not in dropped:
                 columns.append(FeatureColumn(kind="indicator", name=name, level=MISSING_LABEL))
-                vectors.append(np.asarray([1.0 if v is MISSING else 0.0 for v in raw]))
+                vectors.append(missing.astype(float))
         else:
-            grouped = [_grouping_value(v) for v in raw]
-            levels: list[str] = []
-            for v in grouped:
-                if v not in levels:
-                    levels.append(v)
-            for level in levels[1:]:
-                columns.append(FeatureColumn(kind="indicator", name=name, level=level))
-                vectors.append(np.asarray([1.0 if v == level else 0.0 for v in grouped]))
+            groups, group_names = _groups(cohort, idx, name)
+            _, first = np.unique(groups, return_index=True)
+            # Every group but the first to appear gets an indicator.
+            for g in groups[np.sort(first)][1:].tolist():
+                columns.append(FeatureColumn(kind="indicator", name=name, level=group_names[g]))
+                vectors.append((groups == g).astype(float))
 
     values = np.column_stack(vectors)
     return DesignMatrix(
@@ -179,13 +179,20 @@ def _encode_reuse(cohort: Cohort, idx: list[int], reuse: tuple[FeatureColumn, ..
         if col.kind == "intercept":
             vectors.append(np.ones(len(idx)))
             continue
-        raw = _raw_column(cohort, idx, col.name)
+        kind = _covariate_kind(cohort, col.name)
+        # Numeric terms need a numeric or binary covariate, indicators a
+        # categorical one, unless they flag missing values.
+        if (col.kind == "numeric") == (kind == "categorical") and col.level != MISSING_LABEL:
+            raise ConfigError(f"covariate {col.name!r} is {kind}, the model has the term {col.label()!r}")
         if col.kind == "numeric":
-            filled = np.asarray([col.impute if v is MISSING else float(v) for v in raw])
-            vectors.append((filled - col.center) / col.scale)
+            raw = cohort.covariates[col.name][idx]
+            vectors.append((np.where(np.isnan(raw), col.impute, raw) - col.center) / col.scale)
+        elif kind == "categorical":
+            groups, group_names = _groups(cohort, idx, col.name)
+            match = [g for g, level in enumerate(group_names) if level == col.level]
+            vectors.append(np.isin(groups, match).astype(float))
         else:
-            grouped = [_grouping_value(v) for v in raw]
-            vectors.append(np.asarray([1.0 if v == col.level else 0.0 for v in grouped]))
+            vectors.append(np.isnan(cohort.covariates[col.name][idx]).astype(float))
     return DesignMatrix(
         columns=tuple(reuse), values=np.column_stack(vectors), row_index=tuple(idx)
     )

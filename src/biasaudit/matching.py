@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cohort import MISSING, Cohort, attribute_values
+from .cohort import Cohort, attribute_values
 from .errors import PropensityError
 from .glm import LogisticModel, encode_design, fit_logistic, predict_proba
 
@@ -336,20 +336,13 @@ def _covariate_numeric_views(cohort: Cohort, name: str, kind: str) -> list[tuple
     Numeric and binary covariates yield themselves (nan for missing);
     categorical covariates yield one 0/1 indicator per observed level.
     """
-    raw = [rec.covariates[name] for rec in cohort.records]
+    values = cohort.covariates[name]
     if kind in ("numeric", "binary"):
-        arr = np.asarray([np.nan if v is MISSING else float(v) for v in raw])
-        return [(name, arr)]
-    levels: list[str] = []
-    for v in raw:
-        if v is MISSING:
-            continue
-        if v not in levels:
-            levels.append(v)
-    views = []
-    for level in levels:
-        views.append((f"{name}={level}", np.asarray([1.0 if v == level else 0.0 for v in raw])))
-    return views
+        return [(name, values)]
+    return [
+        (f"{name}={level}", (values == code).astype(float))
+        for code, level in enumerate(cohort.covariate_levels[name])
+    ]
 
 
 def balance_report(
@@ -385,10 +378,7 @@ def balance_report(
 
     rows: list[CovariateBalance] = []
     for name in covariates:
-        kind = None
-        for col in cohort.schema.covariate_columns:
-            if col.name == name:
-                kind = col.kind
+        kind = next((col.kind for col in cohort.schema.covariate_columns if col.name == name), None)
         if kind is None:
             raise PropensityError(f"unknown covariate {name!r} in balance report")
         for label, arr in _covariate_numeric_views(cohort, name, kind):
@@ -413,5 +403,5 @@ def export_pairs(cohort: Cohort, matched: MatchedSample, path) -> None:
         writer.writerow(["treated_id", "control_id", "distance"])
         for p in matched.pairs:
             writer.writerow(
-                [cohort.records[p.treated].id, cohort.records[p.control].id, repr(p.distance)]
+                [cohort.ids[p.treated], cohort.ids[p.control], repr(p.distance)]
             )

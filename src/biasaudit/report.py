@@ -245,106 +245,76 @@ def _matched_cell_text(cells: list[dict], metric: str, places: int) -> str:
     return "[" + ", ".join(parts) + "]"
 
 
-def _subgroup_csv(bundle: ReportBundle, places: int) -> str:
+def _csv(header: list[str], rows) -> str:
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
-    w.writerow(
-        ["model", "attribute", "level", "metric", "mean_diff", "sd", "t_stat",
-         "p_value", "significant", "n_effective", "status"]
-    )
-    for r in bundle.subgroup:
-        w.writerow(
-            [
-                r["model"], r["attribute"], r["level"], r["metric"],
-                fmt_rounded(r["mean_diff"], places), fmt_rounded(r["sd"], 4),
-                _fmt_stat(r["t_stat"]), _fmt_stat(r["p_value"]),
-                "" if r["significant"] is None else str(bool(r["significant"])).lower(),
-                r["n_effective"], r["status"],
-            ]
-        )
+    w.writerow(header)
+    w.writerows(rows)
     return out.getvalue()
+
+
+def _flag(value) -> str:
+    return "" if value is None else str(bool(value)).lower()
+
+
+def _subgroup_csv(bundle: ReportBundle, places: int) -> str:
+    return _csv(
+        ["model", "attribute", "level", "metric", "mean_diff", "sd", "t_stat",
+         "p_value", "significant", "n_effective", "status"],
+        ([r["model"], r["attribute"], r["level"], r["metric"],
+          fmt_rounded(r["mean_diff"], places), fmt_rounded(r["sd"], 4),
+          _fmt_stat(r["t_stat"]), _fmt_stat(r["p_value"]), _flag(r["significant"]),
+          r["n_effective"], r["status"]] for r in bundle.subgroup),
+    )
 
 
 def _matched_csv(bundle: ReportBundle, places: int) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(
+    return _csv(
         ["model", "attribute", "level", "opponent", "metric", "mean_diff", "sd",
-         "t_stat", "p_value", "significant", "n_effective", "status", "detail"]
+         "t_stat", "p_value", "significant", "n_effective", "status", "detail"],
+        ([row["model"], row["attribute"], row["level"], c["opponent"], res.get("metric", ""),
+          fmt_rounded(res.get("mean_diff"), places), fmt_rounded(res.get("sd"), 4),
+          _fmt_stat(res.get("t_stat")), _fmt_stat(res.get("p_value")), _flag(res.get("significant")),
+          res.get("n_effective", ""), c["status"], c["detail"]]
+         for row in bundle.matched for c in row["cells"] for res in [c["result"] or {}]),
     )
-    for row in bundle.matched:
-        for c in row["cells"]:
-            res = c["result"] or {}
-            w.writerow(
-                [
-                    row["model"], row["attribute"], row["level"], c["opponent"],
-                    res.get("metric", ""),
-                    fmt_rounded(res.get("mean_diff"), places),
-                    fmt_rounded(res.get("sd"), 4),
-                    _fmt_stat(res.get("t_stat")), _fmt_stat(res.get("p_value")),
-                    "" if res.get("significant") is None else str(bool(res["significant"])).lower(),
-                    res.get("n_effective", ""), c["status"], c["detail"],
-                ]
-            )
-    return out.getvalue()
 
 
 def _discrepancy_csv(bundle: ReportBundle, places: int) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["model", "attribute", "metric", "matching", "gap", "n_levels"])
-    for r in bundle.discrepancy:
-        w.writerow(
-            [r["model"], r["attribute"], r["metric"], r["matching"],
-             fmt_rounded(r["gap"], places), r["n_levels"]]
-        )
-    return out.getvalue()
+    return _csv(
+        ["model", "attribute", "metric", "matching", "gap", "n_levels"],
+        ([r["model"], r["attribute"], r["metric"], r["matching"],
+          fmt_rounded(r["gap"], places), r["n_levels"]] for r in bundle.discrepancy),
+    )
 
 
 def _balance_csv(bundle: ReportBundle) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(
+    return _csv(
         ["model", "attribute", "treated_level", "control_level", "covariate",
-         "smd_before", "smd_after", "matched_n", "passes_min_n", "status", "detail"]
+         "smd_before", "smd_after", "matched_n", "passes_min_n", "status", "detail"],
+        ([r.get("model", ""), r["attribute"], r["treated_level"], r["control_level"],
+          c.get("name", ""), fmt_rounded(c.get("smd_before"), 4),
+          fmt_rounded(c.get("smd_after"), 4), r.get("matched_n", ""),
+          str(bool(r["passes_min_n"])).lower() if "passes_min_n" in r else "",
+          r.get("status", ""), r.get("detail", "")]
+         for r in bundle.balance for c in r.get("covariates") or [{}]),
     )
-    for r in bundle.balance:
-        covs = r.get("covariates") or [{}]
-        for c in covs:
-            w.writerow(
-                [
-                    r.get("model", ""), r["attribute"], r["treated_level"], r["control_level"],
-                    c.get("name", ""), fmt_rounded(c.get("smd_before"), 4),
-                    fmt_rounded(c.get("smd_after"), 4), r.get("matched_n", ""),
-                    str(bool(r["passes_min_n"])).lower() if "passes_min_n" in r else "",
-                    r.get("status", ""), r.get("detail", ""),
-                ]
-            )
-    return out.getvalue()
 
 
 def _calibration_csv(bundle: ReportBundle) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["model", "bin", "mean_score", "positive_fraction", "count"])
-    for model, entry in bundle.calibration.items():
-        for i, b in enumerate(entry["bins"]):
-            w.writerow(
-                [model, i, _fmt_stat(b["mean_score"]), _fmt_stat(b["positive_fraction"]), b["count"]]
-            )
-    return out.getvalue()
+    return _csv(
+        ["model", "bin", "mean_score", "positive_fraction", "count"],
+        ([model, i, _fmt_stat(b["mean_score"]), _fmt_stat(b["positive_fraction"]), b["count"]]
+         for model, entry in bundle.calibration.items() for i, b in enumerate(entry["bins"])),
+    )
 
 
 def _comparison_csv(bundle: ReportBundle, places: int) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["attribute", "level", "metric", "phase", "opponent", "delta"])
-    for d in bundle.comparison["deltas"]:
-        w.writerow(
-            [d["attribute"], d["level"], d["metric"], d["phase"],
-             d["opponent"] or "", fmt_rounded(d["delta"], places)]
-        )
-    return out.getvalue()
+    return _csv(
+        ["attribute", "level", "metric", "phase", "opponent", "delta"],
+        ([d["attribute"], d["level"], d["metric"], d["phase"],
+          d["opponent"] or "", fmt_rounded(d["delta"], places)] for d in bundle.comparison["deltas"]),
+    )
 
 
 def _markdown(bundle: ReportBundle, places: int) -> str:
@@ -357,15 +327,8 @@ def _markdown(bundle: ReportBundle, places: int) -> str:
         lines.append(f"- {key}: {value}")
     lines.append("")
 
-    models: list[str] = []
-    for r in bundle.subgroup:
-        if r["model"] not in models:
-            models.append(r["model"])
-
-    metrics: list[str] = []
-    for r in bundle.subgroup:
-        if r["metric"] not in metrics:
-            metrics.append(r["metric"])
+    models = list(dict.fromkeys(r["model"] for r in bundle.subgroup))
+    metrics = list(dict.fromkeys(r["metric"] for r in bundle.subgroup))
 
     matched_by_key: dict[tuple[str, str, str], list[dict]] = {}
     for row in bundle.matched:
@@ -383,12 +346,7 @@ def _markdown(bundle: ReportBundle, places: int) -> str:
                 header.append(f"{m} (matched)")
         lines.append("| " + " | ".join(header) + " |")
         lines.append("|" + "---|" * len(header))
-        seen: list[tuple[str, str]] = []
-        for r in rows:
-            key = (r["attribute"], r["level"])
-            if key not in seen:
-                seen.append(key)
-        for attr, level in seen:
+        for attr, level in dict.fromkeys((r["attribute"], r["level"]) for r in rows):
             cells = [_md_cell(f"{attr} = {level}")]
             for m in metrics:
                 cell = ""

@@ -10,7 +10,7 @@ two configs differing only in injections share identical base data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit
@@ -18,12 +18,10 @@ from scipy.special import expit
 from ._rng import stream
 from .cohort import (
     Cohort,
-    CohortRecord,
     CohortSchema,
     CovariateColumn,
     ProtectedColumn,
-    _build,
-    attribute_values,
+    _encode_levels,
     label_values,
     score_values,
     with_score_column,
@@ -227,7 +225,7 @@ def generate(config: SynthConfig) -> tuple[Cohort, dict]:
             if config.score.noise_sd > 0 else np.zeros(n)
         scores = np.clip(p_true + noise, 0.0, 1.0)
     else:
-        scores = None  # filled in after records exist; needs a design matrix
+        scores = None  # filled in once the cohort exists; needs a design matrix
 
     for i, inj in enumerate(config.injections):
         mask = level_draws[inj.attribute] == inj.level
@@ -245,21 +243,6 @@ def generate(config: SynthConfig) -> tuple[Cohort, dict]:
             scores = np.clip(scores, 0.0, 1.0)
 
     width = max(4, len(str(n)))
-    records = []
-    for i in range(n):
-        records.append(
-            CohortRecord(
-                id=f"r{i + 1:0{width}d}",
-                label=int(labels[i]),
-                scores={},
-                protected={spec.name: str(level_draws[spec.name][i]) for spec in config.protected},
-                covariates={
-                    cov.name: (float(cov_values[cov.name][i]) if cov.kind == "gaussian"
-                               else int(cov_values[cov.name][i]))
-                    for cov in config.covariates
-                },
-            )
-        )
     schema = CohortSchema(
         id_column="id",
         label_column="label",
@@ -271,9 +254,21 @@ def generate(config: SynthConfig) -> tuple[Cohort, dict]:
         ),
     )
 
+    levels, codes = {}, {}
+    for spec in config.protected:
+        levels[spec.name], codes[spec.name] = _encode_levels(level_draws[spec.name].tolist())
+    cohort = Cohort(
+        schema=schema,
+        ids=tuple(f"r{i + 1:0{width}d}" for i in range(n)),
+        labels=labels,
+        scores={config.score_name: np.full(n, np.nan) if scores is None else scores},
+        codes=codes,
+        covariates={c.name: cov_values[c.name].astype(float) for c in config.covariates},
+        attribute_levels=levels,
+    )
+
     if scores is None:
-        bare = _build(records, schema)
-        design = encode_design(bare, range(n), config.score.features)
+        design = encode_design(cohort, range(n), config.score.features)
         model = fit_logistic(design, labels.astype(float), ridge=1e-6)
         scores = predict_proba(model, design)
         # trained scores see post-injection labels, as a refit in the wild would
@@ -287,14 +282,7 @@ def generate(config: SynthConfig) -> tuple[Cohort, dict]:
             else:
                 scores = np.where(mask, scores + inj.amount, scores)
             scores = np.clip(scores, 0.0, 1.0)
-
-    for i, rec in enumerate(records):
-        records[i] = CohortRecord(
-            id=rec.id, label=rec.label,
-            scores={config.score_name: float(scores[i])},
-            protected=rec.protected, covariates=rec.covariates,
-        )
-    cohort = _build(records, schema)
+        cohort = replace(cohort, scores={config.score_name: scores})
 
     manifest = {
         "schema_version": 1,
@@ -341,10 +329,7 @@ def _empirical_summary(cohort: Cohort, model: str) -> dict:
     }
     for col in cohort.schema.protected_columns:
         levels = cohort.attribute_levels[col.name]
-        code_of = {level: g for g, level in enumerate(levels)}
-        codes = np.fromiter((code_of.get(v, -1) for v in attribute_values(cohort, col.name)),
-                            dtype=np.int64, count=cohort.n)
-        _, table = _tabulate(y, s, codes, len(levels))
+        _, table = _tabulate(y, s, cohort.codes[col.name], len(levels))
         aucs = _metric_table(table[1:], ("AUROC",), None)[:, 0]
         for level, n, auc in zip(levels, table[1:].sum(axis=(1, 2)), aucs):
             if n:

@@ -7,20 +7,26 @@ t-tail probabilities by high-precision quadrature of the density instead of
 the incomplete-beta closed form, gradients by finite differences, greedy
 matching by scanning every live control instead of a sorted index, subgroup
 metric matrices by per-level masks and midranks instead of one count table,
-and the AUROC standard error by DeLong's placement values instead of the
-bootstrap.
+the AUROC standard error by DeLong's placement values instead of the
+bootstrap, and cohort reading and writing by per-row records instead of
+columns.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
+import csv
+import io
+import os
 import warnings
+from dataclasses import dataclass, field
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 from scipy.stats import rankdata
 
+from biasaudit.cohort import MISSING, CohortRecord, CohortSchema
+from biasaudit.errors import CohortValidationError, RowIssue, SchemaError
 from biasaudit.matching import MatchedPair, MatchedSample, _logit
 
 
@@ -208,3 +214,320 @@ def delong_auroc_se(labels, scores) -> float:
     v10 = psi.mean(axis=1)
     v01 = psi.mean(axis=0)
     return float(np.sqrt(v10.var(ddof=1) / pos.size + v01.var(ddof=1) / neg.size))
+
+
+# --- The record-based cohort reader, kept as the reference for the columnar
+# one: every row becomes a CohortRecord of dicts, continuous attributes are
+# binned value by value, and the writer walks the records.
+
+
+@dataclass(frozen=True)
+class RecordCohort:
+    """What the record-based parser returns: the rows plus the level order,
+    bin breakpoints and dropped-row diagnostics derived from them."""
+
+    records: tuple[CohortRecord, ...]
+    schema: CohortSchema
+    attribute_levels: dict[str, tuple[str, ...]]
+    breakpoints: dict[str, tuple[float, ...]] = field(default_factory=dict)
+    diagnostics: tuple[RowIssue, ...] = ()
+
+    @property
+    def n(self) -> int:
+        return len(self.records)
+
+
+def _fmt_edge(x: float) -> str:
+    return format(x, "g")
+
+
+def _bin_labels(breakpoints: tuple[float, ...]) -> tuple[str, ...]:
+    labels = []
+    for i in range(len(breakpoints) - 1):
+        close = "]" if i == len(breakpoints) - 2 else ")"
+        labels.append(f"[{_fmt_edge(breakpoints[i])} - {_fmt_edge(breakpoints[i + 1])}{close}")
+    return tuple(labels)
+
+
+def _resolve_breakpoints(observed: np.ndarray, edges: tuple[float, ...] | None) -> tuple[float, ...]:
+    """Breakpoints for binning: explicit edges, or min/tertile/tertile/max."""
+    if edges is not None:
+        bp = tuple(float(e) for e in edges)
+        if len(bp) < 2:
+            raise ValueError("explicit bin edges need at least two breakpoints")
+    else:
+        if observed.size == 0:
+            raise ValueError("cannot derive tertiles: no observed values")
+        if observed.size < 3:
+            raise ValueError(
+                f"tertile binning needs at least 3 non-missing values, got {observed.size}"
+            )
+        q1, q2 = np.quantile(observed, [1.0 / 3.0, 2.0 / 3.0])
+        bp = (float(observed.min()), float(q1), float(q2), float(observed.max()))
+    for a, b in zip(bp, bp[1:]):
+        if not a < b:
+            raise ValueError(
+                f"bin breakpoints must be strictly increasing, got {bp}; "
+                "the data is too tied for tertiles, supply explicit bin edges"
+            )
+    return bp
+
+
+def _assign_bin(value: float, breakpoints: tuple[float, ...], labels: tuple[str, ...]) -> str:
+    if value < breakpoints[0] or value > breakpoints[-1]:
+        raise ValueError(
+            f"value {value!r} falls outside the bin range "
+            f"[{breakpoints[0]}, {breakpoints[-1]}]"
+        )
+    if value == breakpoints[-1]:
+        return labels[-1]
+    idx = int(np.searchsorted(breakpoints, value, side="right")) - 1
+    return labels[idx]
+
+
+def record_attribute_values(cohort: RecordCohort, attribute: str) -> list:
+    """Per-record level labels for one protected attribute.
+
+    Categorical values come back as-is; continuous values are mapped through
+    the cohort's stored breakpoints.  MISSING stays MISSING.
+    """
+    col = cohort.schema.protected(attribute)
+    raw = [rec.protected[attribute] for rec in cohort.records]
+    if col.kind == "categorical":
+        return raw
+    bp = cohort.breakpoints[attribute]
+    labels = _bin_labels(bp)
+    return [v if v is MISSING else _assign_bin(float(v), bp, labels) for v in raw]
+
+
+def _record_build(records: list[CohortRecord], schema: CohortSchema, diagnostics: tuple[RowIssue, ...] = ()) -> RecordCohort:
+    """Assemble a Cohort: derive attribute level order and bin breakpoints."""
+    attribute_levels: dict[str, tuple[str, ...]] = {}
+    breakpoints: dict[str, tuple[float, ...]] = {}
+    for col in schema.protected_columns:
+        raw = [rec.protected[col.name] for rec in records]
+        if col.kind == "categorical":
+            seen: list[str] = []
+            for v in raw:
+                if v is not MISSING and v not in seen:
+                    seen.append(v)
+            attribute_levels[col.name] = tuple(seen)
+        else:
+            observed = np.asarray([v for v in raw if v is not MISSING], dtype=float)
+            bp = _resolve_breakpoints(observed, col.bin_edges)
+            breakpoints[col.name] = bp
+            attribute_levels[col.name] = _bin_labels(bp)
+    return RecordCohort(
+        records=tuple(records),
+        schema=schema,
+        attribute_levels=attribute_levels,
+        breakpoints=breakpoints,
+        diagnostics=diagnostics,
+    )
+
+
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError("non-finite")
+    return value
+
+
+def record_parse_cohort(source, schema: CohortSchema) -> RecordCohort:
+    """Read and validate a delimited cohort file.
+
+    ``source`` is a path or an open text stream.  Rows with a missing label or
+    with every score missing are dropped and logged in ``diagnostics``; any
+    other defect (malformed number, label outside {0, 1}, score outside
+    [0, 1], missing or duplicate id, ragged row) is collected and raised as a
+    CohortValidationError listing each offending line.
+    """
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        with open(os.fspath(source), "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    reader = csv.reader(io.StringIO(text), delimiter=schema.delimiter)
+    rows = list(reader)
+    if not rows:
+        raise CohortValidationError([RowIssue(None, None, "empty cohort file")])
+
+    header = [h.strip() for h in rows[0]]
+    required = [schema.id_column, schema.label_column]
+    required += [c for _, c in schema.score_columns]
+    required += [p.name for p in schema.protected_columns]
+    required += [c.name for c in schema.covariate_columns]
+    absent = [c for c in required if c not in header]
+    if absent:
+        raise SchemaError(f"cohort header is missing column(s): {', '.join(absent)}")
+    pos = {name: header.index(name) for name in required}
+
+    tokens = set(schema.missing_tokens)
+    issues: list[RowIssue] = []
+    dropped: list[RowIssue] = []
+    records: list[CohortRecord] = []
+    seen_ids: set[str] = set()
+
+    for line_no, row in enumerate(rows[1:], start=2):
+        if not row or all(not f.strip() for f in row):
+            continue
+        if len(row) != len(header):
+            issues.append(RowIssue(line_no, None, f"expected {len(header)} fields, found {len(row)}"))
+            continue
+
+        def cell(name: str):
+            raw = row[pos[name]].strip()
+            return MISSING if raw in tokens else raw
+
+        row_bad = False
+
+        rid = cell(schema.id_column)
+        if rid is MISSING:
+            issues.append(RowIssue(line_no, schema.id_column, "missing id"))
+            row_bad = True
+        elif rid in seen_ids:
+            issues.append(RowIssue(line_no, schema.id_column, f"duplicate id {rid!r}"))
+            row_bad = True
+        else:
+            seen_ids.add(rid)
+
+        label_raw = cell(schema.label_column)
+        label: int | None = None
+        if label_raw is MISSING:
+            label = None
+        elif label_raw in ("0", "1"):
+            label = int(label_raw)
+        else:
+            issues.append(RowIssue(line_no, schema.label_column, f"label must be 0 or 1, got {label_raw!r}"))
+            row_bad = True
+
+        scores: dict = {}
+        for model, colname in schema.score_columns:
+            raw = cell(colname)
+            if raw is MISSING:
+                continue
+            try:
+                value = _parse_float(raw)
+            except ValueError:
+                issues.append(RowIssue(line_no, colname, f"unparseable score {raw!r}"))
+                row_bad = True
+                continue
+            if not 0.0 <= value <= 1.0:
+                issues.append(RowIssue(line_no, colname, f"score {value} outside [0, 1]"))
+                row_bad = True
+                continue
+            scores[model] = value
+
+        protected: dict = {}
+        for col in schema.protected_columns:
+            raw = cell(col.name)
+            if raw is MISSING:
+                protected[col.name] = MISSING
+            elif col.kind == "categorical":
+                protected[col.name] = raw
+            else:
+                try:
+                    protected[col.name] = _parse_float(raw)
+                except ValueError:
+                    issues.append(RowIssue(line_no, col.name, f"unparseable numeric value {raw!r}"))
+                    row_bad = True
+
+        covariates: dict = {}
+        for col in schema.covariate_columns:
+            raw = cell(col.name)
+            if raw is MISSING:
+                covariates[col.name] = MISSING
+            elif col.kind == "categorical":
+                covariates[col.name] = raw
+            elif col.kind == "binary":
+                if raw in ("0", "1"):
+                    covariates[col.name] = int(raw)
+                else:
+                    issues.append(RowIssue(line_no, col.name, f"binary covariate must be 0 or 1, got {raw!r}"))
+                    row_bad = True
+            else:
+                try:
+                    covariates[col.name] = _parse_float(raw)
+                except ValueError:
+                    issues.append(RowIssue(line_no, col.name, f"unparseable numeric value {raw!r}"))
+                    row_bad = True
+
+        if row_bad:
+            continue
+        if label is None:
+            dropped.append(RowIssue(line_no, schema.label_column, "label missing; row dropped"))
+            continue
+        if not scores:
+            dropped.append(RowIssue(line_no, None, "all scores missing; row dropped"))
+            continue
+        records.append(
+            CohortRecord(id=rid, label=label, scores=scores, protected=protected, covariates=covariates)
+        )
+
+    if issues:
+        raise CohortValidationError(issues)
+    if not records:
+        raise CohortValidationError([RowIssue(None, None, "no usable rows after validation")])
+
+    try:
+        return _record_build(records, schema, diagnostics=tuple(dropped))
+    except ValueError as exc:
+        raise CohortValidationError([RowIssue(None, None, str(exc))]) from exc
+
+
+def _render_value(value, kind: str, missing_token: str) -> str:
+    if value is MISSING:
+        return missing_token
+    if kind == "float":
+        return repr(float(value))
+    if kind == "int":
+        return str(int(value))
+    return str(value)
+
+
+def record_write_cohort(cohort: RecordCohort, path) -> None:
+    """Serialize a cohort so that re-parsing it yields an equal Cohort.
+
+    ``path`` may also be an open text stream, mirroring ``parse_cohort``.
+    Floats are written with ``repr`` (exact round-trip); continuous protected
+    attributes are written as their raw values, not bin labels, so the
+    re-parsed cohort re-derives identical bins.
+    """
+    schema = cohort.schema
+    if not schema.missing_tokens:
+        has_missing = any(
+            v is MISSING
+            for rec in cohort.records
+            for v in (*rec.protected.values(), *rec.covariates.values())
+        ) or any(len(rec.scores) < len(schema.score_columns) for rec in cohort.records)
+        if has_missing:
+            raise ValueError("cohort has missing values but the schema declares no missing tokens")
+        token = ""
+    else:
+        token = schema.missing_tokens[0]
+
+    header = [schema.id_column, schema.label_column]
+    header += [c for _, c in schema.score_columns]
+    header += [p.name for p in schema.protected_columns]
+    header += [c.name for c in schema.covariate_columns]
+
+    def _emit(fh) -> None:
+        writer = csv.writer(fh, delimiter=schema.delimiter, lineterminator="\n")
+        writer.writerow(header)
+        for rec in cohort.records:
+            row = [rec.id, str(rec.label)]
+            for model, _ in schema.score_columns:
+                row.append(repr(float(rec.scores[model])) if model in rec.scores else token)
+            for col in schema.protected_columns:
+                kind = "float" if col.kind == "continuous" else "str"
+                row.append(_render_value(rec.protected[col.name], kind, token))
+            for col in schema.covariate_columns:
+                kind = {"numeric": "float", "binary": "int", "categorical": "str"}[col.kind]
+                row.append(_render_value(rec.covariates[col.name], kind, token))
+            writer.writerow(row)
+
+    if hasattr(path, "write"):
+        _emit(path)
+        return
+    with open(os.fspath(path), "w", encoding="utf-8", newline="") as fh:
+        _emit(fh)

@@ -7,8 +7,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biasaudit.cli import (
+    _AUDIT_KEYS,
+    _RUN_KEYS,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RENDER,
@@ -16,7 +19,7 @@ from biasaudit.cli import (
     load_run_config,
     main,
 )
-from biasaudit.errors import ConfigError
+from biasaudit.errors import ConfigError, SchemaError
 from biasaudit.matching import smd
 
 
@@ -75,6 +78,26 @@ def make_separated_config(tmp_path):
     covariates = [dict(SYNTH_DOC["covariates"][0], shifts={"race": {"Black": 30.0}})]
     cohort = make_cohort(tmp_path, synth_overrides={"covariates": covariates})
     return make_run_config(tmp_path, cohort, audit=dict(RUN_AUDIT, ridge=0.0))
+
+
+def write_aged_cohort(tmp_path):
+    """A four-row cohort with a continuous age binned at [18, 45, 90]; the
+    record on line 3 is aged 100, outside the edges."""
+    path = tmp_path / "aged.csv"
+    path.write_text(
+        "id,label,score,race,sex,sofa,age\n"
+        "r1,1,0.9,Black,F,0.1,30\n"
+        "r2,0,0.4,White,M,0.2,100\n"
+        "r3,0,0.2,White,F,0.3,90\n"
+        "r4,1,0.7,Black,M,0.4,18\n"
+    )
+    schema = dict(RUN_SCHEMA, protected=RUN_SCHEMA["protected"] + [
+        {"name": "age", "kind": "continuous", "bin_edges": [18, 45, 90]}])
+    return make_run_config(tmp_path, str(path), schema=schema)
+
+
+AGE_ISSUE = {"line": 3, "column": "age",
+             "message": "value 100.0 falls outside the bin range [18.0, 90.0]"}
 
 
 def make_run_config(tmp_path, cohort_path, name="run.json", **overrides):
@@ -196,6 +219,25 @@ class TestLoadRunConfig:
         with pytest.raises(ConfigError, match="schema"):
             load_run_config(path)
 
+    # Every value kind a JSON document can hold, NaN and the infinities included.
+    JSON_VALUES = st.one_of(
+        st.text(max_size=8), st.integers(-5, 500), st.floats(), st.booleans(), st.none(),
+        st.lists(st.one_of(st.text(max_size=6), st.integers(), st.none()), max_size=3),
+        st.dictionaries(st.text(max_size=8), st.one_of(st.text(max_size=6), st.floats()), max_size=3),
+    )
+
+    @settings(max_examples=300)
+    @given(run=st.dictionaries(st.sampled_from(_RUN_KEYS), JSON_VALUES),
+           audit=st.dictionaries(st.sampled_from(_AUDIT_KEYS), JSON_VALUES))
+    def test_fuzzed_config_raises_only_config_errors(self, tmp_path_factory, run, audit):
+        doc = {"cohort": "c.csv", "schema": RUN_SCHEMA, "audit": audit}
+        doc.update(run)
+        path = write_json(tmp_path_factory.mktemp("fuzz") / "run.json", doc)
+        try:
+            load_run_config(path)
+        except (ConfigError, SchemaError):
+            pass
+
     def test_config_hash_tracks_analysis_content(self, tmp_path):
         p1 = write_json(tmp_path / "a.json", {"cohort": "c.csv", "schema": RUN_SCHEMA})
         p2 = write_json(tmp_path / "b.json",
@@ -316,6 +358,15 @@ class TestValidateCommand:
         config = make_run_config(tmp_path, str(tmp_path / "ghost.csv"))
         assert main(["validate", config]) == EXIT_CONFIG
         assert "cannot read cohort file" in capsys.readouterr().err
+
+    def test_value_outside_bin_edges_is_invalid(self, tmp_path, capsys):
+        config = write_aged_cohort(tmp_path)
+        assert main(["validate", config]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        doc = json.load(open(captured.out.strip()))
+        assert doc["valid"] is False
+        assert doc["issues"] == [AGE_ISSUE]
+        assert "invalid: line 3, column age: value 100.0 falls outside" in captured.err
 
     def test_custom_report_path(self, tmp_path):
         cohort = make_cohort(tmp_path)
@@ -495,16 +546,43 @@ class TestAuditCommand:
         ("caliper_multiplier", float("inf")),
         ("threshold", float("nan")),
         ("threshold", {"kind": "fixed", "value": float("-inf")}),
+        ("n_bootstrap", "NaN"),
+        ("calibration_bins", "ten"),
+        ("alpha", "x"),
+        ("workers", "two"),
     ])
     def test_non_finite_config_float_exits_2(self, tmp_path, capsys, key, value):
-        # json.load accepts the NaN/Infinity literals that json.dump writes here.
-        config = make_run_config(tmp_path, str(tmp_path / "unread.csv"),
-                                 audit=dict(RUN_AUDIT, **{key: value}))
-        assert "NaN" in open(config).read() or "Infinity" in open(config).read()
+        unread = str(tmp_path / "unread.csv")
+        if key in ("calibration_bins", "workers"):
+            config = make_run_config(tmp_path, unread, **{key: value})
+        else:
+            config = make_run_config(tmp_path, unread, audit=dict(RUN_AUDIT, **{key: value}))
+        # Strings are malformed numbers; the floats are the NaN/Infinity
+        # literals that json.dump writes and json.load accepts.
+        malformed = isinstance(value, str)
+        if not malformed:
+            assert "NaN" in open(config).read() or "Infinity" in open(config).read()
         assert main(["audit", config]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "must be finite" in err
+        assert err.startswith("error: ") and key in err
+        assert ("must be a" if malformed else "must be finite") in err
         assert not (tmp_path / "report").exists()
+
+    def test_value_outside_bin_edges_exits_2(self, tmp_path, capsys):
+        config = write_aged_cohort(tmp_path)
+        assert main(["audit", config]) == EXIT_CONFIG
+        assert "error: line 3, column age: value 100.0 falls outside" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
+    def test_models_sharing_a_file_name_exit_2(self, tmp_path, capsys):
+        cohort_path, schema = TestCompareCommand().two_model_cohort(tmp_path)
+        schema = dict(schema, score_columns=[["a/b", "m1"], ["a-b", "m2"]])
+        for command in ("audit", "compare"):
+            config = make_run_config(tmp_path, cohort_path, schema=schema, audit={"n_bootstrap": 20})
+            assert main([command, config]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "'a/b'" in err and "'a-b'" in err and "calibration_a-b.svg" in err
+            assert not (tmp_path / "report").exists()
 
     def test_awkward_model_name_renders_every_format(self, tmp_path):
         import xml.etree.ElementTree as ET
@@ -675,6 +753,19 @@ class TestMatchCommand:
         config = make_run_config(tmp_path, cohort, audit=audit)
         assert main(["match", config]) == EXIT_CONFIG
         assert "propensity_covariates" in capsys.readouterr().err
+
+    def test_contrasts_sharing_a_pair_file_exit_2(self, tmp_path, capsys):
+        protected = [{"name": "race", "levels": ["x/y", "x-y", "z"], "weights": [0.3, 0.3, 0.4]}]
+        covariates = [dict(SYNTH_DOC["covariates"][0], shifts={})]
+        cohort = make_cohort(tmp_path, synth_overrides={"protected": protected, "covariates": covariates})
+        schema = dict(RUN_SCHEMA, protected=[{"name": "race"}])
+        config = make_run_config(tmp_path, cohort, schema=schema)
+        capsys.readouterr()
+        assert main(["match", config]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "'x/y' vs 'z'" in captured.err and "'x-y' vs 'z'" in captured.err
+        assert captured.out == ""
+        assert not list((tmp_path / "report").glob("pairs_*"))
 
     def test_small_contrasts_marked_skipped(self, tmp_path):
         cohort = make_cohort(tmp_path, synth_overrides={"n": 120})

@@ -1,8 +1,9 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from biasaudit.cohort import (
     MISSING,
@@ -24,10 +25,12 @@ from biasaudit.errors import (
     CohortValidationError,
     ConfigError,
     InsufficientDataError,
+    RowIssue,
     SchemaError,
 )
 
 from helpers import build_cohort
+from oracles import record_attribute_values, record_parse_cohort, record_write_cohort
 
 
 def simple_schema(**kwargs) -> CohortSchema:
@@ -192,6 +195,140 @@ class TestParseCohort:
         text = "pid\tlabel\tscore\na\t0\t0.1\nb\t1\t0.9\n"
         cohort = parse_text(text, simple_schema(delimiter="\t"))
         assert cohort.n == 2
+
+
+    def test_value_outside_explicit_edges_is_an_issue(self):
+        # Line 5's label is missing, so the row is dropped before binning and
+        # its age is never checked.
+        text = "pid,label,score,age\na,0,0.1,30\nb,1,0.2,100\nc,0,0.3,17.5\nd,,0.4,120\ne,1,0.5,90\n"
+        schema = simple_schema(
+            protected_columns=(ProtectedColumn(name="age", kind="continuous", bin_edges=(18, 45, 90)),)
+        )
+        with pytest.raises(CohortValidationError) as info:
+            parse_text(text, schema)
+        assert [i.to_dict() for i in info.value.issues] == [
+            {"line": 3, "column": "age", "message": "value 100.0 falls outside the bin range [18.0, 90.0]"},
+            {"line": 4, "column": "age", "message": "value 17.5 falls outside the bin range [18.0, 90.0]"},
+        ]
+
+
+# Cells the equivalence test draws from, per column: (valid values, values
+# each parser must reject).  Ages 10 and 95 are valid for the record-based
+# parser and for the edges (0, 50, 100), outside the edges (18, 45, 90).
+_CELLS = {
+    "label": (["0", "1"], ["2", "yes"]),
+    "s1": (["0", "0.25", "0.5", "1", "1.0", " 0.75 ", "1e-1"], ["1.5", "-0.1", "nan", "inf", "abc"]),
+    "s2": (["0.1", "0.9", "0.5"], ["2"]),
+    "g": (["A", "B", "C", " A ", "MISSING"], []),
+    "age": (["18", "30", "45", "45.0", "60", "90"], ["10", "95", "old", "inf"]),
+    "x": (["0.5", "-1", "2e3", "1_0", "3"], ["y", "nan"]),
+    "b": (["0", "1"], ["2"]),
+    "u": (["icu", "ward", "MISSING"], []),
+}
+
+
+@st.composite
+def _cohort_csv(draw):
+    """CSV text with missing, bad, duplicate, ragged and blank cells or rows,
+    and its schema.  Each example draws its own rates of missing and bad
+    cells, so clean files and broken ones both come up."""
+    tokens = draw(st.sampled_from([("", "NA"), ("", "NA"), ("NA",), ()]))
+    missing_rate = draw(st.sampled_from([0.0, 0.05, 0.2]))
+    bad_rate = draw(st.sampled_from([0.0, 0.0, 0.0, 0.02, 0.1]))
+
+    def roll(rate):
+        return rate > 0 and draw(st.floats(0, 1)) < rate
+
+    def cell(name):
+        valid, bad = _CELLS[name]
+        if roll(missing_rate):
+            return draw(st.sampled_from(tokens or ("",)))
+        if bad and roll(bad_rate):
+            return draw(st.sampled_from(bad))
+        return draw(st.sampled_from(valid))
+
+    lines = [",".join(["pid", *_CELLS])]
+    for k in range(draw(st.integers(0, 12))):
+        pid = f"p{k}"
+        if roll(bad_rate):
+            pid = draw(st.sampled_from(["p0", "", "NA"]))
+        row = [pid, *(cell(name) for name in _CELLS)]
+        if roll(bad_rate):
+            row = row[:-1] if draw(st.booleans()) else row + ["extra"]
+        lines.append("" if roll(missing_rate / 2) else ",".join(row))
+    edges = draw(st.sampled_from([None, (18.0, 45.0, 90.0), (0.0, 50.0, 100.0)]))
+    schema = CohortSchema(
+        id_column="pid",
+        label_column="label",
+        score_columns=(("m1", "s1"), ("m2", "s2")),
+        protected_columns=(ProtectedColumn("g"), ProtectedColumn("age", "continuous", edges)),
+        covariate_columns=(CovariateColumn("x"), CovariateColumn("b", "binary"),
+                           CovariateColumn("u", "categorical")),
+        missing_tokens=tokens,
+    )
+    return "\n".join(lines) + "\n", schema
+
+
+def _outcome(parse, text, schema):
+    try:
+        return parse(io.StringIO(text), schema), None
+    except CohortValidationError as exc:
+        return None, exc.issues
+
+
+def _written(write, cohort):
+    buf = io.StringIO()
+    try:
+        write(cohort, buf)
+    except ValueError as exc:
+        return str(exc)
+    return buf.getvalue()
+
+
+class TestRecordParserEquivalence:
+    """The columnar parser against the record-based one it replaced
+    (``oracles.record_parse_cohort``)."""
+
+    @settings(max_examples=400)
+    @given(_cohort_csv())
+    def test_same_cohort_or_same_issues(self, drawn):
+        text, schema = drawn
+        old, old_issues = _outcome(record_parse_cohort, text, schema)
+        new, new_issues = _outcome(parse_cohort, text, schema)
+        if old is None:
+            assert new_issues == old_issues
+            return
+        # The record-based cohort bins at first use and raises there; the
+        # columnar one bins while parsing and reports each such value.
+        edges = old.breakpoints.get("age")
+        if schema.protected("age").bin_edges is not None:
+            line_of = {}
+            for line_no, line in enumerate(text.splitlines(), start=1):
+                line_of.setdefault(line.split(",")[0].strip(), line_no)
+            expected = [
+                RowIssue(line_of[r.id], "age", f"value {r.protected['age']!r} falls outside the "
+                                               f"bin range [{edges[0]}, {edges[-1]}]")
+                for r in old.records
+                if r.protected["age"] is not MISSING and not edges[0] <= r.protected["age"] <= edges[-1]
+            ]
+            if expected:
+                assert new_issues == expected
+                return
+        assert new_issues is None
+        assert new.records == old.records
+        assert (new.attribute_levels, new.breakpoints, new.diagnostics) == (
+            old.attribute_levels, old.breakpoints, old.diagnostics)
+        for attribute in ("g", "age"):
+            assert attribute_values(new, attribute) == record_attribute_values(old, attribute)
+        assert label_values(new).tolist() == [r.label for r in old.records]
+        for model in ("m1", "m2"):
+            assert np.array_equal(score_values(new, model),
+                                  [r.scores.get(model, np.nan) for r in old.records], equal_nan=True)
+        written = _written(write_cohort, new)
+        assert written == _written(record_write_cohort, old)
+        if not written.startswith("cohort has missing"):
+            # Dropped rows are not written, so only their diagnostics differ.
+            assert replace(parse_text(written, schema), diagnostics=new.diagnostics) == new
 
 
 class TestBinContinuous:
@@ -452,6 +589,22 @@ class TestAttributeAccess:
         assert vals[1] is MISSING
         assert vals[2] == "[45 - 90]"
         assert cohort.attribute_levels["age"] == ("[18 - 45)", "[45 - 90]")
+
+    def test_accessors_return_fresh_copies(self):
+        cohort = build_cohort(labels=[0, 1], scores=[0.1, 0.9])
+        scores = score_values(cohort, "score")
+        scores[0] = np.nan
+        labels = label_values(cohort)
+        labels[0] = 1
+        assert score_values(cohort, "score").tolist() == [0.1, 0.9]
+        assert label_values(cohort).tolist() == [0, 1]
+
+    def test_records_are_built_once(self):
+        cohort = build_cohort(labels=[0, 1], scores={"m1": [0.1, None], "m2": [0.2, 0.3]},
+                              covariates={"x": [None, 2.5]})
+        assert cohort.records is cohort.records
+        assert cohort.records[1].scores == {"m2": 0.3}
+        assert cohort.records[0].covariates == {"x": MISSING}
 
     def test_score_values_unknown_model(self):
         cohort = build_cohort(labels=[0, 1], scores=[0.1, 0.9])
