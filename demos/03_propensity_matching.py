@@ -53,16 +53,15 @@ for name in ("severity", "age"):
 sample, prop = match_contrast(cohort, "g", "t", "c",
                               covariates=("severity", "age"))
 print()
-print(f"matched {len(sample.pairs)} pairs "
+print(f"matched {sample.treated.size} pairs "
       f"({sample.unmatched_treated} treated left unmatched, "
       f"caliper {sample.caliper:.4f} on the logit scale)")
 
-treated_idx = [p.treated for p in sample.pairs]
-control_idx = [p.control for p in sample.pairs]
+# The pairs are columns: sample.treated[k] was matched to sample.control[k].
 print()
 print("after matching:")
 for name in ("severity", "age"):
-    print(f"  SMD[{name}] = {smd(cov(name), treated_idx, control_idx):.3f}")
+    print(f"  SMD[{name}] = {smd(cov(name), sample.treated, sample.control):.3f}")
 
 # The balance report bundles the same numbers per covariate, which is what
 # the audit attaches to its matched cells.

@@ -282,12 +282,10 @@ class _Prep:
         self.grid, ranks = np.unique(scores[self.eligible], return_inverse=True)
         self.n = int(self.eligible.size)
         self.attributes: list[tuple[str, tuple[str, ...], np.ndarray]] = []
-        self.skipped: list[tuple[str, str]] = []
         for col in cohort.schema.protected_columns:
             try:
                 part = subgroup_partition(cohort, col.name, config.min_group_size, subset=self.eligible)
             except InsufficientDataError as exc:
-                self.skipped.append((col.name, str(exc)))
                 log.info("skipping attribute %r: %s", col.name, exc)
                 continue
             codes = np.full(self.n, -1, dtype=np.int32)
@@ -400,6 +398,30 @@ def bootstrap_audit(cohort: Cohort, model: str, config: AuditConfig, workers: in
     ]
 
 
+def matched_contrasts(cohort: Cohort, attribute: str, levels, config: AuditConfig, subset):
+    """Yield ``(level_a, level_b, status, detail, sample, propensity)`` for
+    every pair of ``levels`` of ``attribute``, in level order, matched over
+    the records in ``subset`` with the config's covariates, caliper and
+    ridge.  A failed propensity fit gives "failed" with the error as detail
+    and no sample; a matched sample below ``config.min_matched_n`` records
+    gives "skipped" with its counts; otherwise "ok" with an empty detail."""
+    for level_a, level_b in combinations(levels, 2):
+        try:
+            sample, prop = match_contrast(
+                cohort, attribute, level_a, level_b, config.propensity_covariates,
+                caliper_multiplier=config.caliper_multiplier, ridge=config.ridge, subset=subset,
+            )
+        except (FitError, PropensityError) as exc:
+            yield level_a, level_b, STATUS_FAILED, str(exc), None, None
+            continue
+        if sample.n_matched < config.min_matched_n:
+            detail = (f"{sample.treated.size} pairs ({sample.n_matched} records) "
+                      f"below min_matched_n={config.min_matched_n}")
+            yield level_a, level_b, STATUS_SKIPPED, detail, sample, prop
+        else:
+            yield level_a, level_b, STATUS_OK, "", sample, prop
+
+
 def matched_audit(cohort: Cohort, model: str, config: AuditConfig, workers: int = 1) -> list[MatchedAuditResult]:
     """Re-run the subgroup audit on propensity-matched pairs.
 
@@ -426,29 +448,15 @@ def matched_audit(cohort: Cohort, model: str, config: AuditConfig, workers: int 
         (attr, level): [] for attr, levels, _ in prep.attributes for level in levels
     }
     for attr, levels, _ in prep.attributes:
-        for li, lj in combinations(levels, 2):
-            try:
-                sample, _ = match_contrast(
-                    cohort, attr, li, lj, config.propensity_covariates,
-                    caliper_multiplier=config.caliper_multiplier,
-                    ridge=config.ridge, subset=prep.eligible,
-                )
-            except (FitError, PropensityError) as exc:
-                detail = str(exc)
-                per_level_cells[(attr, li)].append(MatchedCell(opponent=lj, status=STATUS_FAILED, detail=detail))
-                per_level_cells[(attr, lj)].append(MatchedCell(opponent=li, status=STATUS_FAILED, detail=detail))
-                continue
-            if sample.n_matched < config.min_matched_n:
-                detail = (f"{len(sample.pairs)} pairs ({sample.n_matched} records) "
-                          f"below min_matched_n={config.min_matched_n}")
-                per_level_cells[(attr, li)].append(MatchedCell(opponent=lj, status=STATUS_SKIPPED, detail=detail))
-                per_level_cells[(attr, lj)].append(MatchedCell(opponent=li, status=STATUS_SKIPPED, detail=detail))
+        for li, lj, status, detail, sample, _ in matched_contrasts(cohort, attr, levels, config, prep.eligible):
+            if status != STATUS_OK:
+                per_level_cells[(attr, li)].append(MatchedCell(opponent=lj, status=status, detail=detail))
+                per_level_cells[(attr, lj)].append(MatchedCell(opponent=li, status=status, detail=detail))
                 continue
 
             # Treated records are level 0, their controls level 1.
-            pair_idx = np.asarray([p.treated for p in sample.pairs]
-                                  + [p.control for p in sample.pairs], dtype=np.int64)
-            n_pairs = len(sample.pairs)
+            pair_idx = np.concatenate([sample.treated, sample.control])
+            n_pairs = sample.treated.size
             grid, ranks = np.unique(s_all[pair_idx], return_inverse=True)
             keys = _count_keys(ranks, y_all[pair_idx], np.repeat([0, 1], n_pairs), grid.size)
 
@@ -506,13 +514,6 @@ def summarize_discrepancy(
                 if r.model == model and r.attribute == attr and r.metric == metric
                 and r.status == STATUS_OK and r.mean_diff is not None
             ]
-            if len(before) >= 2:
-                summaries.append(
-                    DiscrepancySummary(
-                        model=model, attribute=attr, metric=metric, matching="before",
-                        gap=float(max(before) - min(before)), n_levels=len(before),
-                    )
-                )
             after: list[float] = []
             for row in matched_results:
                 if row.model != model or row.attribute != attr:
@@ -525,13 +526,14 @@ def summarize_discrepancy(
                 ]
                 if vals:
                     after.append(float(np.mean(vals)))
-            if len(after) >= 2:
-                summaries.append(
-                    DiscrepancySummary(
-                        model=model, attribute=attr, metric=metric, matching="after",
-                        gap=float(max(after) - min(after)), n_levels=len(after),
+            for matching, diffs in (("before", before), ("after", after)):
+                if len(diffs) >= 2:
+                    summaries.append(
+                        DiscrepancySummary(
+                            model=model, attribute=attr, metric=metric, matching=matching,
+                            gap=float(max(diffs) - min(diffs)), n_levels=len(diffs),
+                        )
                     )
-                )
     return summaries
 
 

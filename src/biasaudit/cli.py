@@ -32,6 +32,7 @@ from .audit import (
     bootstrap_audit,
     build_comparison,
     matched_audit,
+    matched_contrasts,
     summarize_discrepancy,
 )
 from .cohort import (
@@ -48,12 +49,14 @@ from .errors import (
     AuditError,
     CohortValidationError,
     ConfigError,
-    FitError,
     InsufficientDataError,
-    PropensityError,
     SchemaError,
+    _check_keys,
+    _convert,
+    _names,
+    _typed,
 )
-from .matching import balance_report, export_pairs, match_contrast
+from .matching import balance_report, export_pairs
 from .metrics import calibration_curve
 from .report import _FORMATS, build_bundle, render, safe_name
 from .synth import config_from_dict as synth_config_from_dict
@@ -86,38 +89,10 @@ class RunConfig:
     config_hash: str = ""
 
 
-def _check_keys(doc, allowed: tuple[str, ...], where: str) -> None:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
-    unknown = [k for k in doc if k not in allowed]
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
-
-
-def _convert(kind, value, key: str):
-    """``int(value)`` or ``float(value)``; a ConfigError naming ``key`` when
-    the value does not convert."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from None
-
-
-def _names(value, key: str) -> tuple[str, ...]:
-    """A JSON list of strings as a tuple; ConfigError otherwise."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ConfigError(f"{key} must be a list of names, got {value!r}")
-    return tuple(value)
-
-
 def _schema_from_dict(doc: dict) -> CohortSchema:
-    _check_keys(doc, _SCHEMA_KEYS, "schema")
-    for key in ("id_column", "label_column", "score_columns"):
-        if key not in doc:
-            raise ConfigError(f"schema needs {key!r}")
-    raw_scores = doc["score_columns"]
+    _check_keys(doc, _SCHEMA_KEYS, "schema", required=("id_column", "label_column", "score_columns"))
     score_columns: list[tuple[str, str]] = []
-    for entry in raw_scores:
+    for entry in _typed(doc["score_columns"], list, "score_columns"):
         if isinstance(entry, str):
             score_columns.append((entry, entry))
         elif isinstance(entry, (list, tuple)) and len(entry) == 2:
@@ -128,32 +103,33 @@ def _schema_from_dict(doc: dict) -> CohortSchema:
                 f"got {entry!r}"
             )
     protected = []
-    for p in doc.get("protected", []):
-        _check_keys(p, ("name", "kind", "bin_edges"), f"protected column {p.get('name', '?')!r}")
-        if "name" not in p:
-            raise ConfigError("protected column entry needs 'name'")
+    for p in _typed(doc.get("protected", []), list, "protected"):
+        _check_keys(p, ("name", "kind", "bin_edges"), "protected column", required=("name",))
         edges = p.get("bin_edges")
         protected.append(
             ProtectedColumn(
-                name=p["name"],
+                name=_typed(p["name"], str, "protected column name"),
                 kind=p.get("kind", "categorical"),
-                bin_edges=None if edges is None else tuple(edges),
+                bin_edges=None if edges is None else tuple(
+                    _convert(float, e, "bin_edges") for e in _typed(edges, list, "bin_edges")),
             )
         )
     covariates = []
-    for c in doc.get("covariates", []):
-        _check_keys(c, ("name", "kind"), f"covariate column {c.get('name', '?')!r}")
-        if "name" not in c:
-            raise ConfigError("covariate column entry needs 'name'")
-        covariates.append(CovariateColumn(name=c["name"], kind=c.get("kind", "numeric")))
+    for c in _typed(doc.get("covariates", []), list, "covariates"):
+        _check_keys(c, ("name", "kind"), "covariate column", required=("name",))
+        covariates.append(CovariateColumn(name=_typed(c["name"], str, "covariate column name"),
+                                          kind=c.get("kind", "numeric")))
+    delimiter = _typed(doc.get("delimiter", ","), str, "delimiter")
+    if len(delimiter) != 1:
+        raise ConfigError(f"delimiter must be one character, got {delimiter!r}")
     return CohortSchema(
-        id_column=doc["id_column"],
-        label_column=doc["label_column"],
+        id_column=_typed(doc["id_column"], str, "id_column"),
+        label_column=_typed(doc["label_column"], str, "label_column"),
         score_columns=tuple(score_columns),
         protected_columns=tuple(protected),
         covariate_columns=tuple(covariates),
-        missing_tokens=tuple(doc.get("missing_tokens", ("", "NA"))),
-        delimiter=doc.get("delimiter", ","),
+        missing_tokens=_names(doc.get("missing_tokens", ["", "NA"]), "missing_tokens"),
+        delimiter=delimiter,
     )
 
 
@@ -168,14 +144,12 @@ def _threshold_from_value(value) -> ThresholdPolicy:
         if kind == "youden":
             return ThresholdPolicy.youden()
         if kind == "fixed":
-            if "value" not in value:
-                raise ConfigError("fixed threshold policy needs 'value'")
+            _check_keys(value, ("kind", "value"), "fixed threshold policy", required=("value",))
             return ThresholdPolicy.fixed(_convert(float, value["value"], "threshold value"))
     raise ConfigError(f"cannot interpret threshold policy {value!r}")
 
 
 def _audit_from_dict(doc: dict) -> AuditConfig:
-    _check_keys(doc, _AUDIT_KEYS, "audit config")
     kwargs: dict = {}
     for key in ("metrics", "propensity_covariates"):
         if key in doc:
@@ -210,15 +184,9 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     """Load a run config JSON file; ``overrides`` are flag values that win
     over file values (None entries are ignored)."""
     doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(doc, _RUN_KEYS, "run config")
-    for key in ("cohort", "schema"):
-        if key not in doc:
-            raise ConfigError(f"run config needs {key!r}")
+    _check_keys(doc, _RUN_KEYS, "run config", required=("cohort", "schema"))
     for key in ("cohort", "output_dir"):
-        if not isinstance(doc.get(key, ""), str):
-            raise ConfigError(f"{key} must be a path, got {doc[key]!r}")
+        _typed(doc.get(key, ""), str, key)
     formats = _names(doc.get("formats", list(_FORMATS)), "formats")
     if not set(formats) <= set(_FORMATS):
         raise ConfigError(f"formats must be among {_FORMATS}, got {list(formats)}")
@@ -327,7 +295,7 @@ def _match_rows(cohort, cfg: AuditConfig, model: str | None = None,
     if model is not None:
         subset = np.flatnonzero(~np.isnan(score_values(cohort, model)))
         lead = {"model": model}
-    contrasts: list[tuple[str, str, str]] = []
+    attributes: list[tuple[str, tuple[str, ...]]] = []
     for col in cohort.schema.protected_columns:
         try:
             part = subgroup_partition(cohort, col.name, cfg.min_group_size, subset=subset)
@@ -335,63 +303,55 @@ def _match_rows(cohort, cfg: AuditConfig, model: str | None = None,
             if pairs_dir is not None:
                 print(f"note: skipping {col.name!r}: {exc}", file=sys.stderr)
             continue
-        contrasts += [(col.name, a, b) for a, b in combinations(part.levels, 2)]
+        attributes.append((col.name, part.levels))
     if pairs_dir is not None:
         # Either level may end up treated, so a contrast may write either name.
         _distinct_files((f"contrast {attr!r}: {a!r} vs {b!r}", {_pairs_name(attr, a, b), _pairs_name(attr, b, a)})
-                        for attr, a, b in contrasts)
+                        for attr, levels in attributes for a, b in combinations(levels, 2))
 
     rows: list[dict] = []
-    for attribute, level_a, level_b in contrasts:
-        row = {**lead, "attribute": attribute}
-        try:
-            sample, prop = match_contrast(
-                cohort, attribute, level_a, level_b,
-                cfg.propensity_covariates,
-                caliper_multiplier=cfg.caliper_multiplier,
-                ridge=cfg.ridge, subset=subset,
+    for attribute, levels in attributes:
+        for level_a, level_b, status, detail, sample, prop in matched_contrasts(
+                cohort, attribute, levels, cfg, subset):
+            row = {**lead, "attribute": attribute}
+            if sample is None:
+                row.update(treated_level=level_a, control_level=level_b, status=status, detail=detail)
+                if model is not None:
+                    # report.json's failed balance rows list covariates before
+                    # the counts; update() below keeps a key where it stands.
+                    row["covariates"] = []
+                row.update(matched_n=0, passes_min_n=False, covariates=[])
+                rows.append(row)
+                continue
+            bal = balance_report(cohort, sample, cfg.propensity_covariates,
+                                 cfg.min_matched_n, propensity=prop)
+            row.update(
+                treated_level=sample.treated_level,
+                control_level=sample.control_level,
+                caliper=sample.caliper,
+                unmatched_treated=sample.unmatched_treated,
+                matched_n=bal.matched_n,
+                passes_min_n=bal.passes_min_n,
+                status=status,
+                detail=detail,
             )
-        except (FitError, PropensityError) as exc:
-            row.update(treated_level=level_a, control_level=level_b,
-                       status="failed", detail=str(exc))
-            if model is not None:
-                # report.json's failed balance rows list covariates before
-                # the counts; update() below keeps a key where it stands.
-                row["covariates"] = []
-            row.update(matched_n=0, passes_min_n=False, covariates=[])
+            if pairs_dir is not None:
+                name = _pairs_name(attribute, sample.treated_level, sample.control_level)
+                pair_path = os.path.join(pairs_dir, name)
+                export_pairs(cohort, sample, pair_path)
+                print(pair_path)
+                row["pairs_file"] = name
+            row["covariates"] = [
+                {"name": c.name, "smd_before": c.smd_before, "smd_after": c.smd_after}
+                for c in bal.covariates
+            ]
             rows.append(row)
-            continue
-        bal = balance_report(cohort, sample, cfg.propensity_covariates,
-                             cfg.min_matched_n, propensity=prop)
-        row.update(
-            treated_level=sample.treated_level,
-            control_level=sample.control_level,
-            caliper=sample.caliper,
-            unmatched_treated=sample.unmatched_treated,
-            matched_n=bal.matched_n,
-            passes_min_n=bal.passes_min_n,
-            status=STATUS_OK if bal.passes_min_n else "skipped",
-            detail="" if bal.passes_min_n else (
-                f"{len(sample.pairs)} pairs ({bal.matched_n} records) "
-                f"below min_matched_n={cfg.min_matched_n}"
-            ),
-        )
-        if pairs_dir is not None:
-            name = _pairs_name(attribute, sample.treated_level, sample.control_level)
-            pair_path = os.path.join(pairs_dir, name)
-            export_pairs(cohort, sample, pair_path)
-            print(pair_path)
-            row["pairs_file"] = name
-        row["covariates"] = [
-            {"name": c.name, "smd_before": c.smd_before, "smd_after": c.smd_after}
-            for c in bal.covariates
-        ]
-        rows.append(row)
     return rows
 
 
-def _audit_pipeline(rc: RunConfig, models) -> tuple:
-    """Run the full audit for the given models; returns (bundle, exit_code)."""
+def _audit_pipeline(rc: RunConfig, models) -> int:
+    """Run the full audit for the given models and render the report;
+    returns the exit code."""
     cohort = _read_cohort(rc)
     available = cohort.model_names
     for m in models or ():
@@ -442,10 +402,6 @@ def _audit_pipeline(rc: RunConfig, models) -> tuple:
     if not subgroup_all or all(r.status != STATUS_OK for r in subgroup_all):
         print("warning: no audited cell reached sufficiency", file=sys.stderr)
         code = EXIT_STATISTICAL
-    return bundle, code
-
-
-def _render_bundle(bundle, rc: RunConfig) -> int:
     try:
         paths = render(bundle, rc.output_dir, rc.formats)
     except OSError as exc:
@@ -453,7 +409,7 @@ def _render_bundle(bundle, rc: RunConfig) -> int:
         return EXIT_RENDER
     for p in paths:
         print(p)
-    return EXIT_OK
+    return code
 
 
 def cmd_audit(args) -> int:
@@ -461,9 +417,7 @@ def cmd_audit(args) -> int:
         "seed": args.seed, "n_bootstrap": args.n_bootstrap,
         "workers": args.workers, "output_dir": args.output_dir,
     })
-    bundle, code = _audit_pipeline(rc, rc.models)
-    render_code = _render_bundle(bundle, rc)
-    return render_code if render_code != EXIT_OK else code
+    return _audit_pipeline(rc, rc.models)
 
 
 def cmd_compare(args) -> int:
@@ -471,17 +425,12 @@ def cmd_compare(args) -> int:
         "seed": args.seed, "n_bootstrap": args.n_bootstrap,
         "workers": args.workers, "output_dir": args.output_dir,
     })
-    models = tuple(args.models) if args.models else (rc.models or ())
-    if not models:
-        schema_models = [m for m, _ in rc.schema.score_columns]
-        models = tuple(schema_models)
+    models = tuple(args.models or rc.models or rc.schema.model_names)
     if len(models) != 2:
         raise ConfigError(f"compare needs exactly two models, got {list(models)}")
     if models[0] == models[1]:
         raise ConfigError("compare needs two distinct models")
-    bundle, code = _audit_pipeline(rc, models)
-    render_code = _render_bundle(bundle, rc)
-    return render_code if render_code != EXIT_OK else code
+    return _audit_pipeline(rc, models)
 
 
 def cmd_match(args) -> int:
@@ -489,10 +438,9 @@ def cmd_match(args) -> int:
     if not rc.audit.propensity_covariates:
         raise ConfigError("match needs audit.propensity_covariates in the config")
     cohort = _read_cohort(rc)
-    cfg = rc.audit
     os.makedirs(rc.output_dir, exist_ok=True)
 
-    rows = _match_rows(cohort, cfg, pairs_dir=rc.output_dir)
+    rows = _match_rows(cohort, rc.audit, pairs_dir=rc.output_dir)
 
     summary_path = os.path.join(rc.output_dir, "matching.json")
     try:

@@ -13,6 +13,45 @@ class ConfigError(AuditError):
     """A configuration value is missing, malformed, or inconsistent."""
 
 
+def _check_keys(doc, allowed: tuple[str, ...], where: str, required: tuple[str, ...] = ()) -> None:
+    """ConfigError unless ``doc`` is a JSON object with keys among ``allowed``
+    and every key in ``required``; unknown keys of named entries name them."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
+    unknown = [k for k in doc if k not in allowed]
+    if unknown:
+        named = f" {doc.get('name', '?')!r}" if "name" in allowed else ""
+        raise ConfigError(f"unknown key(s) in {where}{named}: {', '.join(sorted(unknown))}")
+    missing = [k for k in required if k not in doc]
+    if missing:
+        raise ConfigError(f"{where} needs {missing[0]!r}")
+
+
+def _convert(kind, value, key: str):
+    """``int(value)`` or ``float(value)``; a ConfigError naming ``key`` when
+    the value does not convert."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from None
+
+
+def _typed(value, kind, key: str):
+    """``value`` when it is a ``kind`` (str, list or dict); a ConfigError
+    naming ``key`` otherwise."""
+    if not isinstance(value, kind):
+        what = {str: "a string", list: "a list", dict: "a JSON object"}[kind]
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return value
+
+
+def _names(value, key: str) -> tuple[str, ...]:
+    """A JSON list of strings as a tuple; ConfigError otherwise."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"{key} must be a list of names, got {value!r}")
+    return tuple(value)
+
+
 class SchemaError(AuditError):
     """A cohort schema is self-contradictory or does not match the data header."""
 

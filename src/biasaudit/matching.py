@@ -13,6 +13,7 @@ import csv
 import os
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -25,26 +26,50 @@ _CLIP = 1e-12
 
 @dataclass(frozen=True)
 class MatchedPair:
-    """Indices are positions in whatever array the matcher was handed; the
-    pipeline wrapper rewrites them to cohort record positions."""
+    """One pair as ``MatchedSample.pairs`` presents it."""
 
     treated: int
     control: int
     distance: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchedSample:
-    pairs: tuple[MatchedPair, ...]
+    """Matched pairs as read-only columns in ascending treated order:
+    ``treated`` and ``control`` are int64 positions in whatever array the
+    matcher was handed (``match_contrast`` rewrites them to cohort record
+    positions), ``distance`` the float64 logit distance of each pair."""
+
+    treated: np.ndarray
+    control: np.ndarray
+    distance: np.ndarray
     unmatched_treated: int
     caliper: float | None
     attribute: str | None = None
     treated_level: str | None = None
     control_level: str | None = None
 
+    def __post_init__(self):
+        for arr in (self.treated, self.control, self.distance):
+            arr.flags.writeable = False
+
+    def __eq__(self, other):
+        if not isinstance(other, MatchedSample):
+            return NotImplemented
+        fields = ("pairs", "unmatched_treated", "caliper", "attribute", "treated_level", "control_level")
+        return all(getattr(self, f) == getattr(other, f) for f in fields)
+
     @property
     def n_matched(self) -> int:
-        return 2 * len(self.pairs)
+        return 2 * self.treated.size
+
+    @cached_property
+    def pairs(self) -> tuple[MatchedPair, ...]:
+        """The pairs as MatchedPairs, built on first access."""
+        return tuple(
+            MatchedPair(treated=t, control=c, distance=d)
+            for t, c, d in zip(self.treated.tolist(), self.control.tolist(), self.distance.tolist())
+        )
 
 
 @dataclass(frozen=True)
@@ -220,7 +245,7 @@ def greedy_match(
             k = prv[k]
         return k - 1
 
-    pairs: list[MatchedPair] = []
+    pairs: list[tuple[int, int, float]] = []
     unmatched = 0
     live = m
     for t, tl, pos in zip(visit.tolist(), visit_logits.tolist(), insert_at):
@@ -253,10 +278,12 @@ def greedy_match(
         nxt[best_slot] = best_slot + 1
         prv[best_slot + 1] = best_slot
         live -= 1
-        pairs.append(MatchedPair(treated=t, control=c_pos[best_slot], distance=best_d))
+        pairs.append((t, c_pos[best_slot], best_d))
 
-    pairs.sort(key=lambda p: p.treated)
-    return MatchedSample(pairs=tuple(pairs), unmatched_treated=unmatched, caliper=caliper)
+    pairs.sort()
+    columns = np.array(pairs, dtype=[("treated", np.int64), ("control", np.int64), ("distance", float)])
+    return MatchedSample(columns["treated"], columns["control"], columns["distance"],
+                         unmatched_treated=unmatched, caliper=caliper)
 
 
 def match_contrast(
@@ -294,14 +321,10 @@ def match_contrast(
             f"(gradient norm {prop.model.final_gradient_norm:.3g})"
         )
     raw = greedy_match(prop.propensities, prop.treated, caliper_multiplier)
-    pairs = tuple(
-        replace(p, treated=int(prop.indices[p.treated]), control=int(prop.indices[p.control]))
-        for p in raw.pairs
-    )
-    sample = MatchedSample(
-        pairs=pairs,
-        unmatched_treated=raw.unmatched_treated,
-        caliper=raw.caliper,
+    sample = replace(
+        raw,
+        treated=prop.indices[raw.treated],
+        control=prop.indices[raw.control],
         attribute=attribute,
         treated_level=treated_level,
         control_level=control_level,
@@ -373,8 +396,6 @@ def balance_report(
         values = attribute_values(cohort, matched.attribute)
         before_a = [i for i, v in enumerate(values) if v == matched.treated_level]
         before_b = [i for i, v in enumerate(values) if v == matched.control_level]
-    after_a = [p.treated for p in matched.pairs]
-    after_b = [p.control for p in matched.pairs]
 
     rows: list[CovariateBalance] = []
     for name in covariates:
@@ -386,7 +407,7 @@ def balance_report(
                 CovariateBalance(
                     name=label,
                     smd_before=smd(arr, before_a, before_b),
-                    smd_after=smd(arr, after_a, after_b) if matched.pairs else None,
+                    smd_after=smd(arr, matched.treated, matched.control) if matched.treated.size else None,
                 )
             )
     return BalanceReport(
@@ -401,7 +422,5 @@ def export_pairs(cohort: Cohort, matched: MatchedSample, path) -> None:
     with open(os.fspath(path), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["treated_id", "control_id", "distance"])
-        for p in matched.pairs:
-            writer.writerow(
-                [cohort.ids[p.treated], cohort.ids[p.control], repr(p.distance)]
-            )
+        ids = np.asarray(cohort.ids, dtype=object)
+        writer.writerows(zip(ids[matched.treated], ids[matched.control], map(repr, matched.distance.tolist())))

@@ -26,7 +26,7 @@ from .cohort import (
     score_values,
     with_score_column,
 )
-from .errors import ConfigError
+from .errors import ConfigError, _check_keys, _convert, _names, _typed
 from .glm import encode_design, fit_logistic, predict_proba
 from .metrics import _metric_table, _tabulate
 
@@ -220,27 +220,10 @@ def generate(config: SynthConfig) -> tuple[Cohort, dict]:
     p_true = expit(eta)
     labels = (stream(config.seed, "outcome").random(n) < p_true).astype(np.int64)
 
-    if config.score.kind == "oracle_noise":
-        noise = stream(config.seed, "score").normal(0.0, config.score.noise_sd, n) \
-            if config.score.noise_sd > 0 else np.zeros(n)
-        scores = np.clip(p_true + noise, 0.0, 1.0)
-    else:
-        scores = None  # filled in once the cohort exists; needs a design matrix
-
     for i, inj in enumerate(config.injections):
-        mask = level_draws[inj.attribute] == inj.level
-        rng = stream(config.seed, "injection", i)
         if inj.mechanism == "label_flip":
-            u = rng.random(n)
-            flip = mask & (u < inj.amount)
-            labels = np.where(flip, 1 - labels, labels)
-        elif scores is not None:
-            if inj.mechanism == "score_noise":
-                extra = rng.normal(0.0, inj.amount, n)
-                scores = np.where(mask, scores + extra, scores)
-            else:
-                scores = np.where(mask, scores + inj.amount, scores)
-            scores = np.clip(scores, 0.0, 1.0)
+            u = stream(config.seed, "injection", i).random(n)
+            labels = np.where((level_draws[inj.attribute] == inj.level) & (u < inj.amount), 1 - labels, labels)
 
     width = max(4, len(str(n)))
     schema = CohortSchema(
@@ -261,28 +244,29 @@ def generate(config: SynthConfig) -> tuple[Cohort, dict]:
         schema=schema,
         ids=tuple(f"r{i + 1:0{width}d}" for i in range(n)),
         labels=labels,
-        scores={config.score_name: np.full(n, np.nan) if scores is None else scores},
+        scores={config.score_name: np.full(n, np.nan)},
         codes=codes,
         covariates={c.name: cov_values[c.name].astype(float) for c in config.covariates},
         attribute_levels=levels,
     )
 
-    if scores is None:
+    if config.score.kind == "oracle_noise":
+        noise = stream(config.seed, "score").normal(0.0, config.score.noise_sd, n) \
+            if config.score.noise_sd > 0 else np.zeros(n)
+        scores = np.clip(p_true + noise, 0.0, 1.0)
+    else:
+        # trained scores see post-injection labels, as a refit in the wild would
         design = encode_design(cohort, range(n), config.score.features)
         model = fit_logistic(design, labels.astype(float), ridge=1e-6)
         scores = predict_proba(model, design)
-        # trained scores see post-injection labels, as a refit in the wild would
-        for inj_i, inj in enumerate(config.injections):
-            if inj.mechanism == "label_flip":
-                continue
-            mask = level_draws[inj.attribute] == inj.level
-            rng = stream(config.seed, "injection", inj_i)
-            if inj.mechanism == "score_noise":
-                scores = np.where(mask, scores + rng.normal(0.0, inj.amount, n), scores)
-            else:
-                scores = np.where(mask, scores + inj.amount, scores)
-            scores = np.clip(scores, 0.0, 1.0)
-        cohort = replace(cohort, scores={config.score_name: scores})
+
+    for i, inj in enumerate(config.injections):
+        if inj.mechanism == "label_flip":
+            continue
+        rng = stream(config.seed, "injection", i)
+        extra = rng.normal(0.0, inj.amount, n) if inj.mechanism == "score_noise" else inj.amount
+        scores = np.clip(np.where(level_draws[inj.attribute] == inj.level, scores + extra, scores), 0.0, 1.0)
+    cohort = replace(cohort, scores={config.score_name: scores})
 
     manifest = {
         "schema_version": 1,
@@ -344,10 +328,13 @@ def _empirical_summary(cohort: Cohort, model: str) -> dict:
     return out
 
 
-def _require_keys(doc: dict, allowed: tuple[str, ...], where: str) -> None:
-    unknown = [k for k in doc if k not in allowed]
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+def _number_map(value, key: str, depth: int = 1) -> dict:
+    """A JSON object of numbers (``depth`` 1) or of such objects (``depth``
+    2), every number converted to float; ConfigError naming ``key`` otherwise."""
+    return {
+        k: _number_map(v, f"{key}.{k}", depth - 1) if depth > 1 else _convert(float, v, f"{key}.{k}")
+        for k, v in _typed(value, dict, key).items()
+    }
 
 
 def config_from_dict(doc: dict) -> SynthConfig:
@@ -365,59 +352,63 @@ def config_from_dict(doc: dict) -> SynthConfig:
          "injections": [{"attribute": "race", "level": "Black",
                          "mechanism": "score_noise", "amount": 0.3}]}
 
-    Unknown keys anywhere raise ConfigError so typos fail loudly.
+    Unknown keys anywhere, a block that is not an object and a number that
+    does not convert raise ConfigError so typos fail loudly.
     """
-    _require_keys(doc, ("n", "seed", "score_name", "protected", "covariates",
-                        "outcome", "score", "injections"), "synth config")
-    if "n" not in doc:
-        raise ConfigError("synth config needs 'n'")
+    _check_keys(doc, ("n", "seed", "score_name", "protected", "covariates",
+                      "outcome", "score", "injections"), "synth config", required=("n",))
     protected = []
-    for p in doc.get("protected", []):
-        _require_keys(p, ("name", "levels", "weights"), f"protected spec {p.get('name', '?')!r}")
+    for p in _typed(doc.get("protected", []), list, "protected"):
+        _check_keys(p, ("name", "levels", "weights"), "protected spec", required=("name", "levels", "weights"))
         protected.append(
-            ProtectedSpec(name=p["name"], levels=tuple(p["levels"]), weights=tuple(p["weights"]))
+            ProtectedSpec(
+                name=_typed(p["name"], str, "protected spec name"),
+                levels=_names(p["levels"], "levels"),
+                weights=tuple(_convert(float, w, "weights") for w in _typed(p["weights"], list, "weights")),
+            )
         )
     covariates = []
-    for c in doc.get("covariates", []):
-        _require_keys(c, ("name", "kind", "mu", "sigma", "p", "shifts"),
-                      f"covariate spec {c.get('name', '?')!r}")
+    for c in _typed(doc.get("covariates", []), list, "covariates"):
+        _check_keys(c, ("name", "kind", "mu", "sigma", "p", "shifts"), "covariate spec", required=("name",))
         covariates.append(
             CovariateSpec(
-                name=c["name"], kind=c.get("kind", "gaussian"),
-                mu=float(c.get("mu", 0.0)), sigma=float(c.get("sigma", 1.0)),
-                p=float(c.get("p", 0.5)), shifts=dict(c.get("shifts", {})),
+                name=_typed(c["name"], str, "covariate spec name"), kind=c.get("kind", "gaussian"),
+                mu=_convert(float, c.get("mu", 0.0), "mu"), sigma=_convert(float, c.get("sigma", 1.0), "sigma"),
+                p=_convert(float, c.get("p", 0.5), "p"), shifts=_number_map(c.get("shifts", {}), "shifts", 2),
             )
         )
     o = doc.get("outcome", {})
-    _require_keys(o, ("intercept", "weights", "protected_weights"), "outcome model")
+    _check_keys(o, ("intercept", "weights", "protected_weights"), "outcome model")
     outcome = OutcomeModel(
-        intercept=float(o.get("intercept", 0.0)),
-        weights=dict(o.get("weights", {})),
-        protected_weights=dict(o.get("protected_weights", {})),
+        intercept=_convert(float, o.get("intercept", 0.0), "intercept"),
+        weights=_number_map(o.get("weights", {}), "weights"),
+        protected_weights=_number_map(o.get("protected_weights", {}), "protected_weights", 2),
     )
     s = doc.get("score", {})
-    _require_keys(s, ("kind", "noise_sd", "features"), "score model")
+    _check_keys(s, ("kind", "noise_sd", "features"), "score model")
     score = ScoreModel(
         kind=s.get("kind", "oracle_noise"),
-        noise_sd=float(s.get("noise_sd", 0.05)),
-        features=tuple(s.get("features", ())),
+        noise_sd=_convert(float, s.get("noise_sd", 0.05), "noise_sd"),
+        features=_names(s.get("features", []), "features"),
     )
     injections = []
-    for j in doc.get("injections", []):
-        _require_keys(j, ("attribute", "level", "mechanism", "amount"), "injection")
+    for j in _typed(doc.get("injections", []), list, "injections"):
+        _check_keys(j, ("attribute", "level", "mechanism", "amount"), "injection",
+                    required=("attribute", "level", "mechanism", "amount"))
         injections.append(
-            Injection(attribute=j["attribute"], level=j["level"],
-                      mechanism=j["mechanism"], amount=float(j["amount"]))
+            Injection(attribute=_typed(j["attribute"], str, "injection attribute"),
+                      level=_typed(j["level"], str, "injection level"),
+                      mechanism=j["mechanism"], amount=_convert(float, j["amount"], "amount"))
         )
     return SynthConfig(
-        n=int(doc["n"]),
+        n=_convert(int, doc["n"], "n"),
         protected=tuple(protected),
         covariates=tuple(covariates),
         outcome=outcome,
         score=score,
         injections=tuple(injections),
-        seed=int(doc.get("seed", 0)),
-        score_name=doc.get("score_name", "score"),
+        seed=_convert(int, doc.get("seed", 0), "seed"),
+        score_name=_typed(doc.get("score_name", "score"), str, "score_name"),
     )
 
 

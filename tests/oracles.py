@@ -145,7 +145,13 @@ def scan_greedy_match(propensities, treated, caliper_multiplier=0.2) -> MatchedS
         pairs.append(MatchedPair(treated=int(t), control=int(control_pos[best]), distance=d))
 
     pairs.sort(key=lambda p: p.treated)
-    return MatchedSample(pairs=tuple(pairs), unmatched_treated=unmatched, caliper=caliper)
+    return MatchedSample(
+        treated=np.array([p.treated for p in pairs], dtype=np.int64),
+        control=np.array([p.control for p in pairs], dtype=np.int64),
+        distance=np.array([p.distance for p in pairs], dtype=float),
+        unmatched_treated=unmatched,
+        caliper=caliper,
+    )
 
 
 _THRESHOLD_METRICS = ("PPV", "SENS", "SPEC", "FNR", "FPR")

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from biasaudit.cli import (
     _AUDIT_KEYS,
     _RUN_KEYS,
+    _SCHEMA_KEYS,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RENDER,
@@ -19,7 +20,8 @@ from biasaudit.cli import (
     load_run_config,
     main,
 )
-from biasaudit.errors import ConfigError, SchemaError
+from biasaudit.cohort import parse_cohort
+from biasaudit.errors import CohortValidationError, ConfigError, SchemaError
 from biasaudit.matching import smd
 
 
@@ -238,6 +240,29 @@ class TestLoadRunConfig:
         except (ConfigError, SchemaError):
             pass
 
+    @settings(max_examples=300, deadline=None)
+    @given(schema=st.dictionaries(st.sampled_from(_SCHEMA_KEYS), JSON_VALUES),
+           protected=st.dictionaries(st.sampled_from(("name", "kind", "bin_edges")), JSON_VALUES),
+           covariate=st.dictionaries(st.sampled_from(("name", "kind")), JSON_VALUES),
+           extra=st.lists(JSON_VALUES, max_size=2))
+    def test_fuzzed_schema_entries_raise_only_config_errors(self, tmp_path_factory, schema, protected,
+                                                            covariate, extra):
+        """Values drawn inside the schema's entries, and odd entries appended,
+        end in a config, schema or validation error when loading the config
+        and parsing a cohort with it, never in another exception."""
+        tmp = tmp_path_factory.mktemp("fuzz")
+        (tmp / "c.csv").write_text("id,label,score,race,sex,sofa\n"
+                                   "r1,1,0.9,Black,F,0.1\n"
+                                   "r2,0,0.2,White,M,0.3\n")
+        doc = dict(RUN_SCHEMA, protected=[{"name": "race", **protected}, {"name": "sex"}, *extra],
+                   covariates=[{"name": "sofa", **covariate}, *extra])
+        doc.update(schema)
+        path = write_json(tmp / "run.json", {"cohort": "c.csv", "schema": doc})
+        try:
+            parse_cohort(tmp / "c.csv", load_run_config(path).schema)
+        except (ConfigError, SchemaError, CohortValidationError):
+            pass
+
     def test_config_hash_tracks_analysis_content(self, tmp_path):
         p1 = write_json(tmp_path / "a.json", {"cohort": "c.csv", "schema": RUN_SCHEMA})
         p2 = write_json(tmp_path / "b.json",
@@ -300,6 +325,20 @@ class TestSynthCommand:
         config = write_json(tmp_path / "synth.json", doc)
         assert main(["synth", config, str(tmp_path / "c.csv")]) == EXIT_CONFIG
         assert "mystery" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, fragment",
+        [
+            ({"n": "many"}, "n must be an integer"),
+            ([1, 2], "synth config must be a JSON object"),
+            (dict(SYNTH_DOC, covariates=[{"name": "sofa", "mu": "a"}]), "mu must be a number"),
+        ],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, doc, fragment):
+        config = write_json(tmp_path / "synth.json", doc)
+        assert main(["synth", config, str(tmp_path / "c.csv")]) == EXIT_CONFIG
+        assert f"error: {fragment}" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["synth", str(tmp_path / "nope.json"), str(tmp_path / "c.csv")])
@@ -367,6 +406,27 @@ class TestValidateCommand:
         assert doc["valid"] is False
         assert doc["issues"] == [AGE_ISSUE]
         assert "invalid: line 3, column age: value 100.0 falls outside" in captured.err
+
+    @pytest.mark.parametrize(
+        "entries, fragment",
+        [
+            ({"protected": ["race"]}, "protected column must be a JSON object"),
+            ({"covariates": [7]}, "covariate column must be a JSON object"),
+            ({"score_columns": 5}, "score_columns must be a list"),
+            ({"missing_tokens": 5}, "missing_tokens must be a list of names"),
+            ({"protected": [{"name": "race"}, {"name": "sex"},
+                            {"name": "age", "kind": "continuous", "bin_edges": ["x"]}]},
+             "bin_edges must be a number"),
+            ({"delimiter": ";;"}, "delimiter must be one character"),
+            ({"id_column": 5}, "id_column must be a string"),
+        ],
+    )
+    def test_malformed_schema_entry_exits_2(self, tmp_path, capsys, entries, fragment):
+        cohort_path = tmp_path / "c.csv"
+        cohort_path.write_text("id,label,score,race,sex,sofa,age\nr1,1,0.9,Black,F,0.1,30\n")
+        config = make_run_config(tmp_path, str(cohort_path), schema=dict(RUN_SCHEMA, **entries))
+        assert main(["validate", config]) == EXIT_CONFIG
+        assert f"error: {fragment}" in capsys.readouterr().err
 
     def test_custom_report_path(self, tmp_path):
         cohort = make_cohort(tmp_path)
@@ -491,6 +551,32 @@ class TestAuditCommand:
         cells = [c for r in doc["matched"] if r["level"] == "Black" for c in r["cells"]]
         assert cells and all(c["status"] == "failed" for c in cells)
         assert all("did not converge" in c["detail"] for c in cells)
+
+    def test_matched_cells_and_balance_rows_agree(self, tmp_path):
+        # Black is separated by sofa (fits fail), White vs Other has fewer than
+        # 250 pairs (skipped) and F vs M about 400 (ok).
+        config = make_separated_config(tmp_path)
+        doc = json.load(open(config))
+        doc["audit"]["min_matched_n"] = 500
+        write_json(config, doc)
+        assert main(["audit", config]) == EXIT_OK
+        report = json.load(open(tmp_path / "report" / "report.json"))
+        cells: dict = {}
+        for r in report["matched"]:
+            for c in r["cells"]:
+                cells.setdefault((r["attribute"], r["level"], c["opponent"]), []).append(c)
+        statuses = set()
+        for row in report["balance"]:
+            attr, treated, control = row["attribute"], row["treated_level"], row["control_level"]
+            pair = cells.pop((attr, treated, control)) + cells.pop((attr, control, treated))
+            statuses.add(row["status"])
+            if row["status"] == "ok":
+                assert {c["detail"] for c in pair} == {f"{row['matched_n'] // 2} pairs"}
+                assert all(c["result"] is not None for c in pair)
+            else:
+                assert {(c["status"], c["detail"]) for c in pair} == {(row["status"], row["detail"])}
+        assert statuses == {"ok", "skipped", "failed"}
+        assert not cells
 
     def test_balance_before_uses_scored_records(self, tmp_path):
         # A second model scores every record; "score" leaves every third record

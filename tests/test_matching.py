@@ -401,7 +401,8 @@ class TestBalanceReport:
 
     def test_unlabelled_sample_rejected(self):
         cohort = confounded_cohort(12, n=60)
-        bare = MatchedSample(pairs=(), unmatched_treated=0, caliper=None)
+        empty = np.empty(0, dtype=np.int64)
+        bare = MatchedSample(treated=empty, control=empty, distance=np.empty(0), unmatched_treated=0, caliper=None)
         with pytest.raises(ValueError, match="match_contrast"):
             balance_report(cohort, bare, ["x"])
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from biasaudit.cohort import (
@@ -46,6 +47,21 @@ def cohort_bytes(cohort):
     buf = io.StringIO()
     write_cohort(cohort, buf)
     return buf.getvalue()
+
+
+# Every value kind a JSON document can hold, NaN and the infinities included.
+JSON_VALUES = st.one_of(
+    st.text(max_size=8), st.integers(-5, 500), st.floats(), st.booleans(), st.none(),
+    st.lists(st.one_of(st.text(max_size=6), st.integers(), st.floats(), st.none()), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.one_of(st.text(max_size=6), st.floats(),
+                                                   st.dictionaries(st.text(max_size=4), st.floats())),
+                    max_size=3),
+)
+
+
+def fuzz_keys(keys):
+    """Some of ``keys``, each with any JSON value."""
+    return st.dictionaries(st.sampled_from(keys), JSON_VALUES)
 
 
 def covariate_array(cohort, name):
@@ -201,6 +217,43 @@ class TestConfigFromDict:
             config_from_dict({"seed": 3})
 
 
+    @pytest.mark.parametrize(
+        "doc, fragment",
+        [
+            ({"n": "many"}, "n must be an integer"),
+            ([1, 2], "synth config must be a JSON object"),
+            ({"n": 10, "covariates": [{"name": "x", "mu": "a"}]}, "mu must be a number"),
+            ({"n": 10, "protected": ["race"]}, "protected spec must be a JSON object"),
+            ({"n": 10, "outcome": {"weights": {"x": "heavy"}}}, "weights.x must be a number"),
+            ({"n": 10, "injections": [{"attribute": "g", "level": "a"}]}, "injection needs 'mechanism'"),
+        ],
+    )
+    def test_malformed_values_raise_config_errors(self, doc, fragment):
+        with pytest.raises(ConfigError, match=fragment):
+            config_from_dict(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(root=fuzz_keys(("n", "seed", "score_name", "protected", "covariates", "outcome", "score",
+                           "injections")),
+           protected=fuzz_keys(("name", "levels", "weights")),
+           covariate=fuzz_keys(("name", "kind", "mu", "sigma", "p", "shifts")),
+           outcome=fuzz_keys(("intercept", "weights", "protected_weights")),
+           score=fuzz_keys(("kind", "noise_sd", "features")),
+           injection=fuzz_keys(("attribute", "level", "mechanism", "amount")))
+    def test_fuzzed_config_raises_only_config_errors(self, root, protected, covariate, outcome, score,
+                                                     injection):
+        doc = self.full_doc()
+        for block, drawn in ((doc["protected"][0], protected), (doc["covariates"][0], covariate),
+                             (doc["outcome"], outcome), (doc["score"], score),
+                             (doc["injections"][0], injection)):
+            block.update(drawn)
+        doc.update(root)
+        try:
+            config_from_dict(doc)
+        except ConfigError:
+            pass
+
+
 class TestGenerate:
     def test_reproducible_to_the_byte(self):
         config = base_config(injections=(Injection("g", "b", "score_noise", 0.3),))
@@ -337,6 +390,23 @@ class TestGenerate:
         assert manifest["empirical"]["auroc_overall"] > 0.7
         again, _ = generate(config)
         assert cohort_bytes(cohort) == cohort_bytes(again)
+
+    @pytest.mark.parametrize("mechanism, amount",
+                             [("score_noise", 0.2), ("score_shift", 0.1), ("label_flip", 0.3)])
+    def test_trained_injection_moves_only_its_target_level(self, mechanism, amount):
+        # Label flips move labels (the refit then moves every score); score
+        # injections move scores and leave labels alone.
+        trained = ScoreModel(kind="trained_logistic", features=("x",))
+        clean, _ = generate(base_config(score=trained))
+        biased, _ = generate(base_config(score=trained, injections=(Injection("g", "b", mechanism, amount),)))
+        target = np.asarray(attribute_values(clean, "g")) == "b"
+        if mechanism == "label_flip":
+            before, after = label_values(clean), label_values(biased)
+        else:
+            assert (label_values(clean) == label_values(biased)).all()
+            before, after = score_values(clean, "score"), score_values(biased, "score")
+        assert (before[~target] == after[~target]).all()
+        assert (before[target] != after[target]).any()
 
     def test_custom_score_name(self):
         config = base_config(score_name="risk_v2")
