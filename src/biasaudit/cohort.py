@@ -54,8 +54,15 @@ class _MissingType:
 MISSING = _MissingType()
 
 # Pseudo-level label under which records missing a protected attribute are
-# grouped.  Kept out of attribute_levels; appended last in partitions.
+# grouped, appended last in partitions.
 MISSING_LABEL = "MISSING"
+
+
+def _level_members(level: str) -> tuple:
+    """The ``attribute_values`` entries that partition level ``level`` holds:
+    MISSING_LABEL stands for the records missing the attribute, merged with a
+    literal level of that name."""
+    return (level, MISSING) if level == MISSING_LABEL else (level,)
 
 _PROTECTED_KINDS = ("categorical", "continuous")
 _COVARIATE_KINDS = ("numeric", "binary", "categorical")
@@ -378,7 +385,8 @@ def subgroup_partition(
     """Split record indices by protected-attribute level.
 
     Levels with fewer than ``min_group_size`` members are excluded (reason
-    "too small"); records missing the attribute form their own pseudo-level,
+    "too small"); records missing the attribute form their own pseudo-level
+    MISSING_LABEL, merged with a literal level of that name and placed last,
     kept if it clears the same threshold and excluded with reason "missing"
     otherwise.  ``subset`` restricts the records considered (positions, e.g.
     only those a model actually scored).  Raises InsufficientDataError when
@@ -387,14 +395,17 @@ def subgroup_partition(
     """
     values = attribute_values(cohort, attribute)
     pool = range(cohort.n) if subset is None else sorted(int(i) for i in subset)
-    buckets: dict = {level: [] for level in (*cohort.attribute_levels[attribute], MISSING)}
+    missing_idx: list[int] = []
+    buckets: dict = {level: [] for level in cohort.attribute_levels[attribute]}
+    buckets.update(dict.fromkeys(_level_members(MISSING_LABEL), missing_idx))
     for i in pool:
         buckets[values[i]].append(i)
-    missing_idx = buckets.pop(MISSING)
 
     groups: list[tuple[str, tuple[int, ...]]] = []
     excluded: list[tuple[str, int, str]] = []
     for level, idx in buckets.items():
+        if idx is missing_idx:
+            continue
         if not idx:
             excluded.append((level, 0, "empty"))
         elif len(idx) < min_group_size:

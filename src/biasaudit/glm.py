@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -57,9 +57,12 @@ class FeatureColumn:
 
 @dataclass(frozen=True, eq=False)
 class DesignMatrix:
+    """Encoded rows: ``values[:, j]`` is column ``columns[j]`` on the i-th
+    encoded row; ``dropped`` names the covariates that were constant there
+    and so got no column."""
+
     columns: tuple[FeatureColumn, ...]
     values: np.ndarray
-    row_index: tuple[int, ...]
     dropped: tuple[str, ...] = ()
 
     @property
@@ -88,13 +91,47 @@ def _covariate_kind(cohort: Cohort, name: str) -> str:
     raise ConfigError(f"unknown covariate {name!r}")
 
 
-def _groups(cohort: Cohort, idx: list[int], name: str) -> tuple[np.ndarray, tuple[str, ...]]:
+def _groups(cohort: Cohort, idx: np.ndarray, name: str) -> tuple[np.ndarray, tuple[str, ...]]:
     """Group codes of a categorical covariate on rows ``idx``, indexing the
     group names returned with them.  Missing values group under
     MISSING_LABEL, together with a level that carries that very name."""
     names = (*cohort.covariate_levels[name], MISSING_LABEL)
     remap = np.asarray([names.index(level) for level in names])
     return remap[cohort.covariates[name][idx]], names
+
+
+def _describe(cohort: Cohort, idx: np.ndarray, names) -> tuple[tuple[FeatureColumn, ...], tuple[str, ...]]:
+    """Fit the feature descriptors on rows ``idx``: the columns to encode and
+    the covariates dropped as constant there."""
+    columns = [FeatureColumn(kind="intercept")]
+    dropped: list[str] = []
+    for name in names:
+        kind = _covariate_kind(cohort, name)
+        if kind == "categorical":
+            groups, group_names = _groups(cohort, idx, name)
+            _, first = np.unique(groups, return_index=True)
+            # Every group but the first to appear gets an indicator.
+            levels = [group_names[g] for g in groups[np.sort(first)].tolist()]
+            columns += [FeatureColumn(kind="indicator", name=name, level=level) for level in levels[1:]]
+            constant = len(levels) == 1
+        else:
+            raw = cohort.covariates[name][idx]
+            missing = np.isnan(raw)
+            if missing.all():
+                raise ConfigError(f"covariate {name!r} is entirely missing on the encoded subset")
+            mean = float(raw[~missing].mean())
+            sd = float(np.where(missing, mean, raw).std())
+            constant = sd == 0.0
+            if not constant:
+                # Binary covariates pass through as 0/1: centre 0, scale 1.
+                scaled = dict(center=mean, scale=sd) if kind == "numeric" else {}
+                columns.append(FeatureColumn(kind="numeric", name=name, impute=mean, **scaled))
+                if missing.any():
+                    columns.append(FeatureColumn(kind="indicator", name=name, level=MISSING_LABEL))
+        if constant:
+            dropped.append(name)
+            log.warning("dropping constant %s covariate %r", kind, name)
+    return tuple(columns), tuple(dropped)
 
 
 def encode_design(
@@ -105,97 +142,43 @@ def encode_design(
 ) -> DesignMatrix:
     """Encode cohort rows into a numeric design matrix.
 
-    The intercept column comes first.  Numeric covariates are standardized to
-    mean 0, sd 1 on the encoded rows (population sd), with missing values
-    imputed at the observed mean and flagged by an extra indicator column.
-    Binary covariates pass through as 0/1 (imputed at the observed rate when
+    Fit the feature descriptors, then apply them.  The intercept column comes
+    first.  Numeric covariates are standardized to mean 0, sd 1 on the
+    encoded rows (population sd), with missing values imputed at the
+    observed mean and flagged by an extra indicator column.  Binary
+    covariates pass through as 0/1 (imputed at the observed rate when
     missing).  Categorical covariates become k-1 indicators against the first
-    observed level, with missingness as its own level.  Columns with zero
-    variance are dropped and logged.
+    observed level, with missingness as its own level.  Constant covariates
+    get no column and are listed in ``dropped`` and logged.
 
     With ``reuse`` the stored descriptors are applied verbatim instead, so a
     model fitted on one subset can score another.
     """
-    idx = [int(i) for i in indices]
-    if not idx:
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size == 0:
         raise ValueError("cannot encode an empty row subset")
-    names = list(covariates)
+    columns, dropped = (reuse, ()) if reuse is not None else _describe(cohort, idx, covariates)
 
-    if reuse is not None:
-        return _encode_reuse(cohort, idx, reuse)
-
-    columns: list[FeatureColumn] = [FeatureColumn(kind="intercept")]
-    vectors: list[np.ndarray] = [np.ones(len(idx))]
-    dropped: list[str] = []
-
-    for name in names:
-        kind = _covariate_kind(cohort, name)
-        if kind in ("numeric", "binary"):
-            raw = cohort.covariates[name][idx]
-            missing = np.isnan(raw)
-            observed = raw[~missing]
-            if observed.size == 0:
-                raise ConfigError(f"covariate {name!r} is entirely missing on the encoded subset")
-            mean = float(observed.mean())
-            filled = np.where(missing, mean, raw)
-            has_missing = observed.size < raw.size
-            if kind == "numeric":
-                sd = float(filled.std())
-                if sd == 0.0:
-                    dropped.append(name)
-                    log.warning("dropping zero-variance covariate column %r", name)
-                else:
-                    columns.append(
-                        FeatureColumn(kind="numeric", name=name, center=mean, scale=sd, impute=mean)
-                    )
-                    vectors.append((filled - mean) / sd)
-            else:
-                if filled.std() == 0.0:
-                    dropped.append(name)
-                    log.warning("dropping constant binary covariate column %r", name)
-                else:
-                    columns.append(FeatureColumn(kind="numeric", name=name, impute=mean))
-                    vectors.append(filled)
-            if has_missing and name not in dropped:
-                columns.append(FeatureColumn(kind="indicator", name=name, level=MISSING_LABEL))
-                vectors.append(missing.astype(float))
-        else:
-            groups, group_names = _groups(cohort, idx, name)
-            _, first = np.unique(groups, return_index=True)
-            # Every group but the first to appear gets an indicator.
-            for g in groups[np.sort(first)][1:].tolist():
-                columns.append(FeatureColumn(kind="indicator", name=name, level=group_names[g]))
-                vectors.append((groups == g).astype(float))
-
-    values = np.column_stack(vectors)
-    return DesignMatrix(
-        columns=tuple(columns), values=values, row_index=tuple(idx), dropped=tuple(dropped)
-    )
-
-
-def _encode_reuse(cohort: Cohort, idx: list[int], reuse: tuple[FeatureColumn, ...]) -> DesignMatrix:
-    vectors: list[np.ndarray] = []
-    for col in reuse:
+    values = np.empty((idx.size, len(columns)))
+    for j, col in enumerate(columns):
         if col.kind == "intercept":
-            vectors.append(np.ones(len(idx)))
+            values[:, j] = 1.0
             continue
         kind = _covariate_kind(cohort, col.name)
         # Numeric terms need a numeric or binary covariate, indicators a
         # categorical one, unless they flag missing values.
         if (col.kind == "numeric") == (kind == "categorical") and col.level != MISSING_LABEL:
             raise ConfigError(f"covariate {col.name!r} is {kind}, the model has the term {col.label()!r}")
-        if col.kind == "numeric":
-            raw = cohort.covariates[col.name][idx]
-            vectors.append((np.where(np.isnan(raw), col.impute, raw) - col.center) / col.scale)
-        elif kind == "categorical":
+        if kind == "categorical":
             groups, group_names = _groups(cohort, idx, col.name)
-            match = [g for g, level in enumerate(group_names) if level == col.level]
-            vectors.append(np.isin(groups, match).astype(float))
+            values[:, j] = np.isin(groups, [g for g, level in enumerate(group_names) if level == col.level])
+            continue
+        raw = cohort.covariates[col.name][idx]
+        if col.kind == "numeric":
+            values[:, j] = (np.where(np.isnan(raw), col.impute, raw) - col.center) / col.scale
         else:
-            vectors.append(np.isnan(cohort.covariates[col.name][idx]).astype(float))
-    return DesignMatrix(
-        columns=tuple(reuse), values=np.column_stack(vectors), row_index=tuple(idx)
-    )
+            values[:, j] = np.isnan(raw)
+    return DesignMatrix(columns=columns, values=values, dropped=dropped)
 
 
 def fit_logistic(
@@ -232,19 +215,17 @@ def fit_logistic(
     if ridge < 0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
 
-    n, p = X.shape
     mask = np.asarray([0.0 if c.kind == "intercept" else 1.0 for c in design.columns])
-    beta = np.zeros(p)
+    beta = np.zeros(X.shape[1])
     iterations = 0
-
-    def gradient(b: np.ndarray) -> np.ndarray:
-        return X.T @ (y - expit(X @ b)) - ridge * mask * b
-
-    for it in range(1, max_iter + 1):
-        g = gradient(beta)
-        if np.max(np.abs(g)) <= tol:
-            break
+    stepped_to_tol = False
+    # Each pass evaluates the fit at ``beta`` once; the pass that stops keeps
+    # it as the final state.
+    while True:
         p_hat = expit(X @ beta)
+        g = X.T @ (y - p_hat) - ridge * mask * beta
+        if stepped_to_tol or iterations == max_iter or np.max(np.abs(g)) <= tol:
+            break
         w = p_hat * (1.0 - p_hat)
         hess = (X * w[:, None]).T @ X + ridge * np.diag(mask)
         try:
@@ -252,20 +233,18 @@ def fit_logistic(
         except np.linalg.LinAlgError:
             step = None
         if step is None or not np.all(np.isfinite(step)):
-            if it == 1:
+            if iterations == 0:
                 raise FitError(
                     "Hessian is singular at the start: the design has collinear "
                     "columns; drop redundant covariates or set ridge > 0"
                 )
             break
         beta = beta + step
-        iterations = it
-        if np.max(np.abs(step)) <= tol:
-            break
+        iterations += 1
+        stepped_to_tol = np.max(np.abs(step)) <= tol
 
-    g_final = gradient(beta)
-    norm = float(np.max(np.abs(g_final)))
-    separated = ridge == 0.0 and bool(np.max(np.abs(expit(X @ beta) - y)) < 1e-6)
+    norm = float(np.max(np.abs(g)))
+    separated = ridge == 0.0 and bool(np.max(np.abs(p_hat - y)) < 1e-6)
     return LogisticModel(
         columns=design.columns,
         coefficients=beta,
@@ -287,22 +266,11 @@ def predict_proba(model: LogisticModel, design: DesignMatrix) -> np.ndarray:
     return np.clip(expit(design.values @ model.coefficients), _CLIP, 1.0 - _CLIP)
 
 
-def _column_dict(col: FeatureColumn) -> dict:
-    return {
-        "kind": col.kind,
-        "name": col.name,
-        "level": col.level,
-        "center": col.center,
-        "scale": col.scale,
-        "impute": col.impute,
-    }
-
-
 def export_model(model: LogisticModel, path=None) -> str:
     """Serialize a fitted model to JSON; optionally write it to ``path``."""
     doc = {
         "schema_version": 1,
-        "columns": [_column_dict(c) for c in model.columns],
+        "columns": [asdict(c) for c in model.columns],
         "coefficients": [float(b) for b in model.coefficients],
         "converged": model.converged,
         "iterations": model.iterations,
@@ -323,17 +291,7 @@ def load_model(source) -> LogisticModel:
             doc = json.load(fh)
     else:
         doc = json.loads(source)
-    columns = tuple(
-        FeatureColumn(
-            kind=c["kind"],
-            name=c["name"],
-            level=c["level"],
-            center=c["center"],
-            scale=c["scale"],
-            impute=c["impute"],
-        )
-        for c in doc["columns"]
-    )
+    columns = tuple(FeatureColumn(**c) for c in doc["columns"])
     return LogisticModel(
         columns=columns,
         coefficients=np.asarray(doc["coefficients"], dtype=float),

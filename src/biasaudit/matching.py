@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cohort import Cohort, attribute_values
+from .cohort import Cohort, _level_members, attribute_values
 from .errors import PropensityError
 from .glm import LogisticModel, encode_design, fit_logistic, predict_proba
 
@@ -134,8 +134,10 @@ def estimate_propensity(
 
     values = attribute_values(cohort, attribute)
     pool = range(cohort.n) if subset is None else [int(i) for i in subset]
-    indices = [i for i in pool if values[i] in (treated_level, control_level)]
-    flags = np.asarray([values[i] == treated_level for i in indices], dtype=bool)
+    is_treated = {**dict.fromkeys(_level_members(control_level), False),
+                  **dict.fromkeys(_level_members(treated_level), True)}
+    indices = [i for i in pool if values[i] in is_treated]
+    flags = np.asarray([is_treated[values[i]] for i in indices], dtype=bool)
     n_treated = int(flags.sum())
     n_control = len(indices) - n_treated
     if n_treated < 2 or n_control < 2:
@@ -305,8 +307,9 @@ def match_contrast(
     """
     values = attribute_values(cohort, attribute)
     pool = range(cohort.n) if subset is None else [int(i) for i in subset]
-    n_a = sum(1 for i in pool if values[i] == level_a)
-    n_b = sum(1 for i in pool if values[i] == level_b)
+    members_a, members_b = _level_members(level_a), _level_members(level_b)
+    n_a = sum(1 for i in pool if values[i] in members_a)
+    n_b = sum(1 for i in pool if values[i] in members_b)
     if n_a <= n_b:
         treated_level, control_level = level_a, level_b
     else:
@@ -394,8 +397,9 @@ def balance_report(
         before_b = propensity.indices[~propensity.treated]
     else:
         values = attribute_values(cohort, matched.attribute)
-        before_a = [i for i, v in enumerate(values) if v == matched.treated_level]
-        before_b = [i for i, v in enumerate(values) if v == matched.control_level]
+        members_a, members_b = _level_members(matched.treated_level), _level_members(matched.control_level)
+        before_a = [i for i, v in enumerate(values) if v in members_a]
+        before_b = [i for i, v in enumerate(values) if v in members_b]
 
     rows: list[CovariateBalance] = []
     for name in covariates:

@@ -10,6 +10,7 @@ two configs differing only in injections share identical base data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -109,12 +110,29 @@ class SynthConfig:
     score_name: str = "score"
 
 
+def _numbers(config: SynthConfig):
+    """Every number of the config, each with the key that names it."""
+    yield from (("outcome intercept", config.outcome.intercept), ("score noise_sd", config.score.noise_sd))
+    yield from ((f"protected {spec.name!r} weights", w) for spec in config.protected for w in spec.weights)
+    for cov in config.covariates:
+        yield from ((f"covariate {cov.name!r} {key}", getattr(cov, key)) for key in ("mu", "sigma", "p"))
+        yield from ((f"covariate {cov.name!r} shifts.{a}.{lv}", v)
+                    for a, by_level in cov.shifts.items() for lv, v in by_level.items())
+    yield from ((f"outcome weights.{k}", v) for k, v in config.outcome.weights.items())
+    yield from ((f"outcome protected_weights.{a}.{lv}", v)
+                for a, by_level in config.outcome.protected_weights.items() for lv, v in by_level.items())
+    yield from ((f"injection {i} amount", j.amount) for i, j in enumerate(config.injections))
+
+
 def _validate(config: SynthConfig) -> dict[str, dict[str, float]]:
     """Cross-field checks; returns normalized level weights per attribute."""
     if config.n < 1:
         raise ConfigError(f"synthetic cohort size must be >= 1, got {config.n}")
     if not config.score_name:
         raise ConfigError("score_name must be non-empty")
+    for key, value in _numbers(config):
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
     weights: dict[str, dict[str, float]] = {}
     for spec in config.protected:
         if len(spec.levels) != len(spec.weights):
@@ -122,8 +140,9 @@ def _validate(config: SynthConfig) -> dict[str, dict[str, float]]:
         if len(set(spec.levels)) != len(spec.levels):
             raise ConfigError(f"protected {spec.name!r}: duplicate levels")
         w = np.asarray(spec.weights, dtype=float)
-        if np.any(w < 0) or w.sum() <= 0:
-            raise ConfigError(f"protected {spec.name!r}: weights must be non-negative with positive sum")
+        if np.any(w < 0) or not 0 < w.sum() < np.inf:
+            raise ConfigError(f"protected {spec.name!r}: weights must be non-negative "
+                              "with positive sum that does not overflow")
         weights[spec.name] = dict(zip(spec.levels, (w / w.sum()).tolist()))
     cov_names = [c.name for c in config.covariates]
     if len(set(cov_names)) != len(cov_names):
@@ -205,6 +224,8 @@ def generate(config: SynthConfig) -> tuple[Cohort, dict]:
                 shift[drawn == level] += delta
         if cov.kind == "gaussian":
             cov_values[cov.name] = rng.normal(cov.mu, cov.sigma, n) + shift
+            if not np.all(np.isfinite(cov_values[cov.name])):
+                raise ConfigError(f"covariate {cov.name!r}: mu, sigma and shifts overflow to non-finite values")
         else:
             base = np.log(cov.p) - np.log1p(-cov.p)
             prob = expit(base + shift)
@@ -217,6 +238,8 @@ def generate(config: SynthConfig) -> tuple[Cohort, dict]:
         drawn = level_draws[attr]
         for level, w in by_level.items():
             eta[drawn == level] += float(w)
+    if np.isnan(eta).any():
+        raise ConfigError("outcome model overflows: its weights and intercept give an undefined log-odds")
     p_true = expit(eta)
     labels = (stream(config.seed, "outcome").random(n) < p_true).astype(np.int64)
 
@@ -256,6 +279,9 @@ def generate(config: SynthConfig) -> tuple[Cohort, dict]:
         scores = np.clip(p_true + noise, 0.0, 1.0)
     else:
         # trained scores see post-injection labels, as a refit in the wild would
+        if labels.min() == labels.max():
+            raise ConfigError(f"trained_logistic score model needs both outcome classes, "
+                              f"but all {n} labels are {labels[0]}")
         design = encode_design(cohort, range(n), config.score.features)
         model = fit_logistic(design, labels.astype(float), ridge=1e-6)
         scores = predict_proba(model, design)

@@ -8,14 +8,16 @@ the incomplete-beta closed form, gradients by finite differences, greedy
 matching by scanning every live control instead of a sorted index, subgroup
 metric matrices by per-level masks and midranks instead of one count table,
 the AUROC standard error by DeLong's placement values instead of the
-bootstrap, and cohort reading and writing by per-row records instead of
-columns.
+bootstrap, cohort reading and writing by per-row records instead of
+columns, and design matrices by one loop that fits and builds each column
+together instead of descriptors applied afterwards.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import logging
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -25,8 +27,9 @@ import mpmath as mp
 import numpy as np
 from scipy.stats import rankdata
 
-from biasaudit.cohort import MISSING, CohortRecord, CohortSchema
-from biasaudit.errors import CohortValidationError, RowIssue, SchemaError
+from biasaudit.cohort import MISSING, MISSING_LABEL, CohortRecord, CohortSchema
+from biasaudit.errors import CohortValidationError, ConfigError, RowIssue, SchemaError
+from biasaudit.glm import DesignMatrix, FeatureColumn
 from biasaudit.matching import MatchedPair, MatchedSample, _logit
 
 
@@ -537,3 +540,80 @@ def record_write_cohort(cohort: RecordCohort, path) -> None:
         return
     with open(os.fspath(path), "w", encoding="utf-8", newline="") as fh:
         _emit(fh)
+
+
+# --- The design-matrix encoder as one loop that derives each covariate's
+# statistics and builds its vectors in the same pass, kept as the reference
+# for ``encode_design``'s describe-then-apply route.
+
+log = logging.getLogger(__name__)
+
+
+def _covariate_kind(cohort, name: str) -> str:
+    for col in cohort.schema.covariate_columns:
+        if col.name == name:
+            return col.kind
+    raise ConfigError(f"unknown covariate {name!r}")
+
+
+def _groups(cohort, idx: list[int], name: str) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Group codes of a categorical covariate on rows ``idx``, indexing the
+    group names returned with them.  Missing values group under
+    MISSING_LABEL, together with a level that carries that very name."""
+    names = (*cohort.covariate_levels[name], MISSING_LABEL)
+    remap = np.asarray([names.index(level) for level in names])
+    return remap[cohort.covariates[name][idx]], names
+
+
+def loop_encode_design(cohort, indices, covariates) -> DesignMatrix:
+    """A fresh encode (no ``reuse``) by one loop over the covariates."""
+    idx = [int(i) for i in indices]
+    if not idx:
+        raise ValueError("cannot encode an empty row subset")
+    names = list(covariates)
+
+    columns: list[FeatureColumn] = [FeatureColumn(kind="intercept")]
+    vectors: list[np.ndarray] = [np.ones(len(idx))]
+    dropped: list[str] = []
+
+    for name in names:
+        kind = _covariate_kind(cohort, name)
+        if kind in ("numeric", "binary"):
+            raw = cohort.covariates[name][idx]
+            missing = np.isnan(raw)
+            observed = raw[~missing]
+            if observed.size == 0:
+                raise ConfigError(f"covariate {name!r} is entirely missing on the encoded subset")
+            mean = float(observed.mean())
+            filled = np.where(missing, mean, raw)
+            has_missing = observed.size < raw.size
+            if kind == "numeric":
+                sd = float(filled.std())
+                if sd == 0.0:
+                    dropped.append(name)
+                    log.warning("dropping zero-variance covariate column %r", name)
+                else:
+                    columns.append(
+                        FeatureColumn(kind="numeric", name=name, center=mean, scale=sd, impute=mean)
+                    )
+                    vectors.append((filled - mean) / sd)
+            else:
+                if filled.std() == 0.0:
+                    dropped.append(name)
+                    log.warning("dropping constant binary covariate column %r", name)
+                else:
+                    columns.append(FeatureColumn(kind="numeric", name=name, impute=mean))
+                    vectors.append(filled)
+            if has_missing and name not in dropped:
+                columns.append(FeatureColumn(kind="indicator", name=name, level=MISSING_LABEL))
+                vectors.append(missing.astype(float))
+        else:
+            groups, group_names = _groups(cohort, idx, name)
+            _, first = np.unique(groups, return_index=True)
+            # Every group but the first to appear gets an indicator.
+            for g in groups[np.sort(first)][1:].tolist():
+                columns.append(FeatureColumn(kind="indicator", name=name, level=group_names[g]))
+                vectors.append((groups == g).astype(float))
+
+    values = np.column_stack(vectors)
+    return DesignMatrix(columns=tuple(columns), values=values, dropped=tuple(dropped))

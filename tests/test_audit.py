@@ -557,6 +557,31 @@ class TestMatchedAudit:
         assert [c.opponent for c in results["z"].cells] == ["x", "x", "y", "y"]
         assert [c.result.metric for c in results["x"].cells] == ["AUROC", "SENS"] * 2
 
+    def test_missing_level_is_matched_like_any_other(self):
+        # 900 records, 20% missing g: the MISSING pseudo-level's contrasts
+        # match its records, not a level literally named "MISSING".
+        rng = np.random.default_rng(12)
+        n = 900
+        x = rng.normal(0, 1, n)
+        y = (rng.uniform(0, 1, n) < expit(x)).astype(int)
+        g = rng.choice(np.array(["a", "b"], dtype=object), n)
+        g[rng.uniform(0, 1, n) < 0.2] = None
+        cohort = build_cohort(
+            labels=y.tolist(), scores=expit(x + rng.normal(0, 0.5, n)).tolist(),
+            protected={"g": g.tolist()}, covariates={"c": x.tolist()},
+        )
+        config = AuditConfig(metrics=("AUROC",), n_bootstrap=5, min_group_size=50, min_matched_n=20,
+                             propensity_covariates=("c",), seed=4)
+        results = {r.level: r for r in matched_audit(cohort, "score", config)}
+        assert list(results) == ["a", "b", "MISSING"]
+        for level, row in results.items():
+            for cell in row.cells:
+                if "MISSING" in (level, cell.opponent):
+                    assert cell.status == STATUS_OK, cell.detail
+                    assert cell.result.metric == "AUROC"
+                    assert int(cell.detail.removesuffix(" pairs")) > 0
+        assert [c.opponent for c in results["MISSING"].cells] == ["a", "b"]
+
     def test_small_matched_sample_is_skipped_with_counts(self):
         rng = np.random.default_rng(10)
         n = 30

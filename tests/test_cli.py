@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import re
 
@@ -332,6 +333,14 @@ class TestSynthCommand:
             ({"n": "many"}, "n must be an integer"),
             ([1, 2], "synth config must be a JSON object"),
             (dict(SYNTH_DOC, covariates=[{"name": "sofa", "mu": "a"}]), "mu must be a number"),
+            (dict(SYNTH_DOC, protected=[{"name": "race", "levels": ["Black", "White", "Other"],
+                                         "weights": [math.nan, 0.5, 0.2]}]),
+             "protected 'race' weights must be finite"),
+            (dict(SYNTH_DOC, outcome={"intercept": math.nan, "weights": {"sofa": 1.5}}),
+             "outcome intercept must be finite"),
+            (dict(SYNTH_DOC, n=50, outcome={"intercept": 50.0},
+                  score={"kind": "trained_logistic", "features": ["sofa"]}),
+             "trained_logistic score model needs both outcome classes"),
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, doc, fragment):

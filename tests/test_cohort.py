@@ -430,6 +430,30 @@ class TestSubgroupPartition:
         assert part.levels == ("A", "B", MISSING_LABEL)
         assert len(part.groups[-1][1]) == 120
 
+    def test_literal_missing_level_merges_with_missing_values(self):
+        g = ["A", "A", "MISSING", None, "B", "B", "A", "B"] * 20
+        cohort = build_cohort(labels=[i % 2 for i in range(160)], scores=[0.5] * 160, protected={"g": g})
+        part = subgroup_partition(cohort, "g", min_group_size=10)
+        assert part.levels == ("A", "B", MISSING_LABEL)
+        assert part.groups[-1][1] == tuple(i for i, v in enumerate(g) if v in ("MISSING", None))
+        small = subgroup_partition(cohort, "g", min_group_size=50)
+        assert small.excluded == ((MISSING_LABEL, 40, "missing"),)
+
+    @given(st.lists(st.sampled_from(["A", "MISSING", None]), min_size=2, max_size=60),
+           st.integers(min_value=0, max_value=5))
+    def test_partition_labels_are_unique(self, values, min_size):
+        n = len(values)
+        cohort = build_cohort(labels=[i % 2 for i in range(n)], scores=[0.5] * n, protected={"g": values})
+        try:
+            part = subgroup_partition(cohort, "g", min_group_size=min_size)
+        except InsufficientDataError:
+            return
+        labels = [level for level, _ in part.groups] + [level for level, _, _ in part.excluded]
+        assert len(labels) == len(set(labels))
+        groups = dict(part.groups)
+        if MISSING_LABEL in groups:
+            assert groups[MISSING_LABEL] == tuple(i for i, v in enumerate(values) if v in ("MISSING", None))
+
     def test_single_level_nothing_to_compare(self):
         cohort = build_cohort(
             labels=[0, 1, 0, 1],

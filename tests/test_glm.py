@@ -1,7 +1,10 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import expit, logit
 
 from biasaudit.cohort import MISSING_LABEL
@@ -17,7 +20,7 @@ from biasaudit.glm import (
 )
 
 from helpers import build_cohort
-from oracles import fd_gradient
+from oracles import fd_gradient, loop_encode_design
 
 
 def labelled(design: DesignMatrix) -> dict[str, list[float]]:
@@ -172,6 +175,77 @@ class TestEncodeDesign:
         # held-out missing value imputes to the training mean (encodes to 0)
         assert held_out.values[0, 1] == 0.0
 
+    def test_constant_categorical_dropped_like_constant_numeric(self, caplog):
+        cohort = build_cohort(
+            labels=[0, 1, 0, 1],
+            scores=[0.5] * 4,
+            covariates={"x": [2.0, 2.0, 2.0, 5.0], "grp": ["A", "A", "A", "B"], "y": [1.0, 2.0, 3.0, 4.0]},
+            covariate_kinds={"grp": "categorical"},
+        )
+        with caplog.at_level(logging.WARNING, logger="biasaudit.glm"):
+            design = encode_design(cohort, range(3), ["x", "grp", "y"])
+        assert design.dropped == ("x", "grp")
+        assert set(labelled(design)) == {"intercept", "y"}
+        assert [r.getMessage() for r in caplog.records] == [
+            "dropping constant numeric covariate 'x'",
+            "dropping constant categorical covariate 'grp'",
+        ]
+
+
+def _column(draw, kind: str, n: int) -> list:
+    """``n`` values of one covariate drawn from a pool of at most three, so
+    constant columns and ties are common; None is a missing value."""
+    value = {
+        "numeric": st.floats(-1e6, 1e6),
+        "binary": st.sampled_from([0, 1]),
+        "categorical": st.sampled_from(["a", "b", "c", "MISSING"]),
+    }[kind]
+    pool = draw(st.lists(value, min_size=1, max_size=3))
+    return draw(st.lists(st.sampled_from([*pool, None]) | st.sampled_from(pool), min_size=n, max_size=n))
+
+
+@st.composite
+def encoding_problems(draw):
+    """A cohort of numeric, binary and categorical covariates with missing
+    values, a row subset (unsorted, repeats allowed) and covariate names."""
+    n = draw(st.integers(1, 20))
+    kinds = draw(st.lists(st.sampled_from(["numeric", "binary", "categorical"]), max_size=4))
+    columns = {f"c{j}": _column(draw, kind, n) for j, kind in enumerate(kinds)}
+    cohort = build_cohort(
+        labels=[i % 2 for i in range(n)], scores=[0.5] * n, covariates=columns,
+        covariate_kinds={f"c{j}": kind for j, kind in enumerate(kinds)},
+    )
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    names = draw(st.permutations(list(columns)))
+    return cohort, columns, dict(zip(columns, kinds)), rows, names
+
+
+class TestEncodeOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(problem=encoding_problems())
+    def test_encode_design_equals_loop_oracle(self, problem):
+        cohort, columns, kinds, rows, names = problem
+        try:
+            expected = loop_encode_design(cohort, rows, names)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError, match=re.escape(str(exc))):
+                encode_design(cohort, rows, names)
+            return
+        design = encode_design(cohort, rows, names)
+        assert design.columns == expected.columns
+        assert design.values.shape == expected.values.shape
+        assert design.values.tobytes() == expected.values.tobytes()
+        # The oracle leaves a constant categorical out of ``dropped``.
+        constant_categorical = {
+            name for name in names
+            if kinds[name] == "categorical" and len({columns[name][i] or "MISSING" for i in rows}) == 1
+        }
+        assert design.dropped == tuple(n for n in names if n in expected.dropped or n in constant_categorical)
+        # Applying the fitted descriptors to the same rows rebuilds the matrix.
+        again = encode_design(cohort, rows, names, reuse=design.columns)
+        assert again.columns == design.columns and again.dropped == ()
+        assert again.values.tobytes() == design.values.tobytes()
+
 
 class TestFitLogistic:
     def test_intercept_only_balanced(self):
@@ -192,7 +266,7 @@ class TestFitLogistic:
 
     def test_predict_recovers_known_probability(self):
         column = (FeatureColumn(kind="intercept"),)
-        design = DesignMatrix(columns=column, values=np.ones((1, 1)), row_index=(0,))
+        design = DesignMatrix(columns=column, values=np.ones((1, 1)))
         from biasaudit.glm import LogisticModel
 
         model = LogisticModel(

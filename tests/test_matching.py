@@ -307,6 +307,28 @@ class TestMatchContrast:
         assert prop.model.converged
 
 
+    def test_missing_level_holds_missing_values_and_the_literal_level(self):
+        # 20% of the records miss g; a few carry a literal level "MISSING".
+        rng = np.random.default_rng(80)
+        n = 900
+        x = rng.normal(0.0, 1.0, n)
+        g = np.where(rng.uniform(0, 1, n) < expit(x), "A", "B").astype(object)
+        g[rng.uniform(0, 1, n) < 0.2] = None
+        g[:30] = "MISSING"
+        cohort = build_cohort(labels=[i % 2 for i in range(n)], scores=[0.5] * n,
+                              protected={"g": g.tolist()}, covariates={"x": x.tolist()})
+        missing = [i for i, v in enumerate(g) if v in (None, "MISSING")]
+        prop = estimate_propensity(cohort, "g", "MISSING", "A", ["x"])
+        assert prop.indices[prop.treated].tolist() == missing
+        sample, prop = match_contrast(cohort, "g", "A", "MISSING", ["x"])
+        assert sample.treated_level == "MISSING" and sample.treated.size > 0
+        assert set(sample.treated.tolist()) <= set(missing)
+        with_prop = balance_report(cohort, sample, ["x"], propensity=prop)
+        # Without the propensity result the "before" groups come from the
+        # decoded levels; the same rule must find the same records.
+        assert balance_report(cohort, sample, ["x"]) == with_prop
+
+
 class TestBalanceReport:
     def test_matching_repairs_confounded_balance(self):
         cohort = confounded_cohort(424)

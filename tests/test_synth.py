@@ -1,5 +1,8 @@
 """Synthetic cohort generator: configs, twin cohorts, splits, demo training."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +14,7 @@ from biasaudit.cohort import (
     score_values,
     write_cohort,
 )
-from biasaudit.errors import ConfigError
+from biasaudit.errors import AuditError, ConfigError, InsufficientDataError
 from biasaudit.matching import smd
 from biasaudit.metrics import auroc
 from biasaudit.synth import (
@@ -141,6 +144,25 @@ class TestConfigValidation:
                 {"injections": (Injection("g", "a", "score_noise", -0.2),)},
                 "must be >= 0",
             ),
+            ({"protected": (ProtectedSpec("g", ("a", "b"), (math.nan, 0.3)),)}, "protected 'g' weights must be finite"),
+            ({"outcome": OutcomeModel(intercept=math.nan, weights={"x": 1.5})}, "outcome intercept must be finite"),
+            ({"outcome": OutcomeModel(weights={"x": math.inf})}, "outcome weights.x must be finite"),
+            ({"covariates": (CovariateSpec("x", mu=-math.inf),)}, "covariate 'x' mu must be finite"),
+            ({"covariates": (CovariateSpec("x", shifts={"g": {"a": math.nan}}),)}, "shifts.g.a must be finite"),
+            ({"score": ScoreModel(noise_sd=math.inf)}, "score noise_sd must be finite"),
+            ({"injections": (Injection("g", "b", "score_shift", math.nan),)}, "injection 0 amount must be finite"),
+            ({"protected": (ProtectedSpec("g", ("a", "b"), (1e308, 1e308)),)}, "does not overflow"),
+            ({"covariates": (CovariateSpec("x", mu=1e308, sigma=1e308),)}, "overflow to non-finite values"),
+            (
+                {"covariates": (CovariateSpec("x", mu=5.0), CovariateSpec("z", mu=5.0)),
+                 "outcome": OutcomeModel(weights={"x": 1e308, "z": -1e308})},
+                "undefined log-odds",
+            ),
+            (
+                {"n": 50, "outcome": OutcomeModel(intercept=50.0, weights={"x": 1.5}),
+                 "score": ScoreModel(kind="trained_logistic", features=("x",))},
+                "needs both outcome classes",
+            ),
         ],
     )
     def test_bad_configs_rejected(self, overrides, fragment):
@@ -254,7 +276,55 @@ class TestConfigFromDict:
             pass
 
 
+# Non-finite and extreme numbers, drawn in about one slot in eight.
+WILD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, 5e-324, 50.0, -1.0])
+
+
+@st.composite
+def synth_docs(draw):
+    """A synth config document over every block, with drawn numbers."""
+
+    def num(low=0.05):
+        if draw(st.integers(0, 7)) == 0:
+            return draw(WILD_NUMBERS)
+        return draw(st.floats(low, 3.0))
+
+    levels = ["x", "y", "z"][: draw(st.integers(1, 3))]
+    score = draw(st.sampled_from(["oracle_noise", "trained_logistic"]))
+    return {
+        "n": draw(st.integers(1, 200)),
+        "seed": draw(st.integers(0, 3)),
+        "protected": [{"name": "race", "levels": levels, "weights": [num() for _ in levels]}],
+        "covariates": [
+            {"name": "sofa", "kind": "gaussian", "mu": num(-3.0), "sigma": num(),
+             "shifts": {"race": {levels[0]: num(-3.0)}}},
+            {"name": "icu", "kind": "bernoulli", "p": num() / 3.0, "shifts": {"race": {levels[-1]: num(-3.0)}}},
+        ],
+        "outcome": {"intercept": num(-3.0), "weights": {"sofa": num(-3.0), "icu": num(-3.0)},
+                    "protected_weights": {"race": {levels[0]: num(-3.0)}}},
+        "score": {"kind": score, "noise_sd": num() / 10.0,
+                  "features": ["sofa", "icu"] if score == "trained_logistic" else []},
+        "injections": [{"attribute": "race", "level": draw(st.sampled_from(levels)),
+                        "mechanism": draw(st.sampled_from(["score_noise", "score_shift", "label_flip"])),
+                        "amount": num() / 3.0}],
+    }
+
+
 class TestGenerate:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=synth_docs())
+    def test_fuzzed_generate_fails_only_with_exit_2_errors(self, doc):
+        try:
+            cohort, manifest = generate(config_from_dict(doc))
+        except AuditError as exc:
+            # The CLI maps every AuditError but InsufficientDataError to exit 2.
+            assert not isinstance(exc, InsufficientDataError)
+            return
+        scores = score_values(cohort, "score")
+        assert np.all((scores >= 0.0) & (scores <= 1.0))
+        assert set(label_values(cohort).tolist()) <= {0, 1}
+        json.dumps(manifest, allow_nan=False)
+
     def test_reproducible_to_the_byte(self):
         config = base_config(injections=(Injection("g", "b", "score_noise", 0.3),))
         cohort_1, manifest_1 = generate(config)
