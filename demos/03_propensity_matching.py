@@ -65,7 +65,7 @@ for name in ("severity", "age"):
 
 # The balance report bundles the same numbers per covariate, which is what
 # the audit attaches to its matched cells.
-report = balance_report(cohort, sample, ("severity", "age"))
+report = balance_report(cohort, sample, ("severity", "age"), propensity=prop)
 print()
 print(f"balance report ({report.matched_n} matched records, "
       f"passes min n: {report.passes_min_n}):")

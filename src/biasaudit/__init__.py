@@ -78,6 +78,8 @@ from .audit import (
     SubgroupAuditResult,
     ThresholdPolicy,
     TTestResult,
+    attribute_plan,
+    audit_model,
     bootstrap_audit,
     compare_models,
     group_diffs,
@@ -163,6 +165,8 @@ __all__ = [
     "SubgroupAuditResult",
     "ThresholdPolicy",
     "TTestResult",
+    "attribute_plan",
+    "audit_model",
     "bootstrap_audit",
     "compare_models",
     "group_diffs",

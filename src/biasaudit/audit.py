@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import betainc
 
 from ._rng import stream
-from .cohort import Cohort, label_values, score_values, subgroup_partition
+from .cohort import Cohort, SubgroupPartition, label_values, score_values, subgroup_partition
 from .errors import ConfigError, FitError, InsufficientDataError, PropensityError
 from .matching import match_contrast
 from .metrics import (
@@ -128,8 +128,10 @@ class AuditConfig:
             raise ConfigError("min_group_size must be >= 0")
         if self.min_matched_n < 0:
             raise ConfigError("min_matched_n must be >= 0")
-        if self.rounding < 0:
-            raise ConfigError("rounding must be >= 0")
+        # Rounded values lie in [-2, 2], and rounding quantizes in the default
+        # 28-digit decimal context, so 27 places is the most that always fits.
+        if not 0 <= self.rounding <= 27:
+            raise ConfigError(f"rounding must be in [0, 27], got {self.rounding}")
         if self.caliper_multiplier is not None and self.caliper_multiplier <= 0:
             raise ConfigError("caliper_multiplier must be positive or None")
         if self.ridge < 0:
@@ -269,29 +271,45 @@ def _diffs_from_values(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def attribute_plan(cohort: Cohort, min_group_size: int, model: str | None = None):
+    """Which protected attributes partition over the records ``model`` scored:
+    ``(subset, partitions, skipped)``, where ``subset`` holds the scored record
+    positions (None without a model: every record), ``partitions`` the
+    SubgroupPartition of each attribute that leaves two groups or more, in
+    schema order, and ``skipped`` an ``(attribute, reason)`` for each other
+    one.  Raises InsufficientDataError when the model scored no records."""
+    subset = None
+    if model is not None:
+        subset = np.flatnonzero(~np.isnan(score_values(cohort, model)))
+        if subset.size == 0:
+            raise InsufficientDataError(f"model {model!r} scored no records")
+    partitions: list[SubgroupPartition] = []
+    skipped: list[tuple[str, str]] = []
+    for col in cohort.schema.protected_columns:
+        try:
+            partitions.append(subgroup_partition(cohort, col.name, min_group_size, subset=subset))
+        except InsufficientDataError as exc:
+            log.info("skipping attribute %r: %s", col.name, exc)
+            skipped.append((col.name, str(exc)))
+    return subset, tuple(partitions), tuple(skipped)
+
+
 class _Prep:
     """Eligible records of one model, their score grid, and per-attribute
     count keys over that grid (see ``metrics._count_keys``)."""
 
     def __init__(self, cohort: Cohort, model: str, config: AuditConfig):
-        scores = score_values(cohort, model)
-        self.eligible = np.flatnonzero(~np.isnan(scores))
-        if self.eligible.size == 0:
-            raise InsufficientDataError(f"model {model!r} scored no records")
+        self.eligible, partitions, _ = attribute_plan(cohort, config.min_group_size, model)
+        scores = score_values(cohort, model)[self.eligible]
         y = label_values(cohort)[self.eligible]
-        self.grid, ranks = np.unique(scores[self.eligible], return_inverse=True)
+        self.grid, ranks = np.unique(scores, return_inverse=True)
         self.n = int(self.eligible.size)
         self.attributes: list[tuple[str, tuple[str, ...], np.ndarray]] = []
-        for col in cohort.schema.protected_columns:
-            try:
-                part = subgroup_partition(cohort, col.name, config.min_group_size, subset=self.eligible)
-            except InsufficientDataError as exc:
-                log.info("skipping attribute %r: %s", col.name, exc)
-                continue
+        for part in partitions:
             codes = np.full(self.n, -1, dtype=np.int32)
             for g, (_, idx) in enumerate(part.groups):
                 codes[np.searchsorted(self.eligible, np.asarray(idx, dtype=np.int64))] = g
-            self.attributes.append((col.name, part.levels, _count_keys(ranks, y, codes, self.grid.size)))
+            self.attributes.append((part.attribute, part.levels, _count_keys(ranks, y, codes, self.grid.size)))
 
 
 def _run_replicates(fn, n_replicates: int, workers: int) -> list:
@@ -398,28 +416,30 @@ def bootstrap_audit(cohort: Cohort, model: str, config: AuditConfig, workers: in
     ]
 
 
-def matched_contrasts(cohort: Cohort, attribute: str, levels, config: AuditConfig, subset):
-    """Yield ``(level_a, level_b, status, detail, sample, propensity)`` for
-    every pair of ``levels`` of ``attribute``, in level order, matched over
-    the records in ``subset`` with the config's covariates, caliper and
-    ridge.  A failed propensity fit gives "failed" with the error as detail
-    and no sample; a matched sample below ``config.min_matched_n`` records
-    gives "skipped" with its counts; otherwise "ok" with an empty detail."""
-    for level_a, level_b in combinations(levels, 2):
+def matched_contrasts(cohort: Cohort, partitions, config: AuditConfig, subset):
+    """Yield ``(attribute, level_a, level_b, status, detail, sample,
+    propensity)`` for every pair of levels of every partition, in partition
+    and level order, matched over the records in ``subset`` with the config's
+    covariates, caliper and ridge.  A failed propensity fit gives "failed"
+    with the error as detail and no sample; a matched sample below
+    ``config.min_matched_n`` records gives "skipped" with its counts;
+    otherwise "ok" with an empty detail."""
+    pairs = ((part.attribute, a, b) for part in partitions for a, b in combinations(part.levels, 2))
+    for attribute, level_a, level_b in pairs:
         try:
             sample, prop = match_contrast(
                 cohort, attribute, level_a, level_b, config.propensity_covariates,
                 caliper_multiplier=config.caliper_multiplier, ridge=config.ridge, subset=subset,
             )
         except (FitError, PropensityError) as exc:
-            yield level_a, level_b, STATUS_FAILED, str(exc), None, None
+            yield attribute, level_a, level_b, STATUS_FAILED, str(exc), None, None
             continue
         if sample.n_matched < config.min_matched_n:
             detail = (f"{sample.treated.size} pairs ({sample.n_matched} records) "
                       f"below min_matched_n={config.min_matched_n}")
-            yield level_a, level_b, STATUS_SKIPPED, detail, sample, prop
+            yield attribute, level_a, level_b, STATUS_SKIPPED, detail, sample, prop
         else:
-            yield level_a, level_b, STATUS_OK, "", sample, prop
+            yield attribute, level_a, level_b, STATUS_OK, "", sample, prop
 
 
 def matched_audit(cohort: Cohort, model: str, config: AuditConfig, workers: int = 1) -> list[MatchedAuditResult]:
@@ -434,9 +454,7 @@ def matched_audit(cohort: Cohort, model: str, config: AuditConfig, workers: int 
     """
     if not config.propensity_covariates:
         raise ConfigError("matched audit needs propensity_covariates in the config")
-    prep = _Prep(cohort, model, config)
-    if not prep.attributes:
-        return []
+    subset, partitions, _ = attribute_plan(cohort, config.min_group_size, model)
 
     metrics = config.metrics
     need_threshold = any(m in _THRESHOLD_METRICS for m in metrics)
@@ -445,48 +463,55 @@ def matched_audit(cohort: Cohort, model: str, config: AuditConfig, workers: int 
     s_all = score_values(cohort, model)
 
     per_level_cells: dict[tuple[str, str], list[MatchedCell]] = {
-        (attr, level): [] for attr, levels, _ in prep.attributes for level in levels
+        (part.attribute, level): [] for part in partitions for level in part.levels
     }
-    for attr, levels, _ in prep.attributes:
-        for li, lj, status, detail, sample, _ in matched_contrasts(cohort, attr, levels, config, prep.eligible):
-            if status != STATUS_OK:
-                per_level_cells[(attr, li)].append(MatchedCell(opponent=lj, status=status, detail=detail))
-                per_level_cells[(attr, lj)].append(MatchedCell(opponent=li, status=status, detail=detail))
-                continue
+    for attr, li, lj, status, detail, sample, _ in matched_contrasts(cohort, partitions, config, subset):
+        if status != STATUS_OK:
+            per_level_cells[(attr, li)].append(MatchedCell(opponent=lj, status=status, detail=detail))
+            per_level_cells[(attr, lj)].append(MatchedCell(opponent=li, status=status, detail=detail))
+            continue
 
-            # Treated records are level 0, their controls level 1.
-            pair_idx = np.concatenate([sample.treated, sample.control])
-            n_pairs = sample.treated.size
-            grid, ranks = np.unique(s_all[pair_idx], return_inverse=True)
-            keys = _count_keys(ranks, y_all[pair_idx], np.repeat([0, 1], n_pairs), grid.size)
+        # Treated records are level 0, their controls level 1.
+        pair_idx = np.concatenate([sample.treated, sample.control])
+        n_pairs = sample.treated.size
+        grid, ranks = np.unique(s_all[pair_idx], return_inverse=True)
+        keys = _count_keys(ranks, y_all[pair_idx], np.repeat([0, 1], n_pairs), grid.size)
 
-            def replicate(b: int, _data=(grid, keys, n_pairs, attr, li, lj)) -> np.ndarray:
-                grid_, keys_, np_, attr_, li_, lj_ = _data
-                rng = stream(config.seed, "matched", attr_, li_, lj_, b)
-                draw = rng.integers(0, np_, np_)
-                table = _count_table(keys_[np.concatenate([draw, draw + np_])], 2, grid_.size)
-                _, cut = policy.resolve(grid_, table) if need_threshold else (None, None)
-                mat = _metric_table(table[1:], metrics, cut)
-                # Treated-perspective diff; nan unless both arms are defined.
-                return (mat[0] - mat[1]) / 2.0
+        def replicate(b: int, _data=(grid, keys, n_pairs, attr, li, lj)) -> np.ndarray:
+            grid_, keys_, np_, attr_, li_, lj_ = _data
+            rng = stream(config.seed, "matched", attr_, li_, lj_, b)
+            draw = rng.integers(0, np_, np_)
+            table = _count_table(keys_[np.concatenate([draw, draw + np_])], 2, grid_.size)
+            _, cut = policy.resolve(grid_, table) if need_threshold else (None, None)
+            mat = _metric_table(table[1:], metrics, cut)
+            # Treated-perspective diff; nan unless both arms are defined.
+            return (mat[0] - mat[1]) / 2.0
 
-            draws = np.vstack(_run_replicates(replicate, config.n_bootstrap, workers))
-            arms = ((sample.treated_level, sample.control_level, 1.0),
-                    (sample.control_level, sample.treated_level, -1.0))
-            for m_j, metric in enumerate(metrics):
-                for level, opponent, sign in arms:
-                    res = _cell_result(model, attr, level, metric, sign * draws[:, m_j], config.alpha)
-                    per_level_cells[(attr, level)].append(
-                        MatchedCell(opponent=opponent, status=res.status, result=res, detail=f"{n_pairs} pairs")
-                    )
+        draws = np.vstack(_run_replicates(replicate, config.n_bootstrap, workers))
+        arms = ((sample.treated_level, sample.control_level, 1.0),
+                (sample.control_level, sample.treated_level, -1.0))
+        for m_j, metric in enumerate(metrics):
+            for level, opponent, sign in arms:
+                res = _cell_result(model, attr, level, metric, sign * draws[:, m_j], config.alpha)
+                per_level_cells[(attr, level)].append(
+                    MatchedCell(opponent=opponent, status=res.status, result=res, detail=f"{n_pairs} pairs")
+                )
 
     # Contrasts run in level order, so each level's cells are already in
     # opponent order.
     return [
-        MatchedAuditResult(model=model, attribute=attr, level=level, cells=tuple(per_level_cells[(attr, level)]))
-        for attr, levels, _ in prep.attributes
-        for level in levels
+        MatchedAuditResult(model=model, attribute=attr, level=level, cells=tuple(cells))
+        for (attr, level), cells in per_level_cells.items()
     ]
+
+
+def audit_model(cohort: Cohort, model: str, config: AuditConfig,
+                workers: int = 1) -> tuple[list[SubgroupAuditResult], list[MatchedAuditResult]]:
+    """The subgroup cells and matched rows of one model; matched rows only
+    when the config names propensity covariates, none otherwise."""
+    subgroup = bootstrap_audit(cohort, model, config, workers)
+    matched = matched_audit(cohort, model, config, workers) if config.propensity_covariates else []
+    return subgroup, matched
 
 
 def summarize_discrepancy(
@@ -551,11 +576,8 @@ def compare_models(cohort: Cohort, model_a: str, model_b: str, config: AuditConf
         if m not in cohort.model_names:
             raise ConfigError(f"unknown model {m!r}; cohort has {cohort.model_names}")
 
-    sub_a = bootstrap_audit(cohort, model_a, config, workers)
-    sub_b = bootstrap_audit(cohort, model_b, config, workers)
-    run_matched = bool(config.propensity_covariates)
-    mat_a = matched_audit(cohort, model_a, config, workers) if run_matched else []
-    mat_b = matched_audit(cohort, model_b, config, workers) if run_matched else []
+    sub_a, mat_a = audit_model(cohort, model_a, config, workers)
+    sub_b, mat_b = audit_model(cohort, model_b, config, workers)
     return build_comparison(cohort, model_a, model_b, config, sub_a, sub_b, mat_a, mat_b)
 
 

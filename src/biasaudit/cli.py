@@ -29,9 +29,9 @@ from .audit import (
     STATUS_OK,
     AuditConfig,
     ThresholdPolicy,
-    bootstrap_audit,
+    attribute_plan,
+    audit_model,
     build_comparison,
-    matched_audit,
     matched_contrasts,
     summarize_discrepancy,
 )
@@ -42,7 +42,6 @@ from .cohort import (
     label_values,
     parse_cohort,
     score_values,
-    subgroup_partition,
     write_cohort,
 )
 from .errors import (
@@ -215,6 +214,9 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
                            sort_keys=True, separators=(",", ":"))
     config_hash = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
+    calibration_bins = _convert(int, doc.get("calibration_bins", 10), "calibration_bins")
+    if not 2 <= calibration_bins <= 2**53:  # beyond 2**53 bin indices are no longer exact
+        raise ConfigError(f"calibration_bins must be in [2, 2**53], got {calibration_bins}")
     models = doc.get("models")
     return RunConfig(
         cohort=cohort_path,
@@ -223,7 +225,7 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
         output_dir=overrides.get("output_dir", doc.get("output_dir", "report")),
         formats=formats,
         workers=_convert(int, overrides.get("workers", doc.get("workers", 1)), "workers"),
-        calibration_bins=_convert(int, doc.get("calibration_bins", 10), "calibration_bins"),
+        calibration_bins=calibration_bins,
         models=None if models is None else _names(models, "models"),
         config_hash=config_hash,
     )
@@ -239,12 +241,7 @@ def _read_cohort(rc: RunConfig):
 def _metadata(rc: RunConfig, cohort, models) -> dict:
     cfg = rc.audit
     policy = cfg.threshold_policy
-    skipped = []
-    for col in cohort.schema.protected_columns:
-        try:
-            subgroup_partition(cohort, col.name, cfg.min_group_size)
-        except InsufficientDataError as exc:
-            skipped.append({"attribute": col.name, "reason": str(exc)})
+    _, _, skipped = attribute_plan(cohort, cfg.min_group_size)
     return {
         "version": __version__,
         "config_hash": rc.config_hash,
@@ -261,7 +258,7 @@ def _metadata(rc: RunConfig, cohort, models) -> dict:
         "min_matched_n": cfg.min_matched_n,
         "caliper_multiplier": cfg.caliper_multiplier,
         "propensity_covariates": list(cfg.propensity_covariates),
-        "skipped_attributes": skipped,
+        "skipped_attributes": [{"attribute": attr, "reason": reason} for attr, reason in skipped],
     }
 
 
@@ -281,8 +278,7 @@ def _pairs_name(attribute: str, treated: str, control: str) -> str:
 
 def _match_rows(cohort, cfg: AuditConfig, model: str | None = None,
                 pairs_dir: str | None = None) -> list[dict]:
-    """Matching diagnostics, one row per level pair of every protected
-    attribute that partitions.
+    """Matching diagnostics, one row per contrast of the attribute plan.
 
     With ``model`` the contrasts mirror the matched audit's: only that model's
     scored records take part and each row leads with the model name.  With
@@ -290,62 +286,52 @@ def _match_rows(cohort, cfg: AuditConfig, model: str | None = None,
     row, and skipped attributes are noted on stderr; two contrasts that could
     write the same pair file raise ConfigError before any is written.
     """
-    subset = None
-    lead: dict = {}
-    if model is not None:
-        subset = np.flatnonzero(~np.isnan(score_values(cohort, model)))
-        lead = {"model": model}
-    attributes: list[tuple[str, tuple[str, ...]]] = []
-    for col in cohort.schema.protected_columns:
-        try:
-            part = subgroup_partition(cohort, col.name, cfg.min_group_size, subset=subset)
-        except InsufficientDataError as exc:
-            if pairs_dir is not None:
-                print(f"note: skipping {col.name!r}: {exc}", file=sys.stderr)
-            continue
-        attributes.append((col.name, part.levels))
+    subset, partitions, skipped = attribute_plan(cohort, cfg.min_group_size, model)
+    lead = {} if model is None else {"model": model}
     if pairs_dir is not None:
+        for attr, reason in skipped:
+            print(f"note: skipping {attr!r}: {reason}", file=sys.stderr)
         # Either level may end up treated, so a contrast may write either name.
-        _distinct_files((f"contrast {attr!r}: {a!r} vs {b!r}", {_pairs_name(attr, a, b), _pairs_name(attr, b, a)})
-                        for attr, levels in attributes for a, b in combinations(levels, 2))
+        _distinct_files((f"contrast {part.attribute!r}: {a!r} vs {b!r}",
+                         {_pairs_name(part.attribute, a, b), _pairs_name(part.attribute, b, a)})
+                        for part in partitions for a, b in combinations(part.levels, 2))
 
     rows: list[dict] = []
-    for attribute, levels in attributes:
-        for level_a, level_b, status, detail, sample, prop in matched_contrasts(
-                cohort, attribute, levels, cfg, subset):
-            row = {**lead, "attribute": attribute}
-            if sample is None:
-                row.update(treated_level=level_a, control_level=level_b, status=status, detail=detail)
-                if model is not None:
-                    # report.json's failed balance rows list covariates before
-                    # the counts; update() below keeps a key where it stands.
-                    row["covariates"] = []
-                row.update(matched_n=0, passes_min_n=False, covariates=[])
-                rows.append(row)
-                continue
-            bal = balance_report(cohort, sample, cfg.propensity_covariates,
-                                 cfg.min_matched_n, propensity=prop)
-            row.update(
-                treated_level=sample.treated_level,
-                control_level=sample.control_level,
-                caliper=sample.caliper,
-                unmatched_treated=sample.unmatched_treated,
-                matched_n=bal.matched_n,
-                passes_min_n=bal.passes_min_n,
-                status=status,
-                detail=detail,
-            )
-            if pairs_dir is not None:
-                name = _pairs_name(attribute, sample.treated_level, sample.control_level)
-                pair_path = os.path.join(pairs_dir, name)
-                export_pairs(cohort, sample, pair_path)
-                print(pair_path)
-                row["pairs_file"] = name
-            row["covariates"] = [
-                {"name": c.name, "smd_before": c.smd_before, "smd_after": c.smd_after}
-                for c in bal.covariates
-            ]
+    for attribute, level_a, level_b, status, detail, sample, prop in matched_contrasts(
+            cohort, partitions, cfg, subset):
+        row = {**lead, "attribute": attribute}
+        if sample is None:
+            row.update(treated_level=level_a, control_level=level_b, status=status, detail=detail)
+            if model is not None:
+                # report.json's failed balance rows list covariates before
+                # the counts; update() below keeps a key where it stands.
+                row["covariates"] = []
+            row.update(matched_n=0, passes_min_n=False, covariates=[])
             rows.append(row)
+            continue
+        bal = balance_report(cohort, sample, cfg.propensity_covariates,
+                             cfg.min_matched_n, propensity=prop)
+        row.update(
+            treated_level=sample.treated_level,
+            control_level=sample.control_level,
+            caliper=sample.caliper,
+            unmatched_treated=sample.unmatched_treated,
+            matched_n=bal.matched_n,
+            passes_min_n=bal.passes_min_n,
+            status=status,
+            detail=detail,
+        )
+        if pairs_dir is not None:
+            name = _pairs_name(attribute, sample.treated_level, sample.control_level)
+            pair_path = os.path.join(pairs_dir, name)
+            export_pairs(cohort, sample, pair_path)
+            print(pair_path)
+            row["pairs_file"] = name
+        row["covariates"] = [
+            {"name": c.name, "smd_before": c.smd_before, "smd_after": c.smd_after}
+            for c in bal.covariates
+        ]
+        rows.append(row)
     return rows
 
 
@@ -361,33 +347,25 @@ def _audit_pipeline(rc: RunConfig, models) -> int:
     _distinct_files((f"model {m!r}", {f"calibration_{safe_name(m)}.svg"}) for m in models)
 
     cfg = rc.audit
-    subgroup_all = []
-    matched_all = []
+    results = {}
     balance_rows: list[dict] = []
     calibration = {}
     for model in models:
-        subgroup_all.extend(bootstrap_audit(cohort, model, cfg, rc.workers))
-        if cfg.propensity_covariates:
-            matched_all.extend(matched_audit(cohort, model, cfg, rc.workers))
+        _, matched = results[model] = audit_model(cohort, model, cfg, rc.workers)
+        if matched:  # balance rows describe the contrasts behind the matched rows
             balance_rows.extend(_match_rows(cohort, cfg, model=model))
         scores = score_values(cohort, model)
         keep = ~np.isnan(scores)
-        calibration[model] = calibration_curve(
-            label_values(cohort)[keep], scores[keep], rc.calibration_bins
-        )
+        calibration[model] = calibration_curve(label_values(cohort)[keep], scores[keep], rc.calibration_bins)
+    subgroup_all = [r for subgroup, _ in results.values() for r in subgroup]
+    matched_all = [r for _, matched in results.values() for r in matched]
 
-    discrepancy = []
-    for metric in cfg.metrics:
-        discrepancy.extend(summarize_discrepancy(subgroup_all, matched_all, metric))
+    discrepancy = [s for metric in cfg.metrics for s in summarize_discrepancy(subgroup_all, matched_all, metric)]
 
     comparison = None
     if len(models) == 2:
-        sub_a = [r for r in subgroup_all if r.model == models[0]]
-        sub_b = [r for r in subgroup_all if r.model == models[1]]
-        mat_a = [r for r in matched_all if r.model == models[0]]
-        mat_b = [r for r in matched_all if r.model == models[1]]
-        comparison = build_comparison(cohort, models[0], models[1], cfg,
-                                      sub_a, sub_b, mat_a, mat_b)
+        (sub_a, mat_a), (sub_b, mat_b) = results.values()
+        comparison = build_comparison(cohort, *models, cfg, sub_a, sub_b, mat_a, mat_b)
 
     bundle = build_bundle(
         metadata=_metadata(rc, cohort, models),

@@ -119,8 +119,11 @@ def _describe(cohort: Cohort, idx: np.ndarray, names) -> tuple[tuple[FeatureColu
             missing = np.isnan(raw)
             if missing.all():
                 raise ConfigError(f"covariate {name!r} is entirely missing on the encoded subset")
-            mean = float(raw[~missing].mean())
-            sd = float(np.where(missing, mean, raw).std())
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean = float(raw[~missing].mean())
+                sd = float(np.where(missing, mean, raw).std())
+            if not np.isfinite([mean, sd]).all():
+                raise FitError(f"covariate {name!r} overflows standardization (mean {mean}, sd {sd})")
             constant = sd == 0.0
             if not constant:
                 # Binary covariates pass through as 0/1: centre 0, scale 1.

@@ -376,30 +376,23 @@ def balance_report(
     matched: MatchedSample,
     covariates,
     min_matched_n: int = 100,
-    propensity: PropensityResult | None = None,
+    *,
+    propensity: PropensityResult,
 ) -> BalanceReport:
     """Covariate SMDs before and after matching for one contrast.
 
-    "Before" compares the two levels over the records the match drew from:
-    those the propensity model saw when ``propensity`` (from match_contrast)
-    is given, else all records of the two levels.  "After" compares the two
-    arms of the matched pairs.  ``passes_min_n`` reports whether the matched
+    "Before" compares the two levels over the records the propensity model
+    saw (``propensity``, from match_contrast); "after" compares the two arms
+    of the matched pairs.  ``passes_min_n`` reports whether the matched
     sample reaches ``min_matched_n`` records counting both arms.
     """
-    if matched.attribute is None or matched.treated_level is None or matched.control_level is None:
-        raise ValueError("matched sample lacks contrast labels; build it via match_contrast")
-    if propensity is not None:
-        if (propensity.attribute, propensity.treated_level, propensity.control_level) != (
-            matched.attribute, matched.treated_level, matched.control_level
-        ):
-            raise ValueError("propensity result belongs to a different contrast")
-        before_a = propensity.indices[propensity.treated]
-        before_b = propensity.indices[~propensity.treated]
-    else:
-        values = attribute_values(cohort, matched.attribute)
-        members_a, members_b = _level_members(matched.treated_level), _level_members(matched.control_level)
-        before_a = [i for i, v in enumerate(values) if v in members_a]
-        before_b = [i for i, v in enumerate(values) if v in members_b]
+    if (propensity.attribute, propensity.treated_level, propensity.control_level) != (
+        matched.attribute, matched.treated_level, matched.control_level
+    ):
+        raise ValueError("propensity result belongs to a different contrast than the matched sample; "
+                         "build both via match_contrast")
+    before_a = propensity.indices[propensity.treated]
+    before_b = propensity.indices[~propensity.treated]
 
     rows: list[CovariateBalance] = []
     for name in covariates:

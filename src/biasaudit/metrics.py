@@ -251,11 +251,9 @@ def calibration_curve(labels, scores, n_bins: int = 10) -> CalibrationCurve:
         raise ValueError("calibration expects scores in [0, 1]")
     idx = np.minimum((s * n_bins).astype(int), n_bins - 1)
     bins = []
-    for b in range(n_bins):
+    for b in np.unique(idx).tolist():
         mask = idx == b
         count = int(np.sum(mask))
-        if count == 0:
-            continue
         bins.append(
             CalibrationBin(
                 mean_score=float(np.mean(s[mask])),

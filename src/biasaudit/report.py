@@ -65,8 +65,9 @@ def safe_name(text: str) -> str:
 
 
 def _md_cell(text) -> str:
-    """A name fit for a markdown table cell: ``|`` escaped."""
-    return str(text).replace("|", "\\|")
+    """A name fit for one markdown line or table cell: backslashes and ``|``
+    escaped, line breaks turned into spaces."""
+    return str(text).replace("\\", "\\\\").replace("|", "\\|").replace("\r", " ").replace("\n", " ")
 
 
 def _fmt_stat(x: float | None) -> str:
@@ -324,7 +325,7 @@ def _markdown(bundle: ReportBundle, places: int) -> str:
         value = meta[key]
         if isinstance(value, (list, tuple)):
             value = ", ".join(str(v) for v in value)
-        lines.append(f"- {key}: {value}")
+        lines.append(f"- {key}: {_md_cell(value)}")
     lines.append("")
 
     models = list(dict.fromkeys(r["model"] for r in bundle.subgroup))
@@ -336,7 +337,7 @@ def _markdown(bundle: ReportBundle, places: int) -> str:
 
     for model in models:
         rows = [r for r in bundle.subgroup if r["model"] == model]
-        lines.append(f"## Subgroup audit: {model}")
+        lines.append(f"## Subgroup audit: {_md_cell(model)}")
         lines.append("")
         has_matched = any((model, r["attribute"], r["level"]) in matched_by_key for r in rows)
         header = ["Group"]
@@ -403,7 +404,7 @@ def _markdown(bundle: ReportBundle, places: int) -> str:
 
     if bundle.comparison is not None:
         cmp = bundle.comparison
-        lines.append(f"## Model comparison: {cmp['model_b']} minus {cmp['model_a']}")
+        lines.append(f"## Model comparison: {_md_cell(cmp['model_b'])} minus {_md_cell(cmp['model_a'])}")
         lines.append("")
         lines.append("### Overall performance")
         lines.append("")

@@ -158,6 +158,7 @@ class TestAuditConfig:
             ({"rounding": -1}, "rounding"),
             ({"caliper_multiplier": 0.0}, "caliper"),
             ({"ridge": -1e-3}, "ridge"),
+            ({"rounding": 28}, "rounding"),
         ],
     )
     def test_invalid_settings_rejected(self, kwargs, fragment):

@@ -354,6 +354,14 @@ class TestSynthCommand:
         assert code == EXIT_CONFIG
         assert "not found" in capsys.readouterr().err
 
+    def test_trained_score_on_overflowing_covariate_exits_2(self, tmp_path, capsys):
+        covariates = [{"name": "sofa", "kind": "gaussian", "mu": -1e308, "sigma": 1.0}]
+        config = write_json(tmp_path / "synth.json", dict(
+            SYNTH_DOC, covariates=covariates, outcome={"intercept": -0.5, "weights": {}},
+            score={"kind": "trained_logistic", "features": ["sofa"]}))
+        assert main(["synth", config, str(tmp_path / "c.csv")]) == EXIT_CONFIG
+        assert "covariate 'sofa' overflows standardization" in capsys.readouterr().err
+
 
 class TestValidateCommand:
     def test_valid_cohort(self, tmp_path, capsys):
@@ -683,31 +691,65 @@ class TestAuditCommand:
         import xml.etree.ElementTree as ET
 
         cohort = make_cohort(tmp_path)
-        name = "risk v2/<b>|x"
-        config = make_run_config(tmp_path, cohort,
-                                 schema=dict(RUN_SCHEMA, score_columns=[[name, "score"]]))
-        assert main(["audit", config]) == EXIT_OK
-        report_dir = tmp_path / "report"
-        assert {p.name for p in report_dir.iterdir()} == {
-            "report.json", "subgroup.csv", "matched.csv", "discrepancy.csv", "balance.csv",
-            "calibration.csv", "report.md", "calibration_risk-v2--b--x.svg"}
-        assert json.load(open(report_dir / "report.json"))["metadata"]["models"] == [name]
-        svg = ET.parse(report_dir / "calibration_risk-v2--b--x.svg").getroot()
-        assert any(el.text == f"calibration: {name}" for el in svg.iter())
-        md = (report_dir / "report.md").read_text()
-        assert "](calibration_risk-v2--b--x.svg)" in md
-        tables = 0
-        columns = None
-        for line in md.splitlines():
-            if not line.startswith("|"):
-                columns = None
-                continue
-            # Cells split on unescaped pipes; the first row is the header.
-            n = len(re.split(r"(?<!\\)\|", line)) - 2
-            if columns is None:
-                columns, tables = n, tables + 1
-            assert n == columns, line
-        assert tables >= 3
+        for name, svg_name in (("risk v2/<b>|x", "calibration_risk-v2--b--x.svg"),
+                               ("risk v2\n| x", "calibration_risk-v2---x.svg")):
+            report_dir = tmp_path / svg_name
+            config = make_run_config(tmp_path, cohort, output_dir=str(report_dir),
+                                     schema=dict(RUN_SCHEMA, score_columns=[[name, "score"]]))
+            assert main(["audit", config]) == EXIT_OK
+            assert {p.name for p in report_dir.iterdir()} == {
+                "report.json", "subgroup.csv", "matched.csv", "discrepancy.csv", "balance.csv",
+                "calibration.csv", "report.md", svg_name}
+            assert json.load(open(report_dir / "report.json"))["metadata"]["models"] == [name]
+            svg = ET.parse(report_dir / svg_name).getroot()
+            assert any(el.text == f"calibration: {name}" for el in svg.iter())
+            md = (report_dir / "report.md").read_text()
+            assert f"]({svg_name})" in md
+            # The name stays on one line wherever the report shows it.
+            assert "- models: " + name.replace("|", "\\|").replace("\n", " ") in md.splitlines()
+            tables = 0
+            columns = None
+            for line in md.splitlines():
+                if not line.startswith("|"):
+                    columns = None
+                    continue
+                # Cells split on unescaped pipes; the first row is the header.
+                n = len(re.split(r"(?<!\\)\|", line)) - 2
+                if columns is None:
+                    columns, tables = n, tables + 1
+                assert n == columns, line
+            assert tables >= 3
+
+
+class TestAuditFuzz:
+    """End to end: any value of the numeric audit and run keys ends in one of
+    the documented exit codes, never in an exception out of ``main``."""
+
+    HUGE = st.integers(min_value=-2**70, max_value=2**70)
+    COUNT = st.one_of(st.integers(-2, 400), HUGE)
+    NUMBER = st.one_of(st.floats(0.0, 1.0), st.floats(), st.sampled_from([5e-324, 1e-300, 1e300, 1.7e308]), HUGE)
+    # Each key is left at its default or drawn at its edges; workers stays small.
+    RUN = st.fixed_dictionaries({"workers": st.integers(-1, 3)}, optional={
+        "calibration_bins": st.one_of(st.integers(-2, 12), st.integers(2**53 - 1, 2**53 + 1), HUGE,
+                                      st.sampled_from([1e30, 2.5])),
+    })
+    AUDIT = st.fixed_dictionaries({}, optional={
+        "rounding": st.one_of(st.integers(-2, 30), HUGE),
+        "min_group_size": COUNT, "min_matched_n": COUNT,
+        "caliper_multiplier": st.one_of(st.none(), NUMBER), "ridge": NUMBER, "alpha": NUMBER,
+        "threshold": st.one_of(st.just("youden"), NUMBER), "seed": HUGE,
+    })
+
+    @pytest.fixture(scope="class")
+    def cohort(self, tmp_path_factory):
+        return make_cohort(tmp_path_factory.mktemp("fuzz_cohort"), synth_overrides={"n": 300})
+
+    @settings(max_examples=200)
+    @given(run=RUN, audit=AUDIT)
+    def test_fuzzed_audit_exits_with_a_documented_code(self, tmp_path_factory, cohort, run, audit):
+        tmp = tmp_path_factory.mktemp("fuzz_run")
+        config = make_run_config(tmp, cohort, audit=dict(RUN_AUDIT, n_bootstrap=3, **audit), **run)
+        assert main(["audit", config]) in (EXIT_OK, EXIT_CONFIG, EXIT_STATISTICAL, EXIT_RENDER)
 
 
 class TestCompareCommand:
@@ -756,6 +798,29 @@ class TestCompareCommand:
         md = (tmp_path / "report" / "report.md").read_text()
         assert "## Model comparison: m2 minus m1" in md
         assert (tmp_path / "report" / "comparison.csv").exists()
+
+    def test_library_comparison_equals_the_command_output(self, tmp_path):
+        import numpy as np
+
+        from biasaudit.audit import compare_models
+        from biasaudit.cohort import parse_cohort, with_score_column, write_cohort
+        from biasaudit.report import build_bundle, bundle_to_json
+        from biasaudit.synth import config_from_dict, generate
+
+        cohort, _ = generate(config_from_dict(SYNTH_DOC))
+        fair = cohort.scores["score"][::-1].copy()
+        fair[::7] = np.nan  # the second model leaves some records unscored
+        path = tmp_path / "two.csv"
+        write_cohort(with_score_column(cohort, "fair", "fair", fair), path)
+        config = make_run_config(tmp_path, str(path), schema=dict(RUN_SCHEMA, score_columns=["score", "fair"]),
+                                 formats=["json"])
+        assert main(["compare", config]) == EXIT_OK
+        written = json.load(open(tmp_path / "report" / "report.json"))["comparison"]
+        assert written["deltas"] and any(d["phase"] == "after" for d in written["deltas"])
+
+        rc = load_run_config(config)
+        report = compare_models(parse_cohort(rc.cohort, rc.schema), "score", "fair", rc.audit)
+        assert json.loads(bundle_to_json(build_bundle({}, comparison=report)))["comparison"] == written
 
     def test_models_flag_selects_and_orders(self, tmp_path):
         cohort_path, schema = self.two_model_cohort(tmp_path)
@@ -861,6 +926,34 @@ class TestMatchCommand:
         assert "'x/y' vs 'z'" in captured.err and "'x-y' vs 'z'" in captured.err
         assert captured.out == ""
         assert not list((tmp_path / "report").glob("pairs_*"))
+
+    def test_skipped_attribute_reported_alike_by_audit_and_match(self, tmp_path, capsys):
+        protected = [SYNTH_DOC["protected"][0], {"name": "sex", "levels": ["F"], "weights": [1.0]}]
+        cohort = make_cohort(tmp_path, synth_overrides={"protected": protected})
+        config = make_run_config(tmp_path, cohort)
+        assert main(["audit", config]) == EXIT_OK
+        doc = json.load(open(tmp_path / "report" / "report.json"))
+        [skipped] = doc["metadata"]["skipped_attributes"]
+        assert skipped["attribute"] == "sex" and "leaves 1 group(s)" in skipped["reason"]
+        assert {r["attribute"] for r in doc["matched"]} == {"race"}
+        assert {r["attribute"] for r in doc["balance"]} == {"race"}
+        capsys.readouterr()
+        assert main(["match", config, "--output-dir", str(tmp_path / "match")]) == EXIT_OK
+        assert f"note: skipping 'sex': {skipped['reason']}" in capsys.readouterr().err.splitlines()
+        contrasts = json.load(open(tmp_path / "match" / "matching.json"))["contrasts"]
+        assert {r["attribute"] for r in contrasts} == {"race"}
+
+    def test_overflowing_covariate_reported_failed(self, tmp_path):
+        covariates = [{"name": "sofa", "kind": "gaussian", "mu": -1e308, "sigma": 1.0}]
+        cohort = make_cohort(tmp_path, synth_overrides={
+            "covariates": covariates, "outcome": {"intercept": -0.5, "weights": {}}})
+        config = make_run_config(tmp_path, cohort)
+        assert main(["match", config]) == EXIT_OK
+        contrasts = json.load(open(tmp_path / "report" / "matching.json"))["contrasts"]
+        assert len(contrasts) == 4
+        for row in contrasts:
+            assert row["status"] == "failed"
+            assert row["detail"].startswith("covariate 'sofa' overflows standardization")
 
     def test_small_contrasts_marked_skipped(self, tmp_path):
         cohort = make_cohort(tmp_path, synth_overrides={"n": 120})

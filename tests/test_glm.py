@@ -81,6 +81,13 @@ class TestEncodeDesign:
         assert xcol.center == 2.0
         assert xcol.scale == pytest.approx(math.sqrt(2 / 3), rel=1e-12)
 
+    @pytest.mark.parametrize("values", [[-1e308, -1e308, -1e308], [1e308, -1e308, 1e308]])
+    def test_overflowing_moments_name_the_covariate(self, values):
+        # The mean overflows in the first case, the sd in the second.
+        cohort = build_cohort(labels=[0, 1, 0], scores=[0.5] * 3, covariates={"x": values})
+        with pytest.raises(FitError, match="covariate 'x' overflows standardization"):
+            encode_design(cohort, range(3), ["x"])
+
     def test_categorical_reference_is_first_observed(self):
         cohort = build_cohort(
             labels=[0, 1, 0],

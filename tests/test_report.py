@@ -203,6 +203,14 @@ class TestMarkdown:
         assert "## Covariate balance (matched contrasts)" in text
         assert "| m1 | race: Black vs White | age | 0.31 | 0.04 |" in text
 
+    def test_names_with_line_breaks_pipes_and_backslashes_stay_in_their_cell(self, tmp_path):
+        # A quoted csv level may hold any of these; each row stays one line.
+        bundle = build_bundle(metadata={"rounding": 2, "models": ["m\n1"]},
+                              subgroup=[subgroup_cell("A\r\n| in\\|jected", 0.01), subgroup_cell("B", -0.01)])
+        lines = self.render_markdown(bundle, tmp_path).splitlines()
+        assert "- models: m 1" in lines
+        assert "| race = A  \\| in\\\\\\|jected | 0.01 |" in lines
+
     def test_metadata_listed_in_sorted_order(self, tmp_path):
         bundle = TestBundleRoundTrip().representative_bundle()
         text = self.render_markdown(bundle, tmp_path)
