@@ -9,7 +9,6 @@ calibration curve shows whether scores can be read as probabilities at all.
 """
 
 import numpy as np
-from scipy.special import expit
 
 from biasaudit.metrics import (
     auroc,
@@ -18,6 +17,11 @@ from biasaudit.metrics import (
     threshold_metrics,
     youden_threshold,
 )
+
+
+def expit(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
 
 rng = np.random.default_rng(3)
 n = 2000

@@ -217,6 +217,9 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     calibration_bins = _convert(int, doc.get("calibration_bins", 10), "calibration_bins")
     if not 2 <= calibration_bins <= 2**53:  # beyond 2**53 bin indices are no longer exact
         raise ConfigError(f"calibration_bins must be in [2, 2**53], got {calibration_bins}")
+    workers = _convert(int, overrides.get("workers", doc.get("workers", 1)), "workers")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     models = doc.get("models")
     return RunConfig(
         cohort=cohort_path,
@@ -224,7 +227,7 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
         audit=audit,
         output_dir=overrides.get("output_dir", doc.get("output_dir", "report")),
         formats=formats,
-        workers=_convert(int, overrides.get("workers", doc.get("workers", 1)), "workers"),
+        workers=workers,
         calibration_bins=calibration_bins,
         models=None if models is None else _names(models, "models"),
         config_hash=config_hash,

@@ -18,7 +18,6 @@ import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .cohort import MISSING_LABEL, Cohort
 from .errors import ConfigError, FitError
@@ -26,6 +25,16 @@ from .errors import ConfigError, FitError
 log = logging.getLogger(__name__)
 
 _CLIP = 1e-12
+
+
+def expit(x):
+    """Logistic sigmoid ``1 / (1 + exp(-x))``, exactly 0.0 and 1.0 at the extremes.
+
+    ``exp(-x)`` overflows to inf below x = -709, which gives the exact 0.0;
+    the overflow is expected, so it is not warned about.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
 
 
 @dataclass(frozen=True)

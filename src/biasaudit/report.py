@@ -441,6 +441,8 @@ def _svg_calibration(model: str, entry: dict) -> str:
     def sy(v: float) -> str:
         return format(size - margin - v * span, ".2f")
 
+    # XML parsers read a raw carriage return back as a line feed.
+    title = escape(model, {"\r": "&#13;"})
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
@@ -449,7 +451,7 @@ def _svg_calibration(model: str, entry: dict) -> str:
         f'<line x1="{sx(0)}" y1="{sy(0)}" x2="{sx(1)}" y2="{sy(1)}" '
         'stroke="#999" stroke-dasharray="4 3" stroke-width="1"/>',
         f'<text x="{size // 2}" y="20" text-anchor="middle" font-size="13">'
-        f"calibration: {escape(model)}</text>",
+        f"calibration: {title}</text>",
         f'<text x="{size // 2}" y="{size - 8}" text-anchor="middle" font-size="11">mean score</text>',
         f'<text x="12" y="{size // 2}" text-anchor="middle" font-size="11" '
         f'transform="rotate(-90 12 {size // 2})">positive fraction</text>',

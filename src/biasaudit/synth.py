@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit
 
 from ._rng import stream
 from .cohort import (
@@ -28,7 +27,7 @@ from .cohort import (
     with_score_column,
 )
 from .errors import ConfigError, _check_keys, _convert, _names, _typed
-from .glm import encode_design, fit_logistic, predict_proba
+from .glm import encode_design, expit, fit_logistic, predict_proba
 from .metrics import _metric_table, _tabulate
 
 _MECHANISMS = ("score_noise", "score_shift", "label_flip")

@@ -78,15 +78,21 @@ def exhaustive_youden(labels, scores) -> float:
 
 
 def t_two_sided_p(t_stat: float, df: int) -> float:
-    """Two-sided Student-t p-value by 50-digit quadrature of the density."""
+    """Two-sided Student-t p-value by 50-digit quadrature of the density.
+
+    The integrand is the density divided by its value at |t|, so it starts
+    at 1: mpmath's quadrature stops on an absolute error, and a far-tail
+    density (1e-80 and below) would otherwise stop it after a few digits.
+    """
     with mp.workdps(50):
         v = mp.mpf(df)
         t = abs(mp.mpf(repr(float(t_stat))))
         if t == 0:
             return 1.0
         const = mp.gamma((v + 1) / 2) / (mp.sqrt(v * mp.pi) * mp.gamma(v / 2))
-        tail = mp.quad(lambda u: (1 + u * u / v) ** (-(v + 1) / 2), [t, mp.inf])
-        return float(min(2 * const * tail, mp.mpf(1)))
+        at_t = (1 + t * t / v) ** (-(v + 1) / 2)
+        tail = mp.quad(lambda u: ((v + u * u) / (v + t * t)) ** (-(v + 1) / 2), [t, mp.inf])
+        return float(min(2 * const * at_t * tail, mp.mpf(1)))
 
 
 def fd_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -25,6 +25,7 @@ from biasaudit.audit import (
     group_diffs,
     matched_audit,
     summarize_discrepancy,
+    _t_two_sided,
     t_test_one_sample,
 )
 from biasaudit.errors import ConfigError, InsufficientDataError
@@ -69,6 +70,19 @@ class TestTTestOneSample:
         assert result.p_value == pytest.approx(
             t_two_sided_p(result.t_stat, result.df), abs=1e-10
         )
+
+    def test_tail_matches_oracle_to_relative_precision(self):
+        # Far-tail p-values reach 1e-80 and below; each must keep its
+        # relative precision, which a 1 - I_x complement would lose.
+        for df in (1, 2, 3, 29, 149, 2999):
+            for t in np.concatenate([[0.0], np.geomspace(1e-3, 60.0, 19)]):
+                expected = t_two_sided_p(t, df)
+                for signed in (t, -t):
+                    p = _t_two_sided(signed, df)
+                    if expected < 1e-300:
+                        assert p < 1e-300, (df, signed, p)
+                    else:
+                        assert abs(p - expected) <= 1e-12 * expected, (df, signed, p, expected)
 
     def test_sample_centred_on_mu0_gives_t_zero_p_one(self):
         result = t_test_one_sample([1, 2, 3, 4, 5], mu0=3.0)

@@ -5,6 +5,9 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -671,6 +674,15 @@ class TestAuditCommand:
         assert ("must be a" if malformed else "must be finite") in err
         assert not (tmp_path / "report").exists()
 
+    @pytest.mark.parametrize("doc_workers, flag", [(0, None), (-1, None), (2, "-7"), (1, "0")])
+    def test_workers_below_one_exits_2(self, tmp_path, capsys, doc_workers, flag):
+        config = make_run_config(tmp_path, str(tmp_path / "unread.csv"), workers=doc_workers)
+        argv = ["audit", config] + ([] if flag is None else ["--workers", flag])
+        assert main(argv) == EXIT_CONFIG
+        bad = doc_workers if flag is None else flag
+        assert f"error: workers must be >= 1, got {bad}" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
     def test_value_outside_bin_edges_exits_2(self, tmp_path, capsys):
         config = write_aged_cohort(tmp_path)
         assert main(["audit", config]) == EXIT_CONFIG
@@ -692,7 +704,8 @@ class TestAuditCommand:
 
         cohort = make_cohort(tmp_path)
         for name, svg_name in (("risk v2/<b>|x", "calibration_risk-v2--b--x.svg"),
-                               ("risk v2\n| x", "calibration_risk-v2---x.svg")):
+                               ("risk v2\n| x", "calibration_risk-v2---x.svg"),
+                               ("risk\r\n| v2\nx", "calibration_risk----v2-x.svg")):
             report_dir = tmp_path / svg_name
             config = make_run_config(tmp_path, cohort, output_dir=str(report_dir),
                                      schema=dict(RUN_SCHEMA, score_columns=[[name, "score"]]))
@@ -706,7 +719,7 @@ class TestAuditCommand:
             md = (report_dir / "report.md").read_text()
             assert f"]({svg_name})" in md
             # The name stays on one line wherever the report shows it.
-            assert "- models: " + name.replace("|", "\\|").replace("\n", " ") in md.splitlines()
+            assert "- models: " + name.replace("|", "\\|").replace("\r", " ").replace("\n", " ") in md.splitlines()
             tables = 0
             columns = None
             for line in md.splitlines():
@@ -980,3 +993,21 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+def test_runtime_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests' oracles.
+    # A fresh interpreter imports every module of the package and checks
+    # that none of them pulled scipy in.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = (
+        "import importlib, pkgutil, sys, biasaudit, biasaudit.cli\n"
+        "for m in pkgutil.iter_modules(biasaudit.__path__):\n"
+        "    if m.name != '__main__':\n"
+        "        importlib.import_module('biasaudit.' + m.name)\n"
+        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules), "
+        "sorted(m for m in sys.modules if m.startswith('scipy'))[:5]\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from biasaudit.glm import (
     load_model,
     predict_proba,
 )
+from biasaudit.glm import expit as glm_expit
 
 from helpers import build_cohort
 from oracles import fd_gradient, loop_encode_design
@@ -388,6 +390,24 @@ class TestFitLogistic:
         design = encode_design(cohort, range(2), [])
         with pytest.raises(ValueError, match="does not match"):
             fit_logistic(design, [0, 1, 1])
+
+
+class TestExpit:
+    def test_extremes_are_exact_and_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = glm_expit([-1000.0, -710.0, 0.0, 710.0, 1000.0, math.nan])
+        assert p[0] == 0.0 and 0.0 <= p[1] <= 1e-300
+        assert p[2] == 0.5 and p[3] == 1.0 and p[4] == 1.0
+        assert math.isnan(p[5])
+
+    def test_matches_scipy_to_rounding(self):
+        # numpy's vectorised exp differs from libm's in the last ulp for a
+        # few percent of inputs; 1 + exp(-x) can round that to two ulps of
+        # the result (worst near x = -37), so the bound is 3 eps relative.
+        rng = np.random.default_rng(8)
+        x = np.concatenate([rng.normal(0.0, 20.0, 50_000), rng.uniform(-800.0, 800.0, 50_000)])
+        np.testing.assert_allclose(glm_expit(x), expit(x), rtol=3 * np.finfo(float).eps, atol=0)
 
 
 class TestPredictProba:
