@@ -12,14 +12,20 @@ in the package.  ``np.unique`` finds a sample's distinct scores (its grid)
 and each record's rank on it once; one ``bincount`` over (level, label,
 rank) then gives the positives and negatives per level at each distinct
 score.  The rule ``score >= t`` predicts positive for the ranks from
-``searchsorted(grid, t)`` up, so confusion counts are sums over a rank
-suffix; the Youden threshold maximizes the integer ``tp*N + tn*P`` over the
-scores present, the smallest winning a tie; AUROC is the Mann-Whitney U over
-P*N, the doubled U being ``sum(pos * (2*neg_below + neg_at))``.  Counts, the
-doubled U and ``tp*N + tn*P`` are exact integers below 2**53 for any sample
-under 9e7 records, so every metric is one correctly rounded division of
-exact values.  A bootstrap replicate gathers precomputed per-record keys and
-counts them again; it sorts nothing.
+``searchsorted(grid, t)`` up, so tp and fp are sums over a rank suffix and
+tn and fn the per-level totals less them.  The Youden threshold maximizes the
+integer ``tp*N + tn*P`` over the scores present, the smallest winning a tie.
+At cut c that integer is ``P*N + sum_{k<c} (neg[k]*P - pos[k]*N)``, so one
+prefix sum of the per-score gain scores every cut; a score absent from the
+table has the same value as the next present one, to which a winning absent
+cut is advanced.  AUROC is the Mann-Whitney U over P*N, the doubled U being
+``sum(pos * (2*neg_below + neg_at))``.  Counts, the doubled U and ``tp*N +
+tn*P`` are exact integers below 2**53 for any sample under 9e7 records, so
+every metric is one correctly rounded division of exact values.  A
+sequential scan (``cumsum``) costs about ten times an elementwise pass, so a
+replicate makes one for the threshold and one per level row for AUROC.  A
+bootstrap replicate gathers precomputed per-record keys and counts them
+again; it sorts nothing.
 """
 
 from __future__ import annotations
@@ -130,26 +136,43 @@ def _youden_cut(pooled: np.ndarray) -> int | None:
     """Grid index of the Youden threshold of a pooled (2, n_grid) table.
 
     Only scores present in the table are candidates; None on one class.
+    J = tp/P + tn/N - 1, and maximizing the integer ``tp*N + tn*P`` instead
+    makes the tie toward the smallest threshold exact.  At cut c that integer
+    is ``P*N + sum_{k<c} gain[k]`` with ``gain = neg*P - pos*N``, so the
+    first maximum of the exclusive prefix sum of ``gain`` (0 at cut 0) is the
+    smallest winning cut.  A cut at an absent score counts the same records
+    as the cut at the next present score, so it ties with that score, and a
+    winning absent cut advances to it.  Every partial sum lies within
+    [-P*N, P*N].
     """
     neg, pos = pooled
     n_neg, n_pos = int(neg.sum()), int(pos.sum())
     if n_neg == 0 or n_pos == 0:
         return None
-    tn = np.cumsum(neg) - neg
-    tp = n_pos - np.cumsum(pos) + pos
-    # J = tp/P + tn/N - 1; maximizing the integer tp*N + tn*P is equivalent
-    # and makes the tie toward the smallest threshold exact.
-    j_num = tp * n_neg + tn * n_pos
-    j_num[neg + pos == 0] = -1
-    return int(np.argmax(j_num))
+    gain = neg * n_pos
+    gain -= pos * n_neg
+    value = np.empty_like(gain)  # value[c] = tp*N + tn*P at cut c, less P*N
+    value[0] = 0
+    np.cumsum(gain[:-1], out=value[1:])
+    cut = int(np.argmax(value))
+    while neg[cut] == 0 and pos[cut] == 0:
+        cut += 1
+    return cut
 
 
-def _confusion_at(table: np.ndarray, cut: int) -> tuple[np.ndarray, ...]:
-    """Per-level (tp, fp, tn, fn) of a (n_levels, 2, n_grid) table at ``cut``."""
+def _level_counts(table: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(neg, pos, n_neg, n_pos) of a (n_levels, 2, n_grid) table: the count
+    rows per level and their per-level totals."""
     neg, pos = table[:, 0], table[:, 1]
+    return neg, pos, neg.sum(axis=1), pos.sum(axis=1)
+
+
+def _confusion_at(counts: tuple[np.ndarray, ...], cut: int) -> tuple[np.ndarray, ...]:
+    """Per-level (tp, fp, tn, fn) at ``cut`` from ``_level_counts``."""
+    neg, pos, n_neg, n_pos = counts
     tp = pos[:, cut:].sum(axis=1)
     fp = neg[:, cut:].sum(axis=1)
-    return tp, fp, neg.sum(axis=1) - fp, pos.sum(axis=1) - tp
+    return tp, fp, n_neg - fp, n_pos - tp
 
 
 def _ratio_terms(tp, fp, tn, fn) -> dict:
@@ -171,12 +194,16 @@ def _metric_table(table: np.ndarray, metrics: tuple[str, ...], cut: int | None) 
     need ``cut`` (None leaves them nan).
     """
     out = np.full((table.shape[0], len(metrics)), np.nan)
-    terms = {} if cut is None else _ratio_terms(*_confusion_at(table, cut))
+    counts = _level_counts(table)
+    terms = {} if cut is None else _ratio_terms(*_confusion_at(counts, cut))
     if "AUROC" in metrics:
-        neg, pos = table[:, 0], table[:, 1]
-        # 2*cumsum(neg) - neg = 2*neg_below + neg_at: the doubled U.
-        u2 = np.sum(pos * (2 * np.cumsum(neg, axis=1) - neg), axis=1)
-        terms["AUROC"] = (u2 / 2.0, pos.sum(axis=1) * neg.sum(axis=1))
+        neg, pos, n_neg, n_pos = counts
+        # weight = 2*cumsum(neg) - neg = 2*neg_below + neg_at, built in place;
+        # contracting pos with it gives the doubled U.
+        weight = np.cumsum(neg, axis=1)
+        weight += weight
+        weight -= neg
+        terms["AUROC"] = (np.einsum("lg,lg->l", pos, weight) / 2.0, n_pos * n_neg)
     for j, m in enumerate(metrics):
         if m in terms:
             num, den = terms[m]
@@ -187,7 +214,8 @@ def _metric_table(table: np.ndarray, metrics: tuple[str, ...], cut: int | None) 
 def confusion(labels, scores, threshold: float) -> ConfusionCounts:
     """Count outcomes of the decision rule ``score >= threshold``."""
     grid, table = _tabulate(*_validate(labels, scores), 0, 1)
-    tp, fp, tn, fn = (int(c[0]) for c in _confusion_at(table[1:], np.searchsorted(grid, threshold)))
+    cut = np.searchsorted(grid, threshold)
+    tp, fp, tn, fn = (int(c[0]) for c in _confusion_at(_level_counts(table[1:]), cut))
     return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
 
 

@@ -13,6 +13,7 @@ bundle payloads keep full precision.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -480,39 +481,50 @@ def render(bundle: ReportBundle, out_dir, formats=_FORMATS) -> list[str]:
     Returns the paths written.  Formats: "json" (full bundle), "csv" (one
     file per table), "markdown" (single human-readable report), "svg" (one
     calibration plot per model).  Unknown format names raise ValueError;
-    filesystem problems propagate as OSError.
+    filesystem problems propagate as OSError.  Every file's text is formatted
+    before any file is written; each file is then written under a temporary
+    name in ``out_dir``, and only when all are written are they renamed over
+    their final names.  A failure before the renames changes nothing in
+    ``out_dir`` and leaves no temporary file behind.
     """
     unknown = [f for f in formats if f not in _FORMATS]
     if unknown:
         raise ValueError(f"unknown report format(s): {', '.join(unknown)}")
     places = int(bundle.metadata.get("rounding", 2))
-    out = os.fspath(out_dir)
-    os.makedirs(out, exist_ok=True)
-    written: list[str] = []
-
-    def emit(name: str, text: str) -> None:
-        path = os.path.join(out, name)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        written.append(path)
-
+    texts: list[tuple[str, str]] = []
     if "json" in formats:
-        emit("report.json", bundle_to_json(bundle))
+        texts.append(("report.json", bundle_to_json(bundle)))
     if "csv" in formats:
-        emit("subgroup.csv", _subgroup_csv(bundle, places))
+        texts.append(("subgroup.csv", _subgroup_csv(bundle, places)))
         if bundle.matched:
-            emit("matched.csv", _matched_csv(bundle, places))
+            texts.append(("matched.csv", _matched_csv(bundle, places)))
         if bundle.discrepancy:
-            emit("discrepancy.csv", _discrepancy_csv(bundle, places))
+            texts.append(("discrepancy.csv", _discrepancy_csv(bundle, places)))
         if bundle.balance:
-            emit("balance.csv", _balance_csv(bundle))
+            texts.append(("balance.csv", _balance_csv(bundle)))
         if bundle.calibration:
-            emit("calibration.csv", _calibration_csv(bundle))
+            texts.append(("calibration.csv", _calibration_csv(bundle)))
         if bundle.comparison is not None:
-            emit("comparison.csv", _comparison_csv(bundle, places))
+            texts.append(("comparison.csv", _comparison_csv(bundle, places)))
     if "markdown" in formats:
-        emit("report.md", _markdown(bundle, places))
+        texts.append(("report.md", _markdown(bundle, places)))
     if "svg" in formats:
         for model, entry in bundle.calibration.items():
-            emit(f"calibration_{safe_name(model)}.svg", _svg_calibration(model, entry))
-    return written
+            texts.append((f"calibration_{safe_name(model)}.svg", _svg_calibration(model, entry)))
+
+    out = os.fspath(out_dir)
+    os.makedirs(out, exist_ok=True)
+    paths = [os.path.join(out, name) for name, _ in texts]
+    temps = [os.path.join(out, f".{name}.tmp") for name, _ in texts]
+    try:
+        for tmp, (_, text) in zip(temps, texts):
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
+    return paths

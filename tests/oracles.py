@@ -3,14 +3,15 @@
 Everything here deliberately takes a different computational route from the
 code under test: AUROC by explicit pair enumeration instead of ranks, Youden
 by an exact-rational exhaustive scan instead of the cumulative-count trick,
-t-tail probabilities by high-precision quadrature of the density instead of
-the incomplete-beta closed form, gradients by finite differences, greedy
-matching by scanning every live control instead of a sorted index, subgroup
-metric matrices by per-level masks and midranks instead of one count table,
-the AUROC standard error by DeLong's placement values instead of the
-bootstrap, cohort reading and writing by per-row records instead of
-columns, and design matrices by one loop that fits and builds each column
-together instead of descriptors applied afterwards.
+the Youden cut of a count table by the masked two-scan route that the
+prefix-gain scan replaced, t-tail probabilities by high-precision quadrature
+of the density instead of the incomplete-beta closed form, gradients by
+finite differences, greedy matching by scanning every live control instead
+of a sorted index, subgroup metric matrices by per-level masks and midranks
+instead of one count table, the AUROC standard error by DeLong's placement
+values instead of the bootstrap, cohort reading and writing by per-row
+records instead of columns, and design matrices by one loop that fits and
+builds each column together instead of descriptors applied afterwards.
 """
 
 from __future__ import annotations
@@ -75,6 +76,25 @@ def exhaustive_youden(labels, scores) -> float:
             best_j = j
             best_t = t
     return float(best_t)
+
+
+def masked_youden_cut(pooled: np.ndarray) -> int | None:
+    """Grid index of the Youden threshold of a pooled (2, n_grid) count table
+    by the two-scan route: tp and tn at every cut from two cumulative sums,
+    ``tp*N + tn*P`` at each, absent scores masked out, first maximum.
+
+    Same contract as ``biasaudit.metrics._youden_cut``: only scores present
+    in the table are candidates, the smallest wins a tie, None on one class.
+    """
+    neg, pos = pooled
+    n_neg, n_pos = int(neg.sum()), int(pos.sum())
+    if n_neg == 0 or n_pos == 0:
+        return None
+    tn = np.cumsum(neg) - neg
+    tp = n_pos - np.cumsum(pos) + pos
+    j_num = tp * n_neg + tn * n_pos
+    j_num[neg + pos == 0] = -1
+    return int(np.argmax(j_num))
 
 
 def t_two_sided_p(t_stat: float, df: int) -> float:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from biasaudit.errors import UndefinedMetricError
 from biasaudit.metrics import (
@@ -15,7 +16,7 @@ from biasaudit.metrics import (
 )
 from biasaudit.metrics import _count_keys, _count_table, _metric_table, _tabulate, _youden_cut
 
-from oracles import delong_auroc_se, exhaustive_youden, pairwise_auroc, rank_metric_matrix
+from oracles import delong_auroc_se, exhaustive_youden, masked_youden_cut, pairwise_auroc, rank_metric_matrix
 
 LABELS4 = [0, 0, 1, 1]
 SCORES4 = [0.1, 0.4, 0.35, 0.8]
@@ -194,8 +195,41 @@ def leveled_instances(draw):
     return y, s, codes, n_levels, threshold
 
 
+@st.composite
+def pooled_tables(draw):
+    """Raw pooled (2, G) count tables with G from 1 to 300: small counts, up
+    to eight cells as large as 2**26, runs of absent scores at the start, in
+    the middle and on both sides of the Youden maximiser, and tables that
+    hold one class or none."""
+    g = draw(st.integers(1, 260))
+    table = draw(arrays(np.int64, (2, g), elements=st.integers(0, 3)))
+    big = st.tuples(st.integers(0, 1), st.integers(0, g - 1), st.integers(0, 2**26))
+    for label, k, count in draw(st.lists(big, max_size=8)):
+        table[label, k] = count
+    table[:, :draw(st.integers(0, 20))] = 0
+    start = draw(st.integers(0, g))
+    table[:, start:start + draw(st.integers(0, 20))] = 0
+    empty_class = draw(st.sampled_from((None, 0, 1)))
+    if empty_class is not None:
+        table[empty_class] = 0
+    cut = masked_youden_cut(table)
+    if cut is not None:
+        before, after = draw(st.integers(0, 20)), draw(st.integers(0, 20))
+        table = np.insert(table, [cut] * before + [cut + 1] * after, 0, axis=1)
+    return table
+
+
 class TestCountKernel:
-    """The count-table kernel against the per-level rank reference."""
+    """The count-table kernel against the per-level rank reference and the
+    masked Youden scan."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(pooled_tables())
+    def test_youden_cut_equals_masked_scan(self, pooled):
+        cut = _youden_cut(pooled)
+        assert cut == masked_youden_cut(pooled)
+        if not (pooled[0].any() and pooled[1].any()):
+            assert cut is None
 
     @given(leveled_instances())
     def test_metric_table_equals_rank_reference_bit_for_bit(self, case):

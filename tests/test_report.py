@@ -17,6 +17,7 @@ from biasaudit.audit import (
     SubgroupAuditResult,
     build_comparison,
 )
+from biasaudit import report
 from biasaudit.metrics import calibration_curve
 from biasaudit.report import (
     ReportBundle,
@@ -329,6 +330,35 @@ class TestRender:
         bundle = build_bundle(metadata={})
         with pytest.raises(OSError):
             render(bundle, blocker)
+
+    @pytest.mark.parametrize("failure", ["markdown", "third temp write"])
+    def test_failed_render_leaves_previous_report_untouched(self, tmp_path, monkeypatch, failure):
+        first = TestBundleRoundTrip().representative_bundle()
+        render(first, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        if failure == "markdown":
+            def broken_markdown(bundle, places):
+                raise RuntimeError("render failed")
+
+            monkeypatch.setattr(report, "_markdown", broken_markdown)
+            error = RuntimeError
+        else:
+            calls = []
+
+            def failing_open(*args, **kwargs):
+                calls.append(args[0])
+                if len(calls) == 3:
+                    raise OSError("render failed")
+                return open(*args, **kwargs)
+
+            monkeypatch.setattr(report, "open", failing_open, raising=False)
+            error = OSError
+        # Three files: report.json, subgroup.csv and report.md.
+        second = build_bundle(metadata={"rounding": 3}, subgroup=[subgroup_cell("a", 0.5)])
+        with pytest.raises(error, match="render failed"):
+            render(second, tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_rounding_follows_metadata(self, tmp_path):
         rows = [subgroup_cell("a", 0.0123456), subgroup_cell("b", -0.0123456)]
