@@ -29,15 +29,7 @@ from ._rng import stream
 from .cohort import Cohort, SubgroupPartition, label_values, score_values, subgroup_partition
 from .errors import ConfigError, FitError, InsufficientDataError, PropensityError
 from .matching import match_contrast
-from .metrics import (
-    _THRESHOLD_METRICS,
-    METRICS,
-    _count_keys,
-    _count_table,
-    _metric_table,
-    _tabulate,
-    _youden_cut,
-)
+from .metrics import _THRESHOLD_METRICS, METRICS, _LevelGrids, _metric_table, _tabulate, _youden_cut
 
 log = logging.getLogger(__name__)
 
@@ -77,15 +69,16 @@ class ThresholdPolicy:
     def fixed(cls, value: float) -> "ThresholdPolicy":
         return cls(kind="fixed", value=float(value))
 
-    def resolve(self, grid: np.ndarray, table: np.ndarray) -> tuple[float | None, int | None]:
-        """The threshold and its cut on ``grid`` for a count table.
+    def resolve(self, grid: np.ndarray, pooled) -> tuple[float | None, int | None]:
+        """The threshold and its cut on ``grid``.
 
-        Youden pools every row of ``table``; (None, None) when the pooled
-        records hold one class.
+        Youden calls ``pooled()`` for the pooled (2, grid.size) count table
+        of the sample; (None, None) when it holds one class.  A fixed
+        threshold never calls it.
         """
         if self.kind == "fixed":
             return self.value, int(np.searchsorted(grid, self.value))
-        cut = _youden_cut(table.sum(axis=0))
+        cut = _youden_cut(pooled())
         return (None, None) if cut is None else (float(grid[cut]), cut)
 
 
@@ -350,8 +343,9 @@ def attribute_plan(cohort: Cohort, min_group_size: int, model: str | None = None
 
 
 class _Prep:
-    """Eligible records of one model, their score grid, and per-attribute
-    count keys over that grid (see ``metrics._count_keys``)."""
+    """Eligible records of one model, their pooled score grid with the count
+    keys of the whole sample on it, and each attribute's level grids with
+    their count keys (see ``metrics._LevelGrids``)."""
 
     def __init__(self, cohort: Cohort, model: str, config: AuditConfig):
         self.eligible, partitions, _ = attribute_plan(cohort, config.min_group_size, model)
@@ -359,12 +353,15 @@ class _Prep:
         y = label_values(cohort)[self.eligible]
         self.grid, ranks = np.unique(scores, return_inverse=True)
         self.n = int(self.eligible.size)
-        self.attributes: list[tuple[str, tuple[str, ...], np.ndarray]] = []
+        self.whole = _LevelGrids(ranks, 0, 1, self.grid.size)
+        self.whole_keys = self.whole.count_keys(y)
+        self.attributes: list[tuple[str, tuple[str, ...], _LevelGrids, np.ndarray]] = []
         for part in partitions:
             codes = np.full(self.n, -1, dtype=np.int32)
             for g, (_, idx) in enumerate(part.groups):
                 codes[np.searchsorted(self.eligible, np.asarray(idx, dtype=np.int64))] = g
-            self.attributes.append((part.attribute, part.levels, _count_keys(ranks, y, codes, self.grid.size)))
+            levels = _LevelGrids(ranks, codes, len(part.levels), self.grid.size)
+            self.attributes.append((part.attribute, part.levels, levels, levels.count_keys(y)))
 
 
 def _run_replicates(fn, n_replicates: int, workers: int) -> list:
@@ -419,9 +416,9 @@ def group_diffs(cohort: Cohort, indices, attribute: str, metric: str, model: str
     codes = np.repeat(np.arange(len(part.groups)), [len(g) for _, g in part.groups])
     s = score_values(cohort, model)[idx]
     keep = ~np.isnan(s)
-    grid, table = _tabulate(label_values(cohort)[idx][keep], s[keep], codes[keep], len(part.groups))
-    cut = None if threshold is None else np.searchsorted(grid, threshold)
-    values = _metric_table(table[1:], (metric,), cut)[:, 0]
+    grid, levels, table = _tabulate(label_values(cohort)[idx][keep], s[keep], codes[keep], len(part.groups))
+    cut = None if threshold is None else int(np.searchsorted(grid, threshold))
+    values = _metric_table(table, levels, (metric,), cut)[:, 0]
     defined = values[~np.isnan(values)]
     if defined.size < 2:
         raise InsufficientDataError(
@@ -432,7 +429,7 @@ def group_diffs(cohort: Cohort, indices, attribute: str, metric: str, model: str
     return {
         level: GroupDiff(value=None, diff=None, n=int(n)) if np.isnan(v)
         else GroupDiff(value=float(v), diff=float(v) - avg, n=int(n))
-        for (level, _), v, n in zip(part.groups, values, table[1:].sum(axis=(1, 2)))
+        for (level, _), v, n in zip(part.groups, values, levels.totals(table).sum(axis=0))
     }
 
 
@@ -454,15 +451,18 @@ def bootstrap_audit(cohort: Cohort, model: str, config: AuditConfig, workers: in
     need_threshold = any(m in _THRESHOLD_METRICS for m in metrics)
     policy = config.threshold_policy
 
-    cells = [(attr, level, m) for attr, levels, _ in prep.attributes for level in levels for m in metrics]
+    cells = [(attr, level, m) for attr, names, _, _ in prep.attributes for level in names for m in metrics]
 
     def replicate(b: int) -> np.ndarray:
         rng = stream(config.seed, "bootstrap", b)
         idx = rng.integers(0, prep.n, prep.n)
-        tables = [_count_table(keys[idx], len(levels), prep.grid.size) for _, levels, keys in prep.attributes]
-        # Every attribute's table holds all records, so any of them pools.
-        _, cut = policy.resolve(prep.grid, tables[0]) if need_threshold else (None, None)
-        return np.concatenate([_diffs_from_values(_metric_table(t[1:], metrics, cut)).ravel() for t in tables])
+        cut = None
+        if need_threshold:
+            _, cut = policy.resolve(prep.grid, lambda: prep.whole.pooled(prep.whole.count(prep.whole_keys[idx])))
+        return np.concatenate([
+            _diffs_from_values(_metric_table(levels.count(keys[idx]), levels, metrics, cut)).ravel()
+            for _, _, levels, keys in prep.attributes
+        ])
 
     draws = np.vstack(_run_replicates(replicate, config.n_bootstrap, workers))
     return [
@@ -526,19 +526,29 @@ def matched_audit(cohort: Cohort, model: str, config: AuditConfig, workers: int 
             per_level_cells[(attr, lj)].append(MatchedCell(opponent=li, status=status, detail=detail))
             continue
 
-        # Treated records are level 0, their controls level 1.
+        # Treated records are arm 0, their controls arm 1; each arm counts on
+        # its own level grid, and the pooled grid gives the Youden cut.
         pair_idx = np.concatenate([sample.treated, sample.control])
         n_pairs = sample.treated.size
         grid, ranks = np.unique(s_all[pair_idx], return_inverse=True)
-        keys = _count_keys(ranks, y_all[pair_idx], np.repeat([0, 1], n_pairs), grid.size)
+        y = y_all[pair_idx]
+        arms = _LevelGrids(ranks, np.repeat([0, 1], n_pairs), 2, grid.size)
+        whole = _LevelGrids(ranks, 0, 1, grid.size)
+        # Row a of a key array holds arm a's pairs in pair order.
+        keys = arms.count_keys(y).reshape(2, n_pairs)
+        whole_keys = whole.count_keys(y).reshape(2, n_pairs)
 
-        def replicate(b: int, _data=(grid, keys, n_pairs, attr, li, lj)) -> np.ndarray:
-            grid_, keys_, np_, attr_, li_, lj_ = _data
+        def replicate(b: int, _data=(grid, arms, whole, keys, whole_keys, n_pairs, attr, li, lj)) -> np.ndarray:
+            grid_, arms_, whole_, keys_, whole_keys_, np_, attr_, li_, lj_ = _data
             rng = stream(config.seed, "matched", attr_, li_, lj_, b)
             draw = rng.integers(0, np_, np_)
-            table = _count_table(keys_[np.concatenate([draw, draw + np_])], 2, grid_.size)
-            _, cut = policy.resolve(grid_, table) if need_threshold else (None, None)
-            mat = _metric_table(table[1:], metrics, cut)
+            table = arms_.count(np.take(keys_, draw, axis=1).ravel())
+            cut = None
+            if need_threshold:
+                _, cut = policy.resolve(
+                    grid_, lambda: whole_.pooled(whole_.count(np.take(whole_keys_, draw, axis=1).ravel()))
+                )
+            mat = _metric_table(table, arms_, metrics, cut)
             # Treated-perspective diff; nan unless both arms are defined.
             return (mat[0] - mat[1]) / 2.0
 
@@ -687,12 +697,12 @@ def build_comparison(
         keep = ~np.isnan(scores)
         y = label_values(cohort)[keep]
         s = scores[keep]
-        grid, table = _tabulate(y, s, 0, 1)
+        grid, levels, table = _tabulate(y, s, 0, 1)
         entry: dict = {"n": int(keep.sum())}
         cut = None
         if any(x in _THRESHOLD_METRICS for x in config.metrics):
-            entry["threshold"], cut = config.threshold_policy.resolve(grid, table)
-        for name, v in zip(config.metrics, _metric_table(table[1:], config.metrics, cut)[0]):
+            entry["threshold"], cut = config.threshold_policy.resolve(grid, lambda: levels.pooled(table))
+        for name, v in zip(config.metrics, _metric_table(table, levels, config.metrics, cut)[0]):
             entry[name] = None if np.isnan(v) else float(v)
         overall[m] = entry
 

@@ -8,24 +8,34 @@ raise ``UndefinedMetricError`` so callers decide whether skipping is
 acceptable.
 
 One count kernel computes every AUROC, Youden threshold and confusion count
-in the package.  ``np.unique`` finds a sample's distinct scores (its grid)
-and each record's rank on it once; one ``bincount`` over (level, label,
-rank) then gives the positives and negatives per level at each distinct
-score.  The rule ``score >= t`` predicts positive for the ranks from
-``searchsorted(grid, t)`` up, so tp and fp are sums over a rank suffix and
-tn and fn the per-level totals less them.  The Youden threshold maximizes the
-integer ``tp*N + tn*P`` over the scores present, the smallest winning a tie.
-At cut c that integer is ``P*N + sum_{k<c} (neg[k]*P - pos[k]*N)``, so one
-prefix sum of the per-score gain scores every cut; a score absent from the
-table has the same value as the next present one, to which a winning absent
-cut is advanced.  AUROC is the Mann-Whitney U over P*N, the doubled U being
-``sum(pos * (2*neg_below + neg_at))``.  Counts, the doubled U and ``tp*N +
-tn*P`` are exact integers below 2**53 for any sample under 9e7 records, so
-every metric is one correctly rounded division of exact values.  A
-sequential scan (``cumsum``) costs about ten times an elementwise pass, so a
-replicate makes one for the threshold and one per level row for AUROC.  A
-bootstrap replicate gathers precomputed per-record keys and counts them
-again; it sorts nothing.
+in the package.  ``np.unique`` finds a sample's distinct scores (its pooled
+grid) and each record's rank on it once.  Each level then gets its own grid,
+the distinct scores of its records, laid out as one segment of a count
+table (``_LevelGrids``): a table is (label, column) with one column per
+distinct (level, score) pair, so an attribute's table has about n columns
+whatever its level count, where a dense (level, label, score) table over
+the pooled grid would have L times the pooled grid.  One ``bincount`` fills
+it; records in no level go to one trailing dump column.  The rule
+``score >= t`` predicts positive from each level's local cut
+``searchsorted(level_grid, t)`` up, so tp and fp are sums over a segment
+suffix and tn and fn the per-level totals less them; ``np.add.reduceat``
+takes every segment's sum in one call.  AUROC is the Mann-Whitney U over
+P*N, the doubled U being ``sum(pos * (2*neg_below + neg_at))`` within a
+level: one prefix sum of the whole negative row counts the negatives below
+each column from the table's start, and subtracting its value at a
+segment's start makes it the level's own.  The Youden threshold maximizes
+the integer ``tp*N + tn*P`` over the scores present in a pooled (2, grid)
+table of the same sample, the smallest winning a tie.  At cut c that
+integer is ``P*N + sum_{k<c} (neg[k]*P - pos[k]*N)``, so one prefix sum of
+the per-score gain scores every cut; a score absent from the table has the
+same value as the next present one, to which a winning absent cut is
+advanced.  Counts, the doubled U and ``tp*N + tn*P`` are exact integers
+below 2**53 for any sample under 9e7 records (partial sums stay far below
+2**63), so every metric is one correctly rounded division of exact values.
+A sequential scan (``cumsum``) costs about ten times an elementwise pass, so
+a replicate makes one over about n columns per attribute for AUROC and one
+over the pooled grid for the threshold.  A bootstrap replicate gathers
+precomputed per-record keys and counts them again; it sorts nothing.
 """
 
 from __future__ import annotations
@@ -108,28 +118,103 @@ def _validate(labels, scores) -> tuple[np.ndarray, np.ndarray]:
     return y.astype(np.int64), s
 
 
-def _tabulate(labels: np.ndarray, scores: np.ndarray, codes, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """The score grid of a sample and its count table (see ``_count_table``)."""
+def _tabulate(labels: np.ndarray, scores: np.ndarray, codes, n_levels: int):
+    """The pooled score grid of a sample, its level grids and their count
+    table (see ``_LevelGrids``)."""
     grid, ranks = np.unique(scores, return_inverse=True)
-    return grid, _count_table(_count_keys(ranks, labels, codes, grid.size), n_levels, grid.size)
+    levels = _LevelGrids(ranks, codes, n_levels, grid.size)
+    return grid, levels, levels.count(levels.count_keys(labels))
 
 
-def _count_keys(ranks: np.ndarray, labels: np.ndarray, codes, n_grid: int) -> np.ndarray:
-    """Per-record bincount keys ``((code + 1) * 2 + label) * n_grid + rank``.
+def _segment_sums(x: np.ndarray, spans: np.ndarray, empty: np.ndarray) -> np.ndarray:
+    """Sums of ``x[..., lo:hi]`` per level, with ``spans`` the interleaved
+    (lo, hi) pairs and ``empty`` where ``lo == hi``.
 
-    ``codes`` are level codes in ``range(n_levels)``, or -1 for a record in
-    no level; a scalar code puts every record in that level.
+    Every bound must lie below ``x.shape[-1]``, which the trailing dump column
+    of a count table guarantees.  ``reduceat`` gives ``x[lo]`` for an empty
+    range, so those sums are zeroed.
     """
-    return ((np.asarray(codes, dtype=np.int64) + 1) * 2 + labels) * n_grid + ranks
+    sums = np.add.reduceat(x, spans, axis=-1)[..., 0::2]
+    sums[..., empty] = 0
+    return sums
 
 
-def _count_table(keys: np.ndarray, n_levels: int, n_grid: int) -> np.ndarray:
-    """Counts of ``keys`` shaped (n_levels + 1, 2, n_grid): [code + 1, label, rank].
+class _LevelGrids:
+    """Each level's distinct scores, laid out as one segment of a count table.
 
-    Row 0 holds the records with code -1, so ``table[1:]`` is the per-level
-    table and ``table.sum(0)`` the pooled one.
+    Built from the records' ranks on a pooled grid of ``n_grid`` scores and
+    their level ``codes`` in ``range(n_levels)``, or -1 for a record in no
+    level.  ``keys`` lists the (level, rank) pairs present as
+    ``level * (n_grid + 1) + rank`` in ascending order, so column j of a
+    table holds the score ranked ``keys[j] % (n_grid + 1)`` and each level's
+    columns are one ascending run.  A scalar code puts every record in that
+    level, whose segment is then the whole pooled grid.  A table has
+    ``size + 1`` columns; the last one collects the records in no level.
     """
-    return np.bincount(keys, minlength=(n_levels + 1) * 2 * n_grid).reshape(n_levels + 1, 2, n_grid)
+
+    def __init__(self, ranks: np.ndarray, codes, n_levels: int, n_grid: int):
+        codes = np.broadcast_to(np.asarray(codes, dtype=np.int64), ranks.shape)
+        in_level = codes >= 0
+        self.keys, inverse = np.unique(codes[in_level] * (n_grid + 1) + ranks[in_level], return_inverse=True)
+        self.positions = np.full(ranks.shape, self.keys.size, dtype=np.int64)
+        self.positions[in_level] = inverse
+        self.size = int(self.keys.size)
+        self._offsets = np.arange(n_levels, dtype=np.int64) * (n_grid + 1)
+        self.starts = self.cuts(0)
+        self.ends = self.cuts(n_grid)
+        self._spans = self._interleave(self.starts)
+        self._empty = self.starts == self.ends
+
+    def cuts(self, cut: int) -> np.ndarray:
+        """Each level's first column at or above pooled grid index ``cut``:
+        its local cut for the rule ``score >= grid[cut]``."""
+        return np.searchsorted(self.keys, self._offsets + cut)
+
+    def _interleave(self, lows: np.ndarray) -> np.ndarray:
+        spans = np.empty(2 * lows.size, dtype=np.intp)
+        spans[0::2] = lows
+        spans[1::2] = self.ends
+        return spans
+
+    def count_keys(self, labels: np.ndarray) -> np.ndarray:
+        """Per-record bincount keys ``label * (size + 1) + column``."""
+        return np.asarray(labels, dtype=np.int64) * (self.size + 1) + self.positions
+
+    def count(self, keys: np.ndarray) -> np.ndarray:
+        """Counts of ``keys`` shaped (2, size + 1): [label, column]."""
+        return np.bincount(keys, minlength=2 * (self.size + 1)).reshape(2, self.size + 1)
+
+    def pooled(self, table: np.ndarray) -> np.ndarray:
+        """The pooled (2, n_grid) table ``_youden_cut`` takes, from a count
+        table of a scalar code's one level: its columns are the pooled grid
+        and its dump column is empty."""
+        return table[:, :-1]
+
+    def totals(self, table: np.ndarray) -> np.ndarray:
+        """(n_neg, n_pos) per level of a count table, shape (2, n_levels)."""
+        return _segment_sums(table, self._spans, self._empty)
+
+    def confusion_at(self, table: np.ndarray, totals: np.ndarray, cut: int) -> tuple[np.ndarray, ...]:
+        """Per-level (tp, fp, tn, fn) at pooled grid index ``cut``: tp and fp
+        sum each level's columns from its local cut to its end."""
+        lows = self.cuts(cut)
+        fp, tp = _segment_sums(table, self._interleave(lows), lows == self.ends)
+        n_neg, n_pos = totals
+        return tp, fp, n_neg - fp, n_pos - tp
+
+    def doubled_u(self, table: np.ndarray, n_pos: np.ndarray) -> np.ndarray:
+        """Each level's doubled Mann-Whitney U, ``sum(pos * (2*neg_below +
+        neg_at))`` within its segment, from one prefix sum of the whole
+        negative row."""
+        neg, pos = table
+        below = np.empty(neg.size + 1, dtype=np.int64)  # below[j] = neg[:j].sum()
+        below[0] = 0
+        np.cumsum(neg, out=below[1:])
+        # below[j] + below[j + 1] is 2*neg_below + neg_at counted from the
+        # table's first column; a level's segment starts below[start] later.
+        weight = below[:-1] + below[1:]
+        weight *= pos
+        return _segment_sums(weight, self._spans, self._empty) - 2 * below[self.starts] * n_pos
 
 
 def _youden_cut(pooled: np.ndarray) -> int | None:
@@ -160,21 +245,6 @@ def _youden_cut(pooled: np.ndarray) -> int | None:
     return cut
 
 
-def _level_counts(table: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(neg, pos, n_neg, n_pos) of a (n_levels, 2, n_grid) table: the count
-    rows per level and their per-level totals."""
-    neg, pos = table[:, 0], table[:, 1]
-    return neg, pos, neg.sum(axis=1), pos.sum(axis=1)
-
-
-def _confusion_at(counts: tuple[np.ndarray, ...], cut: int) -> tuple[np.ndarray, ...]:
-    """Per-level (tp, fp, tn, fn) at ``cut`` from ``_level_counts``."""
-    neg, pos, n_neg, n_pos = counts
-    tp = pos[:, cut:].sum(axis=1)
-    fp = neg[:, cut:].sum(axis=1)
-    return tp, fp, n_neg - fp, n_pos - tp
-
-
 def _ratio_terms(tp, fp, tn, fn) -> dict:
     """(numerator, denominator) of each ratio metric; a zero denominator
     leaves the metric undefined."""
@@ -187,23 +257,18 @@ def _ratio_terms(tp, fp, tn, fn) -> dict:
     }
 
 
-def _metric_table(table: np.ndarray, metrics: tuple[str, ...], cut: int | None) -> np.ndarray:
-    """Metric values per level of a (n_levels, 2, n_grid) count table.
+def _metric_table(table: np.ndarray, levels: _LevelGrids, metrics: tuple[str, ...], cut: int | None) -> np.ndarray:
+    """Metric values per level of a count table over ``levels``.
 
     Shape (n_levels, len(metrics)), nan where undefined.  Threshold metrics
-    need ``cut`` (None leaves them nan).
+    need ``cut``, an index on the pooled grid (None leaves them nan).
     """
-    out = np.full((table.shape[0], len(metrics)), np.nan)
-    counts = _level_counts(table)
-    terms = {} if cut is None else _ratio_terms(*_confusion_at(counts, cut))
+    totals = levels.totals(table)
+    n_neg, n_pos = totals
+    out = np.full((n_neg.size, len(metrics)), np.nan)
+    terms = {} if cut is None else _ratio_terms(*levels.confusion_at(table, totals, cut))
     if "AUROC" in metrics:
-        neg, pos, n_neg, n_pos = counts
-        # weight = 2*cumsum(neg) - neg = 2*neg_below + neg_at, built in place;
-        # contracting pos with it gives the doubled U.
-        weight = np.cumsum(neg, axis=1)
-        weight += weight
-        weight -= neg
-        terms["AUROC"] = (np.einsum("lg,lg->l", pos, weight) / 2.0, n_pos * n_neg)
+        terms["AUROC"] = (levels.doubled_u(table, n_pos) / 2.0, n_pos * n_neg)
     for j, m in enumerate(metrics):
         if m in terms:
             num, den = terms[m]
@@ -213,9 +278,9 @@ def _metric_table(table: np.ndarray, metrics: tuple[str, ...], cut: int | None) 
 
 def confusion(labels, scores, threshold: float) -> ConfusionCounts:
     """Count outcomes of the decision rule ``score >= threshold``."""
-    grid, table = _tabulate(*_validate(labels, scores), 0, 1)
-    cut = np.searchsorted(grid, threshold)
-    tp, fp, tn, fn = (int(c[0]) for c in _confusion_at(_level_counts(table[1:]), cut))
+    grid, levels, table = _tabulate(*_validate(labels, scores), 0, 1)
+    cut = int(np.searchsorted(grid, threshold))
+    tp, fp, tn, fn = (int(c[0]) for c in levels.confusion_at(table, levels.totals(table), cut))
     return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
@@ -242,8 +307,8 @@ def auroc(labels, scores) -> float:
     positive/negative pairs.  Raises UndefinedMetricError when only one class
     is present; callers auditing subgroups catch this and record the skip.
     """
-    _, table = _tabulate(*_validate(labels, scores), 0, 1)
-    value = _metric_table(table[1:], ("AUROC",), None)[0, 0]
+    _, levels, table = _tabulate(*_validate(labels, scores), 0, 1)
+    value = _metric_table(table, levels, ("AUROC",), None)[0, 0]
     if np.isnan(value):
         raise UndefinedMetricError("AUROC undefined: labels contain a single class")
     return float(value)
@@ -257,8 +322,8 @@ def youden_threshold(labels, scores) -> float:
     smallest threshold wins.  Raises UndefinedMetricError on single-class
     input.
     """
-    grid, table = _tabulate(*_validate(labels, scores), 0, 1)
-    cut = _youden_cut(table[1])
+    grid, levels, table = _tabulate(*_validate(labels, scores), 0, 1)
+    cut = _youden_cut(levels.pooled(table))
     if cut is None:
         raise UndefinedMetricError("Youden threshold undefined: labels contain a single class")
     return float(grid[cut])

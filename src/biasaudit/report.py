@@ -20,7 +20,6 @@ import json
 import os
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
-from xml.sax.saxutils import escape
 
 from .audit import (
     STATUS_OK,
@@ -442,8 +441,9 @@ def _svg_calibration(model: str, entry: dict) -> str:
     def sy(v: float) -> str:
         return format(size - margin - v * span, ".2f")
 
-    # XML parsers read a raw carriage return back as a line feed.
-    title = escape(model, {"\r": "&#13;"})
+    # XML text escapes (ampersand first); XML parsers read a raw carriage
+    # return back as a line feed, so it becomes a character reference.
+    title = model.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;").replace("\r", "&#13;")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',

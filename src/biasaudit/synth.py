@@ -28,7 +28,7 @@ from .cohort import (
 )
 from .errors import ConfigError, _check_keys, _convert, _names, _typed
 from .glm import encode_design, expit, fit_logistic, predict_proba
-from .metrics import _metric_table, _tabulate
+from .metrics import _LevelGrids, _metric_table
 
 _MECHANISMS = ("score_noise", "score_shift", "label_flip")
 
@@ -328,9 +328,15 @@ def generate(config: SynthConfig) -> tuple[Cohort, dict]:
 
 def _empirical_summary(cohort: Cohort, model: str) -> dict:
     y = label_values(cohort)
-    s = score_values(cohort, model)
-    _, table = _tabulate(y, s, 0, 1)
-    auc = _metric_table(table[1:], ("AUROC",), None)[0, 0]
+    grid, ranks = np.unique(score_values(cohort, model), return_inverse=True)
+
+    def level_aurocs(codes, n_levels: int):
+        """Records and AUROC per level, on level grids over the one pooled grid."""
+        levels = _LevelGrids(ranks, codes, n_levels, grid.size)
+        table = levels.count(levels.count_keys(y))
+        return levels.totals(table).sum(axis=0), _metric_table(table, levels, ("AUROC",), None)[:, 0]
+
+    _, (auc,) = level_aurocs(0, 1)
     out: dict = {
         "prevalence": float(y.mean()),
         "auroc_overall": None if np.isnan(auc) else float(auc),
@@ -338,9 +344,7 @@ def _empirical_summary(cohort: Cohort, model: str) -> dict:
     }
     for col in cohort.schema.protected_columns:
         levels = cohort.attribute_levels[col.name]
-        _, table = _tabulate(y, s, cohort.codes[col.name], len(levels))
-        aucs = _metric_table(table[1:], ("AUROC",), None)[:, 0]
-        for level, n, auc in zip(levels, table[1:].sum(axis=(1, 2)), aucs):
+        for level, n, auc in zip(levels, *level_aurocs(cohort.codes[col.name], len(levels))):
             if n:
                 out["subgroups"].append(
                     {

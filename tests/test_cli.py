@@ -557,6 +557,24 @@ class TestAuditCommand:
         doc = json.load(open(tmp_path / "report" / "report.json"))
         assert all(r["status"] == "insufficient" for r in doc["subgroup"])
 
+    def test_contrasts_with_no_pairs_give_insufficient_cells(self, tmp_path):
+        # A caliper of 1e-300 standard deviations pairs no record of the demo
+        # cohort, and min_matched_n 0 still sends every empty contrast
+        # through the matched replicate loop, which resamples zero pairs.
+        demos = Path(__file__).resolve().parent.parent / "demos"
+        cohort = str(tmp_path / "demo_cohort.csv")
+        assert main(["synth", str(demos / "synth_demo.json"), cohort]) == EXIT_OK
+        doc = json.loads((demos / "audit_demo.json").read_text())
+        doc["audit"].update(caliper_multiplier=1e-300, min_matched_n=0, n_bootstrap=5)
+        config = write_json(tmp_path / "run.json", dict(doc, cohort=cohort, output_dir=str(tmp_path / "report")))
+        assert main(["audit", config]) == EXIT_OK
+        report = json.load(open(tmp_path / "report" / "report.json"))
+        cells = [c for r in report["matched"] for c in r["cells"]]
+        # race has three contrasts seen from two sides, sex one.
+        assert len(cells) == 2 * (3 + 1) * len(doc["audit"]["metrics"])
+        assert {(c["status"], c["detail"]) for c in cells} == {("insufficient", "0 pairs")}
+        assert all(r["status"] == "ok" for r in report["subgroup"])
+
     def test_non_converged_propensity_fit_reported_failed(self, tmp_path):
         config = make_separated_config(tmp_path)
         assert main(["audit", config]) == EXIT_OK
@@ -998,7 +1016,9 @@ class TestParser:
 def test_runtime_imports_no_scipy():
     # numpy is the only runtime dependency; scipy serves the tests' oracles.
     # A fresh interpreter imports every module of the package and checks
-    # that none of them pulled scipy in.
+    # that none of them pulled scipy in, nor the network and XML stacks
+    # (xml.sax.saxutils drags in urllib.request and http.client) that no
+    # command needs.
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = (
@@ -1008,6 +1028,8 @@ def test_runtime_imports_no_scipy():
         "        importlib.import_module('biasaudit.' + m.name)\n"
         "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules), "
         "sorted(m for m in sys.modules if m.startswith('scipy'))[:5]\n"
+        "heavy = [m for m in ('urllib.request', 'http.client', 'xml.sax') if m in sys.modules]\n"
+        "assert not heavy, heavy\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -14,7 +14,7 @@ from biasaudit.metrics import (
     threshold_metrics,
     youden_threshold,
 )
-from biasaudit.metrics import _count_keys, _count_table, _metric_table, _tabulate, _youden_cut
+from biasaudit.metrics import _LevelGrids, _metric_table, _tabulate, _youden_cut
 
 from oracles import delong_auroc_se, exhaustive_youden, masked_youden_cut, pairwise_auroc, rank_metric_matrix
 
@@ -219,9 +219,17 @@ def pooled_tables(draw):
     return table
 
 
+def level_reference(y, s, codes, n_levels, threshold):
+    """Per-level (n_neg, n_pos) and the rank reference's metric matrix."""
+    n_pos = np.array([int(np.sum(y[codes == g])) for g in range(n_levels)])
+    n_rec = np.array([int(np.sum(codes == g)) for g in range(n_levels)])
+    totals = np.vstack([n_rec - n_pos, n_pos])
+    return totals, rank_metric_matrix(y, s, codes, n_levels, METRICS, threshold)
+
+
 class TestCountKernel:
-    """The count-table kernel against the per-level rank reference and the
-    masked Youden scan."""
+    """The level-segmented count kernel against the per-level rank reference
+    and the masked Youden scan."""
 
     @settings(max_examples=400, deadline=None)
     @given(pooled_tables())
@@ -232,34 +240,79 @@ class TestCountKernel:
             assert cut is None
 
     @given(leveled_instances())
+    def test_level_segments_hold_each_levels_distinct_scores(self, case):
+        y, s, codes, n_levels, _ = case
+        grid, levels, table = _tabulate(y, s, codes, n_levels)
+        assert table.shape == (2, levels.size + 1)
+        scores = grid[levels.keys % (grid.size + 1)]
+        for g in range(n_levels):
+            segment = scores[levels.starts[g]:levels.ends[g]]
+            assert np.array_equal(segment, np.unique(s[codes == g]))
+        # The last column counts the records in no level.
+        assert table[:, -1].sum() == np.sum(codes == -1)
+
+    @given(leveled_instances())
     def test_metric_table_equals_rank_reference_bit_for_bit(self, case):
         y, s, codes, n_levels, threshold = case
-        grid, table = _tabulate(y, s, codes, n_levels)
-        cut = None if threshold is None else np.searchsorted(grid, threshold)
-        got = _metric_table(table[1:], METRICS, cut)
-        want = rank_metric_matrix(y, s, codes, n_levels, METRICS, threshold)
-        assert np.array_equal(got, want, equal_nan=True)
+        grid, levels, table = _tabulate(y, s, codes, n_levels)
+        cut = None if threshold is None else int(np.searchsorted(grid, threshold))
+        totals, want = level_reference(y, s, codes, n_levels, threshold)
+        assert np.array_equal(levels.totals(table), totals)
+        assert np.array_equal(_metric_table(table, levels, METRICS, cut), want, equal_nan=True)
 
     @given(leveled_instances(), st.integers(0, 2**32 - 1))
     def test_resample_over_full_grid_equals_reference(self, case, seed):
         # A bootstrap replicate counts gathered keys over the full sample's
-        # grid, so some grid scores are absent from the replicate; a draw
-        # shorter than the sample leaves more of them absent.
-        y, s, codes, n_levels, _ = case
+        # level grids, so some scores inside a level's segment are absent from
+        # the replicate, and whole levels may be; a draw shorter than the
+        # sample, down to no record at all, leaves more of them absent.
+        y, s, codes, n_levels, threshold = case
         grid, ranks = np.unique(s, return_inverse=True)
-        keys = _count_keys(ranks, y, codes, grid.size)
+        levels = _LevelGrids(ranks, codes, n_levels, grid.size)
+        whole = _LevelGrids(ranks, 0, 1, grid.size)
         rng = np.random.default_rng(seed)
-        idx = rng.integers(0, y.size, rng.integers(1, y.size + 1))
-        table = _count_table(keys[idx], n_levels, grid.size)
-        cut = _youden_cut(table.sum(axis=0))
+        idx = rng.integers(0, y.size, rng.integers(0, y.size + 1))
+        table = levels.count(levels.count_keys(y)[idx])
         yb, sb = y[idx], s[idx]
+        youden = _youden_cut(whole.pooled(whole.count(whole.count_keys(y)[idx])))
         if both_classes(yb.tolist()):
-            assert grid[cut] == exhaustive_youden(yb, sb)
+            assert grid[youden] == exhaustive_youden(yb, sb)
         else:
-            assert cut is None
-        threshold = None if cut is None else float(grid[cut])
-        want = rank_metric_matrix(yb, sb, codes[idx], n_levels, METRICS, threshold)
-        assert np.array_equal(_metric_table(table[1:], METRICS, cut), want, equal_nan=True)
+            assert youden is None
+        # The case's fixed threshold when it has one, else the Youden cut.
+        if threshold is None:
+            cut = youden
+            threshold = None if cut is None else float(grid[cut])
+        else:
+            cut = int(np.searchsorted(grid, threshold))
+        totals, want = level_reference(yb, sb, codes[idx], n_levels, threshold)
+        assert np.array_equal(levels.totals(table), totals)
+        assert np.array_equal(_metric_table(table, levels, METRICS, cut), want, equal_nan=True)
+
+    @pytest.mark.parametrize("threshold", [None, -0.5, 0.0, 0.3, 0.5, 0.95, 1.0, 1.5])
+    def test_empty_and_one_record_levels(self, threshold):
+        # Levels 0, 3 and 5 are empty (5 is the last, so its segment ends on
+        # the dump column), 1 holds one record and 4 one record per class;
+        # three records are in no level.
+        codes = np.array([1, 2, 2, 2, 2, 2, -1, 4, 4, -1, -1])
+        y = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1])
+        s = np.array([0.5, 0.1, 0.9, 0.5, 0.5, 0.0, 0.7, 1.0, 0.3, 0.2, 0.5])
+        grid, levels, table = _tabulate(y, s, codes, 6)
+        cut = None if threshold is None else int(np.searchsorted(grid, threshold))
+        totals, want = level_reference(y, s, codes, 6, threshold)
+        assert np.array_equal(levels.totals(table), totals)
+        assert np.array_equal(_metric_table(table, levels, METRICS, cut), want, equal_nan=True)
+
+    def test_no_records(self):
+        # A matched contrast with no pairs counts an empty sample.
+        ranks = np.array([], dtype=np.int64)
+        levels = _LevelGrids(ranks, np.array([], dtype=np.int64), 2, 0)
+        table = levels.count(levels.count_keys(ranks))
+        assert table.shape == (2, 1)
+        assert np.array_equal(levels.totals(table), np.zeros((2, 2)))
+        assert np.isnan(_metric_table(table, levels, METRICS, 0)).all()
+        whole = _LevelGrids(ranks, 0, 1, 0)
+        assert _youden_cut(whole.pooled(whole.count(whole.count_keys(ranks)))) is None
 
 
 class TestBootstrapAurocSpread:

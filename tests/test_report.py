@@ -5,6 +5,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, strategies as st
+from xml.sax.saxutils import escape
 
 from biasaudit.audit import (
     STATUS_INSUFFICIENT,
@@ -285,6 +287,9 @@ class TestCsv:
         assert [r["delta"] for r in rows] == ["0.01", "-0.01"]
 
 
+SVG_ENTRY = TestBundleRoundTrip().representative_bundle().calibration["m1"]
+
+
 class TestRender:
     def test_unknown_format_rejected(self, tmp_path):
         bundle = build_bundle(metadata={})
@@ -323,6 +328,14 @@ class TestRender:
         assert svg.count("<circle") == n_bins_with_data
         assert "calibration: m1" in svg
         assert svg.startswith("<svg ")
+
+    @given(st.text())
+    def test_svg_title_escaped_like_saxutils(self, name):
+        # The title keeps the bytes of saxutils' escape, with a carriage
+        # return written as a character reference.
+        svg = report._svg_calibration(name, SVG_ENTRY)
+        title = escape(name, {"\r": "&#13;"})
+        assert f">calibration: {title}</text>" in svg
 
     def test_write_failure_raises_oserror(self, tmp_path):
         blocker = tmp_path / "not_a_dir"
