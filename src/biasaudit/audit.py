@@ -26,7 +26,8 @@ from itertools import combinations
 import numpy as np
 
 from ._rng import stream
-from .cohort import Cohort, SubgroupPartition, label_values, score_values, subgroup_partition
+from .cohort import (Cohort, SubgroupPartition, _partition, label_values, score_values, subgroup_partition,
+                     subset_positions)
 from .errors import ConfigError, FitError, InsufficientDataError, PropensityError
 from .matching import match_contrast
 from .metrics import _THRESHOLD_METRICS, METRICS, _LevelGrids, _metric_table, _tabulate, _youden_cut
@@ -402,8 +403,9 @@ def group_diffs(cohort: Cohort, indices, attribute: str, metric: str, model: str
 
     Groups ``indices`` by attribute level, computes ``metric`` per group
     (None where undefined), and subtracts the unweighted mean over defined
-    groups.  Returns {level: GroupDiff(value, diff, n)} in partition order.
-    Threshold metrics require ``threshold``.  Raises InsufficientDataError
+    groups.  ``indices`` may repeat records, as a bootstrap resample does;
+    each repeat counts.  Returns {level: GroupDiff(value, diff, n)} in
+    partition order.  Threshold metrics require ``threshold``.  Raises InsufficientDataError
     when fewer than two levels have a defined metric, since no average exists
     to diff against.
     """
@@ -411,7 +413,7 @@ def group_diffs(cohort: Cohort, indices, attribute: str, metric: str, model: str
         raise ConfigError(f"unknown metric {metric!r}; choose from {METRICS}")
     if metric in _THRESHOLD_METRICS and threshold is None:
         raise ConfigError(f"metric {metric} needs a threshold")
-    part = subgroup_partition(cohort, attribute, min_group_size, subset=indices)
+    part = _partition(cohort, attribute, min_group_size, subset_positions(indices, cohort.n, distinct=False))
     idx = np.concatenate([np.asarray(g, dtype=np.int64) for _, g in part.groups])
     codes = np.repeat(np.arange(len(part.groups)), [len(g) for _, g in part.groups])
     s = score_values(cohort, model)[idx]
@@ -478,7 +480,8 @@ def matched_contrasts(cohort: Cohort, partitions, config: AuditConfig, subset):
     covariates, caliper and ridge.  A failed propensity fit gives "failed"
     with the error as detail and no sample; a matched sample below
     ``config.min_matched_n`` records gives "skipped" with its counts;
-    otherwise "ok" with an empty detail."""
+    otherwise "ok", with a detail only when the caliper fell back to none
+    because the logit propensities have zero spread."""
     pairs = ((part.attribute, a, b) for part in partitions for a, b in combinations(part.levels, 2))
     for attribute, level_a, level_b in pairs:
         try:
@@ -494,7 +497,9 @@ def matched_contrasts(cohort: Cohort, partitions, config: AuditConfig, subset):
                       f"below min_matched_n={config.min_matched_n}")
             yield attribute, level_a, level_b, STATUS_SKIPPED, detail, sample, prop
         else:
-            yield attribute, level_a, level_b, STATUS_OK, "", sample, prop
+            zero_spread = config.caliper_multiplier is not None and sample.caliper is None
+            detail = "caliper disabled: logit propensities have zero spread" if zero_spread else ""
+            yield attribute, level_a, level_b, STATUS_OK, detail, sample, prop
 
 
 def matched_audit(cohort: Cohort, model: str, config: AuditConfig, workers: int = 1) -> list[MatchedAuditResult]:

@@ -376,6 +376,25 @@ class SubgroupPartition:
         return tuple(level for level, _ in self.groups)
 
 
+def subset_positions(subset, n: int, *, distinct: bool = True) -> np.ndarray:
+    """``subset`` as int64 record positions, in the caller's order.
+
+    Raises ValueError unless ``subset`` is a 1-d sequence of integers in
+    ``[0, n)`` that, with ``distinct``, repeats no position.  An increasing
+    array, such as ``np.flatnonzero`` output, needs no repeat count.
+    """
+    positions = np.asarray(subset if isinstance(subset, np.ndarray) else list(subset))
+    if positions.ndim != 1 or (positions.size and not np.issubdtype(positions.dtype, np.integer)):
+        raise ValueError("a subset must be a 1-d sequence of integer record positions")
+    positions = positions.astype(np.int64, copy=False)
+    if positions.size and (positions.min() < 0 or positions.max() >= n):
+        raise ValueError(f"subset positions must lie in [0, {n}), "
+                         f"got {positions.min()} to {positions.max()}")
+    if distinct and np.any(positions[1:] <= positions[:-1]) and np.bincount(positions).max() > 1:
+        raise ValueError("a subset must not repeat a record position")
+    return positions
+
+
 def subgroup_partition(
     cohort: Cohort,
     attribute: str,
@@ -388,13 +407,21 @@ def subgroup_partition(
     "too small"); records missing the attribute form their own pseudo-level
     MISSING_LABEL, merged with a literal level of that name and placed last,
     kept if it clears the same threshold and excluded with reason "missing"
-    otherwise.  ``subset`` restricts the records considered (positions, e.g.
-    only those a model actually scored).  Raises InsufficientDataError when
-    fewer than two groups survive, since a diff-from-average audit needs
-    something to compare.
+    otherwise.  ``subset`` restricts the records considered (distinct
+    positions, e.g. only those a model actually scored; see
+    ``subset_positions``).  Raises InsufficientDataError when fewer than two
+    groups survive, since a diff-from-average audit needs something to
+    compare.
     """
+    positions = None if subset is None else subset_positions(subset, cohort.n)
+    return _partition(cohort, attribute, min_group_size, positions)
+
+
+def _partition(cohort: Cohort, attribute: str, min_group_size: int, positions) -> SubgroupPartition:
+    """``subgroup_partition`` over checked ``positions`` (all records when
+    None), which may repeat a record: a group then lists it as often."""
     values = attribute_values(cohort, attribute)
-    pool = range(cohort.n) if subset is None else sorted(int(i) for i in subset)
+    pool = range(cohort.n) if positions is None else np.sort(positions).tolist()
     missing_idx: list[int] = []
     buckets: dict = {level: [] for level in cohort.attribute_levels[attribute]}
     buckets.update(dict.fromkeys(_level_members(MISSING_LABEL), missing_idx))

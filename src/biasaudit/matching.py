@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cohort import Cohort, _level_members, attribute_values
+from .cohort import Cohort, _level_members, attribute_values, subset_positions
 from .errors import PropensityError
 from .glm import LogisticModel, encode_design, fit_logistic, predict_proba
 
@@ -56,8 +56,10 @@ class MatchedSample:
     def __eq__(self, other):
         if not isinstance(other, MatchedSample):
             return NotImplemented
-        fields = ("pairs", "unmatched_treated", "caliper", "attribute", "treated_level", "control_level")
-        return all(getattr(self, f) == getattr(other, f) for f in fields)
+        scalars = ("unmatched_treated", "caliper", "attribute", "treated_level", "control_level")
+        columns = ("treated", "control", "distance")
+        return (all(getattr(self, f) == getattr(other, f) for f in scalars)
+                and all(np.array_equal(getattr(self, f), getattr(other, f)) for f in columns))
 
     @property
     def n_matched(self) -> int:
@@ -118,7 +120,8 @@ def estimate_propensity(
     model is supposed to explain membership through legitimate clinical
     variables, and including the attribute itself (or another protected
     column) would let group identity leak into the match.  ``subset``
-    optionally restricts the rows considered (record positions).
+    optionally restricts the rows considered (distinct record positions, see
+    ``subset_positions``); ``indices`` keep its order.
     """
     names = list(covariates)
     protected_names = {p.name for p in cohort.schema.protected_columns}
@@ -133,7 +136,7 @@ def estimate_propensity(
         raise PropensityError("treated and control levels are identical")
 
     values = attribute_values(cohort, attribute)
-    pool = range(cohort.n) if subset is None else [int(i) for i in subset]
+    pool = range(cohort.n) if subset is None else subset_positions(subset, cohort.n).tolist()
     is_treated = {**dict.fromkeys(_level_members(control_level), False),
                   **dict.fromkeys(_level_members(treated_level), True)}
     indices = [i for i in pool if values[i] in is_treated]
@@ -165,6 +168,19 @@ def _logit(p: np.ndarray) -> np.ndarray:
     return np.log(q) - np.log1p(-q)
 
 
+def _ascending(values: np.ndarray) -> np.ndarray:
+    """Indices that sort ``values`` ascending, equal values by index.
+
+    An unstable sort is several times faster on float64; it only needs
+    redoing as a stable one when some values are equal.
+    """
+    order = np.argsort(values)
+    ranked = values[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        order = np.argsort(values, kind="stable")
+    return order
+
+
 def greedy_match(
     propensities,
     treated,
@@ -184,9 +200,25 @@ def greedy_match(
     disable the caliper.  Rejected and unmatchable treated records are
     counted, never silently dropped.
 
-    Cost is O(n log n): the controls are sorted once, each treated record
-    binary-searches its logit, and removed controls are skipped through
-    path-compressed "next/previous live slot" links.
+    The match is one sweep down the logits.  Controls sit in slots sorted by
+    (logit, index); equal logits form a run.  Since treated logits only
+    fall, every control at or above the current one has been passed, and the
+    live ones sit on a stack in slot order, lowest on top: the top is the
+    nearest control above.  The nearest below is the run ending at the claim
+    pointer, the highest slot not yet passed, which only moves down.  A
+    treated record compares the two and pops the top or claims below.  A run
+    gives up its members from its lowest slot, so its live members stay a
+    contiguous block of slots (and of stack entries).
+
+    Ties need a look past the nearest run on each side.  Two controls whose
+    logits differ can round to the same distance only if they lie within
+    ``spacing(max logit - min logit)`` of each other, so only a gap of at
+    most four such spacings (the ``close`` flags) lets the search step on to
+    the next run.  A tie won below the nearest run leaves a claimed slot
+    under the pointer; once one exists, passing the pointer and reading
+    below it skip claimed slots.  Cost: an O(n log n) sort and an O(n)
+    sweep, since each control is pushed and removed at most once and the
+    tie steps only cross float-close runs.
     """
     prop = np.asarray(propensities, dtype=float)
     flags = np.asarray(treated, dtype=bool)
@@ -198,7 +230,8 @@ def greedy_match(
 
     caliper: float | None = None
     if caliper_multiplier is not None:
-        spread = float(np.std(logits))
+        # Equal logits are zero spread even where np.std rounds to a few ulps.
+        spread = 0.0 if logits.size and logits.min() == logits.max() else float(np.std(logits))
         if spread == 0.0:
             warnings.warn(
                 "logit propensities have zero spread; caliper disabled for this match",
@@ -207,85 +240,110 @@ def greedy_match(
         else:
             caliper = caliper_multiplier * spread
 
-    treated_pos = np.flatnonzero(flags)
-    control_pos = np.flatnonzero(~flags)
     # Descending propensity; ties broken by ascending original position so the
     # visit order is deterministic.
-    order = np.lexsort((treated_pos, -logits[treated_pos]))
-    visit = treated_pos[order]
-
-    # Controls sorted once by (logit, position).  Slot k of the sorted array
-    # holds the control at position ``c_pos[k]``; equal logits form a run
-    # [run_start, run_end] whose slots ascend by position, so a run's first
-    # live slot is its lowest-index live control.
-    slot_control = np.argsort(logits[control_pos], kind="stable")
-    sorted_logits = logits[control_pos[slot_control]]
-    m = sorted_logits.size
-    _, starts, lengths = np.unique(sorted_logits, return_index=True, return_counts=True)
-    run_start = np.repeat(starts, lengths).tolist()
-    run_end = np.repeat(starts + lengths - 1, lengths).tolist()
+    treated_pos = np.flatnonzero(flags)
+    visit = treated_pos[_ascending(-logits[treated_pos])]
     visit_logits = logits[visit]
-    insert_at = np.searchsorted(sorted_logits, visit_logits, side="left").tolist()
+
+    # Slot k holds the control at position ``slot_control[k]``; a run of equal
+    # logits spans slots [run_start, run_end], ascending by position.
+    control_pos = np.flatnonzero(~flags)
+    slot_control = control_pos[_ascending(logits[control_pos])]
+    sorted_logits = logits[slot_control]
+    m = sorted_logits.size
+    new_run = np.ones(m, dtype=bool)
+    new_run[1:] = sorted_logits[1:] != sorted_logits[:-1]
+    starts = np.flatnonzero(new_run)
+    run = np.cumsum(new_run) - 1
+    run_start = starts[run]
+    run_end = np.append(starts[1:], m)[run] - 1
+    tie_gap = 4 * np.spacing(logits.max() - logits.min()) if m else 0.0
+    close = np.diff(sorted_logits) <= tie_gap
+    close_up = np.append(close, False)[run_end].tolist()  # the gap above the slot's run
+    close_down = np.insert(close, 0, False)[run_start].tolist()  # the gap below it
     c_logit = sorted_logits.tolist()
-    c_pos = control_pos[slot_control].tolist()
 
-    # Path-compressed "next live slot >= k" (sentinel m) and "previous live
-    # slot <= k" (stored shifted by one, sentinel -1 at position 0).
-    nxt = list(range(m + 1))
-    prv = list(range(m + 1))
+    stack: list[int] = []
+    p = m - 1  # the claim pointer
+    low = run_start.tolist()  # at a run's last slot, its lowest live slot until passed
+    taken = [False] * m
+    holes = False
+    limit = float(np.finfo(float).max) if caliper is None else caliper
+    chosen: list[int] = []  # the claimed slot per visit, -1 when unmatched
 
-    def next_live(k: int) -> int:
-        while nxt[k] != k:
-            nxt[k] = nxt[nxt[k]]
-            k = nxt[k]
-        return k
+    def tie_above(best: int, d: float, tl: float) -> tuple[int, int]:
+        """The winning slot at or above ``tl`` and its stack index."""
+        i = best_i = len(stack) - 1
+        s = best
+        while close_up[s]:
+            i -= run_end[s] - s + 1
+            if i < 0:
+                break
+            s = stack[i]
+            if c_logit[s] - tl != d:
+                break
+            if slot_control[s] < slot_control[best]:
+                best, best_i = s, i
+        return best, best_i
 
-    def prev_live(k: int) -> int:
-        k += 1
-        while prv[k] != k:
-            prv[k] = prv[prv[k]]
-            k = prv[k]
-        return k - 1
+    def tie_below(best: int, k: int, d: float, tl: float) -> int:
+        """The winning slot below ``tl``; ``k`` ends the nearest live run."""
+        while close_down[k]:
+            k = run_start[k] - 1
+            if low[k] > k:  # every member claimed
+                continue
+            if tl - c_logit[k] != d:
+                break
+            if slot_control[low[k]] < slot_control[best]:
+                best = low[k]
+        return best
 
-    pairs: list[tuple[int, int, float]] = []
-    unmatched = 0
-    live = m
-    for t, tl, pos in zip(visit.tolist(), visit_logits.tolist(), insert_at):
-        if live == 0:
-            unmatched += 1
-            continue
-        best_d = np.inf
-        best_slot = -1
-        # Right of the insertion point (logits >= tl): the next live slot opens
-        # the nearest run.  Rounding can give further runs the same float
-        # distance, so keep walking while the distance holds.
-        k = next_live(pos)
-        side_d = abs(c_logit[k] - tl) if k < m else np.inf
-        while k < m and abs(c_logit[k] - tl) == side_d:
-            if side_d < best_d or (side_d == best_d and c_pos[k] < c_pos[best_slot]):
-                best_d, best_slot = side_d, k
-            k = next_live(run_end[k] + 1)
-        # Left of it (logits < tl): the previous live slot lies in the nearest
-        # run, whose first live slot holds its lowest-index live control.
-        k = prev_live(pos - 1)
-        side_d = abs(c_logit[k] - tl) if k >= 0 else np.inf
-        while k >= 0 and abs(c_logit[k] - tl) == side_d:
-            first = next_live(run_start[k])
-            if side_d < best_d or (side_d == best_d and c_pos[first] < c_pos[best_slot]):
-                best_d, best_slot = side_d, first
-            k = prev_live(run_start[k] - 1)
-        if caliper is not None and best_d > caliper:
-            unmatched += 1
-            continue
-        nxt[best_slot] = best_slot + 1
-        prv[best_slot + 1] = best_slot
-        live -= 1
-        pairs.append((t, c_pos[best_slot], best_d))
+    for tl, lo in zip(visit_logits.tolist(), np.searchsorted(sorted_logits, visit_logits).tolist()):
+        # Pass every slot with logit >= tl.
+        if p >= lo:
+            stack.extend([s for s in range(p, lo - 1, -1) if not taken[s]] if holes else range(p, lo - 1, -1))
+            p = lo - 1
+        if holes:
+            while p >= 0 and taken[p]:
+                p -= 1
+        up, d_up, up_i = -1, np.inf, -1
+        if stack:
+            up = stack[-1]
+            d_up = c_logit[up] - tl
+            if close_up[up]:
+                up, up_i = tie_above(up, d_up, tl)
+        down, d_down = -1, np.inf
+        if p >= 0:
+            down = low[p]
+            d_down = tl - c_logit[p]
+            if close_down[p]:
+                down = tie_below(down, p, d_down, tl)
+        # An empty side's infinite distance always fails the limit.
+        if d_down < d_up or (d_down == d_up and d_down <= limit and slot_control[down] < slot_control[up]):
+            if d_down > limit:
+                chosen.append(-1)
+            elif down == p:
+                p -= 1
+                chosen.append(down)
+            else:
+                taken[down] = True
+                low[run_end[down]] = down + 1
+                holes = True
+                chosen.append(down)
+        elif d_up <= limit:
+            del stack[up_i]
+            chosen.append(up)
+        else:
+            chosen.append(-1)
 
-    pairs.sort()
-    columns = np.array(pairs, dtype=[("treated", np.int64), ("control", np.int64), ("distance", float)])
-    return MatchedSample(columns["treated"], columns["control"], columns["distance"],
-                         unmatched_treated=unmatched, caliper=caliper)
+    slots = np.asarray(chosen, dtype=np.int64)
+    hit = slots >= 0
+    by_treated = np.argsort(visit[hit])
+    treated_out = visit[hit][by_treated]
+    slots = slots[hit][by_treated]
+    return MatchedSample(treated_out, slot_control[slots], np.abs(sorted_logits[slots] - logits[treated_out]),
+                         unmatched_treated=int(visit.size - treated_out.size), caliper=caliper)
 
 
 def match_contrast(
@@ -302,11 +360,14 @@ def match_contrast(
 
     The smaller level is treated (tie broken toward ``level_a``), so every
     treated record can in principle find a control.  Pair indices in the
-    returned sample are cohort record positions.  A propensity fit that did
-    not converge raises PropensityError rather than matching on its scores.
+    returned sample are cohort record positions.  ``subset`` restricts the
+    records as in ``estimate_propensity``.  A propensity fit that did not
+    converge raises PropensityError rather than matching on its scores.
     """
     values = attribute_values(cohort, attribute)
-    pool = range(cohort.n) if subset is None else [int(i) for i in subset]
+    if subset is not None:
+        subset = subset_positions(subset, cohort.n)
+    pool = range(cohort.n) if subset is None else subset.tolist()
     members_a, members_b = _level_members(level_a), _level_members(level_b)
     n_a = sum(1 for i in pool if values[i] in members_a)
     n_b = sum(1 for i in pool if values[i] in members_b)

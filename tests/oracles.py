@@ -7,7 +7,8 @@ the Youden cut of a count table by the masked two-scan route that the
 prefix-gain scan replaced, t-tail probabilities by high-precision quadrature
 of the density instead of the incomplete-beta closed form, gradients by
 finite differences, greedy matching by scanning every live control instead
-of a sorted index, subgroup metric matrices by per-level masks and midranks
+of a sorted index and by the linked-slot search that the descending sweep
+replaced, subgroup metric matrices by per-level masks and midranks
 instead of one count table, the AUROC standard error by DeLong's placement
 values instead of the bootstrap, cohort reading and writing by per-row
 records instead of columns, and design matrices by one loop that fits and
@@ -142,7 +143,8 @@ def scan_greedy_match(propensities, treated, caliper_multiplier=0.2) -> MatchedS
 
     caliper = None
     if caliper_multiplier is not None:
-        spread = float(np.std(logits))
+        # Equal logits are zero spread even where np.std rounds to a few ulps.
+        spread = 0.0 if logits.size and logits.min() == logits.max() else float(np.std(logits))
         if spread == 0.0:
             warnings.warn(
                 "logit propensities have zero spread; caliper disabled for this match",
@@ -182,6 +184,111 @@ def scan_greedy_match(propensities, treated, caliper_multiplier=0.2) -> MatchedS
         caliper=caliper,
     )
 
+
+
+def linked_greedy_match(propensities, treated, caliper_multiplier=0.2) -> MatchedSample:
+    """Greedy 1:1 matching by a two-sided search over linked live slots.
+
+    The O(n log n) matcher that the descending sweep replaced, kept as a fast
+    exact reference for inputs too large for ``scan_greedy_match``.  Same
+    contract as ``biasaudit.matching.greedy_match``.  Each treated record
+    binary-searches its logit among the sorted controls and walks outward;
+    removed controls are skipped through path-compressed "next/previous
+    live slot" links, and runs of equal logits are crossed whole.
+    """
+    prop = np.asarray(propensities, dtype=float)
+    flags = np.asarray(treated, dtype=bool)
+    logits = _logit(prop)
+
+    caliper = None
+    if caliper_multiplier is not None:
+        # Equal logits are zero spread even where np.std rounds to a few ulps.
+        spread = 0.0 if logits.size and logits.min() == logits.max() else float(np.std(logits))
+        if spread == 0.0:
+            warnings.warn(
+                "logit propensities have zero spread; caliper disabled for this match",
+                stacklevel=2,
+            )
+        else:
+            caliper = caliper_multiplier * spread
+
+    treated_pos = np.flatnonzero(flags)
+    control_pos = np.flatnonzero(~flags)
+    order = np.lexsort((treated_pos, -logits[treated_pos]))
+    visit = treated_pos[order]
+
+    # Controls sorted once by (logit, position).  Slot k of the sorted array
+    # holds the control at position ``c_pos[k]``; equal logits form a run
+    # [run_start, run_end] whose slots ascend by position, so a run's first
+    # live slot is its lowest-index live control.
+    slot_control = np.argsort(logits[control_pos], kind="stable")
+    sorted_logits = logits[control_pos[slot_control]]
+    m = sorted_logits.size
+    _, starts, lengths = np.unique(sorted_logits, return_index=True, return_counts=True)
+    run_start = np.repeat(starts, lengths).tolist()
+    run_end = np.repeat(starts + lengths - 1, lengths).tolist()
+    visit_logits = logits[visit]
+    insert_at = np.searchsorted(sorted_logits, visit_logits, side="left").tolist()
+    c_logit = sorted_logits.tolist()
+    c_pos = control_pos[slot_control].tolist()
+
+    # Path-compressed "next live slot >= k" (sentinel m) and "previous live
+    # slot <= k" (stored shifted by one, sentinel -1 at position 0).
+    nxt = list(range(m + 1))
+    prv = list(range(m + 1))
+
+    def next_live(k: int) -> int:
+        while nxt[k] != k:
+            nxt[k] = nxt[nxt[k]]
+            k = nxt[k]
+        return k
+
+    def prev_live(k: int) -> int:
+        k += 1
+        while prv[k] != k:
+            prv[k] = prv[prv[k]]
+            k = prv[k]
+        return k - 1
+
+    pairs: list[tuple[int, int, float]] = []
+    unmatched = 0
+    live = m
+    for t, tl, pos in zip(visit.tolist(), visit_logits.tolist(), insert_at):
+        if live == 0:
+            unmatched += 1
+            continue
+        best_d = np.inf
+        best_slot = -1
+        # Right of the insertion point (logits >= tl): the next live slot opens
+        # the nearest run.  Rounding can give further runs the same float
+        # distance, so keep walking while the distance holds.
+        k = next_live(pos)
+        side_d = abs(c_logit[k] - tl) if k < m else np.inf
+        while k < m and abs(c_logit[k] - tl) == side_d:
+            if side_d < best_d or (side_d == best_d and c_pos[k] < c_pos[best_slot]):
+                best_d, best_slot = side_d, k
+            k = next_live(run_end[k] + 1)
+        # Left of it (logits < tl): the previous live slot lies in the nearest
+        # run, whose first live slot holds its lowest-index live control.
+        k = prev_live(pos - 1)
+        side_d = abs(c_logit[k] - tl) if k >= 0 else np.inf
+        while k >= 0 and abs(c_logit[k] - tl) == side_d:
+            first = next_live(run_start[k])
+            if side_d < best_d or (side_d == best_d and c_pos[first] < c_pos[best_slot]):
+                best_d, best_slot = side_d, first
+            k = prev_live(run_start[k] - 1)
+        if caliper is not None and best_d > caliper:
+            unmatched += 1
+            continue
+        nxt[best_slot] = best_slot + 1
+        prv[best_slot + 1] = best_slot
+        live -= 1
+        pairs.append((t, c_pos[best_slot], best_d))
+
+    pairs.sort()
+    columns = np.array(pairs, dtype=[("treated", np.int64), ("control", np.int64), ("distance", float)])
+    return MatchedSample(columns["treated"], columns["control"], columns["distance"],
+                         unmatched_treated=unmatched, caliper=caliper)
 
 _THRESHOLD_METRICS = ("PPV", "SENS", "SPEC", "FNR", "FPR")
 

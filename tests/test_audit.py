@@ -185,6 +185,14 @@ class TestAuditConfig:
 
 
 class TestGroupDiffs:
+    def test_resample_counts_repeats_and_rejects_bad_positions(self):
+        cohort = grouped_cohort({"a": auroc_group(5, 4), "b": auroc_group(10, 9)})
+        twice = group_diffs(cohort, list(range(cohort.n)) * 2, "g", "AUROC", "score")
+        assert (twice["a"].n, twice["b"].n) == (12, 22)
+        assert twice["a"].value == 0.8
+        with pytest.raises(ValueError, match="lie in"):
+            group_diffs(cohort, [-1, 0, 1], "g", "AUROC", "score")
+
     def test_two_groups_auroc_080_vs_090(self):
         cohort = grouped_cohort({"a": auroc_group(5, 4), "b": auroc_group(10, 9)})
         diffs = group_diffs(cohort, range(cohort.n), "g", "AUROC", "score")

@@ -986,6 +986,33 @@ class TestMatchCommand:
             assert row["status"] == "failed"
             assert row["detail"].startswith("covariate 'sofa' overflows standardization")
 
+    def test_zero_spread_caliper_fallback_reported(self, tmp_path, caplog):
+        # sofa is constant, so it is dropped and every propensity fit keeps
+        # only its intercept: the logits have zero spread and no caliper.
+        cohort = make_cohort(tmp_path)
+        with open(cohort, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows:
+            row["sofa"] = "1.5"
+        with open(cohort, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        config = make_run_config(tmp_path, cohort)
+        with pytest.warns(UserWarning, match="zero spread; caliper disabled"):
+            assert main(["match", config]) == EXIT_OK
+        assert "dropping constant numeric covariate 'sofa'" in caplog.messages
+        contrasts = json.load(open(tmp_path / "report" / "matching.json"))["contrasts"]
+        assert len(contrasts) == 4
+        for row in contrasts:
+            assert row["status"] == "ok"
+            assert row["caliper"] is None
+            assert row["detail"] == "caliper disabled: logit propensities have zero spread"
+        with pytest.warns(UserWarning, match="zero spread; caliper disabled"):
+            assert main(["audit", config]) == EXIT_OK
+        balance = json.load(open(tmp_path / "report" / "report.json"))["balance"]
+        assert [(r["caliper"], r["detail"]) for r in balance] == [(row["caliper"], row["detail"]) for row in contrasts]
+
     def test_small_contrasts_marked_skipped(self, tmp_path):
         cohort = make_cohort(tmp_path, synth_overrides={"n": 120})
         audit = dict(RUN_AUDIT)

@@ -18,6 +18,7 @@ from biasaudit.cohort import (
     parse_cohort,
     score_values,
     subgroup_partition,
+    subset_positions,
     with_score_column,
     write_cohort,
 )
@@ -494,6 +495,27 @@ class TestSubgroupPartition:
         part = subgroup_partition(cohort, "g", min_group_size=1, subset=range(10))
         assert {level: len(idx) for level, idx in part.groups} == {"A": 5, "B": 5}
         assert all(i < 10 for _, idx in part.groups for i in idx)
+
+    @pytest.mark.parametrize("subset, message", [
+        ([-1, -2, 3], r"lie in \[0, 20\)"),
+        ([0, 20], r"lie in \[0, 20\)"),
+        ([0, 1, 2, 1], "must not repeat"),
+        ([0.0, 1.0], "integer record positions"),
+        ([[0, 1]], "integer record positions"),
+        (np.array([True, False]), "integer record positions"),
+    ])
+    def test_bad_subset_rejected(self, subset, message):
+        cohort = build_cohort(labels=[0, 1] * 10, scores=[0.5] * 20, protected={"g": ["A", "B"] * 10})
+        with pytest.raises(ValueError, match=message):
+            subgroup_partition(cohort, "g", min_group_size=1, subset=subset)
+
+    def test_subset_positions_keep_the_callers_order(self):
+        assert subset_positions([5, 0, 3], 6).tolist() == [5, 0, 3]
+        assert subset_positions(np.flatnonzero([0, 1, 1, 0]), 4).dtype == np.int64
+        assert subset_positions([], 0).size == 0
+        assert subset_positions([2, 2, 0], 3, distinct=False).tolist() == [2, 2, 0]
+        with pytest.raises(ValueError, match="must not repeat"):
+            subset_positions([2, 0, 2], 3)
 
     def test_continuous_attribute_partitions_on_bins(self):
         rng = np.random.default_rng(7)

@@ -1,11 +1,15 @@
+import json
 import warnings
 from dataclasses import replace
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.special import expit
 
+from biasaudit.cohort import subgroup_partition
 from biasaudit.errors import PropensityError
 from biasaudit.matching import (
     MatchedSample,
@@ -16,9 +20,12 @@ from biasaudit.matching import (
     match_contrast,
     smd,
 )
+from biasaudit.synth import config_from_dict, generate
 
 from helpers import build_cohort
-from oracles import scan_greedy_match
+from oracles import linked_greedy_match, scan_greedy_match
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def confounded_cohort(seed: int, n: int = 1200, effect: float = 1.2):
@@ -54,6 +61,37 @@ tied_case = st.integers(2, 60).flatmap(
         st.lists(st.booleans(), min_size=n, max_size=n),
     )
 )
+
+# Propensities 0.5 + k * 2**-54 give logits a few ulps apart around 0, and
+# expit(-20) * (1 + j * 2**-48) logits one ulp (3.6e-15) apart around -20,
+# next to logits near +-10 and +-28 (the clipped end).  Distances near 28 or
+# 48 round to a grid wider than a cluster, so distinct controls tie in float
+# distance both below a high treated record and above a low one.
+ulp_props = st.one_of(
+    st.integers(-8, 8).map(lambda k: 0.5 + k * 2.0**-54),
+    st.integers(-4, 4).map(lambda j: expit(-20.0) * (1 + j * 2.0**-48)),
+    st.sampled_from([expit(-30.0), expit(-10.0), expit(10.0), expit(30.0)]),
+)
+ulp_case = st.integers(2, 40).flatmap(
+    lambda n: st.tuples(
+        st.lists(ulp_props, min_size=n, max_size=n),
+        st.lists(st.booleans(), min_size=n, max_size=n),
+    )
+)
+
+
+@pytest.fixture(scope="module")
+def demo_contrasts():
+    """The demo synth config at n=50,000: every contrast's propensities and
+    treated flags, smaller level treated as match_contrast does."""
+    doc = json.loads((DEMOS / "synth_demo.json").read_text(encoding="utf-8"))
+    cohort, _ = generate(config_from_dict(dict(doc, n=50_000)))
+    fits = []
+    for attr in ("race", "sex"):
+        for a, b in combinations(subgroup_partition(cohort, attr, 1).levels, 2):
+            _, prop = match_contrast(cohort, attr, a, b, ["severity"])
+            fits.append((prop.propensities, prop.treated))
+    return fits
 
 
 class TestEstimatePropensity:
@@ -107,6 +145,18 @@ class TestEstimatePropensity:
         with pytest.raises(PropensityError, match="at least one covariate"):
             estimate_propensity(cohort, "g", "A", "B", [])
 
+    def test_bad_subset_rejected(self):
+        cohort = confounded_cohort(4, n=40)
+        with pytest.raises(ValueError, match="must not repeat"):
+            estimate_propensity(cohort, "g", "A", "B", ["x"], subset=[0, 1, 2, 3, 1])
+        with pytest.raises(ValueError, match=r"lie in \[0, 40\)"):
+            estimate_propensity(cohort, "g", "A", "B", ["x"], subset=range(-5, 30))
+
+    def test_subset_order_kept(self):
+        cohort = confounded_cohort(5, n=40)
+        result = estimate_propensity(cohort, "g", "A", "B", ["x"], subset=range(39, -1, -1))
+        assert result.indices.tolist() == list(range(39, -1, -1))
+
     def test_identical_levels_rejected(self):
         cohort = confounded_cohort(3, n=40)
         with pytest.raises(PropensityError, match="identical"):
@@ -139,6 +189,13 @@ class TestGreedyMatch:
         assert sample.pairs == ()
         assert sample.unmatched_treated == 1
         assert sample.caliper is not None
+
+    @pytest.mark.parametrize("props", [[0.25, 0.75], [0.75, 0.25]])
+    def test_distance_equal_to_the_caliper_matches(self, props):
+        # logits -+log 3: the standard deviation is log 3 exactly, so a
+        # multiplier of 2 puts the caliper exactly on the pair's distance.
+        sample = greedy_match(props, [True, False], caliper_multiplier=2.0)
+        assert sample.distance.tolist() == [sample.caliper]
 
     def test_zero_spread_disables_caliper_with_warning(self):
         with pytest.warns(UserWarning, match="caliper disabled"):
@@ -202,6 +259,29 @@ class TestGreedyMatch:
         assert [(p.treated, p.control) for p in sample.pairs] == [(4, 0)]
         assert sample == scan_greedy_match(props, flags, caliper_multiplier=None)
 
+    def test_float_distance_tie_across_a_one_ulp_gap(self):
+        # Two control logits near -20 lie one ulp of 20 (3.6e-15) apart, more
+        # than a quarter of the spacing at the match's span of 47.6, yet lie
+        # at one float distance from a treated logit of 27.6 (the clip edge).
+        props = [expit(-20.0) * (1 + j * 2.0**-48) for j in (0, 1)] + [1 - 1e-12]
+        logits = np.log(props) - np.log1p(-np.asarray(props))
+        assert logits[1] - logits[0] > np.spacing(logits.max() - logits.min()) / 4
+        assert logits[2] - logits[0] == logits[2] - logits[1]
+        sample = greedy_match(props, [False, False, True], caliper_multiplier=None)
+        assert [(p.treated, p.control) for p in sample.pairs] == [(2, 0)]
+
+    def test_float_distance_ties_skip_claimed_controls(self):
+        # Five controls a few ulps above 0.5, lowest logit at the lowest index,
+        # and four treated records at the clip edge.  Control 4 is nearest
+        # after rounding; controls 0-3 tie one rounding step farther, so each
+        # later treated record takes the lowest-index control left, below the
+        # nearest live one, and passes the claimed ones on the way down.
+        props = [0.5 + k * 2.0**-53 for k in range(5)] + [1 - 1e-12] * 4
+        flags = [False] * 5 + [True] * 4
+        sample = greedy_match(props, flags, caliper_multiplier=None)
+        assert [(p.treated, p.control) for p in sample.pairs] == [(5, 4), (6, 0), (7, 1), (8, 2)]
+        assert sample == scan_greedy_match(props, flags, caliper_multiplier=None)
+
     @pytest.mark.parametrize("cm", [None, 0.2])
     def test_long_removed_chains_match_scan_oracle(self, cm):
         # ~3,000 records on 2-decimal propensities with nearly half treated:
@@ -212,6 +292,31 @@ class TestGreedyMatch:
         props = np.round(expit(rng.normal(0.0, 1.5, n)), 2).clip(0.01, 0.99)
         flags = rng.uniform(0, 1, n) < 0.45
         assert greedy_match(props, flags, cm) == scan_greedy_match(props, flags, cm)
+
+    @given(ulp_case, st.sampled_from([None, 0.2]))
+    def test_ulp_clusters_equal_scan_oracle(self, case, cm):
+        props, flags = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # zero-spread draws disable the caliper
+            assert greedy_match(props, flags, cm) == scan_greedy_match(props, flags, cm)
+
+    def test_equal_logits_are_zero_spread(self):
+        # np.std of 800 equal logits of 0.1 is 4.4e-16, not 0; the caliper
+        # still falls back to none.
+        logit = np.log(0.1) - np.log1p(-0.1)
+        assert np.std(np.full(800, logit)) > 0.0
+        with pytest.warns(UserWarning, match="caliper disabled"):
+            sample = greedy_match(np.full(800, 0.1), np.arange(800) % 2 == 0, caliper_multiplier=0.2)
+        assert sample.caliper is None
+        assert sample.treated.size == 400
+
+    @pytest.mark.parametrize("cm", [0.2, None])
+    def test_demo_contrasts_equal_linked_oracle(self, demo_contrasts, cm):
+        assert len(demo_contrasts) == 4
+        for props, flags in demo_contrasts:
+            sample = greedy_match(props, flags, cm)
+            assert sample == linked_greedy_match(props, flags, cm)
+            assert sample.treated.size > 0.9 * flags.sum()
 
     @given(match_case)
     def test_deterministic(self, case):
@@ -289,6 +394,13 @@ class TestMatchContrast:
         sample, _ = match_contrast(cohort, "g", "A", "B", ["x"], subset=range(150))
         for p in sample.pairs:
             assert p.treated < 150 and p.control < 150
+
+    def test_repeated_or_negative_subset_rejected(self):
+        cohort = confounded_cohort(81, n=300)
+        with pytest.raises(ValueError, match="must not repeat"):
+            match_contrast(cohort, "g", "A", "B", ["x"], subset=list(range(300)) * 2)
+        with pytest.raises(ValueError, match=r"lie in \[0, 300\)"):
+            match_contrast(cohort, "g", "A", "B", ["x"], subset=[-i for i in range(1, 151)])
 
     def test_non_converged_fit_raises(self):
         # x > 0 separates the levels completely; without a ridge the fit runs
