@@ -17,7 +17,7 @@ that "absent" is distinguishable from both legitimate data and from bugs.
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -461,6 +461,48 @@ def _to_float(text) -> float:
         return math.nan
 
 
+# The code of each cell a 0/1 column may hold, and the value of each code.
+# Any other text codes as 3; it is an issue, so its value is never used.
+_ZERO_ONE = {"0": 0, "1": 1, None: 2}
+_ZERO_ONE_VALUES = np.array([0.0, 1.0, np.nan, 0.0])
+
+
+def _read_table(fh, delimiter: str) -> tuple[list[str], list[str], list[int], list]:
+    """The stripped header of a delimited stream; the cells of every other
+    non-blank row of the header's width, in one flat row-major list; the
+    line number of each such row; and a (line, -1, issue) entry per ragged
+    row.
+
+    A record the csv reader rejects (a bare carriage return in an unquoted
+    field, a field over ``csv.field_size_limit()``) stops the read with a
+    CohortValidationError naming its line.
+    """
+    reader = csv.reader(fh, delimiter=delimiter)
+    line_no = 0  # the last line read
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise CohortValidationError([RowIssue(None, None, "empty cohort file")])
+        line_no = 1
+        width = len(header)
+        flat: list[str] = []
+        lines: list[int] = []
+        ragged: list = []
+        for line_no, row in enumerate(reader, start=2):
+            if not "".join(row).strip():
+                continue
+            if len(row) != width:
+                ragged.append((line_no, -1, RowIssue(line_no, None, f"expected {width} fields, found {len(row)}")))
+                continue
+            lines.append(line_no)
+            flat += row
+    except csv.Error as exc:
+        # Drop the reader's hint about newline="", which does not apply here.
+        reason = str(exc).split(" - do you need")[0]
+        raise CohortValidationError([RowIssue(line_no + 1, None, f"unreadable csv record: {reason}")]) from None
+    return [h.strip() for h in header], flat, lines, ragged
+
+
 def parse_cohort(source, schema: CohortSchema) -> Cohort:
     """Read and validate a delimited cohort file.
 
@@ -469,21 +511,27 @@ def parse_cohort(source, schema: CohortSchema) -> Cohort:
     other defect (malformed number, label outside {0, 1}, score outside
     [0, 1], missing or duplicate id, ragged row, continuous value outside its
     explicit bin edges) is collected and raised as a CohortValidationError
-    listing each offending line.
+    listing each offending line.  So is a file that is not UTF-8 or holds a
+    record the csv reader rejects.
 
     Issues come in line order, and within a line in column order (id,
     label, scores, protected attributes, covariates).
-    """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(os.fspath(source), "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    rows = list(csv.reader(io.StringIO(text), delimiter=schema.delimiter))
-    if not rows:
-        raise CohortValidationError([RowIssue(None, None, "empty cohort file")])
 
-    header = [h.strip() for h in rows[0]]
+    The csv reader runs on the open file or stream; a path is opened as
+    UTF-8 and split into lines at ``\\n`` only.  The kept rows' cells go into
+    one flat list, read back a column at a time.
+    """
+    # issues: (line, column rank, issue), raised in line-then-column order.
+    try:
+        if hasattr(source, "read"):
+            header, flat, lines, issues = _read_table(source, schema.delimiter)
+        else:
+            with open(os.fspath(source), "r", encoding="utf-8", newline="\n") as fh:
+                header, flat, lines, issues = _read_table(fh, schema.delimiter)
+    except UnicodeDecodeError as exc:
+        where = "cohort stream" if hasattr(source, "read") else f"cohort file {os.fspath(source)!r}"
+        raise CohortValidationError([RowIssue(None, None, f"{where} is not valid UTF-8: {exc.reason}")]) from None
+
     required = [schema.id_column, schema.label_column]
     required += [c for _, c in schema.score_columns]
     required += [p.name for p in schema.protected_columns]
@@ -492,21 +540,9 @@ def parse_cohort(source, schema: CohortSchema) -> Cohort:
     if absent:
         raise SchemaError(f"cohort header is missing column(s): {', '.join(absent)}")
     rank = {name: r for r, name in enumerate(required)}
-
-    # (line, column rank, issue): raised in line-then-column order.
-    issues: list[tuple[int, int, RowIssue]] = []
-    lines: list[int] = []
-    body: list[list[str]] = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not "".join(row).strip():
-            continue
-        if len(row) != len(header):
-            issues.append((line_no, -1, RowIssue(line_no, None, f"expected {len(header)} fields, found {len(row)}")))
-            continue
-        lines.append(line_no)
-        body.append(row)
-    table = list(zip(*body)) or [()] * len(header)
-    m = len(body)
+    table = {name: flat[header.index(name)::len(header)] for name in required}
+    del flat
+    m = len(lines)
     tokens = set(schema.missing_tokens)
 
     def check() -> None:
@@ -519,22 +555,25 @@ def parse_cohort(source, schema: CohortSchema) -> Cohort:
 
     def cells(name: str) -> list:
         """Stripped cells of one column, None for a missing token."""
-        return [None if c in tokens else c for c in map(str.strip, table[header.index(name)])]
+        return [None if c in tokens else c for c in map(str.strip, table[name])]
 
     def floats(name: str, what: str) -> np.ndarray:
         raw = cells(name)
-        values = np.fromiter(map(_to_float, raw), dtype=float, count=m)
-        present = np.fromiter((v is not None for v in raw), dtype=bool, count=m)
-        unparseable = present & ~np.isfinite(values)
-        flag(np.flatnonzero(unparseable), name, lambda k: f"unparseable {what} {raw[k]!r}")
+        try:
+            # numpy converts text as float() does, and None to nan.
+            values = np.array(raw, dtype=float)
+        except (TypeError, ValueError):
+            values = np.fromiter(map(_to_float, raw), dtype=float, count=m)
+        unparseable = [k for k in np.flatnonzero(~np.isfinite(values)).tolist() if raw[k] is not None]
+        flag(unparseable, name, lambda k: f"unparseable {what} {raw[k]!r}")
         values[unparseable] = np.nan
         return values
 
     def zero_one(name: str, what: str) -> np.ndarray:
         raw = cells(name)
-        flag([k for k, v in enumerate(raw) if v not in (None, "0", "1")], name,
-             lambda k: f"{what} must be 0 or 1, got {raw[k]!r}")
-        return np.fromiter((np.nan if v is None else v == "1" for v in raw), dtype=float, count=m)
+        codes = np.fromiter(map(_ZERO_ONE.get, raw, itertools.repeat(3)), dtype=np.int64, count=m)
+        flag(np.flatnonzero(codes == 3), name, lambda k: f"{what} must be 0 or 1, got {raw[k]!r}")
+        return _ZERO_ONE_VALUES[codes]
 
     ids = cells(schema.id_column)
     seen: set = set()
@@ -556,6 +595,7 @@ def parse_cohort(source, schema: CohortSchema) -> Cohort:
             read[col.name] = zero_one(col.name, "binary covariate")
         else:
             read[col.name] = floats(col.name, "numeric value")
+    del table
     check()
 
     unscored = ~np.any([np.isfinite(read[name]) for _, name in schema.score_columns], axis=0)
@@ -568,15 +608,16 @@ def parse_cohort(source, schema: CohortSchema) -> Cohort:
     keep = np.flatnonzero(~(unlabelled | unscored))
     if keep.size == 0:
         raise CohortValidationError([RowIssue(None, None, "no usable rows after validation")])
-    kept = keep.tolist()
+    # With no row dropped, every column is used as read.
+    kept = None if keep.size == m else keep.tolist()
 
     level_of: dict[str, tuple[str, ...]] = {}
 
     def column(name: str) -> np.ndarray:
         values = read[name]
         if not isinstance(values, list):
-            return values[keep]
-        level_of[name], codes = _encode_levels([values[k] for k in kept])
+            return values if kept is None else values[keep]
+        level_of[name], codes = _encode_levels(values if kept is None else [values[k] for k in kept])
         return codes
 
     codes: dict[str, np.ndarray] = {}
@@ -599,7 +640,7 @@ def parse_cohort(source, schema: CohortSchema) -> Cohort:
 
     return Cohort(
         schema=schema,
-        ids=tuple(ids[k] for k in kept),
+        ids=tuple(ids if kept is None else (ids[k] for k in kept)),
         labels=column(schema.label_column).astype(np.int64),
         scores={model: column(name) for model, name in schema.score_columns},
         codes=codes,

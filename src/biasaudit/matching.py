@@ -10,6 +10,7 @@ standardized mean differences before and after matching.
 from __future__ import annotations
 
 import csv
+import io
 import os
 import warnings
 from dataclasses import dataclass, replace
@@ -197,8 +198,8 @@ def greedy_match(
     it is farther in exact arithmetic.  A pair is rejected when its distance
     exceeds the caliper, ``caliper_multiplier`` times the pooled standard
     deviation of the logit propensities; pass ``caliper_multiplier=None`` to
-    disable the caliper.  Rejected and unmatchable treated records are
-    counted, never silently dropped.
+    disable the caliper (an empty input has none).  Rejected and unmatchable
+    treated records are counted, never silently dropped.
 
     The match is one sweep down the logits.  Controls sit in slots sorted by
     (logit, index); equal logits form a run.  Since treated logits only
@@ -229,9 +230,9 @@ def greedy_match(
     logits = _logit(prop)
 
     caliper: float | None = None
-    if caliper_multiplier is not None:
+    if caliper_multiplier is not None and logits.size:
         # Equal logits are zero spread even where np.std rounds to a few ulps.
-        spread = 0.0 if logits.size and logits.min() == logits.max() else float(np.std(logits))
+        spread = 0.0 if logits.min() == logits.max() else float(np.std(logits))
         if spread == 0.0:
             warnings.warn(
                 "logit propensities have zero spread; caliper disabled for this match",
@@ -475,10 +476,32 @@ def balance_report(
     )
 
 
+# The characters that can make ``csv.writer`` quote a field.
+_CSV_SPECIAL = ',"\r\n'
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it in a row of several fields."""
+    if not any(ch in text for ch in _CSV_SPECIAL):
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
 def export_pairs(cohort: Cohort, matched: MatchedSample, path) -> None:
-    """Write matched pairs as csv: treated_id, control_id, distance."""
+    """Write matched pairs as csv: treated_id, control_id, distance.
+
+    The bytes are those of ``csv.writer``: the id column is encoded once per
+    call (only an id that holds a comma, a quote or a line break can need
+    quotes), and the rows, each distance as its repr, are joined and written
+    in one piece.
+    """
+    ids = cohort.ids
+    if any(ch in "".join(ids) for ch in _CSV_SPECIAL):
+        ids = [_csv_field(rid) for rid in ids]
+    ids = np.asarray(ids, dtype=object)
+    treated, control = ids[matched.treated].tolist(), ids[matched.control].tolist()
+    body = "".join([f"{t},{c},{d!r}\n" for t, c, d in zip(treated, control, matched.distance.tolist())])
     with open(os.fspath(path), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["treated_id", "control_id", "distance"])
-        ids = np.asarray(cohort.ids, dtype=object)
-        writer.writerows(zip(ids[matched.treated], ids[matched.control], map(repr, matched.distance.tolist())))
+        fh.write("treated_id,control_id,distance\n" + body)

@@ -11,7 +11,8 @@ of a sorted index and by the linked-slot search that the descending sweep
 replaced, subgroup metric matrices by per-level masks and midranks
 instead of one count table, the AUROC standard error by DeLong's placement
 values instead of the bootstrap, cohort reading and writing by per-row
-records instead of columns, and design matrices by one loop that fits and
+records instead of columns, pair files through ``csv.writer`` instead of
+joined rows, and design matrices by one loop that fits and
 builds each column together instead of descriptors applied afterwards.
 """
 
@@ -673,6 +674,16 @@ def record_write_cohort(cohort: RecordCohort, path) -> None:
         return
     with open(os.fspath(path), "w", encoding="utf-8", newline="") as fh:
         _emit(fh)
+
+
+def writer_export_pairs(cohort, matched: MatchedSample, path) -> None:
+    """Matched pairs written row by row through ``csv.writer``: the pair
+    file writer that joined rows replaced."""
+    with open(os.fspath(path), "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["treated_id", "control_id", "distance"])
+        ids = np.asarray(cohort.ids, dtype=object)
+        writer.writerows(zip(ids[matched.treated], ids[matched.control], map(repr, matched.distance.tolist())))
 
 
 # --- The design-matrix encoder as one loop that derives each covariate's

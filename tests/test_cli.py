@@ -456,6 +456,60 @@ class TestValidateCommand:
         assert json.load(open(report))["valid"] is True
 
 
+def corrupt_line(cohort_path, edit, line_no=5) -> None:
+    """Rewrite one line of a cohort file through ``edit`` (bytes to bytes)."""
+    lines = Path(cohort_path).read_bytes().split(b"\n")
+    lines[line_no - 1] = edit(lines[line_no - 1])
+    Path(cohort_path).write_bytes(b"\n".join(lines))
+
+
+def _first_field(value: bytes):
+    return lambda line: value + line[line.index(b","):]
+
+
+# (edit of line 5, the issue's line, a fragment of its message)
+MALFORMED_BYTES = {
+    "bare carriage return": (_first_field(b"r\rx"), 5, "new-line character seen in unquoted field"),
+    "oversized field": (_first_field(b"x" * (csv.field_size_limit() + 1)), 5, "field larger than field limit"),
+    "not utf-8": (lambda line: b"\xff" + line, None, "is not valid UTF-8"),
+}
+
+
+class TestMalformedCohortBytes:
+    """Bytes the csv reader or the UTF-8 decoder rejects are a validation
+    issue (exit 2), not a traceback."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_BYTES))
+    def test_validate_reports_the_issue(self, tmp_path, capsys, case):
+        edit, line, fragment = MALFORMED_BYTES[case]
+        cohort = make_cohort(tmp_path)
+        corrupt_line(cohort, edit)
+        config = make_run_config(tmp_path, cohort)
+        capsys.readouterr()
+        assert main(["validate", config]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        doc = json.load(open(captured.out.strip()))
+        assert doc["valid"] is False
+        [issue] = doc["issues"]
+        assert (issue["line"], issue["column"]) == (line, None)
+        assert fragment in issue["message"]
+        assert f"invalid: {'file' if line is None else f'line {line}'}: " in captured.err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_BYTES))
+    @pytest.mark.parametrize("command", ["audit", "compare", "match"])
+    def test_commands_exit_2(self, tmp_path, capsys, case, command):
+        edit, _, fragment = MALFORMED_BYTES[case]
+        cohort = make_cohort(tmp_path)
+        # A copy of the score column as a second model, for compare.
+        lines = Path(cohort).read_text().splitlines()
+        Path(cohort).write_text("\n".join([lines[0] + ",twin"] + [
+            line + "," + line.split(",")[2] for line in lines[1:]]) + "\n")
+        corrupt_line(cohort, edit)
+        config = make_run_config(tmp_path, cohort, schema=dict(RUN_SCHEMA, score_columns=["score", "twin"]))
+        assert main([command, config]) == EXIT_CONFIG
+        assert fragment in capsys.readouterr().err
+
+
 class TestAuditCommand:
     def test_end_to_end_outputs(self, tmp_path, capsys):
         cohort = make_cohort(tmp_path)
@@ -775,10 +829,22 @@ class TestAuditFuzz:
     def cohort(self, tmp_path_factory):
         return make_cohort(tmp_path_factory.mktemp("fuzz_cohort"), synth_overrides={"n": 300})
 
+    # Bytes put into the cohort file at a drawn offset: a bare carriage
+    # return, a NUL, a byte that is not UTF-8, or a field over the csv limit.
+    MUTATION = st.one_of(st.none(), st.tuples(
+        st.sampled_from([b"\r", b"\x00", b"\xff", b"x" * (csv.field_size_limit() + 1)]),
+        st.integers(0, 2**20)))
+
     @settings(max_examples=200)
-    @given(run=RUN, audit=AUDIT)
-    def test_fuzzed_audit_exits_with_a_documented_code(self, tmp_path_factory, cohort, run, audit):
+    @given(run=RUN, audit=AUDIT, mutation=MUTATION)
+    def test_fuzzed_audit_exits_with_a_documented_code(self, tmp_path_factory, cohort, run, audit, mutation):
         tmp = tmp_path_factory.mktemp("fuzz_run")
+        if mutation is not None:
+            insert, at = mutation
+            data = Path(cohort).read_bytes()
+            at %= len(data) + 1
+            cohort = str(tmp / "mutated.csv")
+            Path(cohort).write_bytes(data[:at] + insert + data[at:])
         config = make_run_config(tmp, cohort, audit=dict(RUN_AUDIT, n_bootstrap=3, **audit), **run)
         assert main(["audit", config]) in (EXIT_OK, EXIT_CONFIG, EXIT_STATISTICAL, EXIT_RENDER)
 

@@ -1,3 +1,4 @@
+import csv
 import io
 from dataclasses import replace
 
@@ -192,6 +193,42 @@ class TestParseCohort:
         with pytest.raises(CohortValidationError, match="binary covariate"):
             parse_text(text, schema)
 
+    @pytest.mark.parametrize("bad", [None, "0x10", "infinity", "1e500"])
+    def test_numbers_parse_as_float_does(self, bad):
+        # numpy converts a column whole; a cell it rejects sends the column
+        # through float() cell by cell, and both must agree with float().
+        good = ["1_0", "١٢", " 2e3 ", "0.5", "1e-400", "NA"]
+        cells = good + ([] if bad is None else [bad])
+        text = "pid,label,score,x\n" + "".join(f"r{k},{k % 2},0.5,{c}\n" for k, c in enumerate(cells))
+        schema = simple_schema(covariate_columns=(CovariateColumn(name="x"),))
+        if bad is None:
+            values = parse_text(text, schema).covariates["x"]
+            assert np.array_equal(values, [10.0, 12.0, 2000.0, 0.5, 0.0, np.nan], equal_nan=True)
+            return
+        with pytest.raises(CohortValidationError) as err:
+            parse_text(text, schema)
+        assert err.value.issues == [RowIssue(8, "x", f"unparseable numeric value {bad!r}")]
+
+    @pytest.mark.parametrize("line, issue", [
+        ("b,1,0.\r4", RowIssue(3, None, "unreadable csv record: new-line character seen in unquoted field")),
+        ("b,1," + "9" * (csv.field_size_limit() + 1),
+         RowIssue(3, None, f"unreadable csv record: field larger than field limit ({csv.field_size_limit()})")),
+    ])
+    def test_record_the_csv_reader_rejects_is_an_issue(self, line, issue):
+        text = "pid,label,score\na,0,0.1\n" + line + "\nc,0,0.5\n"
+        with pytest.raises(CohortValidationError) as err:
+            parse_text(text, simple_schema())
+        assert err.value.issues == [issue]
+
+    def test_bytes_not_utf8_name_the_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("pid,label,score\nJosé,0,0.1\n".encode("latin-1"))
+        with pytest.raises(CohortValidationError) as err:
+            parse_cohort(path, simple_schema())
+        [issue] = err.value.issues
+        assert (issue.line, issue.column) == (None, None)
+        assert issue.message.startswith(f"cohort file {str(path)!r} is not valid UTF-8")
+
     def test_tab_delimiter(self):
         text = "pid\tlabel\tscore\na\t0\t0.1\nb\t1\t0.9\n"
         cohort = parse_text(text, simple_schema(delimiter="\t"))
@@ -216,15 +253,16 @@ class TestParseCohort:
 # Cells the equivalence test draws from, per column: (valid values, values
 # each parser must reject).  Ages 10 and 95 are valid for the record-based
 # parser and for the edges (0, 50, 100), outside the edges (18, 45, 90).
+# Quoted cells hold the delimiter, a quote, or a line break.
 _CELLS = {
-    "label": (["0", "1"], ["2", "yes"]),
-    "s1": (["0", "0.25", "0.5", "1", "1.0", " 0.75 ", "1e-1"], ["1.5", "-0.1", "nan", "inf", "abc"]),
+    "label": (["0", "1", " 1 ", '"0"'], ["2", "yes"]),
+    "s1": (["0", "0.25", "0.5", "1", "1.0", " 0.75 ", "1e-1", '" 0.5"'], ["1.5", "-0.1", "nan", "inf", "abc"]),
     "s2": (["0.1", "0.9", "0.5"], ["2"]),
-    "g": (["A", "B", "C", " A ", "MISSING"], []),
-    "age": (["18", "30", "45", "45.0", "60", "90"], ["10", "95", "old", "inf"]),
-    "x": (["0.5", "-1", "2e3", "1_0", "3"], ["y", "nan"]),
+    "g": (["A", "B", "C", " A ", "MISSING", '"A,B"', '"A""B"', '"A\nB"', '" C\r\nD "'], []),
+    "age": (["18", "30", "45", "45.0", "60", "90", " 60 "], ["10", "95", "old", "inf"]),
+    "x": (["0.5", "-1", "2e3", "1_0", "3", " -1 ", "\t3"], ["y", "nan", '"1,5"']),
     "b": (["0", "1"], ["2"]),
-    "u": (["icu", "ward", "MISSING"], []),
+    "u": (["icu", "ward", "MISSING", '"icu, ward"', '"ward\n"'], []),
 }
 
 
@@ -250,7 +288,7 @@ def _cohort_csv(draw):
 
     lines = [",".join(["pid", *_CELLS])]
     for k in range(draw(st.integers(0, 12))):
-        pid = f"p{k}"
+        pid = draw(st.sampled_from([f"p{k}", f"p{k}", f" p{k} ", f'"p,{k}"', f'"p""{k}"', f'"p\r\n{k}"']))
         if roll(bad_rate):
             pid = draw(st.sampled_from(["p0", "", "NA"]))
         row = [pid, *(cell(name) for name in _CELLS)]
@@ -267,7 +305,8 @@ def _cohort_csv(draw):
                            CovariateColumn("u", "categorical")),
         missing_tokens=tokens,
     )
-    return "\n".join(lines) + "\n", schema
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline, schema
 
 
 def _outcome(parse, text, schema):
@@ -304,8 +343,8 @@ class TestRecordParserEquivalence:
         edges = old.breakpoints.get("age")
         if schema.protected("age").bin_edges is not None:
             line_of = {}
-            for line_no, line in enumerate(text.splitlines(), start=1):
-                line_of.setdefault(line.split(",")[0].strip(), line_no)
+            for line_no, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+                line_of.setdefault(row[0].strip() if row else "", line_no)
             expected = [
                 RowIssue(line_of[r.id], "age", f"value {r.protected['age']!r} falls outside the "
                                                f"bin range [{edges[0]}, {edges[-1]}]")
@@ -330,6 +369,25 @@ class TestRecordParserEquivalence:
         if not written.startswith("cohort has missing"):
             # Dropped rows are not written, so only their diagnostics differ.
             assert replace(parse_text(written, schema), diagnostics=new.diagnostics) == new
+
+    @settings(max_examples=100)
+    @given(_cohort_csv(), st.one_of(st.none(), st.integers(0, 2**16)))
+    def test_path_parses_like_stream(self, tmp_path_factory, drawn, cr_at):
+        """A path reads like its text as a stream, also with a bare carriage
+        return put in anywhere."""
+        text, schema = drawn
+        if cr_at is not None:
+            cr_at %= len(text) + 1
+            text = text[:cr_at] + "\r" + text[cr_at:]
+        path = tmp_path_factory.mktemp("fuzz_path") / "cohort.csv"
+        path.write_bytes(text.encode("utf-8"))
+        from_stream, stream_issues = _outcome(parse_cohort, text, schema)
+        try:
+            from_path, path_issues = parse_cohort(path, schema), None
+        except CohortValidationError as exc:
+            from_path, path_issues = None, exc.issues
+        assert path_issues == stream_issues
+        assert from_path == from_stream
 
 
 class TestBinContinuous:

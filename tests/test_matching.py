@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 from dataclasses import replace
@@ -23,7 +24,7 @@ from biasaudit.matching import (
 from biasaudit.synth import config_from_dict, generate
 
 from helpers import build_cohort
-from oracles import linked_greedy_match, scan_greedy_match
+from oracles import linked_greedy_match, scan_greedy_match, writer_export_pairs
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -203,6 +204,14 @@ class TestGreedyMatch:
         assert sample.caliper is None
         assert len(sample.pairs) == 1
         assert sample.pairs[0].distance == 0.0
+
+    @pytest.mark.parametrize("caliper_multiplier", [0.2, None])
+    def test_empty_input_has_no_caliper_and_no_warning(self, caliper_multiplier):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sample = greedy_match([], [], caliper_multiplier)
+        assert sample.caliper is None
+        assert (sample.treated.size, sample.unmatched_treated) == (0, 0)
 
     def test_without_replacement_leaves_extra_treated_unmatched(self):
         props = [0.6, 0.55, 0.5]
@@ -548,3 +557,40 @@ class TestExportPairs:
         first = lines[1].split(",")
         assert first[0] == cohort.records[sample.pairs[0].treated].id
         assert float(first[2]) == sample.pairs[0].distance
+
+    # Ids a csv writer must quote (or, for a bare carriage return, may leave
+    # alone), beside plain ones.
+    IDS = ("plain", "a,b", 'say "hi"', "two\nlines", "crlf\r\nend", "bare\rcr", " padded ", "", "é,ü")
+
+    @pytest.mark.parametrize("distance", [[0.0, 1e-17, 0.5, 3.0], []])
+    def test_same_bytes_as_csv_writer(self, tmp_path, distance):
+        cohort = replace(confounded_cohort(13, n=len(self.IDS)), ids=self.IDS)
+        k = len(distance)
+        sample = MatchedSample(treated=np.arange(k), control=np.arange(k, 2 * k)[::-1].copy(),
+                               distance=np.array(distance), unmatched_treated=0, caliper=None)
+        export_pairs(cohort, sample, tmp_path / "joined.csv")
+        writer_export_pairs(cohort, sample, tmp_path / "writer.csv")
+        assert (tmp_path / "joined.csv").read_bytes() == (tmp_path / "writer.csv").read_bytes()
+
+    @given(st.lists(st.text(alphabet='ab ,"\n\r\t', max_size=5), min_size=2, max_size=8))
+    def test_drawn_ids_same_bytes_as_csv_writer(self, tmp_path_factory, ids):
+        cohort = replace(confounded_cohort(13, n=len(ids)), ids=tuple(ids))
+        order = np.arange(len(ids))
+        sample = MatchedSample(treated=order[::2].copy(), control=order[1::2][::-1].copy(),
+                               distance=np.linspace(0.0, 1.0, len(ids) // 2), unmatched_treated=0, caliper=None)
+        tmp = tmp_path_factory.mktemp("pairs")
+        export_pairs(cohort, sample, tmp / "joined.csv")
+        writer_export_pairs(cohort, sample, tmp / "writer.csv")
+        assert (tmp / "joined.csv").read_bytes() == (tmp / "writer.csv").read_bytes()
+
+    def test_quoted_ids_read_back(self, tmp_path):
+        ids = ("a,b", 'say "hi"', "two\nlines", "crlf\r\nend")
+        cohort = replace(confounded_cohort(13, n=len(ids)), ids=ids)
+        sample = MatchedSample(treated=np.array([0, 2]), control=np.array([3, 1]),
+                               distance=np.array([0.25, 0.5]), unmatched_treated=0, caliper=None)
+        path = tmp_path / "pairs.csv"
+        export_pairs(cohort, sample, path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["treated_id", "control_id", "distance"],
+                        ["a,b", "crlf\r\nend", "0.25"], ["two\nlines", 'say "hi"', "0.5"]]
