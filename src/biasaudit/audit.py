@@ -30,7 +30,8 @@ from .cohort import (Cohort, SubgroupPartition, _partition, label_values, score_
                      subset_positions)
 from .errors import ConfigError, FitError, InsufficientDataError, PropensityError
 from .matching import match_contrast
-from .metrics import _THRESHOLD_METRICS, METRICS, _LevelGrids, _metric_table, _tabulate, _youden_cut
+from .metrics import (_THRESHOLD_METRICS, METRICS, _LevelGrids, _metric_block, _metric_table, _tabulate, _youden_cuts,
+                      block_size)
 
 log = logging.getLogger(__name__)
 
@@ -70,17 +71,25 @@ class ThresholdPolicy:
     def fixed(cls, value: float) -> "ThresholdPolicy":
         return cls(kind="fixed", value=float(value))
 
-    def resolve(self, grid: np.ndarray, pooled) -> tuple[float | None, int | None]:
-        """The threshold and its cut on ``grid``.
+    def cuts(self, grid: np.ndarray, k: int, pooled) -> np.ndarray:
+        """The cut on ``grid`` of each of ``k`` replicates, -1 for none.
 
-        Youden calls ``pooled()`` for the pooled (2, grid.size) count table
-        of the sample; (None, None) when it holds one class.  A fixed
-        threshold never calls it.
+        Youden calls ``pooled()`` for the replicates' pooled (k, 2,
+        grid.size) count tables and has no cut where one holds one class.
+        A fixed threshold never calls it.
         """
         if self.kind == "fixed":
-            return self.value, int(np.searchsorted(grid, self.value))
-        cut = _youden_cut(pooled())
-        return (None, None) if cut is None else (float(grid[cut]), cut)
+            return np.full(k, np.searchsorted(grid, self.value), dtype=np.int64)
+        return _youden_cuts(pooled())
+
+    def resolve(self, grid: np.ndarray, pooled) -> tuple[float | None, int | None]:
+        """The threshold of one sample and its cut on ``grid``; (None, None)
+        where Youden finds one class in the pooled (2, grid.size) table
+        ``pooled()`` gives."""
+        cut = int(self.cuts(grid, 1, lambda: pooled()[None])[0])
+        if cut < 0:
+            return None, None
+        return (self.value if self.kind == "fixed" else float(grid[cut])), cut
 
 
 @dataclass(frozen=True)
@@ -310,13 +319,20 @@ def t_test_one_sample(samples, mu0: float = 0.0) -> TTestResult:
 
 
 def _diffs_from_values(values: np.ndarray) -> np.ndarray:
-    """Column-wise diff-from-average; columns with < 2 defined entries go all-nan."""
-    out = np.full_like(values, np.nan)
-    for j in range(values.shape[1]):
-        col = values[:, j]
+    """Diff-from-average along the last axis of ``values``; a row with fewer
+    than 2 defined entries goes all-nan.
+
+    A fully defined row is reduced in place, which sums it as its compressed
+    copy would be (the same pairwise order over the same contiguous values);
+    only rows with an undefined entry are compressed one by one.
+    """
+    out = values - values.mean(axis=-1, keepdims=True)
+    for row in zip(*np.nonzero(~np.isfinite(values).all(axis=-1))):
+        col = values[row]
         defined = np.isfinite(col)
+        out[row] = np.nan
         if int(defined.sum()) >= 2:
-            out[defined, j] = col[defined] - col[defined].mean()
+            out[row][defined] = col[defined] - col[defined].mean()
     return out
 
 
@@ -343,33 +359,92 @@ def attribute_plan(cohort: Cohort, min_group_size: int, model: str | None = None
     return subset, tuple(partitions), tuple(skipped)
 
 
-class _Prep:
-    """Eligible records of one model, their pooled score grid with the count
-    keys of the whole sample on it, and each attribute's level grids with
-    their count keys (see ``metrics._LevelGrids``)."""
+class _Sample:
+    """What the replicate engine resamples: a sample's pooled score grid, the
+    whole sample's level grids (for the Youden cut) and each partition's, all
+    with their count keys, and the sample's block size.
 
-    def __init__(self, cohort: Cohort, model: str, config: AuditConfig):
-        self.eligible, partitions, _ = attribute_plan(cohort, config.min_group_size, model)
-        scores = score_values(cohort, model)[self.eligible]
-        y = label_values(cohort)[self.eligible]
+    ``scores`` and ``labels`` hold ``units`` rows of ``n`` records; a
+    replicate draws ``n`` columns with replacement.  The bootstrap has one
+    row of records; a matched contrast has its treated records in row 0 and
+    their controls in row 1, so a column is a pair.  ``partitions`` holds a
+    ``(codes, n_levels)`` per partition, codes in the flattened record order.
+    """
+
+    def __init__(self, scores: np.ndarray, labels: np.ndarray, partitions, units: int = 1):
         self.grid, ranks = np.unique(scores, return_inverse=True)
-        self.n = int(self.eligible.size)
-        self.whole = _LevelGrids(ranks, 0, 1, self.grid.size)
-        self.whole_keys = self.whole.count_keys(y)
-        self.attributes: list[tuple[str, tuple[str, ...], _LevelGrids, np.ndarray]] = []
-        for part in partitions:
-            codes = np.full(self.n, -1, dtype=np.int32)
-            for g, (_, idx) in enumerate(part.groups):
-                codes[np.searchsorted(self.eligible, np.asarray(idx, dtype=np.int64))] = g
-            levels = _LevelGrids(ranks, codes, len(part.levels), self.grid.size)
-            self.attributes.append((part.attribute, part.levels, levels, levels.count_keys(y)))
+        self.n = scores.size // units
+        grids = [_LevelGrids(ranks, codes, n_levels, self.grid.size) for codes, n_levels in [(0, 1), *partitions]]
+        self.whole, *self.parts = [(levels, levels.count_keys(labels).reshape(units, self.n)) for levels in grids]
+        self.k = block_size(max(levels.width for levels, _ in (self.whole, *self.parts)))
 
 
-def _run_replicates(fn, n_replicates: int, workers: int) -> list:
+def _bootstrap_sample(cohort: Cohort, model: str, config: AuditConfig):
+    """The ``_Sample`` of a model's eligible records with one partition per
+    planned attribute, and the attributes' (name, levels)."""
+    eligible, partitions, _ = attribute_plan(cohort, config.min_group_size, model)
+    scores = score_values(cohort, model)[eligible]
+    y = label_values(cohort)[eligible]
+    codes = []
+    for part in partitions:
+        code = np.full(eligible.size, -1, dtype=np.int32)
+        for g, (_, idx) in enumerate(part.groups):
+            code[np.searchsorted(eligible, np.asarray(idx, dtype=np.int64))] = g
+        codes.append((code, len(part.levels)))
+    return _Sample(scores, y, codes), [(part.attribute, part.levels) for part in partitions]
+
+
+def _run_replicates(fn, items, workers: int) -> list:
     if workers <= 1:
-        return [fn(b) for b in range(n_replicates)]
+        return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_replicates)))
+        return list(pool.map(fn, items))
+
+
+def _bootstrap_reduce(values: list[np.ndarray]) -> np.ndarray:
+    """Each partition's (k, metric, level) values as diffs from the average,
+    one row per replicate in (partition, level, metric) order."""
+    return np.hstack([_diffs_from_values(v).transpose(0, 2, 1).reshape(v.shape[0], -1) for v in values])
+
+
+def _matched_reduce(values: list[np.ndarray]) -> np.ndarray:
+    """The treated-perspective diff per replicate and metric of the arms'
+    (k, metric, 2) values: half the arm difference, nan unless both arms are
+    defined."""
+    (arms,) = values
+    return (arms[..., 0] - arms[..., 1]) / 2.0
+
+
+def _replicates(sample: _Sample, config: AuditConfig, tokens: tuple, reduce, workers: int) -> np.ndarray:
+    """The (n_bootstrap, columns) replicate matrix of ``sample``.
+
+    Replicate b draws from ``stream(config.seed, *tokens, b)``, so a row does
+    not depend on its block or on ``workers``.  Replicates run in blocks of
+    ``sample.k``: a block gathers its keys with a per-replicate offset and
+    fills all its count tables of one level grid with one ``bincount``; the
+    Youden cuts, the metrics and ``reduce`` then run once along the block's
+    leading axis.
+    """
+    metrics, policy = config.metrics, config.threshold_policy
+    need_threshold = any(m in _THRESHOLD_METRICS for m in metrics)
+
+    def count(levels: _LevelGrids, keys: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        gathered = np.take(keys, draws, axis=1)
+        k = draws.shape[0]
+        if k > 1:
+            gathered += (np.arange(k, dtype=np.int64) * (2 * levels.width))[:, None]
+        return levels.count(gathered, k)
+
+    def block(lo: int) -> np.ndarray:
+        rows = [stream(config.seed, *tokens, b).integers(0, sample.n, sample.n)
+                for b in range(lo, min(lo + sample.k, config.n_bootstrap))]
+        draws = rows[0][None] if len(rows) == 1 else np.stack(rows)
+        cuts = None
+        if need_threshold:
+            cuts = policy.cuts(sample.grid, len(rows), lambda: sample.whole[0].pooled(count(*sample.whole, draws)))
+        return reduce([_metric_block(count(levels, keys, draws), levels, metrics, cuts) for levels, keys in sample.parts])
+
+    return np.vstack(_run_replicates(block, range(0, config.n_bootstrap, sample.k), workers))
 
 
 def _cell_result(model: str, attribute: str, level: str, metric: str,
@@ -445,28 +520,11 @@ def bootstrap_audit(cohort: Cohort, model: str, config: AuditConfig, workers: in
     metric.  Cells with fewer than two defined replicates come back with
     status "insufficient" instead of fabricated statistics.
     """
-    prep = _Prep(cohort, model, config)
-    if not prep.attributes:
+    sample, attributes = _bootstrap_sample(cohort, model, config)
+    if not attributes:
         return []
-
-    metrics = config.metrics
-    need_threshold = any(m in _THRESHOLD_METRICS for m in metrics)
-    policy = config.threshold_policy
-
-    cells = [(attr, level, m) for attr, names, _, _ in prep.attributes for level in names for m in metrics]
-
-    def replicate(b: int) -> np.ndarray:
-        rng = stream(config.seed, "bootstrap", b)
-        idx = rng.integers(0, prep.n, prep.n)
-        cut = None
-        if need_threshold:
-            _, cut = policy.resolve(prep.grid, lambda: prep.whole.pooled(prep.whole.count(prep.whole_keys[idx])))
-        return np.concatenate([
-            _diffs_from_values(_metric_table(levels.count(keys[idx]), levels, metrics, cut)).ravel()
-            for _, _, levels, keys in prep.attributes
-        ])
-
-    draws = np.vstack(_run_replicates(replicate, config.n_bootstrap, workers))
+    cells = [(attr, level, m) for attr, names in attributes for level in names for m in config.metrics]
+    draws = _replicates(sample, config, ("bootstrap",), _bootstrap_reduce, workers)
     return [
         _cell_result(model, attr, level, metric, draws[:, j], config.alpha)
         for j, (attr, level, metric) in enumerate(cells)
@@ -517,8 +575,6 @@ def matched_audit(cohort: Cohort, model: str, config: AuditConfig, workers: int 
     subset, partitions, _ = attribute_plan(cohort, config.min_group_size, model)
 
     metrics = config.metrics
-    need_threshold = any(m in _THRESHOLD_METRICS for m in metrics)
-    policy = config.threshold_policy
     y_all = label_values(cohort)
     s_all = score_values(cohort, model)
 
@@ -531,33 +587,12 @@ def matched_audit(cohort: Cohort, model: str, config: AuditConfig, workers: int 
             per_level_cells[(attr, lj)].append(MatchedCell(opponent=li, status=status, detail=detail))
             continue
 
-        # Treated records are arm 0, their controls arm 1; each arm counts on
-        # its own level grid, and the pooled grid gives the Youden cut.
+        # Treated records are arm 0, their controls arm 1, each arm on its
+        # own level grid; a replicate resamples pairs.
         pair_idx = np.concatenate([sample.treated, sample.control])
         n_pairs = sample.treated.size
-        grid, ranks = np.unique(s_all[pair_idx], return_inverse=True)
-        y = y_all[pair_idx]
-        arms = _LevelGrids(ranks, np.repeat([0, 1], n_pairs), 2, grid.size)
-        whole = _LevelGrids(ranks, 0, 1, grid.size)
-        # Row a of a key array holds arm a's pairs in pair order.
-        keys = arms.count_keys(y).reshape(2, n_pairs)
-        whole_keys = whole.count_keys(y).reshape(2, n_pairs)
-
-        def replicate(b: int, _data=(grid, arms, whole, keys, whole_keys, n_pairs, attr, li, lj)) -> np.ndarray:
-            grid_, arms_, whole_, keys_, whole_keys_, np_, attr_, li_, lj_ = _data
-            rng = stream(config.seed, "matched", attr_, li_, lj_, b)
-            draw = rng.integers(0, np_, np_)
-            table = arms_.count(np.take(keys_, draw, axis=1).ravel())
-            cut = None
-            if need_threshold:
-                _, cut = policy.resolve(
-                    grid_, lambda: whole_.pooled(whole_.count(np.take(whole_keys_, draw, axis=1).ravel()))
-                )
-            mat = _metric_table(table, arms_, metrics, cut)
-            # Treated-perspective diff; nan unless both arms are defined.
-            return (mat[0] - mat[1]) / 2.0
-
-        draws = np.vstack(_run_replicates(replicate, config.n_bootstrap, workers))
+        pairs = _Sample(s_all[pair_idx], y_all[pair_idx], [(np.repeat([0, 1], n_pairs), 2)], units=2)
+        draws = _replicates(pairs, config, ("matched", attr, li, lj), _matched_reduce, workers)
         arms = ((sample.treated_level, sample.control_level, 1.0),
                 (sample.control_level, sample.treated_level, -1.0))
         for m_j, metric in enumerate(metrics):

@@ -473,22 +473,25 @@ def _read_table(fh, delimiter: str) -> tuple[list[str], list[str], list[int], li
     line number of each such row; and a (line, -1, issue) entry per ragged
     row.
 
-    A record the csv reader rejects (a bare carriage return in an unquoted
-    field, a field over ``csv.field_size_limit()``) stops the read with a
-    CohortValidationError naming its line.
+    A row's line number is the physical line its record starts on, so a
+    quoted line break inside an earlier record moves it.  A record the csv
+    reader rejects (a bare carriage return in an unquoted field, a field over
+    ``csv.field_size_limit()``) stops the read with a CohortValidationError
+    naming the line it starts on.
     """
     reader = csv.reader(fh, delimiter=delimiter)
-    line_no = 0  # the last line read
+    last = 0  # the last physical line of the last record read
     try:
         header = next(reader, None)
         if header is None:
             raise CohortValidationError([RowIssue(None, None, "empty cohort file")])
-        line_no = 1
+        last = reader.line_num
         width = len(header)
         flat: list[str] = []
         lines: list[int] = []
         ragged: list = []
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no, last = last + 1, reader.line_num
             if not "".join(row).strip():
                 continue
             if len(row) != width:
@@ -499,7 +502,7 @@ def _read_table(fh, delimiter: str) -> tuple[list[str], list[str], list[int], li
     except csv.Error as exc:
         # Drop the reader's hint about newline="", which does not apply here.
         reason = str(exc).split(" - do you need")[0]
-        raise CohortValidationError([RowIssue(line_no + 1, None, f"unreadable csv record: {reason}")]) from None
+        raise CohortValidationError([RowIssue(last + 1, None, f"unreadable csv record: {reason}")]) from None
     return [h.strip() for h in header], flat, lines, ragged
 
 
@@ -682,7 +685,8 @@ def write_cohort(cohort: Cohort, path) -> None:
     ``path`` may also be an open text stream, mirroring ``parse_cohort``.
     Floats are written with ``repr`` (exact round-trip); continuous protected
     attributes are written as their raw values, not bin labels, so the
-    re-parsed cohort re-derives identical bins.
+    re-parsed cohort re-derives identical bins.  Fields are quoted as
+    ``_csv_fields`` says.
     """
     schema = cohort.schema
     columns = _python_columns(cohort)
@@ -694,17 +698,37 @@ def write_cohort(cohort: Cohort, path) -> None:
         token = schema.missing_tokens[0]
     # str() of a float is its repr, so every value renders with str().
     cells = [[token if v is MISSING else str(v) for v in values] for values in columns.values()]
+    delimiter = schema.delimiter
+    rows = zip(*(_csv_fields(column, delimiter) for column in (list(cohort.ids), *cells)))
 
     def _emit(fh) -> None:
-        writer = csv.writer(fh, delimiter=schema.delimiter, lineterminator="\n")
-        writer.writerow([schema.id_column, *columns])
-        writer.writerows(zip(cohort.ids, *cells))
+        fh.write(delimiter.join(_csv_fields([schema.id_column, *columns], delimiter)) + "\n")
+        fh.writelines(delimiter.join(row) + "\n" for row in rows)
 
     if hasattr(path, "write"):
         _emit(path)
         return
     with open(os.fspath(path), "w", encoding="utf-8", newline="") as fh:
         _emit(fh)
+
+
+def _csv_fields(cells: list[str], delimiter: str = ",") -> list[str]:
+    """``cells`` as fields of a delimited row of two fields or more: quoted,
+    with each quote doubled, where a cell holds the delimiter, a quote, a
+    line feed or a carriage return, and as they are otherwise.
+
+    That is ``csv.writer``'s minimal quoting with a ``\\n`` line terminator,
+    except that a bare carriage return is quoted too: unquoted, the csv
+    reader rejects it.
+    """
+    special = delimiter + '"\r\n'
+    for i in range(0, len(cells), 4096):  # joined in chunks, to hold little text at once
+        text = "".join(cells[i:i + 4096])
+        if any(ch in text for ch in special):
+            break
+    else:
+        return cells
+    return ['"' + cell.replace('"', '""') + '"' if any(ch in cell for ch in special) else cell for cell in cells]
 
 
 def with_score_column(cohort: Cohort, model: str, column: str, scores) -> Cohort:

@@ -60,8 +60,9 @@ class SchemaError(AuditError):
 class RowIssue:
     """One problem found while reading a cohort file.
 
-    ``line`` is the 1-based line number in the source (the header is line 1);
-    ``None`` when the issue is not tied to a single line.
+    ``line`` is the 1-based physical line in the source on which the
+    record starts (the header is line 1); ``None`` when the issue is not tied
+    to a single line.
     """
 
     line: int | None

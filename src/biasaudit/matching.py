@@ -9,8 +9,6 @@ standardized mean differences before and after matching.
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 import warnings
 from dataclasses import dataclass, replace
@@ -18,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cohort import Cohort, _level_members, attribute_values, subset_positions
+from .cohort import Cohort, _csv_fields, _level_members, attribute_values, subset_positions
 from .errors import PropensityError
 from .glm import LogisticModel, encode_design, fit_logistic, predict_proba
 
@@ -476,31 +474,15 @@ def balance_report(
     )
 
 
-# The characters that can make ``csv.writer`` quote a field.
-_CSV_SPECIAL = ',"\r\n'
-
-
-def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it in a row of several fields."""
-    if not any(ch in text for ch in _CSV_SPECIAL):
-        return text
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]
-
-
 def export_pairs(cohort: Cohort, matched: MatchedSample, path) -> None:
     """Write matched pairs as csv: treated_id, control_id, distance.
 
-    The bytes are those of ``csv.writer``: the id column is encoded once per
-    call (only an id that holds a comma, a quote or a line break can need
-    quotes), and the rows, each distance as its repr, are joined and written
-    in one piece.
+    The id column is encoded once per call, quoted as
+    ``cohort._csv_fields`` says (only an id that holds a comma, a quote or a
+    line break needs quotes), and the rows, each distance as its repr, are
+    joined and written in one piece.
     """
-    ids = cohort.ids
-    if any(ch in "".join(ids) for ch in _CSV_SPECIAL):
-        ids = [_csv_field(rid) for rid in ids]
-    ids = np.asarray(ids, dtype=object)
+    ids = np.asarray(_csv_fields(list(cohort.ids)), dtype=object)
     treated, control = ids[matched.treated].tolist(), ids[matched.control].tolist()
     body = "".join([f"{t},{c},{d!r}\n" for t, c, d in zip(treated, control, matched.distance.tolist())])
     with open(os.fspath(path), "w", encoding="utf-8", newline="") as fh:

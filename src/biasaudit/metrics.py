@@ -17,13 +17,14 @@ whatever its level count, where a dense (level, label, score) table over
 the pooled grid would have L times the pooled grid.  One ``bincount`` fills
 it; records in no level go to one trailing dump column.  The rule
 ``score >= t`` predicts positive from each level's local cut
-``searchsorted(level_grid, t)`` up, so tp and fp are sums over a segment
-suffix and tn and fn the per-level totals less them; ``np.add.reduceat``
-takes every segment's sum in one call.  AUROC is the Mann-Whitney U over
-P*N, the doubled U being ``sum(pos * (2*neg_below + neg_at))`` within a
-level: one prefix sum of the whole negative row counts the negatives below
-each column from the table's start, and subtracting its value at a
-segment's start makes it the level's own.  The Youden threshold maximizes
+``searchsorted(level_grid, t)`` up, so fn and tn are sums over a segment
+prefix and tp and fp over the suffix; one ``np.add.reduceat`` over the
+(start, cut, end) span of every segment takes them all.  AUROC is the
+Mann-Whitney U over P*N, the doubled U being
+``sum(pos * (2*neg_below + neg_at))`` within a level: one prefix sum of
+the whole negative row counts the negatives below each column from the
+table's start, and subtracting its value at a segment's start makes it the
+level's own.  The Youden threshold maximizes
 the integer ``tp*N + tn*P`` over the scores present in a pooled (2, grid)
 table of the same sample, the smallest winning a tie.  At cut c that
 integer is ``P*N + sum_{k<c} (neg[k]*P - pos[k]*N)``, so one prefix sum of
@@ -36,6 +37,16 @@ A sequential scan (``cumsum``) costs about ten times an elementwise pass, so
 a replicate makes one over about n columns per attribute for AUROC and one
 over the pooled grid for the threshold.  A bootstrap replicate gathers
 precomputed per-record keys and counts them again; it sorts nothing.
+
+The kernel takes a block of k replicates' tables at once, shaped (k, 2,
+width): one ``bincount`` of keys offset by ``replicate * 2 * width`` fills
+them, and every step above runs once along the leading block axis, so a
+small sample pays numpy's per-call overhead once per block, not once per
+replicate.  ``block_size`` makes k the most that keeps a block within
+``_BLOCK_CELLS`` cells, so a table of about n columns gets k = 1 from
+n = 8192 up and a block never leaves the cache.  Each value is still one
+division of exact integers, so a replicate's values do not depend on its
+block.
 """
 
 from __future__ import annotations
@@ -48,6 +59,10 @@ from .errors import UndefinedMetricError
 
 METRICS = ("PPV", "SENS", "SPEC", "FNR", "FPR", "AUROC")
 _THRESHOLD_METRICS = ("PPV", "SENS", "SPEC", "FNR", "FPR")
+
+# The most cells a block of count tables holds (256 KB of int64, so a block
+# stays in cache); see ``block_size``.
+_BLOCK_CELLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -139,6 +154,20 @@ def _segment_sums(x: np.ndarray, spans: np.ndarray, empty: np.ndarray) -> np.nda
     return sums
 
 
+def _row_cumsums(rows: np.ndarray, out: np.ndarray) -> None:
+    """``np.cumsum(rows, axis=1, out=out)`` one row at a time: numpy holds
+    the interpreter lock through a 2-d scan but releases it in a 1-d one, so
+    only row scans let replicate threads overlap."""
+    for row, prefix in zip(rows, out):
+        np.cumsum(row, out=prefix)
+
+
+def block_size(width: int) -> int:
+    """Replicates per block for count tables of ``width`` columns: the most
+    whose (k, 2, width) tables fit in ``_BLOCK_CELLS`` cells, at least one."""
+    return max(1, _BLOCK_CELLS // (2 * width))
+
+
 class _LevelGrids:
     """Each level's distinct scores, laid out as one segment of a count table.
 
@@ -149,7 +178,8 @@ class _LevelGrids:
     table holds the score ranked ``keys[j] % (n_grid + 1)`` and each level's
     columns are one ascending run.  A scalar code puts every record in that
     level, whose segment is then the whole pooled grid.  A table has
-    ``size + 1`` columns; the last one collects the records in no level.
+    ``width = size + 1`` columns; the last one collects the records in no
+    level.  A level's segment ends where the next one's starts.
     """
 
     def __init__(self, ranks: np.ndarray, codes, n_levels: int, n_grid: int):
@@ -159,90 +189,109 @@ class _LevelGrids:
         self.positions = np.full(ranks.shape, self.keys.size, dtype=np.int64)
         self.positions[in_level] = inverse
         self.size = int(self.keys.size)
+        self.width = self.size + 1
         self._offsets = np.arange(n_levels, dtype=np.int64) * (n_grid + 1)
-        self.starts = self.cuts(0)
-        self.ends = self.cuts(n_grid)
-        self._spans = self._interleave(self.starts)
+        self.starts, self.ends = self.cuts(np.array([0, n_grid]))
+        self._spans = np.stack([self.starts, self.ends], axis=-1).ravel()
         self._empty = self.starts == self.ends
+        self._triples = np.stack([self.starts, np.zeros_like(self.starts), self.ends], axis=-1)
 
-    def cuts(self, cut: int) -> np.ndarray:
-        """Each level's first column at or above pooled grid index ``cut``:
-        its local cut for the rule ``score >= grid[cut]``."""
-        return np.searchsorted(self.keys, self._offsets + cut)
-
-    def _interleave(self, lows: np.ndarray) -> np.ndarray:
-        spans = np.empty(2 * lows.size, dtype=np.intp)
-        spans[0::2] = lows
-        spans[1::2] = self.ends
-        return spans
+    def cuts(self, cuts: np.ndarray) -> np.ndarray:
+        """Each level's first column at or above each pooled grid index in
+        ``cuts``: its local cut for the rule ``score >= grid[cut]``, shape
+        (len(cuts), n_levels).  A cut of -1 gives the level's start."""
+        return np.searchsorted(self.keys, self._offsets + cuts[:, None])
 
     def count_keys(self, labels: np.ndarray) -> np.ndarray:
-        """Per-record bincount keys ``label * (size + 1) + column``."""
-        return np.asarray(labels, dtype=np.int64) * (self.size + 1) + self.positions
+        """Per-record bincount keys ``label * width + column``."""
+        return np.asarray(labels, dtype=np.int64) * self.width + self.positions
 
-    def count(self, keys: np.ndarray) -> np.ndarray:
-        """Counts of ``keys`` shaped (2, size + 1): [label, column]."""
-        return np.bincount(keys, minlength=2 * (self.size + 1)).reshape(2, self.size + 1)
+    def count(self, keys: np.ndarray, k: int | None = None) -> np.ndarray:
+        """Counts of ``keys`` shaped (2, width): [label, column]; or, for a
+        block of ``k`` replicates whose keys are offset by
+        ``replicate * 2 * width``, (k, 2, width)."""
+        lead = () if k is None else (k,)
+        return np.bincount(keys.ravel(), minlength=2 * self.width * (k or 1)).reshape(*lead, 2, self.width)
 
     def pooled(self, table: np.ndarray) -> np.ndarray:
-        """The pooled (2, n_grid) table ``_youden_cut`` takes, from a count
-        table of a scalar code's one level: its columns are the pooled grid
-        and its dump column is empty."""
-        return table[:, :-1]
+        """The pooled (..., 2, n_grid) tables ``_youden_cuts`` takes, from
+        count tables of a scalar code's one level: its columns are the pooled
+        grid and its dump column is empty."""
+        return table[..., :-1]
 
     def totals(self, table: np.ndarray) -> np.ndarray:
         """(n_neg, n_pos) per level of a count table, shape (2, n_levels)."""
         return _segment_sums(table, self._spans, self._empty)
 
-    def confusion_at(self, table: np.ndarray, totals: np.ndarray, cut: int) -> tuple[np.ndarray, ...]:
-        """Per-level (tp, fp, tn, fn) at pooled grid index ``cut``: tp and fp
-        sum each level's columns from its local cut to its end."""
-        lows = self.cuts(cut)
-        fp, tp = _segment_sums(table, self._interleave(lows), lows == self.ends)
-        n_neg, n_pos = totals
-        return tp, fp, n_neg - fp, n_pos - tp
+    def split(self, tables: np.ndarray, lows: np.ndarray) -> np.ndarray:
+        """Per replicate, label and level of a (k, 2, width) block, the counts
+        of the level's columns below its local cut ``lows`` (k, n_levels) in
+        ``[..., 0]`` and from the cut to the level's end in ``[..., 1]``;
+        shape (k, 2, n_levels, 3), ``[..., 2]`` being scratch.
 
-    def doubled_u(self, table: np.ndarray, n_pos: np.ndarray) -> np.ndarray:
-        """Each level's doubled Mann-Whitney U, ``sum(pos * (2*neg_below +
-        neg_at))`` within its segment, from one prefix sum of the whole
-        negative row."""
-        neg, pos = table
-        below = np.empty(neg.size + 1, dtype=np.int64)  # below[j] = neg[:j].sum()
-        below[0] = 0
-        np.cumsum(neg, out=below[1:])
+        One ``reduceat`` over the flat block takes every sum: each segment
+        adds the span triple (start, cut, end), offset to its table row.
+        """
+        rows = np.arange(0, tables.size, self.width, dtype=np.intp).reshape(-1, 2, 1, 1)
+        spans = rows + self._triples
+        spans[..., 1] += lows[:, None, :]
+        sums = np.add.reduceat(tables.ravel(), spans.ravel()).reshape(spans.shape)
+        np.copyto(sums[..., 0], 0, where=(lows == self.starts)[:, None, :])
+        np.copyto(sums[..., 1], 0, where=(lows == self.ends)[:, None, :])
+        return sums
+
+    def doubled_u(self, tables: np.ndarray, n_pos: np.ndarray) -> np.ndarray:
+        """Each level's doubled Mann-Whitney U per replicate of a (k, 2,
+        width) block, ``sum(pos * (2*neg_below + neg_at))`` within its
+        segment, from one prefix sum of each whole negative row."""
+        neg, pos = tables[:, 0], tables[:, 1]
+        below = np.empty((neg.shape[0], neg.shape[1] + 1), dtype=np.int64)  # below[:, j] = neg[:, :j].sum(1)
+        below[:, 0] = 0
+        _row_cumsums(neg, below[:, 1:])
         # below[j] + below[j + 1] is 2*neg_below + neg_at counted from the
         # table's first column; a level's segment starts below[start] later.
-        weight = below[:-1] + below[1:]
+        weight = below[:, :-1] + below[:, 1:]
         weight *= pos
-        return _segment_sums(weight, self._spans, self._empty) - 2 * below[self.starts] * n_pos
+        return _segment_sums(weight, self._spans, self._empty) - 2 * below[:, self.starts] * n_pos
 
 
-def _youden_cut(pooled: np.ndarray) -> int | None:
-    """Grid index of the Youden threshold of a pooled (2, n_grid) table.
+def _youden_cuts(pooled: np.ndarray) -> np.ndarray:
+    """Grid index of the Youden threshold of each pooled table in a (k, 2,
+    n_grid) block; -1 where a table holds one class.
 
-    Only scores present in the table are candidates; None on one class.
-    J = tp/P + tn/N - 1, and maximizing the integer ``tp*N + tn*P`` instead
-    makes the tie toward the smallest threshold exact.  At cut c that integer
-    is ``P*N + sum_{k<c} gain[k]`` with ``gain = neg*P - pos*N``, so the
-    first maximum of the exclusive prefix sum of ``gain`` (0 at cut 0) is the
+    Only scores present in a table are candidates.  J = tp/P + tn/N - 1,
+    and maximizing the integer ``tp*N + tn*P`` instead makes the tie toward
+    the smallest threshold exact.  At cut c that integer is
+    ``P*N + sum_{k<c} gain[k]`` with ``gain = neg*P - pos*N``, so the first
+    maximum of the exclusive prefix sum of ``gain`` (0 at cut 0) is the
     smallest winning cut.  A cut at an absent score counts the same records
     as the cut at the next present score, so it ties with that score, and a
     winning absent cut advances to it.  Every partial sum lies within
     [-P*N, P*N].
     """
-    neg, pos = pooled
-    n_neg, n_pos = int(neg.sum()), int(pos.sum())
-    if n_neg == 0 or n_pos == 0:
-        return None
-    gain = neg * n_pos
-    gain -= pos * n_neg
-    value = np.empty_like(gain)  # value[c] = tp*N + tn*P at cut c, less P*N
-    value[0] = 0
-    np.cumsum(gain[:-1], out=value[1:])
-    cut = int(np.argmax(value))
-    while neg[cut] == 0 and pos[cut] == 0:
-        cut += 1
-    return cut
+    neg, pos = pooled[:, 0], pooled[:, 1]
+    n = pooled.sum(axis=-1)  # (k, 2): N, P
+    if not pooled.shape[-1]:
+        return np.full(n.shape[0], -1)
+    gain = neg * n[:, 1:]
+    gain -= pos * n[:, :1]
+    value = np.empty_like(gain)  # value[:, c] = tp*N + tn*P at cut c, less P*N
+    value[:, 0] = 0
+    _row_cumsums(gain[:, :-1], value[:, 1:])
+    cuts = np.argmax(value, axis=1).tolist()
+    for r, (n_neg, n_pos) in enumerate(n.tolist()):
+        if n_neg == 0 or n_pos == 0:
+            cuts[r] = -1
+            continue
+        while neg[r, cuts[r]] == 0 and pos[r, cuts[r]] == 0:
+            cuts[r] += 1
+    return np.array(cuts)
+
+
+def _youden_cut(pooled: np.ndarray) -> int | None:
+    """``_youden_cuts`` of one pooled (2, n_grid) table; None on one class."""
+    cut = int(_youden_cuts(pooled[None])[0])
+    return None if cut < 0 else cut
 
 
 def _ratio_terms(tp, fp, tn, fn) -> dict:
@@ -257,30 +306,46 @@ def _ratio_terms(tp, fp, tn, fn) -> dict:
     }
 
 
-def _metric_table(table: np.ndarray, levels: _LevelGrids, metrics: tuple[str, ...], cut: int | None) -> np.ndarray:
-    """Metric values per level of a count table over ``levels``.
+def _metric_block(tables: np.ndarray, levels: _LevelGrids, metrics: tuple[str, ...],
+                  cuts: np.ndarray | None) -> np.ndarray:
+    """Metric values per replicate and level of a (k, 2, width) block of
+    count tables over ``levels``.
 
-    Shape (n_levels, len(metrics)), nan where undefined.  Threshold metrics
-    need ``cut``, an index on the pooled grid (None leaves them nan).
+    Shape (k, len(metrics), n_levels), nan where undefined.  Threshold
+    metrics need ``cuts``, each replicate's index on the pooled grid or -1
+    for none; None leaves them nan.  Every value is one division of exact
+    integers, so a replicate's values do not depend on its block.
     """
-    totals = levels.totals(table)
-    n_neg, n_pos = totals
-    out = np.full((n_neg.size, len(metrics)), np.nan)
-    terms = {} if cut is None else _ratio_terms(*levels.confusion_at(table, totals, cut))
+    k = tables.shape[0]
+    sums = levels.split(tables, levels.cuts(np.full(k, -1) if cuts is None else cuts))
+    below, above = sums[..., 0], sums[..., 1]
+    totals = below + above
+    n_neg, n_pos = totals[:, 0], totals[:, 1]
+    terms = {} if cuts is None else _ratio_terms(above[:, 1], above[:, 0], below[:, 0], below[:, 1])
     if "AUROC" in metrics:
-        terms["AUROC"] = (levels.doubled_u(table, n_pos) / 2.0, n_pos * n_neg)
+        terms["AUROC"] = (levels.doubled_u(tables, n_pos), 2 * n_pos * n_neg)
+    out = np.full((k, len(metrics), n_neg.shape[1]), np.nan)
     for j, m in enumerate(metrics):
         if m in terms:
             num, den = terms[m]
             np.divide(num, den, out=out[:, j], where=den > 0)
+    if cuts is not None and (cuts < 0).any():
+        out[np.ix_(cuts < 0, [j for j, m in enumerate(metrics) if m in _THRESHOLD_METRICS])] = np.nan
     return out
+
+
+def _metric_table(table: np.ndarray, levels: _LevelGrids, metrics: tuple[str, ...], cut: int | None) -> np.ndarray:
+    """``_metric_block`` of one (2, width) count table at pooled grid index
+    ``cut``: shape (n_levels, len(metrics)), nan where undefined."""
+    cuts = None if cut is None else np.array([cut])
+    return _metric_block(table[None], levels, metrics, cuts)[0].T
 
 
 def confusion(labels, scores, threshold: float) -> ConfusionCounts:
     """Count outcomes of the decision rule ``score >= threshold``."""
     grid, levels, table = _tabulate(*_validate(labels, scores), 0, 1)
-    cut = int(np.searchsorted(grid, threshold))
-    tp, fp, tn, fn = (int(c[0]) for c in levels.confusion_at(table, levels.totals(table), cut))
+    sums = levels.split(table[None], levels.cuts(np.searchsorted(grid, [threshold])))
+    (tn, fp, _), (fn, tp, _) = sums[0, :, 0].tolist()
     return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
 
 

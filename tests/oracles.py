@@ -10,9 +10,10 @@ finite differences, greedy matching by scanning every live control instead
 of a sorted index and by the linked-slot search that the descending sweep
 replaced, subgroup metric matrices by per-level masks and midranks
 instead of one count table, the AUROC standard error by DeLong's placement
-values instead of the bootstrap, cohort reading and writing by per-row
-records instead of columns, pair files through ``csv.writer`` instead of
-joined rows, and design matrices by one loop that fits and
+values instead of the bootstrap, bootstrap and matched replicates one at a
+time with a column loop for the diffs instead of blocks of replicates, cohort reading and writing by per-row
+records instead of columns, pair files and cohorts through ``csv.writer``
+instead of joined rows, and design matrices by one loop that fits and
 builds each column together instead of descriptors applied afterwards.
 """
 
@@ -30,10 +31,12 @@ import mpmath as mp
 import numpy as np
 from scipy.stats import rankdata
 
+from biasaudit._rng import stream
 from biasaudit.cohort import MISSING, MISSING_LABEL, CohortRecord, CohortSchema
 from biasaudit.errors import CohortValidationError, ConfigError, RowIssue, SchemaError
 from biasaudit.glm import DesignMatrix, FeatureColumn
 from biasaudit.matching import MatchedPair, MatchedSample, _logit
+from biasaudit.metrics import _THRESHOLD_METRICS, _metric_table, _youden_cut
 
 
 def pairwise_auroc(labels, scores) -> float:
@@ -491,11 +494,15 @@ def record_parse_cohort(source, schema: CohortSchema) -> RecordCohort:
         with open(os.fspath(source), "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
     reader = csv.reader(io.StringIO(text), delimiter=schema.delimiter)
-    rows = list(reader)
+    # Each row with the physical line its record starts on.
+    rows, line = [], 1
+    for row in reader:
+        rows.append((line, row))
+        line = reader.line_num + 1
     if not rows:
         raise CohortValidationError([RowIssue(None, None, "empty cohort file")])
 
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][1]]
     required = [schema.id_column, schema.label_column]
     required += [c for _, c in schema.score_columns]
     required += [p.name for p in schema.protected_columns]
@@ -511,7 +518,7 @@ def record_parse_cohort(source, schema: CohortSchema) -> RecordCohort:
     records: list[CohortRecord] = []
     seen_ids: set[str] = set()
 
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows[1:]:
         if not row or all(not f.strip() for f in row):
             continue
         if len(row) != len(header):
@@ -655,7 +662,7 @@ def record_write_cohort(cohort: RecordCohort, path) -> None:
     header += [c.name for c in schema.covariate_columns]
 
     def _emit(fh) -> None:
-        writer = csv.writer(fh, delimiter=schema.delimiter, lineterminator="\n")
+        writer = _RowWriter(fh, delimiter=schema.delimiter)
         writer.writerow(header)
         for rec in cohort.records:
             row = [rec.id, str(rec.label)]
@@ -676,11 +683,32 @@ def record_write_cohort(cohort: RecordCohort, path) -> None:
         _emit(fh)
 
 
+class _RowWriter:
+    """``csv.writer`` rows ending in ``\\n`` that quote a field holding a bare
+    carriage return too: each row is written with the ``\\r\\n`` terminator,
+    whose characters make the writer quote, and the terminator is swapped."""
+
+    def __init__(self, fh, delimiter: str = ","):
+        self.fh = fh
+        self.buf = io.StringIO()
+        self.writer = csv.writer(self.buf, delimiter=delimiter, lineterminator="\r\n")
+
+    def writerow(self, row) -> None:
+        self.buf.seek(0)
+        self.buf.truncate()
+        self.writer.writerow(row)
+        self.fh.write(self.buf.getvalue()[:-2] + "\n")
+
+    def writerows(self, rows) -> None:
+        for row in rows:
+            self.writerow(row)
+
+
 def writer_export_pairs(cohort, matched: MatchedSample, path) -> None:
     """Matched pairs written row by row through ``csv.writer``: the pair
     file writer that joined rows replaced."""
     with open(os.fspath(path), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = _RowWriter(fh)
         writer.writerow(["treated_id", "control_id", "distance"])
         ids = np.asarray(cohort.ids, dtype=object)
         writer.writerows(zip(ids[matched.treated], ids[matched.control], map(repr, matched.distance.tolist())))
@@ -761,3 +789,49 @@ def loop_encode_design(cohort, indices, covariates) -> DesignMatrix:
 
     values = np.column_stack(vectors)
     return DesignMatrix(columns=tuple(columns), values=values, dropped=tuple(dropped))
+
+
+# --- The replicate loops as they ran before blocks: one replicate per call,
+# each with its own count tables, Youden cut and column-wise diffs; the
+# reference for ``audit._replicates``.
+
+
+def column_diffs(values: np.ndarray) -> np.ndarray:
+    """Column-wise diff-from-average of a (level, metric) table, each column
+    compressed to its defined entries; columns with < 2 go all-nan."""
+    out = np.full_like(values, np.nan)
+    for j in range(values.shape[1]):
+        col = values[:, j]
+        defined = np.isfinite(col)
+        if int(defined.sum()) >= 2:
+            out[defined, j] = col[defined] - col[defined].mean()
+    return out
+
+
+def loop_replicates(sample, config, tokens: tuple, matched: bool) -> np.ndarray:
+    """The replicate matrix of an ``audit._Sample``, one replicate at a time.
+
+    Replicate b draws from ``stream(config.seed, *tokens, b)``, counts one
+    table per level grid and takes its threshold cut on the pooled table of
+    its own draw.  A bootstrap row holds each partition's (level, metric)
+    diffs from the average; a matched row the half arm difference per metric.
+    """
+    metrics, policy = config.metrics, config.threshold_policy
+    whole, whole_keys = sample.whole
+    rows = []
+    for b in range(config.n_bootstrap):
+        draw = stream(config.seed, *tokens, b).integers(0, sample.n, sample.n)
+        cut = None
+        if any(m in _THRESHOLD_METRICS for m in metrics):
+            if policy.kind == "fixed":
+                cut = int(np.searchsorted(sample.grid, policy.value))
+            else:
+                cut = _youden_cut(whole.pooled(whole.count(np.take(whole_keys, draw, axis=1).ravel())))
+        tables = [_metric_table(levels.count(np.take(keys, draw, axis=1).ravel()), levels, metrics, cut)
+                  for levels, keys in sample.parts]
+        if matched:
+            (mat,) = tables
+            rows.append((mat[0] - mat[1]) / 2.0)
+        else:
+            rows.append(np.concatenate([column_diffs(t).ravel() for t in tables]))
+    return np.vstack(rows)

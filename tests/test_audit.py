@@ -6,7 +6,11 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import expit
+
+from biasaudit import audit, metrics
+from biasaudit._rng import stream
 
 from biasaudit.audit import (
     METRICS,
@@ -28,10 +32,11 @@ from biasaudit.audit import (
     _t_two_sided,
     t_test_one_sample,
 )
+from biasaudit.cohort import label_values
 from biasaudit.errors import ConfigError, InsufficientDataError
 
 from helpers import build_cohort
-from oracles import t_two_sided_p
+from oracles import loop_replicates, t_two_sided_p
 
 
 def auroc_group(n_neg: int, wins: int):
@@ -774,6 +779,94 @@ def matched_row(model, attr, level, contrasts):
     return MatchedAuditResult(model=model, attribute=attr, level=level, cells=tuple(cells))
 
 
+class TestReplicateEngine:
+    """The block engine (``audit._replicates``) against the one-replicate
+    loop it replaced (``oracles.loop_replicates``), byte for byte."""
+
+    @staticmethod
+    def engine(sample, config, matched, budget, workers):
+        reduce = audit._matched_reduce if matched else audit._bootstrap_reduce
+        saved = metrics._BLOCK_CELLS
+        metrics._BLOCK_CELLS = budget
+        try:
+            blocked = audit._Sample(*sample)
+            return blocked, audit._replicates(blocked, config, ("case",), reduce, workers)
+        finally:
+            metrics._BLOCK_CELLS = saved
+
+    @st.composite
+    def cases(draw):
+        """A sample, its config, whether it is matched, a block budget and a
+        worker count.  Scores sit on a coarse grid so ties and absent scores
+        come up; labels may be nearly one class, so some replicates pool one
+        class (no Youden cut) and some levels hold one class; a dense case
+        puts both classes in each of up to 64 levels."""
+        matched = draw(st.booleans())
+        dense = not matched and draw(st.booleans())
+        if dense:
+            n_levels = draw(st.integers(2, 64))
+            n = n_levels * draw(st.integers(2, 8))
+        else:
+            n = draw(st.integers(1, 40))
+        units = 2 if matched else 1
+        scores = draw(arrays(np.float64, units * n, elements=st.sampled_from(np.linspace(0, 1, 13))))
+        if dense:
+            labels = np.arange(n) // n_levels % 2
+        else:
+            rate = draw(st.sampled_from((0.03, 0.2, 0.5, 0.97)))
+            labels = (draw(arrays(np.float64, units * n, elements=st.floats(0, 1))) < rate).astype(np.int64)
+        if matched:
+            partitions = [(np.repeat([0, 1], n), 2)]
+        elif dense:
+            partitions = [(np.arange(n) % n_levels, n_levels)]
+        else:
+            partitions = []
+            for _ in range(draw(st.integers(1, 3))):
+                n_levels = draw(st.integers(2, 64))
+                codes = draw(arrays(np.int64, n, elements=st.integers(-1, n_levels - 1)))
+                partitions.append((codes, n_levels))
+        policy = draw(st.one_of(st.just(ThresholdPolicy.youden()),
+                                st.sampled_from(np.linspace(-0.1, 1.1, 7)).map(ThresholdPolicy.fixed)))
+        config = AuditConfig(
+            metrics=tuple(draw(st.lists(st.sampled_from(METRICS), min_size=1, max_size=6, unique=True))),
+            n_bootstrap=draw(st.integers(2, 41)), seed=draw(st.integers(0, 2**32)), threshold_policy=policy,
+        )
+        budget = draw(st.sampled_from((1, 8, 60, 300, 2**15)))
+        return (scores, labels, partitions, units), config, matched, budget, draw(st.integers(1, 3))
+
+    @settings(max_examples=150, deadline=None)
+    @given(cases())
+    def test_blocks_equal_one_replicate_loop(self, case):
+        sample, config, matched, budget, workers = case
+        blocked, got = self.engine(sample, config, matched, budget, workers)
+        want = loop_replicates(blocked, config, ("case",), matched)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("policy", [ThresholdPolicy.youden(), ThresholdPolicy.fixed(0.5)])
+    def test_partial_blocks_and_replicates_without_a_cut(self, policy):
+        # One positive in three records: a replicate misses it with
+        # probability 8/27, so some of the 37 have no Youden cut.  Blocks of
+        # 4 leave a partial block of 1.
+        scores = np.array([0.2, 0.4, 0.6])
+        labels = np.array([0, 0, 1])
+        sample = (scores, labels, [(np.array([0, 1, 1]), 2)], 1)
+        config = AuditConfig(metrics=METRICS, n_bootstrap=37, seed=5, threshold_policy=policy)
+        blocked, got = self.engine(sample, config, False, 4 * 2 * 4, 2)
+        assert blocked.k == 4
+        want = loop_replicates(blocked, config, ("case",), False)
+        assert got.tobytes() == want.tobytes()
+        draws = [stream(5, "case", b).integers(0, 3, 3) for b in range(37)]
+        assert any(not labels[d].any() for d in draws)
+
+    def test_block_size_keeps_tables_in_the_cell_budget(self):
+        assert metrics.block_size(4001) == 4
+        assert metrics.block_size(2**14) == 1
+        assert metrics.block_size(2**14 + 1) == 1
+        assert metrics.block_size(50_001) == 1
+        assert metrics.block_size(1) == 2**14
+
+
 class TestSummarizeDiscrepancy:
     def test_before_gap_is_max_minus_min(self):
         rows = [
@@ -915,6 +1008,19 @@ class TestCompareModels:
             assert "threshold" in entry
             assert 0.0 <= entry["AUROC"] <= 1.0
             assert 0.0 <= entry["SENS"] <= 1.0
+
+    @pytest.mark.parametrize("value", [0.5, 1.5])
+    def test_overall_block_reports_a_fixed_threshold_as_given(self, value):
+        # 1.5 lies above every score: its cut is past the pooled grid, and
+        # nothing is predicted positive.
+        cohort = self.duplicate_column_cohort(seed=3)
+        config = AuditConfig(metrics=("SENS", "SPEC"), n_bootstrap=10, min_group_size=20,
+                             threshold_policy=ThresholdPolicy.fixed(value))
+        entry = build_comparison(cohort, "m1", "m2", config, [], []).overall["m1"]
+        scores, labels = np.array(cohort.scores["m1"]), np.array(label_values(cohort))
+        assert entry["threshold"] == value
+        assert entry["SENS"] == np.mean(scores[labels == 1] >= value)
+        assert entry["SPEC"] == np.mean(scores[labels == 0] < value)
 
     def test_build_comparison_pairs_matched_cells(self):
         sub_a = [ok_cell("m1", "g", "a", "AUROC", 0.01), ok_cell("m1", "g", "b", "AUROC", -0.01)]

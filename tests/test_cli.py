@@ -558,6 +558,21 @@ class TestAuditCommand:
             a = open(tmp_path / "w1" / name, "rb").read()
             b = open(tmp_path / "w8" / name, "rb").read()
             assert a == b
+        # The 4k demo runs its replicates in blocks of several; 37 replicates
+        # end every loop on a partial block, which the workers split
+        # differently.
+        demos = Path(__file__).resolve().parent.parent / "demos"
+        demo_cohort = str(tmp_path / "demo_cohort.csv")
+        assert main(["synth", str(demos / "synth_demo.json"), demo_cohort]) == EXIT_OK
+        doc = json.loads((demos / "audit_demo.json").read_text())
+        demo_config = write_json(tmp_path / "demo_run.json", dict(doc, cohort=demo_cohort, formats=["json"]))
+        reports = set()
+        for workers in ("1", "2", "3"):
+            out = tmp_path / f"demo_w{workers}"
+            assert main(["audit", demo_config, "--workers", workers, "--n-bootstrap", "37",
+                         "--output-dir", str(out)]) == EXIT_OK
+            reports.add((out / "report.json").read_bytes())
+        assert len(reports) == 1
 
     def test_seed_override_changes_report(self, tmp_path):
         cohort = make_cohort(tmp_path)

@@ -102,6 +102,25 @@ class TestParseCohort:
         assert issue.column == "label"
         assert "0 or 1" in issue.message
 
+    def test_lines_are_physical_after_a_quoted_line_break(self):
+        # The id "a\nx" spans lines 2 and 3, so the fourth record starts on
+        # line 5.
+        text = 'pid,label,score\n"a\nx",0,0.1\nb,0,0.2\nc,2,0.4\n'
+        with pytest.raises(CohortValidationError) as err:
+            parse_text(text, simple_schema())
+        assert [(i.line, i.column) for i in err.value.issues] == [(5, "label")]
+        text = 'pid,label,score\n"a\nx",0,0.1\nb,1,0.\r4\n'
+        with pytest.raises(CohortValidationError) as err:
+            parse_text(text, simple_schema())
+        assert err.value.issues == [
+            RowIssue(4, None, "unreadable csv record: new-line character seen in unquoted field")]
+        # A quoted line break in the rejected record itself still names the
+        # line the record starts on.
+        text = 'pid,label,score\na,0,0.1\n"b\ny",1,0.\r4\n'
+        with pytest.raises(CohortValidationError) as err:
+            parse_text(text, simple_schema())
+        assert [i.line for i in err.value.issues] == [3]
+
     def test_score_out_of_range(self):
         text = "pid,label,score\na,0,1.2\nb,1,0.4\n"
         with pytest.raises(CohortValidationError) as err:
@@ -342,9 +361,11 @@ class TestRecordParserEquivalence:
         # columnar one bins while parsing and reports each such value.
         edges = old.breakpoints.get("age")
         if schema.protected("age").bin_edges is not None:
-            line_of = {}
-            for line_no, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+            line_of, line_no = {}, 1
+            reader = csv.reader(io.StringIO(text))
+            for row in reader:
                 line_of.setdefault(row[0].strip() if row else "", line_no)
+                line_no = reader.line_num + 1
             expected = [
                 RowIssue(line_of[r.id], "age", f"value {r.protected['age']!r} falls outside the "
                                                f"bin range [{edges[0]}, {edges[-1]}]")
@@ -645,6 +666,24 @@ class TestRoundTrip:
         write_cohort(cohort, p1)
         write_cohort(parse_cohort(p1, cohort.schema), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_bare_carriage_return_survives_write_then_parse(self, tmp_path):
+        # The builder's cells are csv text, so the quoted ones hold a bare
+        # carriage return after parsing.
+        cohort = build_cohort(
+            labels=[0, 1, 0],
+            scores=[0.1, 0.2, 0.3],
+            ids=['"x\ry"', "plain", '"p\rq"'],
+            protected={"unit": ['"a\rb"', "icu", "icu"]},
+        )
+        assert cohort.ids == ("x\ry", "plain", "p\rq")
+        path = tmp_path / "c.csv"
+        write_cohort(cohort, path)
+        assert path.read_bytes().split(b"\n")[1] == b'"x\ry",0,0.1,"a\rb"'
+        assert parse_cohort(path, cohort.schema) == cohort
+        buf = io.StringIO()
+        write_cohort(cohort, buf)
+        assert parse_cohort(io.StringIO(buf.getvalue()), cohort.schema) == cohort
 
     def test_continuous_values_round_trip_as_raw_floats(self, tmp_path):
         cohort = build_cohort(

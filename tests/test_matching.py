@@ -558,8 +558,8 @@ class TestExportPairs:
         assert first[0] == cohort.records[sample.pairs[0].treated].id
         assert float(first[2]) == sample.pairs[0].distance
 
-    # Ids a csv writer must quote (or, for a bare carriage return, may leave
-    # alone), beside plain ones.
+    # Ids a csv writer must quote (a bare carriage return too, or the reader
+    # rejects it), beside plain ones.
     IDS = ("plain", "a,b", 'say "hi"', "two\nlines", "crlf\r\nend", "bare\rcr", " padded ", "", "é,ü")
 
     @pytest.mark.parametrize("distance", [[0.0, 1e-17, 0.5, 3.0], []])
@@ -582,6 +582,19 @@ class TestExportPairs:
         export_pairs(cohort, sample, tmp / "joined.csv")
         writer_export_pairs(cohort, sample, tmp / "writer.csv")
         assert (tmp / "joined.csv").read_bytes() == (tmp / "writer.csv").read_bytes()
+
+    def test_bare_carriage_return_ids_read_back(self, tmp_path):
+        ids = ("bare\rcr", "plain", "\r", "tail\r")
+        cohort = replace(confounded_cohort(13, n=len(ids)), ids=ids)
+        sample = MatchedSample(treated=np.array([0, 2]), control=np.array([1, 3]),
+                               distance=np.array([0.25, 0.5]), unmatched_treated=0, caliper=None)
+        path = tmp_path / "pairs.csv"
+        export_pairs(cohort, sample, path)
+        assert path.read_bytes().split(b"\n")[1] == b'"bare\rcr",plain,0.25'
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["treated_id", "control_id", "distance"],
+                        ["bare\rcr", "plain", "0.25"], ["\r", "tail\r", "0.5"]]
 
     def test_quoted_ids_read_back(self, tmp_path):
         ids = ("a,b", 'say "hi"', "two\nlines", "crlf\r\nend")
