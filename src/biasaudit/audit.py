@@ -30,8 +30,7 @@ from .cohort import (Cohort, SubgroupPartition, _partition, label_values, score_
                      subset_positions)
 from .errors import ConfigError, FitError, InsufficientDataError, PropensityError
 from .matching import match_contrast
-from .metrics import (_THRESHOLD_METRICS, METRICS, _LevelGrids, _metric_block, _metric_table, _tabulate, _youden_cuts,
-                      block_size)
+from .metrics import _THRESHOLD_METRICS, METRICS, _Sample, _youden_cuts
 
 log = logging.getLogger(__name__)
 
@@ -82,15 +81,6 @@ class ThresholdPolicy:
             return np.full(k, np.searchsorted(grid, self.value), dtype=np.int64)
         return _youden_cuts(pooled())
 
-    def resolve(self, grid: np.ndarray, pooled) -> tuple[float | None, int | None]:
-        """The threshold of one sample and its cut on ``grid``; (None, None)
-        where Youden finds one class in the pooled (2, grid.size) table
-        ``pooled()`` gives."""
-        cut = int(self.cuts(grid, 1, lambda: pooled()[None])[0])
-        if cut < 0:
-            return None, None
-        return (self.value if self.kind == "fixed" else float(grid[cut])), cut
-
 
 @dataclass(frozen=True)
 class AuditConfig:
@@ -138,6 +128,12 @@ class AuditConfig:
             raise ConfigError("caliper_multiplier must be positive or None")
         if self.ridge < 0:
             raise ConfigError("ridge must be >= 0")
+
+    @property
+    def cut_rule(self):
+        """The cut rule ``_Sample.evaluate`` takes: the threshold policy's
+        ``cuts`` when a threshold metric is asked for, else None."""
+        return self.threshold_policy.cuts if any(m in _THRESHOLD_METRICS for m in self.metrics) else None
 
 
 @dataclass(frozen=True)
@@ -359,26 +355,6 @@ def attribute_plan(cohort: Cohort, min_group_size: int, model: str | None = None
     return subset, tuple(partitions), tuple(skipped)
 
 
-class _Sample:
-    """What the replicate engine resamples: a sample's pooled score grid, the
-    whole sample's level grids (for the Youden cut) and each partition's, all
-    with their count keys, and the sample's block size.
-
-    ``scores`` and ``labels`` hold ``units`` rows of ``n`` records; a
-    replicate draws ``n`` columns with replacement.  The bootstrap has one
-    row of records; a matched contrast has its treated records in row 0 and
-    their controls in row 1, so a column is a pair.  ``partitions`` holds a
-    ``(codes, n_levels)`` per partition, codes in the flattened record order.
-    """
-
-    def __init__(self, scores: np.ndarray, labels: np.ndarray, partitions, units: int = 1):
-        self.grid, ranks = np.unique(scores, return_inverse=True)
-        self.n = scores.size // units
-        grids = [_LevelGrids(ranks, codes, n_levels, self.grid.size) for codes, n_levels in [(0, 1), *partitions]]
-        self.whole, *self.parts = [(levels, levels.count_keys(labels).reshape(units, self.n)) for levels in grids]
-        self.k = block_size(max(levels.width for levels, _ in (self.whole, *self.parts)))
-
-
 def _bootstrap_sample(cohort: Cohort, model: str, config: AuditConfig):
     """The ``_Sample`` of a model's eligible records with one partition per
     planned attribute, and the attributes' (name, levels)."""
@@ -420,29 +396,15 @@ def _replicates(sample: _Sample, config: AuditConfig, tokens: tuple, reduce, wor
 
     Replicate b draws from ``stream(config.seed, *tokens, b)``, so a row does
     not depend on its block or on ``workers``.  Replicates run in blocks of
-    ``sample.k``: a block gathers its keys with a per-replicate offset and
-    fills all its count tables of one level grid with one ``bincount``; the
-    Youden cuts, the metrics and ``reduce`` then run once along the block's
-    leading axis.
+    ``sample.k``: one ``_Sample.evaluate`` counts and scores a block, and
+    ``reduce`` runs once along its leading axis.
     """
-    metrics, policy = config.metrics, config.threshold_policy
-    need_threshold = any(m in _THRESHOLD_METRICS for m in metrics)
-
-    def count(levels: _LevelGrids, keys: np.ndarray, draws: np.ndarray) -> np.ndarray:
-        gathered = np.take(keys, draws, axis=1)
-        k = draws.shape[0]
-        if k > 1:
-            gathered += (np.arange(k, dtype=np.int64) * (2 * levels.width))[:, None]
-        return levels.count(gathered, k)
 
     def block(lo: int) -> np.ndarray:
         rows = [stream(config.seed, *tokens, b).integers(0, sample.n, sample.n)
                 for b in range(lo, min(lo + sample.k, config.n_bootstrap))]
         draws = rows[0][None] if len(rows) == 1 else np.stack(rows)
-        cuts = None
-        if need_threshold:
-            cuts = policy.cuts(sample.grid, len(rows), lambda: sample.whole[0].pooled(count(*sample.whole, draws)))
-        return reduce([_metric_block(count(levels, keys, draws), levels, metrics, cuts) for levels, keys in sample.parts])
+        return reduce(sample.evaluate(config.metrics, config.cut_rule, draws)[1])
 
     return np.vstack(_run_replicates(block, range(0, config.n_bootstrap, sample.k), workers))
 
@@ -480,7 +442,8 @@ def group_diffs(cohort: Cohort, indices, attribute: str, metric: str, model: str
     (None where undefined), and subtracts the unweighted mean over defined
     groups.  ``indices`` may repeat records, as a bootstrap resample does;
     each repeat counts.  Returns {level: GroupDiff(value, diff, n)} in
-    partition order.  Threshold metrics require ``threshold``.  Raises InsufficientDataError
+    partition order.  Threshold metrics require ``threshold``; a given one
+    must be finite (ConfigError otherwise).  Raises InsufficientDataError
     when fewer than two levels have a defined metric, since no average exists
     to diff against.
     """
@@ -488,14 +451,15 @@ def group_diffs(cohort: Cohort, indices, attribute: str, metric: str, model: str
         raise ConfigError(f"unknown metric {metric!r}; choose from {METRICS}")
     if metric in _THRESHOLD_METRICS and threshold is None:
         raise ConfigError(f"metric {metric} needs a threshold")
+    cut_rule = None if threshold is None else ThresholdPolicy.fixed(threshold).cuts
     part = _partition(cohort, attribute, min_group_size, subset_positions(indices, cohort.n, distinct=False))
     idx = np.concatenate([np.asarray(g, dtype=np.int64) for _, g in part.groups])
     codes = np.repeat(np.arange(len(part.groups)), [len(g) for _, g in part.groups])
     s = score_values(cohort, model)[idx]
     keep = ~np.isnan(s)
-    grid, levels, table = _tabulate(label_values(cohort)[idx][keep], s[keep], codes[keep], len(part.groups))
-    cut = None if threshold is None else int(np.searchsorted(grid, threshold))
-    values = _metric_table(table, levels, (metric,), cut)[:, 0]
+    sample = _Sample(s[keep], label_values(cohort)[idx][keep], [(codes[keep], len(part.groups))])
+    _, (block,) = sample.evaluate((metric, "n"), cut_rule)
+    values, counts = block[0]
     defined = values[~np.isnan(values)]
     if defined.size < 2:
         raise InsufficientDataError(
@@ -506,7 +470,7 @@ def group_diffs(cohort: Cohort, indices, attribute: str, metric: str, model: str
     return {
         level: GroupDiff(value=None, diff=None, n=int(n)) if np.isnan(v)
         else GroupDiff(value=float(v), diff=float(v) - avg, n=int(n))
-        for (level, _), v, n in zip(part.groups, values, levels.totals(table).sum(axis=0))
+        for (level, _), v, n in zip(part.groups, values, counts)
     }
 
 
@@ -735,14 +699,14 @@ def build_comparison(
     for m in (model_a, model_b):
         scores = score_values(cohort, m)
         keep = ~np.isnan(scores)
-        y = label_values(cohort)[keep]
-        s = scores[keep]
-        grid, levels, table = _tabulate(y, s, 0, 1)
+        sample = _Sample(scores[keep], label_values(cohort)[keep], [(0, 1)])
+        cuts, (values,) = sample.evaluate(config.metrics, config.cut_rule)
         entry: dict = {"n": int(keep.sum())}
-        cut = None
-        if any(x in _THRESHOLD_METRICS for x in config.metrics):
-            entry["threshold"], cut = config.threshold_policy.resolve(grid, lambda: levels.pooled(table))
-        for name, v in zip(config.metrics, _metric_table(table, levels, config.metrics, cut)[0]):
+        if cuts is not None:
+            policy, cut = config.threshold_policy, int(cuts[0])
+            entry["threshold"] = (policy.value if policy.kind == "fixed"
+                                  else None if cut < 0 else float(sample.grid[cut]))
+        for name, v in zip(config.metrics, values[0, :, 0]):
             entry[name] = None if np.isnan(v) else float(v)
         overall[m] = entry
 

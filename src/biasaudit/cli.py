@@ -170,13 +170,21 @@ def _audit_from_dict(doc: dict) -> AuditConfig:
 def _read_json(path):
     try:
         with open(os.fspath(path), "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    # A "\ud800" escape decodes to a lone surrogate, which no UTF-8 file the
+    # run writes can hold.
+    try:
+        json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ConfigError(f"config file {path} holds a lone surrogate {exc.object[exc.start:exc.end]!r}, "
+                          "which UTF-8 cannot encode") from exc
+    return doc
 
 
 def load_run_config(path, overrides: dict | None = None) -> RunConfig:

@@ -20,6 +20,7 @@ import csv
 import itertools
 import math
 import os
+import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -56,6 +57,11 @@ MISSING = _MissingType()
 # Pseudo-level label under which records missing a protected attribute are
 # grouped, appended last in partitions.
 MISSING_LABEL = "MISSING"
+
+# The characters XML 1.0 cannot carry, escaped or not: C0 controls other than
+# tab, LF and CR, surrogates, U+FFFE and U+FFFF.  A model name titles its
+# calibration SVG, so a name holding one would make that file unparseable.
+_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _level_members(level: str) -> tuple:
@@ -143,6 +149,10 @@ class CohortSchema:
         models = [m for m, _ in self.score_columns]
         if len(set(models)) != len(models):
             raise SchemaError("duplicate model names in score_columns")
+        bad = [m for m in models if _NOT_XML.search(m)]
+        if bad:
+            raise SchemaError(f"model name(s) {', '.join(map(repr, bad))} hold a character XML 1.0 cannot carry "
+                              "(a control character, a surrogate, U+FFFE or U+FFFF)")
 
     @property
     def model_names(self) -> tuple[str, ...]:

@@ -8,8 +8,13 @@ raise ``UndefinedMetricError`` so callers decide whether skipping is
 acceptable.
 
 One count kernel computes every AUROC, Youden threshold and confusion count
-in the package.  ``np.unique`` finds a sample's distinct scores (its pooled
-grid) and each record's rank on it once.  Each level then gets its own grid,
+in the package, and ``_Sample`` is the only way into it: a sample and its
+partitions into levels are built once, and ``_Sample.evaluate`` turns a
+(k, n) block of draws into the pooled-grid cuts and each partition's (k,
+metric, level) values.  A point estimate is the identity draw ``range(n)``,
+so it takes the same code path as a bootstrap or matched replicate.
+``np.unique`` finds a sample's distinct scores (its pooled grid) and each
+record's rank on it once.  Each level then gets its own grid,
 the distinct scores of its records, laid out as one segment of a count
 table (``_LevelGrids``): a table is (label, column) with one column per
 distinct (level, score) pair, so an attribute's table has about n columns
@@ -38,8 +43,8 @@ a replicate makes one over about n columns per attribute for AUROC and one
 over the pooled grid for the threshold.  A bootstrap replicate gathers
 precomputed per-record keys and counts them again; it sorts nothing.
 
-The kernel takes a block of k replicates' tables at once, shaped (k, 2,
-width): one ``bincount`` of keys offset by ``replicate * 2 * width`` fills
+The kernel takes a block of k draws' tables at once, shaped (k, 2,
+width): one ``bincount`` of keys offset by ``draw * 2 * width`` fills
 them, and every step above runs once along the leading block axis, so a
 small sample pays numpy's per-call overhead once per block, not once per
 replicate.  ``block_size`` makes k the most that keeps a block within
@@ -133,27 +138,6 @@ def _validate(labels, scores) -> tuple[np.ndarray, np.ndarray]:
     return y.astype(np.int64), s
 
 
-def _tabulate(labels: np.ndarray, scores: np.ndarray, codes, n_levels: int):
-    """The pooled score grid of a sample, its level grids and their count
-    table (see ``_LevelGrids``)."""
-    grid, ranks = np.unique(scores, return_inverse=True)
-    levels = _LevelGrids(ranks, codes, n_levels, grid.size)
-    return grid, levels, levels.count(levels.count_keys(labels))
-
-
-def _segment_sums(x: np.ndarray, spans: np.ndarray, empty: np.ndarray) -> np.ndarray:
-    """Sums of ``x[..., lo:hi]`` per level, with ``spans`` the interleaved
-    (lo, hi) pairs and ``empty`` where ``lo == hi``.
-
-    Every bound must lie below ``x.shape[-1]``, which the trailing dump column
-    of a count table guarantees.  ``reduceat`` gives ``x[lo]`` for an empty
-    range, so those sums are zeroed.
-    """
-    sums = np.add.reduceat(x, spans, axis=-1)[..., 0::2]
-    sums[..., empty] = 0
-    return sums
-
-
 def _row_cumsums(rows: np.ndarray, out: np.ndarray) -> None:
     """``np.cumsum(rows, axis=1, out=out)`` one row at a time: numpy holds
     the interpreter lock through a 2-d scan but releases it in a 1-d one, so
@@ -176,18 +160,24 @@ class _LevelGrids:
     level.  ``keys`` lists the (level, rank) pairs present as
     ``level * (n_grid + 1) + rank`` in ascending order, so column j of a
     table holds the score ranked ``keys[j] % (n_grid + 1)`` and each level's
-    columns are one ascending run.  A scalar code puts every record in that
-    level, whose segment is then the whole pooled grid.  A table has
-    ``width = size + 1`` columns; the last one collects the records in no
-    level.  A level's segment ends where the next one's starts.
+    columns are one ascending run.  A scalar code (0 or more) puts every
+    record in that level; the ranks of a sample cover its pooled grid, so
+    that segment is the whole grid and a record's column is its rank, with
+    no ``np.unique``.  A table has ``width = size + 1`` columns; the last one
+    collects the records in no level.  A level's segment ends where the next
+    one's starts.
     """
 
     def __init__(self, ranks: np.ndarray, codes, n_levels: int, n_grid: int):
-        codes = np.broadcast_to(np.asarray(codes, dtype=np.int64), ranks.shape)
-        in_level = codes >= 0
-        self.keys, inverse = np.unique(codes[in_level] * (n_grid + 1) + ranks[in_level], return_inverse=True)
-        self.positions = np.full(ranks.shape, self.keys.size, dtype=np.int64)
-        self.positions[in_level] = inverse
+        codes = np.asarray(codes, dtype=np.int64)
+        if codes.ndim:
+            in_level = codes >= 0
+            self.keys, inverse = np.unique(codes[in_level] * (n_grid + 1) + ranks[in_level], return_inverse=True)
+            self.positions = np.full(ranks.shape, self.keys.size, dtype=np.int64)
+            self.positions[in_level] = inverse
+        else:
+            self.keys = codes * (n_grid + 1) + np.arange(n_grid, dtype=np.int64)
+            self.positions = np.asarray(ranks, dtype=np.int64)
         self.size = int(self.keys.size)
         self.width = self.size + 1
         self._offsets = np.arange(n_levels, dtype=np.int64) * (n_grid + 1)
@@ -202,26 +192,16 @@ class _LevelGrids:
         (len(cuts), n_levels).  A cut of -1 gives the level's start."""
         return np.searchsorted(self.keys, self._offsets + cuts[:, None])
 
-    def count_keys(self, labels: np.ndarray) -> np.ndarray:
-        """Per-record bincount keys ``label * width + column``."""
-        return np.asarray(labels, dtype=np.int64) * self.width + self.positions
-
-    def count(self, keys: np.ndarray, k: int | None = None) -> np.ndarray:
-        """Counts of ``keys`` shaped (2, width): [label, column]; or, for a
-        block of ``k`` replicates whose keys are offset by
-        ``replicate * 2 * width``, (k, 2, width)."""
-        lead = () if k is None else (k,)
-        return np.bincount(keys.ravel(), minlength=2 * self.width * (k or 1)).reshape(*lead, 2, self.width)
-
-    def pooled(self, table: np.ndarray) -> np.ndarray:
-        """The pooled (..., 2, n_grid) tables ``_youden_cuts`` takes, from
-        count tables of a scalar code's one level: its columns are the pooled
-        grid and its dump column is empty."""
-        return table[..., :-1]
-
-    def totals(self, table: np.ndarray) -> np.ndarray:
-        """(n_neg, n_pos) per level of a count table, shape (2, n_levels)."""
-        return _segment_sums(table, self._spans, self._empty)
+    def count(self, keys: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """The (k, 2, width) count tables, [draw, label, column], of a (k, n)
+        block of ``draws`` of the columns of ``keys``, the (units, n) records'
+        ``label * width + column``: the keys are gathered, offset by
+        ``draw * 2 * width`` and counted by one ``bincount``."""
+        k = draws.shape[0]
+        gathered = np.take(keys, draws, axis=1)
+        if k > 1:
+            gathered += (np.arange(k, dtype=np.int64) * (2 * self.width))[:, None]
+        return np.bincount(gathered.ravel(), minlength=2 * self.width * k).reshape(k, 2, self.width)
 
     def split(self, tables: np.ndarray, lows: np.ndarray) -> np.ndarray:
         """Per replicate, label and level of a (k, 2, width) block, the counts
@@ -252,7 +232,12 @@ class _LevelGrids:
         # table's first column; a level's segment starts below[start] later.
         weight = below[:, :-1] + below[:, 1:]
         weight *= pos
-        return _segment_sums(weight, self._spans, self._empty) - 2 * below[:, self.starts] * n_pos
+        # One reduceat over the (start, end) pairs sums each segment; the
+        # dump column keeps every bound inside the table.  An empty segment
+        # gives weight[start], so it is zeroed.
+        sums = np.add.reduceat(weight, self._spans, axis=-1)[..., 0::2]
+        sums[..., self._empty] = 0
+        return sums - 2 * below[:, self.starts] * n_pos
 
 
 def _youden_cuts(pooled: np.ndarray) -> np.ndarray:
@@ -288,12 +273,6 @@ def _youden_cuts(pooled: np.ndarray) -> np.ndarray:
     return np.array(cuts)
 
 
-def _youden_cut(pooled: np.ndarray) -> int | None:
-    """``_youden_cuts`` of one pooled (2, n_grid) table; None on one class."""
-    cut = int(_youden_cuts(pooled[None])[0])
-    return None if cut < 0 else cut
-
-
 def _ratio_terms(tp, fp, tn, fn) -> dict:
     """(numerator, denominator) of each ratio metric; a zero denominator
     leaves the metric undefined."""
@@ -308,20 +287,25 @@ def _ratio_terms(tp, fp, tn, fn) -> dict:
 
 def _metric_block(tables: np.ndarray, levels: _LevelGrids, metrics: tuple[str, ...],
                   cuts: np.ndarray | None) -> np.ndarray:
-    """Metric values per replicate and level of a (k, 2, width) block of
-    count tables over ``levels``.
+    """Values per replicate and level of a (k, 2, width) block of count
+    tables over ``levels``, for each name in ``metrics``: one of METRICS, or
+    an exact count, "n" records or "tp", "fp", "tn", "fn" at the cut.
 
     Shape (k, len(metrics), n_levels), nan where undefined.  Threshold
-    metrics need ``cuts``, each replicate's index on the pooled grid or -1
-    for none; None leaves them nan.  Every value is one division of exact
-    integers, so a replicate's values do not depend on its block.
+    metrics and the counts at the cut need ``cuts``, each replicate's index
+    on the pooled grid or -1 for none; None leaves them nan.  Every value is
+    one division of exact integers, so a replicate's values do not depend on
+    its block.
     """
     k = tables.shape[0]
     sums = levels.split(tables, levels.cuts(np.full(k, -1) if cuts is None else cuts))
     below, above = sums[..., 0], sums[..., 1]
     totals = below + above
     n_neg, n_pos = totals[:, 0], totals[:, 1]
-    terms = {} if cuts is None else _ratio_terms(above[:, 1], above[:, 0], below[:, 0], below[:, 1])
+    terms = {"n": (n_neg + n_pos, 1)}
+    if cuts is not None:
+        tp, fp, tn, fn = above[:, 1], above[:, 0], below[:, 0], below[:, 1]
+        terms.update(_ratio_terms(tp, fp, tn, fn), tp=(tp, 1), fp=(fp, 1), tn=(tn, 1), fn=(fn, 1))
     if "AUROC" in metrics:
         terms["AUROC"] = (levels.doubled_u(tables, n_pos), 2 * n_pos * n_neg)
     out = np.full((k, len(metrics), n_neg.shape[1]), np.nan)
@@ -330,23 +314,59 @@ def _metric_block(tables: np.ndarray, levels: _LevelGrids, metrics: tuple[str, .
             num, den = terms[m]
             np.divide(num, den, out=out[:, j], where=den > 0)
     if cuts is not None and (cuts < 0).any():
-        out[np.ix_(cuts < 0, [j for j, m in enumerate(metrics) if m in _THRESHOLD_METRICS])] = np.nan
+        out[np.ix_(cuts < 0, [j for j, m in enumerate(metrics) if m not in ("AUROC", "n")])] = np.nan
     return out
 
 
-def _metric_table(table: np.ndarray, levels: _LevelGrids, metrics: tuple[str, ...], cut: int | None) -> np.ndarray:
-    """``_metric_block`` of one (2, width) count table at pooled grid index
-    ``cut``: shape (n_levels, len(metrics)), nan where undefined."""
-    cuts = None if cut is None else np.array([cut])
-    return _metric_block(table[None], levels, metrics, cuts)[0].T
+class _Sample:
+    """A sample as the count kernel sees it: its pooled score grid, the
+    whole sample's level grid (for the Youden cut) and each partition's, all
+    with their count keys, and its block size ``k``.
+
+    ``scores`` and ``labels`` hold ``units`` rows of ``n`` records; a draw
+    picks ``n`` columns.  The bootstrap and the point estimates have one row
+    of records; a matched contrast has its treated records in row 0 and
+    their controls in row 1, so a column is a pair.  ``partitions`` holds a
+    ``(codes, n_levels)`` per partition, codes in the flattened record
+    order; ``(0, 1)`` is the whole sample as one level.
+    """
+
+    def __init__(self, scores: np.ndarray, labels: np.ndarray, partitions, units: int = 1):
+        self.grid, ranks = np.unique(scores, return_inverse=True)
+        self.n = scores.size // units
+        grids = [_LevelGrids(ranks, codes, n_levels, self.grid.size) for codes, n_levels in [(0, 1), *partitions]]
+        labels = np.asarray(labels, dtype=np.int64)
+        self.whole, *self.parts = [(levels, (labels * levels.width + levels.positions).reshape(units, self.n))
+                                   for levels in grids]
+        self.k = block_size(max(levels.width for levels, _ in (self.whole, *self.parts)))
+
+    def evaluate(self, metrics: tuple[str, ...], cut_rule, draws: np.ndarray | None = None):
+        """``(cuts, values)`` of a (k, n) block of ``draws``, by default the
+        identity draw ``range(n)`` (k = 1) that gives the point estimate.
+
+        ``cut_rule(grid, k, pooled)`` is ``ThresholdPolicy.cuts`` or one like
+        it: the k cuts on the pooled grid, -1 for none, where ``pooled()``
+        gives the draws' pooled (k, 2, grid) count tables.  With no rule
+        (None when no threshold metric is asked for) ``cuts`` is None.
+        ``values`` holds each partition's (k, metric, level) ``_metric_block``.
+        """
+        if draws is None:
+            draws = np.arange(self.n)[None]
+        cuts = None
+        if cut_rule is not None:
+            # The whole sample's one level spans the pooled grid, and its
+            # dump column is empty.
+            whole, keys = self.whole
+            cuts = cut_rule(self.grid, draws.shape[0], lambda: whole.count(keys, draws)[..., :-1])
+        return cuts, [_metric_block(levels.count(keys, draws), levels, metrics, cuts) for levels, keys in self.parts]
 
 
 def confusion(labels, scores, threshold: float) -> ConfusionCounts:
     """Count outcomes of the decision rule ``score >= threshold``."""
-    grid, levels, table = _tabulate(*_validate(labels, scores), 0, 1)
-    sums = levels.split(table[None], levels.cuts(np.searchsorted(grid, [threshold])))
-    (tn, fp, _), (fn, tp, _) = sums[0, :, 0].tolist()
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+    y, s = _validate(labels, scores)
+    _, (values,) = _Sample(s, y, [(0, 1)]).evaluate(
+        ("tp", "fp", "tn", "fn"), lambda grid, k, pooled: np.full(k, np.searchsorted(grid, threshold)))
+    return ConfusionCounts(*map(int, values[0, :, 0]))
 
 
 def threshold_metrics(counts: ConfusionCounts, threshold: float = float("nan")) -> ThresholdMetrics:
@@ -372,8 +392,9 @@ def auroc(labels, scores) -> float:
     positive/negative pairs.  Raises UndefinedMetricError when only one class
     is present; callers auditing subgroups catch this and record the skip.
     """
-    _, levels, table = _tabulate(*_validate(labels, scores), 0, 1)
-    value = _metric_table(table, levels, ("AUROC",), None)[0, 0]
+    y, s = _validate(labels, scores)
+    _, (values,) = _Sample(s, y, [(0, 1)]).evaluate(("AUROC",), None)
+    value = values[0, 0, 0]
     if np.isnan(value):
         raise UndefinedMetricError("AUROC undefined: labels contain a single class")
     return float(value)
@@ -387,11 +408,12 @@ def youden_threshold(labels, scores) -> float:
     smallest threshold wins.  Raises UndefinedMetricError on single-class
     input.
     """
-    grid, levels, table = _tabulate(*_validate(labels, scores), 0, 1)
-    cut = _youden_cut(levels.pooled(table))
-    if cut is None:
+    y, s = _validate(labels, scores)
+    sample = _Sample(s, y, [])
+    (cut,), _ = sample.evaluate((), lambda grid, k, pooled: _youden_cuts(pooled()))
+    if cut < 0:
         raise UndefinedMetricError("Youden threshold undefined: labels contain a single class")
-    return float(grid[cut])
+    return float(sample.grid[cut])
 
 
 def calibration_curve(labels, scores, n_bins: int = 10) -> CalibrationCurve:

@@ -28,7 +28,7 @@ from .cohort import (
 )
 from .errors import ConfigError, _check_keys, _convert, _names, _typed
 from .glm import encode_design, expit, fit_logistic, predict_proba
-from .metrics import _LevelGrids, _metric_table
+from .metrics import _Sample
 
 _MECHANISMS = ("score_noise", "score_shift", "label_flip")
 
@@ -328,23 +328,18 @@ def generate(config: SynthConfig) -> tuple[Cohort, dict]:
 
 def _empirical_summary(cohort: Cohort, model: str) -> dict:
     y = label_values(cohort)
-    grid, ranks = np.unique(score_values(cohort, model), return_inverse=True)
-
-    def level_aurocs(codes, n_levels: int):
-        """Records and AUROC per level, on level grids over the one pooled grid."""
-        levels = _LevelGrids(ranks, codes, n_levels, grid.size)
-        table = levels.count(levels.count_keys(y))
-        return levels.totals(table).sum(axis=0), _metric_table(table, levels, ("AUROC",), None)[:, 0]
-
-    _, (auc,) = level_aurocs(0, 1)
+    columns = cohort.schema.protected_columns
+    partitions = [(cohort.codes[col.name], len(cohort.attribute_levels[col.name])) for col in columns]
+    _, (whole, *parts) = _Sample(score_values(cohort, model), y, [(0, 1), *partitions]).evaluate(("AUROC", "n"), None)
+    auc = whole[0, 0, 0]
     out: dict = {
         "prevalence": float(y.mean()),
         "auroc_overall": None if np.isnan(auc) else float(auc),
         "subgroups": [],
     }
-    for col in cohort.schema.protected_columns:
+    for col, values in zip(columns, parts):
         levels = cohort.attribute_levels[col.name]
-        for level, n, auc in zip(levels, *level_aurocs(cohort.codes[col.name], len(levels))):
+        for level, auc, n in zip(levels, *values[0]):
             if n:
                 out["subgroups"].append(
                     {

@@ -36,7 +36,7 @@ from biasaudit.cohort import MISSING, MISSING_LABEL, CohortRecord, CohortSchema
 from biasaudit.errors import CohortValidationError, ConfigError, RowIssue, SchemaError
 from biasaudit.glm import DesignMatrix, FeatureColumn
 from biasaudit.matching import MatchedPair, MatchedSample, _logit
-from biasaudit.metrics import _THRESHOLD_METRICS, _metric_table, _youden_cut
+from biasaudit.metrics import _THRESHOLD_METRICS, _metric_block, _youden_cuts
 
 
 def pairwise_auroc(labels, scores) -> float:
@@ -88,8 +88,9 @@ def masked_youden_cut(pooled: np.ndarray) -> int | None:
     by the two-scan route: tp and tn at every cut from two cumulative sums,
     ``tp*N + tn*P`` at each, absent scores masked out, first maximum.
 
-    Same contract as ``biasaudit.metrics._youden_cut``: only scores present
-    in the table are candidates, the smallest wins a tie, None on one class.
+    Same contract as ``biasaudit.metrics._youden_cuts`` on one table: only
+    scores present in it are candidates, the smallest wins a tie, and one
+    class gives None (-1 there).
     """
     neg, pos = pooled
     n_neg, n_pos = int(neg.sum()), int(pos.sum())
@@ -808,8 +809,15 @@ def column_diffs(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _one_table(levels, keys: np.ndarray, draw: np.ndarray) -> np.ndarray:
+    """The (1, 2, width) count table of one draw: its keys gathered and
+    counted, with no block offset."""
+    width = levels.size + 1
+    return np.bincount(np.take(keys, draw, axis=1).ravel(), minlength=2 * width).reshape(1, 2, width)
+
+
 def loop_replicates(sample, config, tokens: tuple, matched: bool) -> np.ndarray:
-    """The replicate matrix of an ``audit._Sample``, one replicate at a time.
+    """The replicate matrix of a ``metrics._Sample``, one replicate at a time.
 
     Replicate b draws from ``stream(config.seed, *tokens, b)``, counts one
     table per level grid and takes its threshold cut on the pooled table of
@@ -821,13 +829,13 @@ def loop_replicates(sample, config, tokens: tuple, matched: bool) -> np.ndarray:
     rows = []
     for b in range(config.n_bootstrap):
         draw = stream(config.seed, *tokens, b).integers(0, sample.n, sample.n)
-        cut = None
+        cuts = None
         if any(m in _THRESHOLD_METRICS for m in metrics):
             if policy.kind == "fixed":
-                cut = int(np.searchsorted(sample.grid, policy.value))
+                cuts = np.array([np.searchsorted(sample.grid, policy.value)])
             else:
-                cut = _youden_cut(whole.pooled(whole.count(np.take(whole_keys, draw, axis=1).ravel())))
-        tables = [_metric_table(levels.count(np.take(keys, draw, axis=1).ravel()), levels, metrics, cut)
+                cuts = _youden_cuts(_one_table(whole, whole_keys, draw)[:, :, :-1])
+        tables = [_metric_block(_one_table(levels, keys, draw), levels, metrics, cuts)[0].T
                   for levels, keys in sample.parts]
         if matched:
             (mat,) = tables

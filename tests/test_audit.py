@@ -33,10 +33,11 @@ from biasaudit.audit import (
     t_test_one_sample,
 )
 from biasaudit.cohort import label_values
+from biasaudit.metrics import auroc, confusion, threshold_metrics, youden_threshold
 from biasaudit.errors import ConfigError, InsufficientDataError
 
 from helpers import build_cohort
-from oracles import loop_replicates, t_two_sided_p
+from oracles import loop_replicates, pairwise_auroc, t_two_sided_p
 
 
 def auroc_group(n_neg: int, wins: int):
@@ -316,6 +317,37 @@ class TestGroupDiffs:
         diffs = group_diffs(cohort, range(cohort.n), "g", "AUROC", "score")
         total = sum(d.diff for d in diffs.values() if d.diff is not None)
         assert abs(total) <= 1e-12
+
+    def test_auroc_values_equal_pairwise_auroc(self):
+        # Tied scores, a resample that repeats records, and a tenth of the
+        # records unscored by "score" (a second model keeps them in the
+        # cohort); level c is small enough to hold one class in some draws.
+        rng = np.random.default_rng(17)
+        n = 240
+        labels = (rng.random(n) < 0.4).astype(int)
+        full = np.round(rng.random(n), 1)
+        scores = full.copy()
+        scores[rng.choice(n, n // 10, replace=False)] = np.nan
+        groups = rng.choice(["a", "b", "c"], n, p=[0.5, 0.45, 0.05])
+        cohort = build_cohort(labels=labels.tolist(), protected={"g": groups.tolist()},
+                              scores={"score": [None if np.isnan(v) else v for v in scores], "full": full.tolist()})
+        for idx in (np.arange(n), rng.integers(0, n, n)):
+            diffs = group_diffs(cohort, idx, "g", "AUROC", "score")
+            for level in ("a", "b", "c"):
+                mask = (groups[idx] == level) & ~np.isnan(scores[idx])
+                y, s = labels[idx][mask], scores[idx][mask]
+                assert diffs[level].n == mask.sum()
+                if 0 < y.sum() < y.size:
+                    assert diffs[level].value == pairwise_auroc(y, s)
+                else:
+                    assert diffs[level].value is None
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        cohort = grouped_cohort({"a": auroc_group(5, 4), "b": auroc_group(5, 3)})
+        for metric in ("SENS", "AUROC"):
+            with pytest.raises(ConfigError, match="finite"):
+                group_diffs(cohort, range(cohort.n), "g", metric, "score", threshold=threshold)
 
 
 def signal_cohort(seed, n_per_group, levels, noise=None, extra_models=None):
@@ -789,7 +821,7 @@ class TestReplicateEngine:
         saved = metrics._BLOCK_CELLS
         metrics._BLOCK_CELLS = budget
         try:
-            blocked = audit._Sample(*sample)
+            blocked = metrics._Sample(*sample)
             return blocked, audit._replicates(blocked, config, ("case",), reduce, workers)
         finally:
             metrics._BLOCK_CELLS = saved
@@ -1021,6 +1053,31 @@ class TestCompareModels:
         assert entry["threshold"] == value
         assert entry["SENS"] == np.mean(scores[labels == 1] >= value)
         assert entry["SPEC"] == np.mean(scores[labels == 0] < value)
+
+    @pytest.mark.parametrize("policy", [ThresholdPolicy.youden(), ThresholdPolicy.fixed(0.5)])
+    def test_overall_block_equals_point_estimates(self, policy):
+        # m2 leaves every seventh record unscored, so its block covers fewer
+        # records than m1's.
+        base = self.duplicate_column_cohort(seed=5)
+        s1 = np.array(base.scores["m1"])
+        s2 = np.where(np.arange(base.n) % 7 == 0, np.nan, s1)
+        labels = np.array(label_values(base))
+        cohort = build_cohort(labels=labels.tolist(),
+                              scores={"m1": s1.tolist(), "m2": [None if np.isnan(v) else v for v in s2]})
+        config = AuditConfig(metrics=METRICS, n_bootstrap=5, min_group_size=20, threshold_policy=policy)
+        overall = build_comparison(cohort, "m1", "m2", config, [], []).overall
+        for name, scores in (("m1", s1), ("m2", s2)):
+            keep = ~np.isnan(scores)
+            y, s = labels[keep], scores[keep]
+            entry = overall[name]
+            threshold = youden_threshold(y, s) if policy.kind == "youden" else policy.value
+            assert entry["n"] == keep.sum()
+            assert entry["threshold"] == threshold
+            assert entry["AUROC"] == auroc(y, s)
+            rates = threshold_metrics(confusion(y, s, threshold))
+            assert [entry[m] for m in ("PPV", "SENS", "SPEC", "FNR", "FPR")] == [
+                rates.ppv, rates.sensitivity, rates.specificity, rates.fnr, rates.fpr]
+            assert entry["SENS"] == np.mean(s[y == 1] >= threshold)
 
     def test_build_comparison_pairs_matched_cells(self):
         sub_a = [ok_cell("m1", "g", "a", "AUROC", 0.01), ok_cell("m1", "g", "b", "AUROC", -0.01)]

@@ -24,7 +24,7 @@ from biasaudit.cli import (
     load_run_config,
     main,
 )
-from biasaudit.cohort import parse_cohort
+from biasaudit.cohort import CohortSchema, parse_cohort
 from biasaudit.errors import CohortValidationError, ConfigError, SchemaError
 from biasaudit.matching import smd
 
@@ -819,6 +819,37 @@ class TestAuditCommand:
                     columns, tables = n, tables + 1
                 assert n == columns, line
             assert tables >= 3
+
+    @pytest.mark.parametrize("name", ["m\u0001x", "\x00", "m\x0b", "m\x1f", "m\ufffe", "m\uffff"])
+    def test_model_name_xml_cannot_carry_exits_2(self, tmp_path, capsys, name):
+        # Such a name would title the calibration SVG and leave it unparseable.
+        cohort = make_cohort(tmp_path)
+        config = make_run_config(tmp_path, cohort, schema=dict(RUN_SCHEMA, score_columns=[[name, "score"]]))
+        assert main(["audit", config]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(name) in err and "XML 1.0" in err
+        assert not (tmp_path / "report").exists()
+        # A surrogate cannot come through a config file (see the test below),
+        # so the schema itself is checked for one.
+        with pytest.raises(SchemaError, match="XML 1.0"):
+            CohortSchema(id_column="id", label_column="label", score_columns=(("m\ud800", "score"),))
+
+    def test_lone_surrogate_in_a_config_exits_2(self, tmp_path, capsys):
+        cohort = make_cohort(tmp_path)
+        config = make_run_config(tmp_path, cohort, schema=dict(RUN_SCHEMA, score_columns=[["m\ud800", "score"]]))
+        assert "\\ud800" in open(config).read()
+        assert main(["audit", config]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "lone surrogate '\\ud800'" in err
+        assert not (tmp_path / "report").exists()
+
+        protected = [{"name": "race", "levels": ["Black", "W\udfffte"], "weights": [0.5, 0.5]}]
+        synth = write_json(tmp_path / "bad_synth.json", dict(SYNTH_DOC, protected=protected))
+        out = tmp_path / "bad.csv"
+        assert main(["synth", synth, str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "lone surrogate '\\udfff'" in err
+        assert not out.exists() and not (tmp_path / "bad.csv.manifest.json").exists()
 
 
 class TestAuditFuzz:

@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import biasaudit
+from biasaudit.audit import ThresholdPolicy
 from biasaudit.errors import UndefinedMetricError
 from biasaudit.metrics import (
     METRICS,
@@ -14,7 +18,7 @@ from biasaudit.metrics import (
     threshold_metrics,
     youden_threshold,
 )
-from biasaudit.metrics import _LevelGrids, _metric_table, _tabulate, _youden_cut
+from biasaudit.metrics import _Sample, _youden_cuts
 
 from oracles import delong_auroc_se, exhaustive_youden, masked_youden_cut, pairwise_auroc, rank_metric_matrix
 
@@ -219,46 +223,69 @@ def pooled_tables(draw):
     return table
 
 
+COUNTS = ("n", "tp", "fp", "tn", "fn")
+
+
 def level_reference(y, s, codes, n_levels, threshold):
-    """Per-level (n_neg, n_pos) and the rank reference's metric matrix."""
-    n_pos = np.array([int(np.sum(y[codes == g])) for g in range(n_levels)])
-    n_rec = np.array([int(np.sum(codes == g)) for g in range(n_levels)])
-    totals = np.vstack([n_rec - n_pos, n_pos])
-    return totals, rank_metric_matrix(y, s, codes, n_levels, METRICS, threshold)
+    """The rank reference's (level, metric) matrix with each level's exact
+    counts by masks beside it, (level, METRICS + COUNTS); the counts at the
+    cut are nan without a threshold."""
+    counts = np.full((n_levels, len(COUNTS)), np.nan)
+    for g in range(n_levels):
+        yg, sg = y[codes == g], s[codes == g]
+        counts[g, 0] = yg.size
+        if threshold is not None:
+            pred, pos = sg >= threshold, yg == 1
+            counts[g, 1:] = [np.sum(pred & pos), np.sum(pred & ~pos), np.sum(~pred & ~pos), np.sum(~pred & pos)]
+    return np.hstack([rank_metric_matrix(y, s, codes, n_levels, METRICS, threshold), counts])
+
+
+YOUDEN = ThresholdPolicy.youden().cuts
+
+
+def fixed_rule(threshold):
+    """The cut rule of a fixed threshold, None for none."""
+    return None if threshold is None else ThresholdPolicy.fixed(threshold).cuts
+
+
+def kernel(sample, cut_rule, draws=None):
+    """``_Sample.evaluate`` of METRICS and COUNTS over the sample's one
+    partition, shaped (level, name) like ``level_reference``, and the cut."""
+    cuts, (values,) = sample.evaluate(METRICS + COUNTS, cut_rule, draws)
+    return None if cuts is None else int(cuts[0]), values[0].T
 
 
 class TestCountKernel:
-    """The level-segmented count kernel against the per-level rank reference
-    and the masked Youden scan."""
+    """The level-segmented count kernel, entered through ``_Sample``, against
+    the per-level rank reference and the masked Youden scan."""
 
     @settings(max_examples=400, deadline=None)
     @given(pooled_tables())
     def test_youden_cut_equals_masked_scan(self, pooled):
-        cut = _youden_cut(pooled)
-        assert cut == masked_youden_cut(pooled)
+        (cut,) = _youden_cuts(pooled[None])
+        assert (None if cut < 0 else cut) == masked_youden_cut(pooled)
         if not (pooled[0].any() and pooled[1].any()):
-            assert cut is None
+            assert cut == -1
 
     @given(leveled_instances())
     def test_level_segments_hold_each_levels_distinct_scores(self, case):
         y, s, codes, n_levels, _ = case
-        grid, levels, table = _tabulate(y, s, codes, n_levels)
-        assert table.shape == (2, levels.size + 1)
-        scores = grid[levels.keys % (grid.size + 1)]
+        sample = _Sample(s, y, [(codes, n_levels)])
+        (levels, keys), = sample.parts
+        table = levels.count(keys, np.arange(y.size)[None])
+        assert table.shape == (1, 2, levels.size + 1)
+        scores = sample.grid[levels.keys % (sample.grid.size + 1)]
         for g in range(n_levels):
             segment = scores[levels.starts[g]:levels.ends[g]]
             assert np.array_equal(segment, np.unique(s[codes == g]))
         # The last column counts the records in no level.
-        assert table[:, -1].sum() == np.sum(codes == -1)
+        assert table[0, :, -1].sum() == np.sum(codes == -1)
 
     @given(leveled_instances())
-    def test_metric_table_equals_rank_reference_bit_for_bit(self, case):
+    def test_point_values_equal_rank_reference_bit_for_bit(self, case):
         y, s, codes, n_levels, threshold = case
-        grid, levels, table = _tabulate(y, s, codes, n_levels)
-        cut = None if threshold is None else int(np.searchsorted(grid, threshold))
-        totals, want = level_reference(y, s, codes, n_levels, threshold)
-        assert np.array_equal(levels.totals(table), totals)
-        assert np.array_equal(_metric_table(table, levels, METRICS, cut), want, equal_nan=True)
+        cut, got = kernel(_Sample(s, y, [(codes, n_levels)]), fixed_rule(threshold))
+        assert np.array_equal(got, level_reference(y, s, codes, n_levels, threshold), equal_nan=True)
 
     @given(leveled_instances(), st.integers(0, 2**32 - 1))
     def test_resample_over_full_grid_equals_reference(self, case, seed):
@@ -267,27 +294,23 @@ class TestCountKernel:
         # the replicate, and whole levels may be; a draw shorter than the
         # sample, down to no record at all, leaves more of them absent.
         y, s, codes, n_levels, threshold = case
-        grid, ranks = np.unique(s, return_inverse=True)
-        levels = _LevelGrids(ranks, codes, n_levels, grid.size)
-        whole = _LevelGrids(ranks, 0, 1, grid.size)
+        sample = _Sample(s, y, [(codes, n_levels)])
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, y.size, rng.integers(0, y.size + 1))
-        table = levels.count(levels.count_keys(y)[idx])
         yb, sb = y[idx], s[idx]
-        youden = _youden_cut(whole.pooled(whole.count(whole.count_keys(y)[idx])))
+        (youden,), _ = sample.evaluate((), YOUDEN, idx[None])
         if both_classes(yb.tolist()):
-            assert grid[youden] == exhaustive_youden(yb, sb)
+            assert sample.grid[youden] == exhaustive_youden(yb, sb)
         else:
-            assert youden is None
+            assert youden == -1
         # The case's fixed threshold when it has one, else the Youden cut.
         if threshold is None:
-            cut = youden
-            threshold = None if cut is None else float(grid[cut])
+            cut, got = kernel(sample, YOUDEN, idx[None])
+            assert cut == youden
+            threshold = None if cut < 0 else float(sample.grid[cut])
         else:
-            cut = int(np.searchsorted(grid, threshold))
-        totals, want = level_reference(yb, sb, codes[idx], n_levels, threshold)
-        assert np.array_equal(levels.totals(table), totals)
-        assert np.array_equal(_metric_table(table, levels, METRICS, cut), want, equal_nan=True)
+            _, got = kernel(sample, fixed_rule(threshold), idx[None])
+        assert np.array_equal(got, level_reference(yb, sb, codes[idx], n_levels, threshold), equal_nan=True)
 
     @pytest.mark.parametrize("threshold", [None, -0.5, 0.0, 0.3, 0.5, 0.95, 1.0, 1.5])
     def test_empty_and_one_record_levels(self, threshold):
@@ -297,22 +320,32 @@ class TestCountKernel:
         codes = np.array([1, 2, 2, 2, 2, 2, -1, 4, 4, -1, -1])
         y = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1])
         s = np.array([0.5, 0.1, 0.9, 0.5, 0.5, 0.0, 0.7, 1.0, 0.3, 0.2, 0.5])
-        grid, levels, table = _tabulate(y, s, codes, 6)
-        cut = None if threshold is None else int(np.searchsorted(grid, threshold))
-        totals, want = level_reference(y, s, codes, 6, threshold)
-        assert np.array_equal(levels.totals(table), totals)
-        assert np.array_equal(_metric_table(table, levels, METRICS, cut), want, equal_nan=True)
+        _, got = kernel(_Sample(s, y, [(codes, 6)]), fixed_rule(threshold))
+        assert np.array_equal(got, level_reference(y, s, codes, 6, threshold), equal_nan=True)
 
     def test_no_records(self):
         # A matched contrast with no pairs counts an empty sample.
-        ranks = np.array([], dtype=np.int64)
-        levels = _LevelGrids(ranks, np.array([], dtype=np.int64), 2, 0)
-        table = levels.count(levels.count_keys(ranks))
-        assert table.shape == (2, 1)
-        assert np.array_equal(levels.totals(table), np.zeros((2, 2)))
-        assert np.isnan(_metric_table(table, levels, METRICS, 0)).all()
-        whole = _LevelGrids(ranks, 0, 1, 0)
-        assert _youden_cut(whole.pooled(whole.count(whole.count_keys(ranks)))) is None
+        empty = np.array([], dtype=np.int64)
+        sample = _Sample(empty.astype(float), empty, [(empty, 2)])
+        (levels, keys), = sample.parts
+        assert levels.count(keys, empty[None]).shape == (1, 2, 1)
+        cut, got = kernel(sample, fixed_rule(0.5))
+        assert cut == 0
+        assert np.array_equal(got[:, METRICS.index("AUROC"):], [[np.nan, 0, 0, 0, 0, 0]] * 2, equal_nan=True)
+        assert np.isnan(got[:, :len(METRICS)]).all()
+        assert kernel(sample, YOUDEN)[0] == -1
+
+
+def test_only_metrics_reaches_inside_the_count_kernel():
+    # Every other module goes through ``_Sample``: the level grids and the
+    # count-table layout stay behind it.
+    package = Path(biasaudit.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert package / "metrics.py" in modules
+    for path in modules:
+        if path.name != "metrics.py":
+            text = path.read_text(encoding="utf-8")
+            assert "_LevelGrids" not in text and "_metric_block" not in text, path.name
 
 
 class TestBootstrapAurocSpread:

@@ -32,6 +32,8 @@ from biasaudit.synth import (
 
 import io
 
+from oracles import pairwise_auroc
+
 
 def base_config(**overrides):
     settings = dict(
@@ -416,6 +418,22 @@ class TestGenerate:
         for row in manifest["empirical"]["subgroups"]:
             assert row["n"] > 0
         assert sum(r["n"] for r in manifest["empirical"]["subgroups"]) == 3000
+
+    def test_empirical_summary_equals_pairwise_auroc_and_level_counts(self):
+        protected = (ProtectedSpec("g", ("a", "b", "c"), (0.5, 0.3, 0.2)),
+                     ProtectedSpec("h", ("u", "v"), (0.5, 0.5)))
+        cohort, manifest = generate(base_config(n=600, protected=protected))
+        y, s = label_values(cohort), score_values(cohort, "score")
+        empirical = manifest["empirical"]
+        assert empirical["auroc_overall"] == pairwise_auroc(y, s)
+        want = {}
+        for spec in protected:
+            groups = np.asarray(attribute_values(cohort, spec.name))
+            for level in spec.levels:
+                mask = groups == level
+                want[spec.name, level] = (int(mask.sum()), pairwise_auroc(y[mask], s[mask]))
+        got = {(r["attribute"], r["level"]): (r["n"], r["auroc"]) for r in empirical["subgroups"]}
+        assert got == want
 
     def test_scores_stay_inside_unit_interval(self):
         config = base_config(injections=(Injection("g", "b", "score_shift", 0.9),))
