@@ -39,6 +39,7 @@ from .metrics import (
     CalibrationCurve,
     ConfusionCounts,
     ThresholdMetrics,
+    ThresholdPolicy,
     auroc,
     calibration_curve,
     confusion,
@@ -76,7 +77,6 @@ from .audit import (
     MatchedAuditResult,
     MatchedCell,
     SubgroupAuditResult,
-    ThresholdPolicy,
     TTestResult,
     attribute_plan,
     audit_model,

@@ -30,7 +30,7 @@ from .cohort import (Cohort, SubgroupPartition, _partition, label_values, score_
                      subset_positions)
 from .errors import ConfigError, FitError, InsufficientDataError, PropensityError
 from .matching import match_contrast
-from .metrics import _THRESHOLD_METRICS, METRICS, _Sample, _youden_cuts
+from .metrics import _THRESHOLD_METRICS, METRICS, ThresholdPolicy, _Sample
 
 log = logging.getLogger(__name__)
 
@@ -38,48 +38,6 @@ STATUS_OK = "ok"
 STATUS_INSUFFICIENT = "insufficient"
 STATUS_SKIPPED = "skipped"
 STATUS_FAILED = "failed"
-
-
-@dataclass(frozen=True)
-class ThresholdPolicy:
-    """How the decision threshold is chosen for threshold metrics.
-
-    "youden" re-derives the threshold on the pooled data of every bootstrap
-    replicate, so threshold uncertainty propagates into the cells; "fixed"
-    uses the given value everywhere.
-    """
-
-    kind: str
-    value: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("youden", "fixed"):
-            raise ConfigError(f"threshold policy kind must be 'youden' or 'fixed', got {self.kind!r}")
-        if self.kind == "fixed" and self.value is None:
-            raise ConfigError("fixed threshold policy needs a value")
-        if self.kind == "youden" and self.value is not None:
-            raise ConfigError("youden threshold policy takes no value")
-        if self.value is not None and not math.isfinite(self.value):
-            raise ConfigError(f"fixed threshold must be finite, got {self.value}")
-
-    @classmethod
-    def youden(cls) -> "ThresholdPolicy":
-        return cls(kind="youden")
-
-    @classmethod
-    def fixed(cls, value: float) -> "ThresholdPolicy":
-        return cls(kind="fixed", value=float(value))
-
-    def cuts(self, grid: np.ndarray, k: int, pooled) -> np.ndarray:
-        """The cut on ``grid`` of each of ``k`` replicates, -1 for none.
-
-        Youden calls ``pooled()`` for the replicates' pooled (k, 2,
-        grid.size) count tables and has no cut where one holds one class.
-        A fixed threshold never calls it.
-        """
-        if self.kind == "fixed":
-            return np.full(k, np.searchsorted(grid, self.value), dtype=np.int64)
-        return _youden_cuts(pooled())
 
 
 @dataclass(frozen=True)
@@ -128,12 +86,6 @@ class AuditConfig:
             raise ConfigError("caliper_multiplier must be positive or None")
         if self.ridge < 0:
             raise ConfigError("ridge must be >= 0")
-
-    @property
-    def cut_rule(self):
-        """The cut rule ``_Sample.evaluate`` takes: the threshold policy's
-        ``cuts`` when a threshold metric is asked for, else None."""
-        return self.threshold_policy.cuts if any(m in _THRESHOLD_METRICS for m in self.metrics) else None
 
 
 @dataclass(frozen=True)
@@ -404,7 +356,7 @@ def _replicates(sample: _Sample, config: AuditConfig, tokens: tuple, reduce, wor
         rows = [stream(config.seed, *tokens, b).integers(0, sample.n, sample.n)
                 for b in range(lo, min(lo + sample.k, config.n_bootstrap))]
         draws = rows[0][None] if len(rows) == 1 else np.stack(rows)
-        return reduce(sample.evaluate(config.metrics, config.cut_rule, draws)[1])
+        return reduce(sample.evaluate(config.metrics, config.threshold_policy, draws))
 
     return np.vstack(_run_replicates(block, range(0, config.n_bootstrap, sample.k), workers))
 
@@ -451,14 +403,14 @@ def group_diffs(cohort: Cohort, indices, attribute: str, metric: str, model: str
         raise ConfigError(f"unknown metric {metric!r}; choose from {METRICS}")
     if metric in _THRESHOLD_METRICS and threshold is None:
         raise ConfigError(f"metric {metric} needs a threshold")
-    cut_rule = None if threshold is None else ThresholdPolicy.fixed(threshold).cuts
+    policy = None if threshold is None else ThresholdPolicy.fixed(threshold)
     part = _partition(cohort, attribute, min_group_size, subset_positions(indices, cohort.n, distinct=False))
     idx = np.concatenate([np.asarray(g, dtype=np.int64) for _, g in part.groups])
     codes = np.repeat(np.arange(len(part.groups)), [len(g) for _, g in part.groups])
     s = score_values(cohort, model)[idx]
     keep = ~np.isnan(s)
     sample = _Sample(s[keep], label_values(cohort)[idx][keep], [(codes[keep], len(part.groups))])
-    _, (block,) = sample.evaluate((metric, "n"), cut_rule)
+    (block,) = sample.evaluate((metric, "n"), policy)
     values, counts = block[0]
     defined = values[~np.isnan(values)]
     if defined.size < 2:
@@ -696,17 +648,15 @@ def build_comparison(
             )
 
     overall: dict = {}
+    # Each row names its threshold ahead of the metrics when a metric needs one.
+    names = (("threshold",) if any(m in _THRESHOLD_METRICS for m in config.metrics) else ()) + config.metrics
     for m in (model_a, model_b):
         scores = score_values(cohort, m)
         keep = ~np.isnan(scores)
         sample = _Sample(scores[keep], label_values(cohort)[keep], [(0, 1)])
-        cuts, (values,) = sample.evaluate(config.metrics, config.cut_rule)
+        (values,) = sample.evaluate(names, config.threshold_policy)
         entry: dict = {"n": int(keep.sum())}
-        if cuts is not None:
-            policy, cut = config.threshold_policy, int(cuts[0])
-            entry["threshold"] = (policy.value if policy.kind == "fixed"
-                                  else None if cut < 0 else float(sample.grid[cut]))
-        for name, v in zip(config.metrics, values[0, :, 0]):
+        for name, v in zip(names, values[0, :, 0]):
             entry[name] = None if np.isnan(v) else float(v)
         overall[m] = entry
 

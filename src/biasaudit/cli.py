@@ -28,7 +28,6 @@ from . import __version__
 from .audit import (
     STATUS_OK,
     AuditConfig,
-    ThresholdPolicy,
     attribute_plan,
     audit_model,
     build_comparison,
@@ -56,7 +55,7 @@ from .errors import (
     _typed,
 )
 from .matching import balance_report, export_pairs
-from .metrics import calibration_curve
+from .metrics import ThresholdPolicy, calibration_curve
 from .report import _FORMATS, build_bundle, render, safe_name
 from .synth import config_from_dict as synth_config_from_dict
 from .synth import generate
@@ -252,7 +251,8 @@ def _read_cohort(rc: RunConfig):
 def _metadata(rc: RunConfig, cohort, models) -> dict:
     cfg = rc.audit
     policy = cfg.threshold_policy
-    _, _, skipped = attribute_plan(cohort, cfg.min_group_size)
+    skipped = [{"model": model, "attribute": attr, "reason": reason}
+               for model in models for attr, reason in attribute_plan(cohort, cfg.min_group_size, model)[2]]
     return {
         "version": __version__,
         "config_hash": rc.config_hash,
@@ -269,7 +269,7 @@ def _metadata(rc: RunConfig, cohort, models) -> dict:
         "min_matched_n": cfg.min_matched_n,
         "caliper_multiplier": cfg.caliper_multiplier,
         "propensity_covariates": list(cfg.propensity_covariates),
-        "skipped_attributes": [{"attribute": attr, "reason": reason} for attr, reason in skipped],
+        "skipped_attributes": skipped,
     }
 
 

@@ -28,12 +28,16 @@ def _check_keys(doc, allowed: tuple[str, ...], where: str, required: tuple[str, 
 
 
 def _convert(kind, value, key: str):
-    """``int(value)`` or ``float(value)``; a ConfigError naming ``key`` when
-    the value does not convert."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from None
+    """``int(value)`` or ``float(value)`` of a number, an int or a float but
+    not a bool or a string; for ``int`` only an integral one, so 1e3 gives
+    1000 and 2.7 is refused.  A ConfigError naming ``key`` otherwise."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if kind is float or isinstance(value, int) or value.is_integer():
+                return kind(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
 
 
 def _typed(value, kind, key: str):

@@ -10,9 +10,11 @@ acceptable.
 One count kernel computes every AUROC, Youden threshold and confusion count
 in the package, and ``_Sample`` is the only way into it: a sample and its
 partitions into levels are built once, and ``_Sample.evaluate`` turns a
-(k, n) block of draws into the pooled-grid cuts and each partition's (k,
-metric, level) values.  A point estimate is the identity draw ``range(n)``,
-so it takes the same code path as a bootstrap or matched replicate.
+(k, n) block of draws into each partition's (k, name, level) values.  It
+owns the decision threshold: it cuts each draw at a ``ThresholdPolicy``'s
+fixed value or at the draw's Youden threshold, and the name "threshold"
+reads that back.  A point estimate is the identity draw ``range(n)``, so
+it takes the same code path as a bootstrap or matched replicate.
 ``np.unique`` finds a sample's distinct scores (its pooled grid) and each
 record's rank on it once.  Each level then gets its own grid,
 the distinct scores of its records, laid out as one segment of a count
@@ -56,11 +58,12 @@ block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedMetricError
+from .errors import ConfigError, UndefinedMetricError
 
 METRICS = ("PPV", "SENS", "SPEC", "FNR", "FPR", "AUROC")
 _THRESHOLD_METRICS = ("PPV", "SENS", "SPEC", "FNR", "FPR")
@@ -318,6 +321,37 @@ def _metric_block(tables: np.ndarray, levels: _LevelGrids, metrics: tuple[str, .
     return out
 
 
+@dataclass(frozen=True)
+class ThresholdPolicy:
+    """How the decision threshold is chosen for threshold metrics.
+
+    "youden" re-derives the threshold on the pooled data of every bootstrap
+    replicate, so threshold uncertainty propagates into the cells; "fixed"
+    uses the given value everywhere.
+    """
+
+    kind: str
+    value: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("youden", "fixed"):
+            raise ConfigError(f"threshold policy kind must be 'youden' or 'fixed', got {self.kind!r}")
+        if self.kind == "fixed" and self.value is None:
+            raise ConfigError("fixed threshold policy needs a value")
+        if self.kind == "youden" and self.value is not None:
+            raise ConfigError("youden threshold policy takes no value")
+        if self.value is not None and not math.isfinite(self.value):
+            raise ConfigError(f"fixed threshold must be finite, got {self.value}")
+
+    @classmethod
+    def youden(cls) -> "ThresholdPolicy":
+        return cls(kind="youden")
+
+    @classmethod
+    def fixed(cls, value: float) -> "ThresholdPolicy":
+        return cls(kind="fixed", value=float(value))
+
+
 class _Sample:
     """A sample as the count kernel sees it: its pooled score grid, the
     whole sample's level grid (for the Youden cut) and each partition's, all
@@ -340,32 +374,44 @@ class _Sample:
                                    for levels in grids]
         self.k = block_size(max(levels.width for levels, _ in (self.whole, *self.parts)))
 
-    def evaluate(self, metrics: tuple[str, ...], cut_rule, draws: np.ndarray | None = None):
-        """``(cuts, values)`` of a (k, n) block of ``draws``, by default the
-        identity draw ``range(n)`` (k = 1) that gives the point estimate.
+    def evaluate(self, names: tuple[str, ...], policy: ThresholdPolicy | None = None,
+                 draws: np.ndarray | None = None) -> list[np.ndarray]:
+        """Each partition's (k, name, level) values over a (k, n) block of
+        ``draws``, by default the identity draw ``range(n)`` (k = 1) that
+        gives the point estimate.
 
-        ``cut_rule(grid, k, pooled)`` is ``ThresholdPolicy.cuts`` or one like
-        it: the k cuts on the pooled grid, -1 for none, where ``pooled()``
-        gives the draws' pooled (k, 2, grid) count tables.  With no rule
-        (None when no threshold metric is asked for) ``cuts`` is None.
-        ``values`` holds each partition's (k, metric, level) ``_metric_block``.
+        A name is ``_metric_block``'s or "threshold", each draw's threshold
+        in every level.  Only a name that needs a cut takes one: at a fixed
+        policy's value, or at each draw's Youden threshold, with none (and a
+        nan threshold) where the draw holds one class.  Without a policy
+        those names are nan.
         """
         if draws is None:
             draws = np.arange(self.n)[None]
         cuts = None
-        if cut_rule is not None:
-            # The whole sample's one level spans the pooled grid, and its
-            # dump column is empty.
-            whole, keys = self.whole
-            cuts = cut_rule(self.grid, draws.shape[0], lambda: whole.count(keys, draws)[..., :-1])
-        return cuts, [_metric_block(levels.count(keys, draws), levels, metrics, cuts) for levels, keys in self.parts]
+        if policy is not None and any(m not in ("AUROC", "n") for m in names):
+            if policy.kind == "fixed":
+                cuts = np.full(draws.shape[0], np.searchsorted(self.grid, policy.value))
+            else:
+                # The whole sample's one level spans the pooled grid, and its
+                # dump column is empty.
+                whole, keys = self.whole
+                cuts = _youden_cuts(whole.count(keys, draws)[..., :-1])
+        blocks = [_metric_block(levels.count(keys, draws), levels, names, cuts) for levels, keys in self.parts]
+        if cuts is not None and "threshold" in names:
+            # A Youden cut of -1 picks the appended nan.
+            thresholds = (np.full(cuts.shape, policy.value) if policy.kind == "fixed"
+                          else np.append(self.grid, np.nan)[cuts])
+            for block in blocks:
+                block[:, names.index("threshold")] = thresholds[:, None]
+        return blocks
 
 
 def confusion(labels, scores, threshold: float) -> ConfusionCounts:
-    """Count outcomes of the decision rule ``score >= threshold``."""
+    """Count outcomes of the decision rule ``score >= threshold``; a
+    non-finite threshold raises ConfigError."""
     y, s = _validate(labels, scores)
-    _, (values,) = _Sample(s, y, [(0, 1)]).evaluate(
-        ("tp", "fp", "tn", "fn"), lambda grid, k, pooled: np.full(k, np.searchsorted(grid, threshold)))
+    (values,) = _Sample(s, y, [(0, 1)]).evaluate(("tp", "fp", "tn", "fn"), ThresholdPolicy.fixed(threshold))
     return ConfusionCounts(*map(int, values[0, :, 0]))
 
 
@@ -393,7 +439,7 @@ def auroc(labels, scores) -> float:
     is present; callers auditing subgroups catch this and record the skip.
     """
     y, s = _validate(labels, scores)
-    _, (values,) = _Sample(s, y, [(0, 1)]).evaluate(("AUROC",), None)
+    (values,) = _Sample(s, y, [(0, 1)]).evaluate(("AUROC",))
     value = values[0, 0, 0]
     if np.isnan(value):
         raise UndefinedMetricError("AUROC undefined: labels contain a single class")
@@ -409,11 +455,11 @@ def youden_threshold(labels, scores) -> float:
     input.
     """
     y, s = _validate(labels, scores)
-    sample = _Sample(s, y, [])
-    (cut,), _ = sample.evaluate((), lambda grid, k, pooled: _youden_cuts(pooled()))
-    if cut < 0:
+    (values,) = _Sample(s, y, [(0, 1)]).evaluate(("threshold",), ThresholdPolicy.youden())
+    value = values[0, 0, 0]
+    if np.isnan(value):
         raise UndefinedMetricError("Youden threshold undefined: labels contain a single class")
-    return float(sample.grid[cut])
+    return float(value)
 
 
 def calibration_curve(labels, scores, n_bins: int = 10) -> CalibrationCurve:

@@ -14,8 +14,6 @@ bundle payloads keep full precision.
 from __future__ import annotations
 
 import contextlib
-import csv
-import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -28,6 +26,7 @@ from .audit import (
     MatchedAuditResult,
     SubgroupAuditResult,
 )
+from .cohort import _csv_fields
 from .metrics import CalibrationCurve
 
 _FORMATS = ("json", "csv", "markdown", "svg")
@@ -247,11 +246,10 @@ def _matched_cell_text(cells: list[dict], metric: str, places: int) -> str:
 
 
 def _csv(header: list[str], rows) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return out.getvalue()
+    """``header`` and ``rows`` as CSV text, each row quoted by the cohort
+    file's rule (``cohort._csv_fields``); None is an empty field."""
+    return "".join(",".join(_csv_fields(["" if v is None else str(v) for v in row])) + "\n"
+                   for row in (header, *rows))
 
 
 def _flag(value) -> str:

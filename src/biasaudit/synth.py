@@ -330,7 +330,7 @@ def _empirical_summary(cohort: Cohort, model: str) -> dict:
     y = label_values(cohort)
     columns = cohort.schema.protected_columns
     partitions = [(cohort.codes[col.name], len(cohort.attribute_levels[col.name])) for col in columns]
-    _, (whole, *parts) = _Sample(score_values(cohort, model), y, [(0, 1), *partitions]).evaluate(("AUROC", "n"), None)
+    whole, *parts = _Sample(score_values(cohort, model), y, [(0, 1), *partitions]).evaluate(("AUROC", "n"))
     auc = whole[0, 0, 0]
     out: dict = {
         "prevalence": float(y.mean()),

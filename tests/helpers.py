@@ -6,7 +6,9 @@ exercises the same ingestion path as production data.
 
 from __future__ import annotations
 
+import csv
 import io
+from pathlib import Path
 
 from biasaudit.cohort import (
     CohortSchema,
@@ -81,3 +83,18 @@ def build_cohort(
         missing_tokens=tuple(missing_tokens),
     )
     return parse_cohort(io.StringIO(text), schema)
+
+
+def read_csv_outputs(directory) -> dict[str, list[list[str]]]:
+    """Every CSV file a run wrote to ``directory``, read back by
+    ``csv.reader`` on a file opened with ``newline=""``, as the csv module
+    requires: {file name: rows, header first}.  Asserts that every row has
+    the header's number of fields."""
+    tables = {}
+    for path in sorted(Path(directory).glob("*.csv")):
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        widths = {len(row) for row in rows}
+        assert rows and widths == {len(rows[0])}, (path.name, widths)
+        tables[path.name] = rows
+    return tables

@@ -28,6 +28,8 @@ from biasaudit.cohort import CohortSchema, parse_cohort
 from biasaudit.errors import CohortValidationError, ConfigError, SchemaError
 from biasaudit.matching import smd
 
+from helpers import read_csv_outputs
+
 
 SYNTH_DOC = {
     "n": 800,
@@ -743,6 +745,10 @@ class TestAuditCommand:
         ("calibration_bins", "ten"),
         ("alpha", "x"),
         ("workers", "two"),
+        ("n_bootstrap", 2.7),
+        ("seed", "3"),
+        ("workers", True),
+        ("alpha", True),
     ])
     def test_non_finite_config_float_exits_2(self, tmp_path, capsys, key, value):
         unread = str(tmp_path / "unread.csv")
@@ -750,9 +756,11 @@ class TestAuditCommand:
             config = make_run_config(tmp_path, unread, **{key: value})
         else:
             config = make_run_config(tmp_path, unread, audit=dict(RUN_AUDIT, **{key: value}))
-        # Strings are malformed numbers; the floats are the NaN/Infinity
-        # literals that json.dump writes and json.load accepts.
-        malformed = isinstance(value, str)
+        # The non-finite floats are the NaN/Infinity literals that json.dump
+        # writes and json.load accepts; strings, bools and a fractional count
+        # are malformed numbers.
+        number = value["value"] if isinstance(value, dict) else value
+        malformed = not (type(number) is float and not math.isfinite(number))
         if not malformed:
             assert "NaN" in open(config).read() or "Infinity" in open(config).read()
         assert main(["audit", config]) == EXIT_CONFIG
@@ -792,7 +800,8 @@ class TestAuditCommand:
         cohort = make_cohort(tmp_path)
         for name, svg_name in (("risk v2/<b>|x", "calibration_risk-v2--b--x.svg"),
                                ("risk v2\n| x", "calibration_risk-v2---x.svg"),
-                               ("risk\r\n| v2\nx", "calibration_risk----v2-x.svg")):
+                               ("risk\r\n| v2\nx", "calibration_risk----v2-x.svg"),
+                               ("risk\rv2", "calibration_risk-v2.svg")):
             report_dir = tmp_path / svg_name
             config = make_run_config(tmp_path, cohort, output_dir=str(report_dir),
                                      schema=dict(RUN_SCHEMA, score_columns=[[name, "score"]]))
@@ -801,6 +810,9 @@ class TestAuditCommand:
                 "report.json", "subgroup.csv", "matched.csv", "discrepancy.csv", "balance.csv",
                 "calibration.csv", "report.md", svg_name}
             assert json.load(open(report_dir / "report.json"))["metadata"]["models"] == [name]
+            for header, *rows in read_csv_outputs(report_dir).values():
+                if "model" in header:
+                    assert {row[header.index("model")] for row in rows} == {name}
             svg = ET.parse(report_dir / svg_name).getroot()
             assert any(el.text == f"calibration: {name}" for el in svg.iter())
             md = (report_dir / "report.md").read_text()
@@ -819,6 +831,21 @@ class TestAuditCommand:
                     columns, tables = n, tables + 1
                 assert n == columns, line
             assert tables >= 3
+
+    def test_awkward_level_name_reads_back_from_every_csv(self, tmp_path):
+        # The cohort quotes the bare carriage return; the report CSVs must too.
+        protected = [{"name": "race", "levels": ["Black", "White", "A\rB"], "weights": [0.3, 0.5, 0.2]},
+                     SYNTH_DOC["protected"][1]]
+        cohort = make_cohort(tmp_path, synth_overrides={"protected": protected})
+        config = make_run_config(tmp_path, cohort)
+        assert main(["audit", config]) == EXIT_OK
+        tables = read_csv_outputs(tmp_path / "report")
+        header, *rows = tables["subgroup.csv"]
+        race = {row[header.index("level")] for row in rows if row[header.index("attribute")] == "race"}
+        assert race == {"Black", "White", "A\rB"}
+        header, *rows = tables["balance.csv"]
+        assert "A\rB" in {row[header.index("treated_level")] for row in rows} | {
+            row[header.index("control_level")] for row in rows}
 
     @pytest.mark.parametrize("name", ["m\u0001x", "\x00", "m\x0b", "m\x1f", "m\ufffe", "m\uffff"])
     def test_model_name_xml_cannot_carry_exits_2(self, tmp_path, capsys, name):
@@ -1085,6 +1112,26 @@ class TestMatchCommand:
         assert f"note: skipping 'sex': {skipped['reason']}" in capsys.readouterr().err.splitlines()
         contrasts = json.load(open(tmp_path / "match" / "matching.json"))["contrasts"]
         assert {r["attribute"] for r in contrasts} == {"race"}
+
+    def test_skip_for_one_model_is_listed_with_that_model(self, tmp_path):
+        # "s2" scores only the sex=F records, so sex leaves it one group.
+        cohort_path = make_cohort(tmp_path)
+        with open(cohort_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows:
+            row["s2"] = row["score"] if row["sex"] == "F" else ""
+        with open(cohort_path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        config = make_run_config(tmp_path, cohort_path, schema=dict(RUN_SCHEMA, score_columns=["score", "s2"]))
+        assert main(["audit", config]) == EXIT_OK
+        doc = json.load(open(tmp_path / "report" / "report.json"))
+        [skipped] = doc["metadata"]["skipped_attributes"]
+        assert (skipped["model"], skipped["attribute"]) == ("s2", "sex")
+        assert "leaves 1 group(s)" in skipped["reason"]
+        assert {r["attribute"] for r in doc["subgroup"] if r["model"] == "s2"} == {"race"}
+        assert {r["attribute"] for r in doc["subgroup"] if r["model"] == "score"} == {"race", "sex"}
 
     def test_overflowing_covariate_reported_failed(self, tmp_path):
         covariates = [{"name": "sofa", "kind": "gaussian", "mu": -1e308, "sigma": 1.0}]

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import biasaudit
-from biasaudit.audit import ThresholdPolicy
-from biasaudit.errors import UndefinedMetricError
+from biasaudit.errors import ConfigError, UndefinedMetricError
 from biasaudit.metrics import (
     METRICS,
     CalibrationCurve,
     ConfusionCounts,
+    ThresholdPolicy,
     auroc,
     calibration_curve,
     confusion,
@@ -73,6 +73,12 @@ class TestConfusion:
     def test_rejects_nan_scores(self):
         with pytest.raises(ValueError, match="finite"):
             confusion([0, 1], [0.5, float("nan")], 0.5)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_threshold(self, threshold):
+        # A nan threshold used to count every record negative.
+        with pytest.raises(ConfigError, match="finite"):
+            confusion([0, 1, 1, 0], [0.1, 0.9, 0.8, 0.3], threshold)
 
 
 class TestThresholdMetrics:
@@ -240,19 +246,22 @@ def level_reference(y, s, codes, n_levels, threshold):
     return np.hstack([rank_metric_matrix(y, s, codes, n_levels, METRICS, threshold), counts])
 
 
-YOUDEN = ThresholdPolicy.youden().cuts
+YOUDEN = ThresholdPolicy.youden()
 
 
 def fixed_rule(threshold):
-    """The cut rule of a fixed threshold, None for none."""
-    return None if threshold is None else ThresholdPolicy.fixed(threshold).cuts
+    """The policy of a fixed threshold, None for none."""
+    return None if threshold is None else ThresholdPolicy.fixed(threshold)
 
 
-def kernel(sample, cut_rule, draws=None):
-    """``_Sample.evaluate`` of METRICS and COUNTS over the sample's one
-    partition, shaped (level, name) like ``level_reference``, and the cut."""
-    cuts, (values,) = sample.evaluate(METRICS + COUNTS, cut_rule, draws)
-    return None if cuts is None else int(cuts[0]), values[0].T
+def kernel(sample, policy, draws=None):
+    """The draw's "threshold" and ``_Sample.evaluate`` of METRICS and COUNTS
+    over the sample's one partition, shaped (level, name) like
+    ``level_reference``.  Every level holds the same threshold."""
+    (values,) = sample.evaluate(("threshold",) + METRICS + COUNTS, policy, draws)
+    thresholds = values[0, 0]
+    assert np.array_equal(thresholds, np.full_like(thresholds, thresholds[0]), equal_nan=True)
+    return float(thresholds[0]), values[0, 1:].T
 
 
 class TestCountKernel:
@@ -284,7 +293,8 @@ class TestCountKernel:
     @given(leveled_instances())
     def test_point_values_equal_rank_reference_bit_for_bit(self, case):
         y, s, codes, n_levels, threshold = case
-        cut, got = kernel(_Sample(s, y, [(codes, n_levels)]), fixed_rule(threshold))
+        value, got = kernel(_Sample(s, y, [(codes, n_levels)]), fixed_rule(threshold))
+        assert np.isnan(value) if threshold is None else value == threshold
         assert np.array_equal(got, level_reference(y, s, codes, n_levels, threshold), equal_nan=True)
 
     @given(leveled_instances(), st.integers(0, 2**32 - 1))
@@ -298,19 +308,36 @@ class TestCountKernel:
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, y.size, rng.integers(0, y.size + 1))
         yb, sb = y[idx], s[idx]
-        (youden,), _ = sample.evaluate((), YOUDEN, idx[None])
+        youden, got = kernel(sample, YOUDEN, idx[None])
         if both_classes(yb.tolist()):
-            assert sample.grid[youden] == exhaustive_youden(yb, sb)
+            assert youden == exhaustive_youden(yb, sb)
         else:
-            assert youden == -1
-        # The case's fixed threshold when it has one, else the Youden cut.
+            assert np.isnan(youden)
+        # The case's fixed threshold when it has one, else the Youden one.
         if threshold is None:
-            cut, got = kernel(sample, YOUDEN, idx[None])
-            assert cut == youden
-            threshold = None if cut < 0 else float(sample.grid[cut])
+            threshold = None if np.isnan(youden) else youden
         else:
-            _, got = kernel(sample, fixed_rule(threshold), idx[None])
+            value, got = kernel(sample, fixed_rule(threshold), idx[None])
+            assert value == threshold
         assert np.array_equal(got, level_reference(yb, sb, codes[idx], n_levels, threshold), equal_nan=True)
+
+    @settings(max_examples=50, deadline=None)
+    @given(leveled_instances(), st.integers(0, 2**32 - 1))
+    def test_block_thresholds_equal_youden_threshold_per_draw(self, case, seed):
+        # A block of bootstrap draws, as ``audit._replicates`` evaluates it:
+        # each row's threshold is the Youden threshold of that draw's records.
+        y, s, codes, n_levels, _ = case
+        sample = _Sample(s, y, [(codes, n_levels)])
+        rng = np.random.default_rng(seed)
+        draws = rng.integers(0, y.size, (sample.k, y.size))
+        (values,) = sample.evaluate(("threshold",), YOUDEN, draws)
+        assert values.shape == (sample.k, 1, n_levels)
+        for draw, row in zip(draws, values[:, 0]):
+            if both_classes(y[draw].tolist()):
+                expected = youden_threshold(y[draw], s[draw])
+            else:
+                expected = np.nan
+            assert np.array_equal(row, np.full(n_levels, expected), equal_nan=True)
 
     @pytest.mark.parametrize("threshold", [None, -0.5, 0.0, 0.3, 0.5, 0.95, 1.0, 1.5])
     def test_empty_and_one_record_levels(self, threshold):
@@ -320,7 +347,8 @@ class TestCountKernel:
         codes = np.array([1, 2, 2, 2, 2, 2, -1, 4, 4, -1, -1])
         y = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1])
         s = np.array([0.5, 0.1, 0.9, 0.5, 0.5, 0.0, 0.7, 1.0, 0.3, 0.2, 0.5])
-        _, got = kernel(_Sample(s, y, [(codes, 6)]), fixed_rule(threshold))
+        value, got = kernel(_Sample(s, y, [(codes, 6)]), fixed_rule(threshold))
+        assert np.isnan(value) if threshold is None else value == threshold
         assert np.array_equal(got, level_reference(y, s, codes, 6, threshold), equal_nan=True)
 
     def test_no_records(self):
@@ -329,23 +357,24 @@ class TestCountKernel:
         sample = _Sample(empty.astype(float), empty, [(empty, 2)])
         (levels, keys), = sample.parts
         assert levels.count(keys, empty[None]).shape == (1, 2, 1)
-        cut, got = kernel(sample, fixed_rule(0.5))
-        assert cut == 0
+        value, got = kernel(sample, fixed_rule(0.5))
+        assert value == 0.5
         assert np.array_equal(got[:, METRICS.index("AUROC"):], [[np.nan, 0, 0, 0, 0, 0]] * 2, equal_nan=True)
         assert np.isnan(got[:, :len(METRICS)]).all()
-        assert kernel(sample, YOUDEN)[0] == -1
+        assert np.isnan(kernel(sample, YOUDEN)[0])
 
 
 def test_only_metrics_reaches_inside_the_count_kernel():
-    # Every other module goes through ``_Sample``: the level grids and the
-    # count-table layout stay behind it.
+    # Every other module goes through ``_Sample``: the level grids, the
+    # count-table layout and the threshold cut stay behind it.
     package = Path(biasaudit.__file__).parent
     modules = sorted(package.glob("*.py"))
     assert package / "metrics.py" in modules
     for path in modules:
         if path.name != "metrics.py":
             text = path.read_text(encoding="utf-8")
-            assert "_LevelGrids" not in text and "_metric_block" not in text, path.name
+            for name in ("_LevelGrids", "_metric_block", "_youden_cuts"):
+                assert name not in text, (path.name, name)
 
 
 class TestBootstrapAurocSpread:

@@ -250,11 +250,20 @@ class TestConfigFromDict:
             ({"n": 10, "protected": ["race"]}, "protected spec must be a JSON object"),
             ({"n": 10, "outcome": {"weights": {"x": "heavy"}}}, "weights.x must be a number"),
             ({"n": 10, "injections": [{"attribute": "g", "level": "a"}]}, "injection needs 'mechanism'"),
+            ({"n": 2.7}, "n must be an integer"),
+            ({"n": 10, "seed": "3"}, "seed must be an integer"),
+            ({"n": 10, "seed": True}, "seed must be an integer"),
+            ({"n": 10, "covariates": [{"name": "x", "mu": "0.05"}]}, "mu must be a number"),
+            ({"n": 10, "covariates": [{"name": "x", "sigma": True}]}, "sigma must be a number"),
         ],
     )
     def test_malformed_values_raise_config_errors(self, doc, fragment):
         with pytest.raises(ConfigError, match=fragment):
             config_from_dict(doc)
+
+    def test_integral_float_count_accepted(self):
+        # JSON writes 1000 as 1e3 as readily as 1000.
+        assert config_from_dict({"n": 1e3, "seed": 3.0}).n == 1000
 
     @settings(max_examples=300, deadline=None)
     @given(root=fuzz_keys(("n", "seed", "score_name", "protected", "covariates", "outcome", "score",
