@@ -66,6 +66,9 @@ class AuditConfig:
             raise ConfigError(f"unknown metric(s) {', '.join(unknown)}; choose from {METRICS}")
         if len(set(self.metrics)) != len(self.metrics):
             raise ConfigError("duplicate metrics in config")
+        if len(set(self.propensity_covariates)) != len(self.propensity_covariates):
+            raise ConfigError(f"propensity_covariates must be a list of distinct names, "
+                              f"got {list(self.propensity_covariates)}")
         if self.n_bootstrap < 2:
             raise ConfigError(f"n_bootstrap must be >= 2, got {self.n_bootstrap}")
         for name in ("alpha", "ridge", "caliper_multiplier"):
@@ -119,8 +122,8 @@ class MatchedCell:
 
     opponent: str
     status: str
-    result: SubgroupAuditResult | None = None
     detail: str = ""
+    result: SubgroupAuditResult | None = None
 
 
 @dataclass(frozen=True)
@@ -307,10 +310,10 @@ def attribute_plan(cohort: Cohort, min_group_size: int, model: str | None = None
     return subset, tuple(partitions), tuple(skipped)
 
 
-def _bootstrap_sample(cohort: Cohort, model: str, config: AuditConfig):
+def _bootstrap_sample(cohort: Cohort, model: str, plan):
     """The ``_Sample`` of a model's eligible records with one partition per
-    planned attribute, and the attributes' (name, levels)."""
-    eligible, partitions, _ = attribute_plan(cohort, config.min_group_size, model)
+    attribute of its ``attribute_plan``, and the attributes' (name, levels)."""
+    eligible, partitions, _ = plan
     scores = score_values(cohort, model)[eligible]
     y = label_values(cohort)[eligible]
     codes = []
@@ -426,7 +429,8 @@ def group_diffs(cohort: Cohort, indices, attribute: str, metric: str, model: str
     }
 
 
-def bootstrap_audit(cohort: Cohort, model: str, config: AuditConfig, workers: int = 1) -> list[SubgroupAuditResult]:
+def bootstrap_audit(cohort: Cohort, model: str, config: AuditConfig, workers: int = 1,
+                    plan=None) -> list[SubgroupAuditResult]:
     """Bootstrap diff-from-average audit of one model across all attributes.
 
     Each replicate resamples the scored records with replacement (replicate
@@ -434,9 +438,12 @@ def bootstrap_audit(cohort: Cohort, model: str, config: AuditConfig, workers: in
     evaluation order or ``workers``), re-derives the decision threshold under
     the configured policy, and computes per-level diffs for every requested
     metric.  Cells with fewer than two defined replicates come back with
-    status "insufficient" instead of fabricated statistics.
+    status "insufficient" instead of fabricated statistics.  ``plan`` is the
+    model's ``attribute_plan``, made here when not given.
     """
-    sample, attributes = _bootstrap_sample(cohort, model, config)
+    if plan is None:
+        plan = attribute_plan(cohort, config.min_group_size, model)
+    sample, attributes = _bootstrap_sample(cohort, model, plan)
     if not attributes:
         return []
     cells = [(attr, level, m) for attr, names in attributes for level in names for m in config.metrics]
@@ -476,7 +483,8 @@ def matched_contrasts(cohort: Cohort, partitions, config: AuditConfig, subset):
             yield attribute, level_a, level_b, STATUS_OK, detail, sample, prop
 
 
-def matched_audit(cohort: Cohort, model: str, config: AuditConfig, workers: int = 1) -> list[MatchedAuditResult]:
+def matched_audit(cohort: Cohort, model: str, config: AuditConfig, workers: int = 1,
+                  plan=None) -> list[MatchedAuditResult]:
     """Re-run the subgroup audit on propensity-matched pairs.
 
     Every pair of surviving levels is matched separately (smaller level
@@ -485,10 +493,13 @@ def matched_audit(cohort: Cohort, model: str, config: AuditConfig, workers: int 
     arm difference, mirrored in sign between the two perspectives.  Contrasts
     whose matched sample is too small are reported "skipped" with counts;
     propensity failures surface as "failed" cells rather than exceptions.
+    ``plan`` is the model's ``attribute_plan``, made here when not given.
     """
     if not config.propensity_covariates:
         raise ConfigError("matched audit needs propensity_covariates in the config")
-    subset, partitions, _ = attribute_plan(cohort, config.min_group_size, model)
+    if plan is None:
+        plan = attribute_plan(cohort, config.min_group_size, model)
+    subset, partitions, _ = plan
 
     metrics = config.metrics
     y_all = label_values(cohort)
@@ -515,7 +526,7 @@ def matched_audit(cohort: Cohort, model: str, config: AuditConfig, workers: int 
             for level, opponent, sign in arms:
                 res = _cell_result(model, attr, level, metric, sign * draws[:, m_j], config.alpha)
                 per_level_cells[(attr, level)].append(
-                    MatchedCell(opponent=opponent, status=res.status, result=res, detail=f"{n_pairs} pairs")
+                    MatchedCell(opponent=opponent, status=res.status, detail=f"{n_pairs} pairs", result=res)
                 )
 
     # Contrasts run in level order, so each level's cells are already in
@@ -526,13 +537,15 @@ def matched_audit(cohort: Cohort, model: str, config: AuditConfig, workers: int 
     ]
 
 
-def audit_model(cohort: Cohort, model: str, config: AuditConfig,
-                workers: int = 1) -> tuple[list[SubgroupAuditResult], list[MatchedAuditResult]]:
-    """The subgroup cells and matched rows of one model; matched rows only
-    when the config names propensity covariates, none otherwise."""
-    subgroup = bootstrap_audit(cohort, model, config, workers)
-    matched = matched_audit(cohort, model, config, workers) if config.propensity_covariates else []
-    return subgroup, matched
+def audit_model(cohort: Cohort, model: str, config: AuditConfig, workers: int = 1
+                ) -> tuple[list[SubgroupAuditResult], list[MatchedAuditResult], tuple[tuple[str, str], ...]]:
+    """``(subgroup, matched, skipped)`` of one model, planned once: its
+    subgroup cells, its matched rows (only when the config names propensity
+    covariates, none otherwise) and its plan's ``(attribute, reason)`` skips."""
+    plan = attribute_plan(cohort, config.min_group_size, model)
+    subgroup = bootstrap_audit(cohort, model, config, workers, plan=plan)
+    matched = matched_audit(cohort, model, config, workers, plan=plan) if config.propensity_covariates else []
+    return subgroup, matched, plan[2]
 
 
 def summarize_discrepancy(
@@ -597,8 +610,8 @@ def compare_models(cohort: Cohort, model_a: str, model_b: str, config: AuditConf
         if m not in cohort.model_names:
             raise ConfigError(f"unknown model {m!r}; cohort has {cohort.model_names}")
 
-    sub_a, mat_a = audit_model(cohort, model_a, config, workers)
-    sub_b, mat_b = audit_model(cohort, model_b, config, workers)
+    sub_a, mat_a, _ = audit_model(cohort, model_a, config, workers)
+    sub_b, mat_b, _ = audit_model(cohort, model_b, config, workers)
     return build_comparison(cohort, model_a, model_b, config, sub_a, sub_b, mat_a, mat_b)
 
 

@@ -228,6 +228,10 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     models = doc.get("models")
+    if models is not None:
+        models = _names(models, "models")
+        if not models or len(set(models)) != len(models):
+            raise ConfigError(f"models must be a non-empty list of distinct names, got {list(models)}")
     return RunConfig(
         cohort=cohort_path,
         schema=schema,
@@ -236,7 +240,7 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
         formats=formats,
         workers=workers,
         calibration_bins=calibration_bins,
-        models=None if models is None else _names(models, "models"),
+        models=models,
         config_hash=config_hash,
     )
 
@@ -248,11 +252,9 @@ def _read_cohort(rc: RunConfig):
         raise ConfigError(f"cannot read cohort file {rc.cohort!r}: {exc}") from exc
 
 
-def _metadata(rc: RunConfig, cohort, models) -> dict:
+def _metadata(rc: RunConfig, cohort, models, skipped: list[dict]) -> dict:
     cfg = rc.audit
     policy = cfg.threshold_policy
-    skipped = [{"model": model, "attribute": attr, "reason": reason}
-               for model in models for attr, reason in attribute_plan(cohort, cfg.min_group_size, model)[2]]
     return {
         "version": __version__,
         "config_hash": rc.config_hash,
@@ -359,10 +361,13 @@ def _audit_pipeline(rc: RunConfig, models) -> int:
 
     cfg = rc.audit
     results = {}
+    skipped: list[dict] = []
     balance_rows: list[dict] = []
     calibration = {}
     for model in models:
-        _, matched = results[model] = audit_model(cohort, model, cfg, rc.workers)
+        subgroup, matched, skips = audit_model(cohort, model, cfg, rc.workers)
+        results[model] = subgroup, matched
+        skipped.extend({"model": model, "attribute": attr, "reason": reason} for attr, reason in skips)
         if matched:  # balance rows describe the contrasts behind the matched rows
             balance_rows.extend(_match_rows(cohort, cfg, model=model))
         scores = score_values(cohort, model)
@@ -379,7 +384,7 @@ def _audit_pipeline(rc: RunConfig, models) -> int:
         comparison = build_comparison(cohort, *models, cfg, sub_a, sub_b, mat_a, mat_b)
 
     bundle = build_bundle(
-        metadata=_metadata(rc, cohort, models),
+        metadata=_metadata(rc, cohort, models, skipped),
         subgroup=subgroup_all,
         matched=matched_all,
         discrepancy=discrepancy,

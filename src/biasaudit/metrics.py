@@ -123,8 +123,8 @@ class CalibrationBin:
 class CalibrationCurve:
     """Equal-width reliability bins over [0, 1]; empty bins are dropped."""
 
-    bins: tuple[CalibrationBin, ...]
     n_bins: int
+    bins: tuple[CalibrationBin, ...]
 
 
 def _validate(labels, scores) -> tuple[np.ndarray, np.ndarray]:
@@ -487,4 +487,4 @@ def calibration_curve(labels, scores, n_bins: int = 10) -> CalibrationCurve:
                 count=count,
             )
         )
-    return CalibrationCurve(bins=tuple(bins), n_bins=n_bins)
+    return CalibrationCurve(n_bins=n_bins, bins=tuple(bins))

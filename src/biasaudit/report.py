@@ -15,19 +15,13 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 
-from .audit import (
-    STATUS_OK,
-    ComparisonReport,
-    DiscrepancySummary,
-    MatchedAuditResult,
-    SubgroupAuditResult,
-)
+from .audit import STATUS_OK, ComparisonReport
 from .cohort import _csv_fields
-from .metrics import CalibrationCurve
 
 _FORMATS = ("json", "csv", "markdown", "svg")
 
@@ -75,91 +69,19 @@ def _fmt_stat(x: float | None) -> str:
     return format(x, ".4g")
 
 
-def _json_float(x: float | None) -> float | None:
-    """Strict-JSON float: None for missing or non-finite values."""
-    if x is None:
+def _json_native(value):
+    """``value`` as JSON data: a dataclass as a dict of its fields in
+    declaration order, a tuple or list as a list, a dict key by key, and a
+    nan or infinite float as None."""
+    if is_dataclass(value):
+        return {f.name: _json_native(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_json_native(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_native(v) for k, v in value.items()}
+    if isinstance(value, float) and not math.isfinite(value):
         return None
-    x = float(x)
-    if x != x or x in (float("inf"), float("-inf")):
-        return None
-    return x
-
-
-def _subgroup_row(r: SubgroupAuditResult) -> dict:
-    return {
-        "model": r.model,
-        "attribute": r.attribute,
-        "level": r.level,
-        "metric": r.metric,
-        "mean_diff": _json_float(r.mean_diff),
-        "sd": _json_float(r.sd),
-        "t_stat": _json_float(r.t_stat),
-        "p_value": _json_float(r.p_value),
-        "significant": r.significant,
-        "n_effective": r.n_effective,
-        "status": r.status,
-    }
-
-
-def _matched_row(r: MatchedAuditResult) -> dict:
-    cells = []
-    for c in r.cells:
-        cells.append(
-            {
-                "opponent": c.opponent,
-                "status": c.status,
-                "detail": c.detail,
-                "result": None if c.result is None else _subgroup_row(c.result),
-            }
-        )
-    return {"model": r.model, "attribute": r.attribute, "level": r.level, "cells": cells}
-
-
-def _discrepancy_row(s: DiscrepancySummary) -> dict:
-    return {
-        "model": s.model,
-        "attribute": s.attribute,
-        "metric": s.metric,
-        "matching": s.matching,
-        "gap": _json_float(s.gap),
-        "n_levels": s.n_levels,
-    }
-
-
-def _calibration_entry(curve: CalibrationCurve) -> dict:
-    return {
-        "n_bins": curve.n_bins,
-        "bins": [
-            {
-                "mean_score": _json_float(b.mean_score),
-                "positive_fraction": _json_float(b.positive_fraction),
-                "count": b.count,
-            }
-            for b in curve.bins
-        ],
-    }
-
-
-def _comparison_entry(cmp: ComparisonReport) -> dict:
-    return {
-        "model_a": cmp.model_a,
-        "model_b": cmp.model_b,
-        "overall": {
-            m: {k: _json_float(v) if isinstance(v, float) else v for k, v in entry.items()}
-            for m, entry in cmp.overall.items()
-        },
-        "deltas": [
-            {
-                "attribute": d.attribute,
-                "level": d.level,
-                "metric": d.metric,
-                "phase": d.phase,
-                "opponent": d.opponent,
-                "delta": _json_float(d.delta),
-            }
-            for d in cmp.deltas
-        ],
-    }
+    return value
 
 
 def build_bundle(
@@ -173,17 +95,25 @@ def build_bundle(
 ) -> ReportBundle:
     """Convert analysis results into a JSON-native ReportBundle.
 
-    ``balance`` rows are pre-assembled dicts (the matching context lives with
-    the caller); ``calibration`` maps model name to CalibrationCurve.
+    Each result list or tuple goes through ``_json_native``, so a row holds
+    its dataclass's fields in declaration order.  ``balance`` rows are
+    pre-assembled dicts (the matching context lives with the caller);
+    ``calibration`` maps model name to CalibrationCurve.  The comparison
+    keeps its model names, ``overall`` and ``deltas``.
     """
     return ReportBundle(
         metadata=dict(metadata),
-        subgroup=[_subgroup_row(r) for r in subgroup],
-        matched=[_matched_row(r) for r in matched],
-        discrepancy=[_discrepancy_row(s) for s in discrepancy],
-        balance=[dict(b) for b in balance],
-        calibration={m: _calibration_entry(c) for m, c in (calibration or {}).items()},
-        comparison=None if comparison is None else _comparison_entry(comparison),
+        subgroup=_json_native(subgroup),
+        matched=_json_native(matched),
+        discrepancy=_json_native(discrepancy),
+        balance=_json_native(balance),
+        calibration=_json_native(calibration or {}),
+        comparison=None if comparison is None else {
+            "model_a": comparison.model_a,
+            "model_b": comparison.model_b,
+            "overall": _json_native(comparison.overall),
+            "deltas": _json_native(comparison.deltas),
+        },
     )
 
 

@@ -83,6 +83,24 @@ def exhaustive_youden(labels, scores) -> float:
     return float(best_t)
 
 
+def block_exhaustive_youden(labels, scores, draws) -> np.ndarray:
+    """Youden threshold of each row of ``draws`` (record indices into
+    ``labels`` and ``scores``), every observed score of every row scanned at
+    once: the exact integer ``tp*N + tn*P`` at each candidate threshold
+    (the rule is ``score >= t``), the smallest maximizer winning, and nan for
+    a row that holds one class."""
+    pos = np.asarray(labels)[draws] == 1
+    s = np.asarray(scores, dtype=float)[draws]
+    pred = s[:, None, :] >= s[:, :, None]  # (row, candidate, record)
+    tp = (pred & pos[:, None, :]).sum(axis=2)
+    tn = (~pred & ~pos[:, None, :]).sum(axis=2)
+    n_pos = pos.sum(axis=1, keepdims=True)
+    n_neg = pos.shape[1] - n_pos
+    j = tp * n_neg + tn * n_pos
+    best = np.where(j == j.max(axis=1, keepdims=True), s, np.inf).min(axis=1)
+    return np.where((n_pos[:, 0] > 0) & (n_neg[:, 0] > 0), best, np.nan)
+
+
 def masked_youden_cut(pooled: np.ndarray) -> int | None:
     """Grid index of the Youden threshold of a pooled (2, n_grid) count table
     by the two-scan route: tp and tn at every cut from two cumulative sums,

@@ -749,16 +749,19 @@ class TestAuditCommand:
         ("seed", "3"),
         ("workers", True),
         ("alpha", True),
+        ("models", ["score", "score"]),
+        ("models", []),
+        ("propensity_covariates", ["sofa", "sofa"]),
     ])
     def test_non_finite_config_float_exits_2(self, tmp_path, capsys, key, value):
         unread = str(tmp_path / "unread.csv")
-        if key in ("calibration_bins", "workers"):
+        if key in ("calibration_bins", "workers", "models"):
             config = make_run_config(tmp_path, unread, **{key: value})
         else:
             config = make_run_config(tmp_path, unread, audit=dict(RUN_AUDIT, **{key: value}))
         # The non-finite floats are the NaN/Infinity literals that json.dump
         # writes and json.load accepts; strings, bools and a fractional count
-        # are malformed numbers.
+        # are malformed numbers, and an empty or repeated name list is malformed.
         number = value["value"] if isinstance(value, dict) else value
         malformed = not (type(number) is float and not math.isfinite(number))
         if not malformed:
@@ -991,6 +994,46 @@ class TestCompareCommand:
         rc = load_run_config(config)
         report = compare_models(parse_cohort(rc.cohort, rc.schema), "score", "fair", rc.audit)
         assert json.loads(bundle_to_json(build_bundle({}, comparison=report)))["comparison"] == written
+
+    def test_report_json_key_order_of_every_table(self, tmp_path):
+        # report.json writes each result dataclass's fields in declaration
+        # order, so this pins both the JSON keys and the field order.
+        from biasaudit.cohort import with_score_column, write_cohort
+        from biasaudit.synth import config_from_dict, generate
+
+        cohort, _ = generate(config_from_dict(SYNTH_DOC))
+        path = tmp_path / "two.csv"
+        write_cohort(with_score_column(cohort, "fair", "fair", cohort.scores["score"][::-1].copy()), path)
+        config = make_run_config(tmp_path, str(path), schema=dict(RUN_SCHEMA, score_columns=["score", "fair"]),
+                                 formats=["json"])
+        assert main(["compare", config]) == EXIT_OK
+        doc = json.load(open(tmp_path / "report" / "report.json"))
+
+        def key_lists(rows) -> set:
+            rows = list(rows)
+            assert rows
+            return {tuple(r) for r in rows}
+
+        result = ("model", "attribute", "level", "metric", "mean_diff", "sd", "t_stat",
+                  "p_value", "significant", "n_effective", "status")
+        cells = [c for r in doc["matched"] for c in r["cells"]]
+        cmp = doc["comparison"]
+        assert key_lists(doc["subgroup"]) == {result}
+        assert key_lists(doc["matched"]) == {("model", "attribute", "level", "cells")}
+        assert key_lists(cells) == {("opponent", "status", "detail", "result")}
+        assert key_lists(c["result"] for c in cells if c["result"] is not None) == {result}
+        assert key_lists(doc["discrepancy"]) == {("model", "attribute", "metric", "matching", "gap", "n_levels")}
+        assert key_lists(doc["calibration"].values()) == {("n_bins", "bins")}
+        assert key_lists(b for e in doc["calibration"].values() for b in e["bins"]) == {
+            ("mean_score", "positive_fraction", "count")}
+        assert list(cmp) == ["model_a", "model_b", "overall", "deltas"]
+        assert key_lists(cmp["overall"].values()) == {("n", "threshold", "AUROC", "SENS")}
+        assert key_lists(cmp["deltas"]) == {("attribute", "level", "metric", "phase", "opponent", "delta")}
+        assert key_lists(r for r in doc["balance"] if r["status"] == "ok") == {
+            ("model", "attribute", "treated_level", "control_level", "caliper", "unmatched_treated",
+             "matched_n", "passes_min_n", "status", "detail", "covariates")}
+        assert key_lists(c for r in doc["balance"] for c in r["covariates"]) == {
+            ("name", "smd_before", "smd_after")}
 
     def test_models_flag_selects_and_orders(self, tmp_path):
         cohort_path, schema = self.two_model_cohort(tmp_path)

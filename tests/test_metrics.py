@@ -20,7 +20,8 @@ from biasaudit.metrics import (
 )
 from biasaudit.metrics import _Sample, _youden_cuts
 
-from oracles import delong_auroc_se, exhaustive_youden, masked_youden_cut, pairwise_auroc, rank_metric_matrix
+from oracles import (block_exhaustive_youden, delong_auroc_se, exhaustive_youden, masked_youden_cut, pairwise_auroc,
+                     rank_metric_matrix)
 
 LABELS4 = [0, 0, 1, 1]
 SCORES4 = [0.1, 0.4, 0.35, 0.8]
@@ -332,12 +333,8 @@ class TestCountKernel:
         draws = rng.integers(0, y.size, (sample.k, y.size))
         (values,) = sample.evaluate(("threshold",), YOUDEN, draws)
         assert values.shape == (sample.k, 1, n_levels)
-        for draw, row in zip(draws, values[:, 0]):
-            if both_classes(y[draw].tolist()):
-                expected = youden_threshold(y[draw], s[draw])
-            else:
-                expected = np.nan
-            assert np.array_equal(row, np.full(n_levels, expected), equal_nan=True)
+        expected = block_exhaustive_youden(y, s, draws)[:, None]
+        assert np.array_equal(values[:, 0], np.broadcast_to(expected, (sample.k, n_levels)), equal_nan=True)
 
     @pytest.mark.parametrize("threshold", [None, -0.5, 0.0, 0.3, 0.5, 0.95, 1.0, 1.5])
     def test_empty_and_one_record_levels(self, threshold):
