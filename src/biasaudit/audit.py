@@ -312,16 +312,12 @@ def attribute_plan(cohort: Cohort, min_group_size: int, model: str | None = None
 
 def _bootstrap_sample(cohort: Cohort, model: str, plan):
     """The ``_Sample`` of a model's eligible records with one partition per
-    attribute of its ``attribute_plan``, and the attributes' (name, levels)."""
+    attribute of its ``attribute_plan`` (whose codes follow those records in
+    order), and the attributes' (name, levels)."""
     eligible, partitions, _ = plan
     scores = score_values(cohort, model)[eligible]
     y = label_values(cohort)[eligible]
-    codes = []
-    for part in partitions:
-        code = np.full(eligible.size, -1, dtype=np.int32)
-        for g, (_, idx) in enumerate(part.groups):
-            code[np.searchsorted(eligible, np.asarray(idx, dtype=np.int64))] = g
-        codes.append((code, len(part.levels)))
+    codes = [(part.codes, len(part.levels)) for part in partitions]
     return _Sample(scores, y, codes), [(part.attribute, part.levels) for part in partitions]
 
 
@@ -346,7 +342,7 @@ def _matched_reduce(values: list[np.ndarray]) -> np.ndarray:
     return (arms[..., 0] - arms[..., 1]) / 2.0
 
 
-def _replicates(sample: _Sample, config: AuditConfig, tokens: tuple, reduce, workers: int) -> np.ndarray:
+def _replicates(sample: _Sample, config: AuditConfig, tokens: tuple, reduce, workers: int = 1) -> np.ndarray:
     """The (n_bootstrap, columns) replicate matrix of ``sample``.
 
     Replicate b draws from ``stream(config.seed, *tokens, b)``, so a row does
@@ -408,11 +404,9 @@ def group_diffs(cohort: Cohort, indices, attribute: str, metric: str, model: str
         raise ConfigError(f"metric {metric} needs a threshold")
     policy = None if threshold is None else ThresholdPolicy.fixed(threshold)
     part = _partition(cohort, attribute, min_group_size, subset_positions(indices, cohort.n, distinct=False))
-    idx = np.concatenate([np.asarray(g, dtype=np.int64) for _, g in part.groups])
-    codes = np.repeat(np.arange(len(part.groups)), [len(g) for _, g in part.groups])
-    s = score_values(cohort, model)[idx]
+    s = score_values(cohort, model)[part.positions]
     keep = ~np.isnan(s)
-    sample = _Sample(s[keep], label_values(cohort)[idx][keep], [(codes[keep], len(part.groups))])
+    sample = _Sample(s[keep], label_values(cohort)[part.positions][keep], [(part.codes[keep], len(part.levels))])
     (block,) = sample.evaluate((metric, "n"), policy)
     values, counts = block[0]
     defined = values[~np.isnan(values)]
@@ -425,7 +419,7 @@ def group_diffs(cohort: Cohort, indices, attribute: str, metric: str, model: str
     return {
         level: GroupDiff(value=None, diff=None, n=int(n)) if np.isnan(v)
         else GroupDiff(value=float(v), diff=float(v) - avg, n=int(n))
-        for (level, _), v, n in zip(part.groups, values, counts)
+        for level, v, n in zip(part.levels, values, counts)
     }
 
 
@@ -483,8 +477,7 @@ def matched_contrasts(cohort: Cohort, partitions, config: AuditConfig, subset):
             yield attribute, level_a, level_b, STATUS_OK, detail, sample, prop
 
 
-def matched_audit(cohort: Cohort, model: str, config: AuditConfig, workers: int = 1,
-                  plan=None) -> list[MatchedAuditResult]:
+def matched_audit(cohort: Cohort, model: str, config: AuditConfig, plan=None) -> list[MatchedAuditResult]:
     """Re-run the subgroup audit on propensity-matched pairs.
 
     Every pair of surviving levels is matched separately (smaller level
@@ -494,6 +487,7 @@ def matched_audit(cohort: Cohort, model: str, config: AuditConfig, workers: int 
     whose matched sample is too small are reported "skipped" with counts;
     propensity failures surface as "failed" cells rather than exceptions.
     ``plan`` is the model's ``attribute_plan``, made here when not given.
+    Its replicates run on the calling thread, since threads made them slower.
     """
     if not config.propensity_covariates:
         raise ConfigError("matched audit needs propensity_covariates in the config")
@@ -519,7 +513,7 @@ def matched_audit(cohort: Cohort, model: str, config: AuditConfig, workers: int 
         pair_idx = np.concatenate([sample.treated, sample.control])
         n_pairs = sample.treated.size
         pairs = _Sample(s_all[pair_idx], y_all[pair_idx], [(np.repeat([0, 1], n_pairs), 2)], units=2)
-        draws = _replicates(pairs, config, ("matched", attr, li, lj), _matched_reduce, workers)
+        draws = _replicates(pairs, config, ("matched", attr, li, lj), _matched_reduce)
         arms = ((sample.treated_level, sample.control_level, 1.0),
                 (sample.control_level, sample.treated_level, -1.0))
         for m_j, metric in enumerate(metrics):
@@ -541,10 +535,11 @@ def audit_model(cohort: Cohort, model: str, config: AuditConfig, workers: int = 
                 ) -> tuple[list[SubgroupAuditResult], list[MatchedAuditResult], tuple[tuple[str, str], ...]]:
     """``(subgroup, matched, skipped)`` of one model, planned once: its
     subgroup cells, its matched rows (only when the config names propensity
-    covariates, none otherwise) and its plan's ``(attribute, reason)`` skips."""
+    covariates, none otherwise) and its plan's ``(attribute, reason)`` skips.
+    ``workers`` threads share the bootstrap loop only."""
     plan = attribute_plan(cohort, config.min_group_size, model)
     subgroup = bootstrap_audit(cohort, model, config, workers, plan=plan)
-    matched = matched_audit(cohort, model, config, workers, plan=plan) if config.propensity_covariates else []
+    matched = matched_audit(cohort, model, config, plan=plan) if config.propensity_covariates else []
     return subgroup, matched, plan[2]
 
 

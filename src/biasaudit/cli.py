@@ -206,6 +206,10 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
 
     schema = _schema_from_dict(doc["schema"])
     audit = _audit_from_dict(audit_doc)
+    stray = [n for n in audit.propensity_covariates if n not in {c.name for c in schema.covariate_columns}]
+    if stray:
+        raise ConfigError(f"propensity_covariates must name declared covariates (not protected attributes), "
+                          f"got {', '.join(map(repr, stray))}")
 
     cohort_path = doc["cohort"]
     if not os.path.isabs(cohort_path):

@@ -367,23 +367,30 @@ def score_values(cohort: Cohort, model: str) -> np.ndarray:
     return cohort.scores[model].copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubgroupPartition:
-    """Disjoint index groups for one protected attribute.
-
-    ``groups`` are (level, record indices) in reporting order, missing-value
-    pseudo-level last.  ``excluded`` lists levels left out as
-    (level, count, reason) with reason "too small", "missing", or "empty".
-    Together they cover every record exactly once.
-    """
+    """One protected attribute's kept ``levels`` in reporting order (missing
+    pseudo-level last), the sorted record ``positions`` covered (repeats
+    allowed), each one's ``codes`` (its level's index in ``levels``, -1 where
+    excluded) and the ``excluded`` (level, count, reason), reason "too small",
+    "missing" or "empty".  ``groups``, (level, positions) per kept level, is
+    built when first read."""
 
     attribute: str
-    groups: tuple[tuple[str, tuple[int, ...]], ...]
+    levels: tuple[str, ...]
+    positions: np.ndarray
+    codes: np.ndarray
     excluded: tuple[tuple[str, int, str], ...] = ()
 
-    @property
-    def levels(self) -> tuple[str, ...]:
-        return tuple(level for level, _ in self.groups)
+    def __eq__(self, other):
+        if not isinstance(other, SubgroupPartition):
+            return NotImplemented
+        return ((self.attribute, self.levels, self.excluded) == (other.attribute, other.levels, other.excluded)
+                and np.array_equal(self.positions, other.positions) and np.array_equal(self.codes, other.codes))
+
+    @cached_property
+    def groups(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        return tuple((level, tuple(self.positions[self.codes == g].tolist())) for g, level in enumerate(self.levels))
 
 
 def subset_positions(subset, n: int, *, distinct: bool = True) -> np.ndarray:
@@ -429,38 +436,36 @@ def subgroup_partition(
 
 def _partition(cohort: Cohort, attribute: str, min_group_size: int, positions) -> SubgroupPartition:
     """``subgroup_partition`` over checked ``positions`` (all records when
-    None), which may repeat a record: a group then lists it as often."""
+    None), which may repeat a record: a group then lists it as often.  A
+    value's slot is its level's index; MISSING and a literal MISSING level
+    share one more, last.  One ``bincount`` sizes every slot."""
+    levels = cohort.attribute_levels[attribute]
+    slot_of = {level: s for s, level in enumerate(levels)}
+    slot_of.update(dict.fromkeys(_level_members(MISSING_LABEL), len(levels)))
     values = attribute_values(cohort, attribute)
-    pool = range(cohort.n) if positions is None else np.sort(positions).tolist()
-    missing_idx: list[int] = []
-    buckets: dict = {level: [] for level in cohort.attribute_levels[attribute]}
-    buckets.update(dict.fromkeys(_level_members(MISSING_LABEL), missing_idx))
-    for i in pool:
-        buckets[values[i]].append(i)
+    positions = np.arange(cohort.n) if positions is None else np.sort(positions)
+    slots = np.fromiter(map(slot_of.__getitem__, values), dtype=np.int64, count=len(values))[positions]
+    sizes = np.bincount(slots, minlength=len(levels) + 1).tolist()
 
-    groups: list[tuple[str, tuple[int, ...]]] = []
-    excluded: list[tuple[str, int, str]] = []
-    for level, idx in buckets.items():
-        if idx is missing_idx:
-            continue
-        if not idx:
-            excluded.append((level, 0, "empty"))
-        elif len(idx) < min_group_size:
-            excluded.append((level, len(idx), "too small"))
+    kept, excluded = [], []
+    for s, (level, size) in enumerate(zip((*levels, MISSING_LABEL), sizes)):
+        last = s == len(levels)
+        if level == MISSING_LABEL and not last or last and not size:
+            continue  # a literal MISSING level counts in the last slot, omitted when empty
+        if size and size >= min_group_size:
+            kept.append(s)
         else:
-            groups.append((level, tuple(idx)))
-    if missing_idx:
-        if len(missing_idx) >= min_group_size:
-            groups.append((MISSING_LABEL, tuple(missing_idx)))
-        else:
-            excluded.append((MISSING_LABEL, len(missing_idx), "missing"))
+            excluded.append((level, size, "missing" if last else "too small" if size else "empty"))
 
-    if len(groups) < 2:
+    if len(kept) < 2:
         raise InsufficientDataError(
-            f"partition on {attribute!r} leaves {len(groups)} group(s) at "
+            f"partition on {attribute!r} leaves {len(kept)} group(s) at "
             f"min_group_size={min_group_size}; nothing to compare"
         )
-    return SubgroupPartition(attribute=attribute, groups=tuple(groups), excluded=tuple(excluded))
+    code_of = np.full(len(levels) + 1, -1, dtype=np.int64)
+    code_of[kept] = range(len(kept))
+    return SubgroupPartition(attribute, tuple((*levels, MISSING_LABEL)[s] for s in kept), positions,
+                             code_of[slots], tuple(excluded))
 
 
 def _to_float(text) -> float:

@@ -32,8 +32,8 @@ import numpy as np
 from scipy.stats import rankdata
 
 from biasaudit._rng import stream
-from biasaudit.cohort import MISSING, MISSING_LABEL, CohortRecord, CohortSchema
-from biasaudit.errors import CohortValidationError, ConfigError, RowIssue, SchemaError
+from biasaudit.cohort import MISSING, MISSING_LABEL, CohortRecord, CohortSchema, _level_members, attribute_values
+from biasaudit.errors import CohortValidationError, ConfigError, InsufficientDataError, RowIssue, SchemaError
 from biasaudit.glm import DesignMatrix, FeatureColumn
 from biasaudit.matching import MatchedPair, MatchedSample, _logit
 from biasaudit.metrics import _THRESHOLD_METRICS, _metric_block, _youden_cuts
@@ -358,6 +358,44 @@ def rank_metric_matrix(y: np.ndarray, s: np.ndarray, codes: np.ndarray, n_levels
                 elif m == "FPR" and n_neg:
                     out[g, j] = fp / n_neg
     return out
+
+
+def bucket_partition(cohort, attribute: str, min_group_size: int, positions):
+    """``(groups, excluded)`` of ``cohort._partition`` by the walk it made
+    before partitions held level codes: one Python list per level, filled
+    record by record in position order.  Raises InsufficientDataError as it
+    does."""
+    values = attribute_values(cohort, attribute)
+    pool = range(cohort.n) if positions is None else np.sort(positions).tolist()
+    missing_idx: list[int] = []
+    buckets: dict = {level: [] for level in cohort.attribute_levels[attribute]}
+    buckets.update(dict.fromkeys(_level_members(MISSING_LABEL), missing_idx))
+    for i in pool:
+        buckets[values[i]].append(i)
+
+    groups: list[tuple[str, tuple[int, ...]]] = []
+    excluded: list[tuple[str, int, str]] = []
+    for level, idx in buckets.items():
+        if idx is missing_idx:
+            continue
+        if not idx:
+            excluded.append((level, 0, "empty"))
+        elif len(idx) < min_group_size:
+            excluded.append((level, len(idx), "too small"))
+        else:
+            groups.append((level, tuple(idx)))
+    if missing_idx:
+        if len(missing_idx) >= min_group_size:
+            groups.append((MISSING_LABEL, tuple(missing_idx)))
+        else:
+            excluded.append((MISSING_LABEL, len(missing_idx), "missing"))
+
+    if len(groups) < 2:
+        raise InsufficientDataError(
+            f"partition on {attribute!r} leaves {len(groups)} group(s) at "
+            f"min_group_size={min_group_size}; nothing to compare"
+        )
+    return tuple(groups), tuple(excluded)
 
 
 def delong_auroc_se(labels, scores) -> float:

@@ -23,6 +23,7 @@ from biasaudit.audit import (
     MatchedCell,
     SubgroupAuditResult,
     ThresholdPolicy,
+    audit_model,
     bootstrap_audit,
     build_comparison,
     compare_models,
@@ -769,7 +770,7 @@ class TestMatchedAudit:
         cohort = build_cohort(
             labels=y.tolist(),
             scores=expit(x + rng.normal(0, 0.4, 2 * n)).tolist(),
-            protected={"g": ["a"] * n + ["b"] * n},
+            protected={"g": ["a"] * n + ["b"] * n, "h": ["u"] * (2 * n)},
             covariates={"x": x.tolist()},
         )
         config = AuditConfig(
@@ -780,9 +781,11 @@ class TestMatchedAudit:
             propensity_covariates=("x",),
             seed=16,
         )
-        assert matched_audit(cohort, "score", config, workers=1) == matched_audit(
-            cohort, "score", config, workers=4
-        )
+        # Threads share the bootstrap loop only; no output may depend on them.
+        serial = audit_model(cohort, "score", config, workers=1)
+        subgroup, matched, skipped = serial
+        assert subgroup and matched and [attr for attr, _ in skipped] == ["h"]
+        assert audit_model(cohort, "score", config, workers=4) == serial
 
 
 def ok_cell(model, attr, level, metric, mean_diff):

@@ -772,6 +772,18 @@ class TestAuditCommand:
         assert ("must be a" if malformed else "must be finite") in err
         assert not (tmp_path / "report").exists()
 
+    @pytest.mark.parametrize("command", ["audit", "match"])
+    @pytest.mark.parametrize("covariate", ["race", "nope"])
+    def test_propensity_covariate_not_declared_exits_2(self, tmp_path, capsys, command, covariate):
+        # A protected attribute or an unknown column can never be matched on,
+        # so the config is refused before the cohort is read.
+        config = make_run_config(tmp_path, str(tmp_path / "unread.csv"),
+                                 audit=dict(RUN_AUDIT, propensity_covariates=["sofa", covariate]))
+        assert main([command, config]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: propensity_covariates") and repr(covariate) in err
+        assert not (tmp_path / "report").exists()
+
     @pytest.mark.parametrize("doc_workers, flag", [(0, None), (-1, None), (2, "-7"), (1, "0")])
     def test_workers_below_one_exits_2(self, tmp_path, capsys, doc_workers, flag):
         config = make_run_config(tmp_path, str(tmp_path / "unread.csv"), workers=doc_workers)

@@ -13,6 +13,9 @@ from biasaudit.cohort import (
     CohortSchema,
     CovariateColumn,
     ProtectedColumn,
+    SubgroupPartition,
+    _level_members,
+    _partition,
     attribute_values,
     bin_continuous,
     label_values,
@@ -32,7 +35,7 @@ from biasaudit.errors import (
 )
 
 from helpers import build_cohort
-from oracles import record_attribute_values, record_parse_cohort, record_write_cohort
+from oracles import bucket_partition, record_attribute_values, record_parse_cohort, record_write_cohort
 
 
 def simple_schema(**kwargs) -> CohortSchema:
@@ -629,6 +632,60 @@ class TestSubgroupPartition:
         assert len(included) + sum(c for _, c, _ in part.excluded) == n
         for level, idx in part.groups:
             assert len(idx) >= (min_size if level != MISSING_LABEL else min_size)
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_codes_agree_with_the_bucket_walk(self, data):
+        # Missing values, a literal MISSING level, levels the subset leaves
+        # empty or small, and repeated positions as group_diffs passes them.
+        # Each value's count is drawn, so small and missing levels come up often.
+        counts = data.draw(st.tuples(st.integers(1, 8), st.integers(0, 8), st.integers(0, 3), st.integers(0, 3),
+                                     st.integers(0, 3)))
+        values = data.draw(st.permutations([v for v, c in zip(["A", "B", "C", "MISSING", None], counts)
+                                            for _ in range(c)]))
+        n = len(values)
+        cohort = build_cohort(labels=[i % 2 for i in range(n)], scores=[0.5] * n, protected={"g": values})
+        min_size = data.draw(st.integers(0, 4))
+        kind = data.draw(st.sampled_from(["all", "distinct", "repeated"]))
+        if kind == "all":
+            positions = None
+        elif kind == "distinct":
+            positions = subset_positions(data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))], n)
+        else:
+            positions = subset_positions(data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)), n, distinct=False)
+        try:
+            groups, excluded = bucket_partition(cohort, "g", min_size, positions)
+        except InsufficientDataError as exc:
+            with pytest.raises(InsufficientDataError) as raised:
+                _partition(cohort, "g", min_size, positions)
+            assert str(raised.value) == str(exc)
+            return
+        part = _partition(cohort, "g", min_size, positions)
+        assert "groups" not in vars(part)  # built only when read
+        assert part.levels == tuple(level for level, _ in groups)
+        assert part.excluded == excluded
+        assert part.groups == groups
+        assert part.positions.tolist() == sorted(range(n) if positions is None else positions.tolist())
+        for g, (_, idx) in enumerate(groups):
+            assert part.positions[part.codes == g].tolist() == list(idx)
+        out = {v for level, _, _ in excluded for v in _level_members(level)}
+        decoded = attribute_values(cohort, "g")
+        assert (part.codes == -1).tolist() == [decoded[i] in out for i in part.positions.tolist()]
+        assert part == _partition(cohort, "g", min_size, positions)
+        if part.positions.size:
+            try:
+                fewer = _partition(cohort, "g", min_size, part.positions[1:])
+            except InsufficientDataError:
+                return
+            assert fewer != part
+
+    def test_equality_reads_every_field(self):
+        cohort = build_cohort(labels=[0, 1] * 10, scores=[0.5] * 20, protected={"g": ["A", "B"] * 10})
+        part = subgroup_partition(cohort, "g", min_group_size=1)
+        assert part == SubgroupPartition("g", ("A", "B"), np.arange(20), np.arange(20) % 2)
+        for change in ({"attribute": "h"}, {"levels": ("B", "A")}, {"positions": part.positions[::-1]},
+                       {"codes": part.codes[::-1]}, {"excluded": (("C", 0, "empty"),)}):
+            assert part != replace(part, **change)
 
 
 class TestRoundTrip:
