@@ -20,6 +20,26 @@ Layout:
 
 __version__ = "0.1.0"
 
+
+def _load_numpy() -> None:
+    # OpenBLAS sizes its pool once, as numpy loads, from the first of these
+    # names set.  The package's BLAS work is a few p x p products, so an idle
+    # pool only spins CPU: numpy loads with one thread unless the caller chose.
+    import os
+    import sys
+
+    if "numpy" in sys.modules or {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]  # subprocesses see the environment as it was
+
+
+_load_numpy()
+del _load_numpy
+
 from .cohort import (
     MISSING,
     MISSING_LABEL,

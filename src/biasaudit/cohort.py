@@ -382,6 +382,10 @@ class SubgroupPartition:
     codes: np.ndarray
     excluded: tuple[tuple[str, int, str], ...] = ()
 
+    def __post_init__(self):
+        for arr in (self.positions, self.codes):
+            arr.flags.writeable = False
+
     def __eq__(self, other):
         if not isinstance(other, SubgroupPartition):
             return NotImplemented

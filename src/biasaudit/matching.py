@@ -13,6 +13,7 @@ import os
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -134,14 +135,8 @@ def estimate_propensity(
     if treated_level == control_level:
         raise PropensityError("treated and control levels are identical")
 
-    values = attribute_values(cohort, attribute)
-    pool = range(cohort.n) if subset is None else subset_positions(subset, cohort.n).tolist()
-    is_treated = {**dict.fromkeys(_level_members(control_level), False),
-                  **dict.fromkeys(_level_members(treated_level), True)}
-    indices = [i for i in pool if values[i] in is_treated]
-    flags = np.asarray([is_treated[values[i]] for i in indices], dtype=bool)
-    n_treated = int(flags.sum())
-    n_control = len(indices) - n_treated
+    indices, flags = _contrast_records(cohort, attribute, treated_level, control_level, subset)
+    n_control, n_treated = np.bincount(flags, minlength=2).tolist()
     if n_treated < 2 or n_control < 2:
         raise PropensityError(
             f"need at least two records per level, got {n_treated} {treated_level!r} "
@@ -152,7 +147,7 @@ def estimate_propensity(
     model = fit_logistic(design, flags.astype(float), ridge=ridge)
     prop = predict_proba(model, design)
     return PropensityResult(
-        indices=np.asarray(indices, dtype=np.int64),
+        indices=indices,
         treated=flags,
         propensities=prop,
         model=model,
@@ -160,6 +155,17 @@ def estimate_propensity(
         treated_level=treated_level,
         control_level=control_level,
     )
+
+
+def _contrast_records(cohort: Cohort, attribute: str, treated_level: str, control_level: str,
+                      subset) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 positions of the ``subset`` records (all when None) at either
+    level, in its order, and a bool array flagging the treated ones."""
+    values = attribute_values(cohort, attribute)
+    side = {**dict.fromkeys(_level_members(control_level), 0), **dict.fromkeys(_level_members(treated_level), 1)}
+    pool = np.arange(cohort.n) if subset is None else subset_positions(subset, cohort.n)
+    sides = np.fromiter(map(side.get, values, repeat(-1)), np.int8, count=len(values))[pool]
+    return pool[sides >= 0], sides[sides >= 0] == 1
 
 
 def _logit(p: np.ndarray) -> np.ndarray:
@@ -363,13 +369,9 @@ def match_contrast(
     records as in ``estimate_propensity``.  A propensity fit that did not
     converge raises PropensityError rather than matching on its scores.
     """
-    values = attribute_values(cohort, attribute)
     if subset is not None:
         subset = subset_positions(subset, cohort.n)
-    pool = range(cohort.n) if subset is None else subset.tolist()
-    members_a, members_b = _level_members(level_a), _level_members(level_b)
-    n_a = sum(1 for i in pool if values[i] in members_a)
-    n_b = sum(1 for i in pool if values[i] in members_b)
+    n_b, n_a = np.bincount(_contrast_records(cohort, attribute, level_a, level_b, subset)[1], minlength=2)
     if n_a <= n_b:
         treated_level, control_level = level_a, level_b
     else:

@@ -11,7 +11,9 @@ of a sorted index and by the linked-slot search that the descending sweep
 replaced, subgroup metric matrices by per-level masks and midranks
 instead of one count table, the AUROC standard error by DeLong's placement
 values instead of the bootstrap, bootstrap and matched replicates one at a
-time with a column loop for the diffs instead of blocks of replicates, cohort reading and writing by per-row
+time with a column loop for the diffs instead of blocks of replicates, a
+contrast's records by walking the pool in Python instead of one array of
+side codes, cohort reading and writing by per-row
 records instead of columns, pair files and cohorts through ``csv.writer``
 instead of joined rows, and design matrices by one loop that fits and
 builds each column together instead of descriptors applied afterwards.
@@ -32,7 +34,8 @@ import numpy as np
 from scipy.stats import rankdata
 
 from biasaudit._rng import stream
-from biasaudit.cohort import MISSING, MISSING_LABEL, CohortRecord, CohortSchema, _level_members, attribute_values
+from biasaudit.cohort import (MISSING, MISSING_LABEL, CohortRecord, CohortSchema, _level_members, attribute_values,
+                              subset_positions)
 from biasaudit.errors import CohortValidationError, ConfigError, InsufficientDataError, RowIssue, SchemaError
 from biasaudit.glm import DesignMatrix, FeatureColumn
 from biasaudit.matching import MatchedPair, MatchedSample, _logit
@@ -396,6 +399,24 @@ def bucket_partition(cohort, attribute: str, min_group_size: int, positions):
             f"min_group_size={min_group_size}; nothing to compare"
         )
     return tuple(groups), tuple(excluded)
+
+
+def walk_contrast(cohort, attribute: str, treated_level: str, control_level: str, subset):
+    """``(indices, flags, n_treated, n_control)`` for one contrast by the
+    walks ``match_contrast`` and ``estimate_propensity`` made before they
+    shared ``matching._contrast_records``: a generator count of each level
+    over the pool, then the records at either level in pool order and their
+    treated flags by two list comprehensions."""
+    values = attribute_values(cohort, attribute)
+    pool = range(cohort.n) if subset is None else subset_positions(subset, cohort.n).tolist()
+    members_a, members_b = _level_members(treated_level), _level_members(control_level)
+    n_a = sum(1 for i in pool if values[i] in members_a)
+    n_b = sum(1 for i in pool if values[i] in members_b)
+    is_treated = {**dict.fromkeys(_level_members(control_level), False),
+                  **dict.fromkeys(_level_members(treated_level), True)}
+    indices = [i for i in pool if values[i] in is_treated]
+    flags = np.asarray([is_treated[values[i]] for i in indices], dtype=bool)
+    return indices, flags, n_a, n_b
 
 
 def delong_auroc_se(labels, scores) -> float:

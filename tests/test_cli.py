@@ -1274,3 +1274,31 @@ def test_runtime_imports_no_scipy():
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts OS threads through /proc/self/task")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_import_sizes_the_blas_pool_and_restores_the_environment(preset):
+    # Unless the caller sized OpenBLAS's pool, importing the package loads
+    # numpy with one thread, and the environment reads as before either way.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = (
+        "import os, sys\n"
+        "before = dict(os.environ)\n"
+        "import biasaudit\n"
+        "assert 'numpy' in sys.modules\n"
+        "assert dict(os.environ) == before, set(os.environ.items()) ^ set(before.items())\n"
+        "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    threads, value = proc.stdout.split()
+    if preset is None:
+        assert (threads, value) == ("1", "None")
+    else:
+        assert value == preset

@@ -688,6 +688,17 @@ class TestSubgroupPartition:
             assert part != replace(part, **change)
 
 
+    def test_arrays_are_read_only(self):
+        cohort = build_cohort(labels=[0, 1] * 10, scores=[0.5] * 20, protected={"g": ["A", "B", "B", "C", "C"] * 4})
+        part = subgroup_partition(cohort, "g", min_group_size=5)
+        groups = part.groups
+        for arr in (part.positions, part.codes):
+            with pytest.raises(ValueError):
+                arr[:] = 0
+        assert groups == tuple((level, tuple(part.positions[part.codes == g].tolist()))
+                               for g, level in enumerate(part.levels))
+
+
 class TestRoundTrip:
     def make_rich_cohort(self) -> Cohort:
         return build_cohort(

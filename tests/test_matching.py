@@ -7,13 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
-from biasaudit.cohort import subgroup_partition
+from biasaudit.cohort import MISSING_LABEL, subgroup_partition
 from biasaudit.errors import PropensityError
 from biasaudit.matching import (
     MatchedSample,
+    _contrast_records,
     balance_report,
     estimate_propensity,
     export_pairs,
@@ -24,7 +25,7 @@ from biasaudit.matching import (
 from biasaudit.synth import config_from_dict, generate
 
 from helpers import build_cohort
-from oracles import linked_greedy_match, scan_greedy_match, writer_export_pairs
+from oracles import linked_greedy_match, scan_greedy_match, walk_contrast, writer_export_pairs
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -445,6 +446,32 @@ class TestMatchContrast:
         assert sample.treated_level == "MISSING" and sample.treated.size > 0
         assert set(sample.treated.tolist()) <= set(missing)
         balance_report(cohort, sample, ["x"], propensity=prop)
+
+
+class TestContrastRecords:
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_equals_the_walk(self, data):
+        # Missing values and a literal MISSING level (one contrast level
+        # between them), levels empty in the cohort or in the subset, and a
+        # shuffled subset, a shuffled prefix or none.
+        counts = data.draw(st.tuples(*[st.integers(0, 6)] * 5))
+        values = data.draw(st.permutations([v for v, c in zip(["A", "B", "C", "MISSING", None], counts)
+                                            for _ in range(c)]))
+        n = len(values)
+        if n == 0:
+            values, n = ["A"], 1
+        cohort = build_cohort(labels=[i % 2 for i in range(n)], scores=[0.5] * n, protected={"g": values})
+        treated, control = data.draw(st.lists(st.sampled_from(["A", "B", "C", "D", MISSING_LABEL]),
+                                              min_size=2, max_size=2, unique=True))
+        subset = data.draw(st.one_of(st.none(), st.permutations(range(n)).flatmap(
+            lambda order: st.integers(0, n).map(lambda k: order[:k]))))
+        indices, flags, n_treated, n_control = walk_contrast(cohort, "g", treated, control, subset)
+        got_indices, got_flags = _contrast_records(cohort, "g", treated, control, subset)
+        assert got_indices.dtype == np.int64 and got_flags.dtype == bool
+        assert got_indices.tolist() == indices
+        assert got_flags.tolist() == flags.tolist()
+        assert np.bincount(got_flags, minlength=2).tolist() == [n_control, n_treated]
 
 
 class TestBalanceReport:
