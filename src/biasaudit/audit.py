@@ -290,8 +290,8 @@ def _diffs_from_values(values: np.ndarray) -> np.ndarray:
 def attribute_plan(cohort: Cohort, min_group_size: int, model: str | None = None):
     """Which protected attributes partition over the records ``model`` scored:
     ``(subset, partitions, skipped)``, where ``subset`` holds the scored record
-    positions (None without a model: every record), ``partitions`` the
-    SubgroupPartition of each attribute that leaves two groups or more, in
+    positions, read-only (None without a model: every record), ``partitions``
+    the SubgroupPartition of each attribute that leaves two groups or more, in
     schema order, and ``skipped`` an ``(attribute, reason)`` for each other
     one.  Raises InsufficientDataError when the model scored no records."""
     subset = None
@@ -299,6 +299,7 @@ def attribute_plan(cohort: Cohort, min_group_size: int, model: str | None = None
         subset = np.flatnonzero(~np.isnan(score_values(cohort, model)))
         if subset.size == 0:
             raise InsufficientDataError(f"model {model!r} scored no records")
+        subset.flags.writeable = False  # the partitions share it
     partitions: list[SubgroupPartition] = []
     skipped: list[tuple[str, str]] = []
     for col in cohort.schema.protected_columns:
@@ -553,42 +554,29 @@ def summarize_discrepancy(
     Matched cells are collapsed per level first (unweighted mean over that
     level's ok contrasts), so a level matched against several opponents
     contributes one number.  Gaps are order-invariant in the levels and left
-    unrounded; rendering applies display rounding.
+    unrounded; rendering applies display rounding.  Summaries run model by
+    model, each model's attributes in their order of first appearance over
+    all rows, "before" ahead of "after".
     """
-    summaries: list[DiscrepancySummary] = []
     rows = (*subgroup_results, *matched_results)
     models = dict.fromkeys(r.model for r in rows)
     attrs = dict.fromkeys(r.attribute for r in rows)
-
-    for model in models:
-        for attr in attrs:
-            before = [
-                r.mean_diff
-                for r in subgroup_results
-                if r.model == model and r.attribute == attr and r.metric == metric
-                and r.status == STATUS_OK and r.mean_diff is not None
-            ]
-            after: list[float] = []
-            for row in matched_results:
-                if row.model != model or row.attribute != attr:
-                    continue
-                vals = [
-                    c.result.mean_diff
-                    for c in row.cells
-                    if c.status == STATUS_OK and c.result is not None
-                    and c.result.metric == metric and c.result.mean_diff is not None
-                ]
-                if vals:
-                    after.append(float(np.mean(vals)))
-            for matching, diffs in (("before", before), ("after", after)):
-                if len(diffs) >= 2:
-                    summaries.append(
-                        DiscrepancySummary(
-                            model=model, attribute=attr, metric=metric, matching=matching,
-                            gap=float(max(diffs) - min(diffs)), n_levels=len(diffs),
-                        )
-                    )
-    return summaries
+    diffs: dict[tuple[str, str, str], list[float]] = {}
+    for r in subgroup_results:
+        if r.metric == metric and r.status == STATUS_OK and r.mean_diff is not None:
+            diffs.setdefault((r.model, r.attribute, "before"), []).append(r.mean_diff)
+    for row in matched_results:
+        vals = [c.result.mean_diff for c in row.cells
+                if c.status == STATUS_OK and c.result is not None
+                and c.result.metric == metric and c.result.mean_diff is not None]
+        if vals:
+            diffs.setdefault((row.model, row.attribute, "after"), []).append(float(np.mean(vals)))
+    return [
+        DiscrepancySummary(model=model, attribute=attr, metric=metric, matching=matching,
+                           gap=float(max(values) - min(values)), n_levels=len(values))
+        for model in models for attr in attrs for matching in ("before", "after")
+        for values in [diffs.get((model, attr, matching), ())] if len(values) >= 2
+    ]
 
 
 def compare_models(cohort: Cohort, model_a: str, model_b: str, config: AuditConfig, workers: int = 1) -> ComparisonReport:
@@ -620,40 +608,26 @@ def build_comparison(
     mat_a=(),
     mat_b=(),
 ) -> ComparisonReport:
-    """Pair already-computed audit results of two models into a comparison."""
-    deltas: list[DeltaCell] = []
-    by_key_b = {(r.attribute, r.level, r.metric): r for r in sub_b}
-    for ra in sub_a:
-        rb = by_key_b.get((ra.attribute, ra.level, ra.metric))
-        ok = rb is not None and ra.status == STATUS_OK and rb.status == STATUS_OK
-        deltas.append(
-            DeltaCell(
-                attribute=ra.attribute, level=ra.level, metric=ra.metric,
-                phase="before", opponent=None,
-                delta=(rb.mean_diff - ra.mean_diff) if ok else None,
-            )
-        )
-    cell_key_b = {}
-    for row in mat_b:
-        for c in row.cells:
-            if c.result is not None:
-                cell_key_b[(row.attribute, row.level, c.opponent, c.result.metric)] = c
-    for row in mat_a:
-        for c in row.cells:
-            if c.result is None:
-                continue
-            cb = cell_key_b.get((row.attribute, row.level, c.opponent, c.result.metric))
-            ok = (
-                cb is not None and cb.result is not None
-                and c.status == STATUS_OK and cb.status == STATUS_OK
-            )
-            deltas.append(
-                DeltaCell(
-                    attribute=row.attribute, level=row.level, metric=c.result.metric,
-                    phase="after", opponent=c.opponent,
-                    delta=(cb.result.mean_diff - c.result.mean_diff) if ok else None,
-                )
-            )
+    """Pair already-computed audit results of two models into a comparison.
+
+    Each of model_a's subgroup cells, then each of its matched cells with a
+    result, gives one delta: model_b's cell minus model_a's when both exist
+    and are "ok", None otherwise."""
+    def cells(subgroup, matched):
+        # ((attribute, level, metric, phase, opponent), status, mean_diff)
+        for r in subgroup:
+            yield (r.attribute, r.level, r.metric, "before", None), r.status, r.mean_diff
+        for row in matched:
+            for c in row.cells:
+                if c.result is not None:
+                    key = (row.attribute, row.level, c.result.metric, "after", c.opponent)
+                    yield key, c.status, c.result.mean_diff
+
+    cells_b = {key: (status, diff) for key, status, diff in cells(sub_b, mat_b)}
+    deltas = []
+    for key, status, diff in cells(sub_a, mat_a):
+        status_b, diff_b = cells_b.get(key, (None, None))
+        deltas.append(DeltaCell(*key, delta=diff_b - diff if status == status_b == STATUS_OK else None))
 
     overall: dict = {}
     # Each row names its threshold ahead of the metrics when a metric needs one.

@@ -198,6 +198,9 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"formats must be among {_FORMATS}, got {list(formats)}")
 
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    output_dir = overrides.get("output_dir", doc.get("output_dir", "report"))
+    if not output_dir:
+        raise ConfigError("output_dir must be a directory path, got ''")
     _check_keys(doc.get("audit", {}), _AUDIT_KEYS, "audit config")
     audit_doc = dict(doc.get("audit", {}))
     for key in ("seed", "n_bootstrap"):
@@ -240,7 +243,7 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
         cohort=cohort_path,
         schema=schema,
         audit=audit,
-        output_dir=overrides.get("output_dir", doc.get("output_dir", "report")),
+        output_dir=output_dir,
         formats=formats,
         workers=workers,
         calibration_bins=calibration_bins,

@@ -442,12 +442,16 @@ def _partition(cohort: Cohort, attribute: str, min_group_size: int, positions) -
     """``subgroup_partition`` over checked ``positions`` (all records when
     None), which may repeat a record: a group then lists it as often.  A
     value's slot is its level's index; MISSING and a literal MISSING level
-    share one more, last.  One ``bincount`` sizes every slot."""
+    share one more, last.  One ``bincount`` sizes every slot.  Read-only
+    sorted ``positions``, such as a plan's subset, are kept as they are."""
     levels = cohort.attribute_levels[attribute]
     slot_of = {level: s for s, level in enumerate(levels)}
     slot_of.update(dict.fromkeys(_level_members(MISSING_LABEL), len(levels)))
     values = attribute_values(cohort, attribute)
-    positions = np.arange(cohort.n) if positions is None else np.sort(positions)
+    if positions is None:
+        positions = np.arange(cohort.n)
+    elif positions.flags.writeable or np.any(positions[1:] < positions[:-1]):
+        positions = np.sort(positions)  # a copy: the caller's array is never aliased or frozen
     slots = np.fromiter(map(slot_of.__getitem__, values), dtype=np.int64, count=len(values))[positions]
     sizes = np.bincount(slots, minlength=len(levels) + 1).tolist()
 

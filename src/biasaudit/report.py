@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass, field, fields, is_dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 
-from .audit import STATUS_OK, ComparisonReport
+from .audit import STATUS_FAILED, STATUS_INSUFFICIENT, STATUS_OK, STATUS_SKIPPED, ComparisonReport
 from .cohort import _csv_fields
 
 _FORMATS = ("json", "csv", "markdown", "svg")
@@ -118,16 +118,8 @@ def build_bundle(
 
 
 def bundle_to_json(bundle: ReportBundle) -> str:
-    doc = {
-        "schema_version": bundle.schema_version,
-        "metadata": bundle.metadata,
-        "subgroup": bundle.subgroup,
-        "matched": bundle.matched,
-        "discrepancy": bundle.discrepancy,
-        "balance": bundle.balance,
-        "calibration": bundle.calibration,
-        "comparison": bundle.comparison,
-    }
+    """The bundle's fields in declaration order, led by ``schema_version``."""
+    doc = {"schema_version": bundle.schema_version, **vars(bundle)}
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
@@ -149,6 +141,16 @@ def _star(row: dict) -> str:
     return "*" if row.get("significant") else ""
 
 
+def _cell_text(row: dict, places: int) -> str:
+    """A subgroup cell's rounded diff, starred when significant, or its status."""
+    if row["status"] == STATUS_OK:
+        return fmt_rounded(row["mean_diff"], places) + _star(row)
+    return row["status"]
+
+
+_STATUS_WORDS = {STATUS_INSUFFICIENT: "ins", STATUS_SKIPPED: "skip", STATUS_FAILED: "fail"}
+
+
 def _matched_cell_text(cells: list[dict], metric: str, places: int) -> str:
     """Render one level's matched contrasts for one metric.
 
@@ -162,17 +164,20 @@ def _matched_cell_text(cells: list[dict], metric: str, places: int) -> str:
             continue
         if c["status"] == STATUS_OK and res is not None:
             parts.append(fmt_rounded(res["mean_diff"], places) + _star(res))
-        elif c["status"] == "insufficient":
-            parts.append("ins")
-        elif c["status"] == "skipped":
-            parts.append("skip")
-        elif c["status"] == "failed":
-            parts.append("fail")
+        elif c["status"] in _STATUS_WORDS:
+            parts.append(_STATUS_WORDS[c["status"]])
     if not parts:
         return ""
     if len(parts) == 1:
         return parts[0]
     return "[" + ", ".join(parts) + "]"
+
+
+def _md_table(header: list[str], rows) -> list[str]:
+    """A markdown table's lines from already-formatted cells: the header
+    row, the separator, one line per row, then a blank line."""
+    return ["| " + " | ".join(header) + " |", "|" + "---|" * len(header),
+            *("| " + " | ".join(cells) + " |" for cells in rows), ""]
 
 
 def _csv(header: list[str], rows) -> str:
@@ -251,109 +256,77 @@ def _markdown(bundle: ReportBundle, places: int) -> str:
     meta = bundle.metadata
     for key in sorted(meta):
         value = meta[key]
+        if key == "skipped_attributes":  # one nested bullet per skip
+            lines.append(f"- {key}: ")
+            lines += (f"  - {_md_cell(s['model'])}: {_md_cell(s['attribute'])} ({_md_cell(s['reason'])})"
+                      for s in value)
+            continue
         if isinstance(value, (list, tuple)):
             value = ", ".join(str(v) for v in value)
         lines.append(f"- {key}: {_md_cell(value)}")
     lines.append("")
 
-    models = list(dict.fromkeys(r["model"] for r in bundle.subgroup))
     metrics = list(dict.fromkeys(r["metric"] for r in bundle.subgroup))
-
+    subgroup_by_key = {(r["model"], r["attribute"], r["level"], r["metric"]): r for r in bundle.subgroup}
     matched_by_key: dict[tuple[str, str, str], list[dict]] = {}
     for row in bundle.matched:
         matched_by_key.setdefault((row["model"], row["attribute"], row["level"]), []).extend(row["cells"])
+    groups_by_model: dict[str, dict[tuple[str, str], None]] = {}
+    for model, attr, level, _ in subgroup_by_key:
+        groups_by_model.setdefault(model, {})[attr, level] = None
 
-    for model in models:
-        rows = [r for r in bundle.subgroup if r["model"] == model]
-        lines.append(f"## Subgroup audit: {_md_cell(model)}")
-        lines.append("")
-        has_matched = any((model, r["attribute"], r["level"]) in matched_by_key for r in rows)
+    for model, groups in groups_by_model.items():
+        has_matched = any((model, *group) in matched_by_key for group in groups)
         header = ["Group"]
         for m in metrics:
-            header.append(m)
-            if has_matched:
-                header.append(f"{m} (matched)")
-        lines.append("| " + " | ".join(header) + " |")
-        lines.append("|" + "---|" * len(header))
-        for attr, level in dict.fromkeys((r["attribute"], r["level"]) for r in rows):
+            header += [m, f"{m} (matched)"] if has_matched else [m]
+        rows = []
+        for attr, level in groups:
             cells = [_md_cell(f"{attr} = {level}")]
             for m in metrics:
-                cell = ""
-                for r in rows:
-                    if r["attribute"] == attr and r["level"] == level and r["metric"] == m:
-                        if r["status"] == STATUS_OK:
-                            cell = fmt_rounded(r["mean_diff"], places) + _star(r)
-                        else:
-                            cell = r["status"]
-                cells.append(cell)
+                row = subgroup_by_key.get((model, attr, level, m))
+                cells.append("" if row is None else _cell_text(row, places))
                 if has_matched:
-                    mcells = matched_by_key.get((model, attr, level), [])
-                    cells.append(_matched_cell_text(mcells, m, places))
-            lines.append("| " + " | ".join(cells) + " |")
-        lines.append("")
+                    cells.append(_matched_cell_text(matched_by_key.get((model, attr, level), []), m, places))
+            rows.append(cells)
+        lines += [f"## Subgroup audit: {_md_cell(model)}", "", *_md_table(header, rows)]
 
     if bundle.discrepancy:
-        lines.append("## Max discrepancy across subgroups")
-        lines.append("")
-        lines.append("| Model | Attribute | Metric | Matching | Gap | Levels |")
-        lines.append("|---|---|---|---|---|---|")
-        for r in bundle.discrepancy:
-            lines.append(
-                f"| {_md_cell(r['model'])} | {_md_cell(r['attribute'])} | {r['metric']} | {r['matching']} "
-                f"| {fmt_rounded(r['gap'], places)} | {r['n_levels']} |"
-            )
-        lines.append("")
+        lines += ["## Max discrepancy across subgroups", "", *_md_table(
+            ["Model", "Attribute", "Metric", "Matching", "Gap", "Levels"],
+            ([_md_cell(r["model"]), _md_cell(r["attribute"]), r["metric"], r["matching"],
+              fmt_rounded(r["gap"], places), str(r["n_levels"])] for r in bundle.discrepancy))]
 
     if bundle.balance:
-        lines.append("## Covariate balance (matched contrasts)")
-        lines.append("")
-        lines.append("| Model | Contrast | Covariate | SMD before | SMD after |")
-        lines.append("|---|---|---|---|---|")
+        rows = []
         for r in bundle.balance:
             model = _md_cell(r.get("model", ""))
             contrast = _md_cell(f"{r['attribute']}: {r['treated_level']} vs {r['control_level']}")
             if r.get("status") and r["status"] != STATUS_OK:
-                detail = _md_cell(r.get("detail", ""))
-                lines.append(f"| {model} | {contrast} | ({r['status']}: {detail}) | | |")
+                # The status spans both SMD cells, which stay single-spaced.
+                rows.append([model, contrast, f"({r['status']}: {_md_cell(r.get('detail', ''))}) | |"])
                 continue
-            for c in r.get("covariates", []):
-                lines.append(
-                    f"| {model} | {contrast} | {_md_cell(c['name'])} "
-                    f"| {fmt_rounded(c['smd_before'], 4)} | {fmt_rounded(c['smd_after'], 4)} |"
-                )
-        lines.append("")
+            rows += ([model, contrast, _md_cell(c["name"]), fmt_rounded(c["smd_before"], 4),
+                      fmt_rounded(c["smd_after"], 4)] for c in r.get("covariates", []))
+        lines += ["## Covariate balance (matched contrasts)", "", *_md_table(
+            ["Model", "Contrast", "Covariate", "SMD before", "SMD after"], rows)]
 
     if bundle.calibration:
-        lines.append("## Calibration")
-        lines.append("")
-        for model in bundle.calibration:
-            lines.append(f"![calibration {safe_name(model)}](calibration_{safe_name(model)}.svg)")
-        lines.append("")
+        names = [safe_name(m) for m in bundle.calibration]
+        lines += ["## Calibration", "", *(f"![calibration {n}](calibration_{n}.svg)" for n in names), ""]
 
     if bundle.comparison is not None:
         cmp = bundle.comparison
-        lines.append(f"## Model comparison: {_md_cell(cmp['model_b'])} minus {_md_cell(cmp['model_a'])}")
-        lines.append("")
-        lines.append("### Overall performance")
-        lines.append("")
         metric_names = [k for k in next(iter(cmp["overall"].values())) if k not in ("n", "threshold")]
-        lines.append("| Model | n | " + " | ".join(metric_names) + " |")
-        lines.append("|---|---|" + "---|" * len(metric_names))
-        for m, entry in cmp["overall"].items():
-            cells = [_md_cell(m), str(entry["n"])]
-            cells += [_fmt_stat(entry[name]) for name in metric_names]
-            lines.append("| " + " | ".join(cells) + " |")
-        lines.append("")
-        lines.append("### Cell deltas")
-        lines.append("")
-        lines.append("| Attribute | Level | Metric | Phase | Opponent | Delta |")
-        lines.append("|---|---|---|---|---|---|")
-        for d in cmp["deltas"]:
-            lines.append(
-                f"| {_md_cell(d['attribute'])} | {_md_cell(d['level'])} | {d['metric']} | {d['phase']} "
-                f"| {_md_cell(d['opponent'] or '')} | {fmt_rounded(d['delta'], places)} |"
-            )
-        lines.append("")
+        overall = _md_table(["Model", "n", *metric_names],
+                            ([_md_cell(m), str(entry["n"]), *(_fmt_stat(entry[name]) for name in metric_names)]
+                             for m, entry in cmp["overall"].items()))
+        deltas = _md_table(["Attribute", "Level", "Metric", "Phase", "Opponent", "Delta"],
+                           ([_md_cell(d["attribute"]), _md_cell(d["level"]), d["metric"], d["phase"],
+                             _md_cell(d["opponent"] or ""), fmt_rounded(d["delta"], places)]
+                            for d in cmp["deltas"]))
+        lines += [f"## Model comparison: {_md_cell(cmp['model_b'])} minus {_md_cell(cmp['model_a'])}", "",
+                  "### Overall performance", "", *overall, "### Cell deltas", "", *deltas]
 
     return "\n".join(lines)
 

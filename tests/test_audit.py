@@ -975,6 +975,26 @@ class TestSummarizeDiscrepancy:
         assert summaries[("m2", "g")] == pytest.approx(0.2, abs=1e-15)
         assert summaries[("m1", "h")] == pytest.approx(0.02, abs=1e-15)
 
+    def test_output_runs_model_by_model_then_attribute_by_first_appearance(self):
+        # m1 has matched rows only for "k", an attribute no subgroup row
+        # names; m2 has them only for "g".  Each model lists the attributes
+        # in their order of first appearance over all rows, before then after.
+        rows = [ok_cell(m, attr, lv, "AUROC", d) for m in ("m1", "m2")
+                for attr, levels in (("g", "ab"), ("h", "xy")) for lv, d in zip(levels, (0.01, -0.01))]
+        matched = [
+            matched_row("m2", "g", "a", [("b", 0.02)]),
+            matched_row("m2", "g", "b", [("a", -0.02)]),
+            matched_row("m1", "k", "p", [("q", 0.03), ("r", 0.01)]),
+            matched_row("m1", "k", "q", [("p", -0.03)]),
+            matched_row("m1", "k", "r", [("p", None)]),  # no ok contrast: no level value
+        ]
+        summaries = summarize_discrepancy(rows, matched, "AUROC")
+        assert [(s.model, s.attribute, s.matching, s.n_levels) for s in summaries] == [
+            ("m1", "g", "before", 2), ("m1", "h", "before", 2), ("m1", "k", "after", 2),
+            ("m2", "g", "before", 2), ("m2", "g", "after", 2), ("m2", "h", "before", 2),
+        ]
+        assert summaries[2].gap == pytest.approx(0.05, abs=1e-15)
+
 
 class TestCompareModels:
     def duplicate_column_cohort(self, seed=0, n=400):
@@ -1106,3 +1126,38 @@ class TestCompareModels:
         config = AuditConfig(metrics=("AUROC",), n_bootstrap=5, min_group_size=5)
         report = build_comparison(cohort, "m1", "m2", config, sub_a, sub_b, mat_a, mat_b)
         assert [d for d in report.deltas if d.phase == "after"] == []
+
+    def test_deltas_follow_model_a_and_are_none_without_two_ok_cells(self):
+        insufficient = SubgroupAuditResult(
+            model="m1", attribute="g", level="d", metric="AUROC", mean_diff=None, sd=None, t_stat=None,
+            p_value=None, significant=None, n_effective=1, status=STATUS_INSUFFICIENT)
+        sub_a = [ok_cell("m1", "g", lv, "AUROC", d) for lv, d in (("a", 0.01), ("b", -0.01), ("c", 0.0))]
+        sub_a.append(insufficient)
+        sub_b = [ok_cell("m2", "g", lv, "AUROC", d) for lv, d in (("b", -0.03), ("a", 0.03), ("d", 0.0))]
+        mat_a = [
+            matched_row("m1", "g", "a", [("b", 0.02), ("c", None)]),
+            matched_row("m1", "g", "b", [("a", -0.02)]),
+            MatchedAuditResult(model="m1", attribute="g", level="c", cells=(
+                MatchedCell(opponent="a", status=STATUS_INSUFFICIENT, result=insufficient),
+                MatchedCell(opponent="b", status=STATUS_OK, result=ok_cell("m1", "g", "c", "AUROC", 0.01)),
+            )),
+        ]
+        mat_b = [
+            matched_row("m2", "g", "a", [("b", 0.05)]),
+            matched_row("m2", "g", "b", [("a", None)]),  # b's cell has no result
+            matched_row("m2", "g", "c", [("a", 0.04)]),
+        ]
+        cohort = self.duplicate_column_cohort(seed=6, n=50)
+        config = AuditConfig(metrics=("AUROC",), n_bootstrap=5, min_group_size=5)
+        report = build_comparison(cohort, "m1", "m2", config, sub_a, sub_b, mat_a, mat_b)
+        got = [(d.level, d.phase, d.opponent, None if d.delta is None else round(d.delta, 12))
+               for d in report.deltas]
+        assert got == [
+            ("a", "before", None, 0.02), ("b", "before", None, -0.02),
+            ("c", "before", None, None),  # b has no cell
+            ("d", "before", None, None),  # a's cell is insufficient
+            ("a", "after", "b", 0.03),
+            ("b", "after", "a", None),  # b's cell has no result
+            ("c", "after", "a", None),  # a's cell is insufficient
+            ("c", "after", "b", None),  # b has no cell
+        ]

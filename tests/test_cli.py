@@ -752,16 +752,18 @@ class TestAuditCommand:
         ("models", ["score", "score"]),
         ("models", []),
         ("propensity_covariates", ["sofa", "sofa"]),
+        ("output_dir", ""),
     ])
     def test_non_finite_config_float_exits_2(self, tmp_path, capsys, key, value):
         unread = str(tmp_path / "unread.csv")
-        if key in ("calibration_bins", "workers", "models"):
+        if key in ("calibration_bins", "workers", "models", "output_dir"):
             config = make_run_config(tmp_path, unread, **{key: value})
         else:
             config = make_run_config(tmp_path, unread, audit=dict(RUN_AUDIT, **{key: value}))
         # The non-finite floats are the NaN/Infinity literals that json.dump
         # writes and json.load accepts; strings, bools and a fractional count
-        # are malformed numbers, and an empty or repeated name list is malformed.
+        # are malformed numbers, and an empty or repeated name list or an empty
+        # path is malformed.
         number = value["value"] if isinstance(value, dict) else value
         malformed = not (type(number) is float and not math.isfinite(number))
         if not malformed:
@@ -782,6 +784,16 @@ class TestAuditCommand:
         assert main([command, config]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: propensity_covariates") and repr(covariate) in err
+        assert not (tmp_path / "report").exists()
+
+    # An empty output_dir in an audit config file is a case of the test above.
+    @pytest.mark.parametrize("command, from_flag", [("audit", True), ("match", False), ("match", True)])
+    def test_empty_output_dir_exits_2_before_the_cohort_is_read(self, tmp_path, capsys, command, from_flag):
+        unread = str(tmp_path / "unread.csv")
+        config = make_run_config(tmp_path, unread, **({} if from_flag else {"output_dir": ""}))
+        argv = [command, config] + (["--output-dir", ""] if from_flag else [])
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: output_dir must be a directory path, got ''\n"
         assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize("doc_workers, flag", [(0, None), (-1, None), (2, "-7"), (1, "0")])
@@ -1167,6 +1179,21 @@ class TestMatchCommand:
         assert f"note: skipping 'sex': {skipped['reason']}" in capsys.readouterr().err.splitlines()
         contrasts = json.load(open(tmp_path / "match" / "matching.json"))["contrasts"]
         assert {r["attribute"] for r in contrasts} == {"race"}
+
+    def test_skipped_attribute_is_a_bullet_in_report_md(self, tmp_path):
+        # "se|x" has one level; the model's name holds a pipe and a line break.
+        protected = [SYNTH_DOC["protected"][0], {"name": "se|x", "levels": ["F"], "weights": [1.0]}]
+        cohort = make_cohort(tmp_path, synth_overrides={"protected": protected})
+        schema = dict(RUN_SCHEMA, protected=[{"name": "race"}, {"name": "se|x"}],
+                      score_columns=[["m|1\r\nb", "score"]])
+        config = make_run_config(tmp_path, cohort, schema=schema)
+        assert main(["audit", config]) == EXIT_OK
+        lines = (tmp_path / "report" / "report.md").read_text().splitlines()
+        at = lines.index("- skipped_attributes: ")
+        assert lines[at + 1:at + 3] == [
+            "  - m\\|1  b: se\\|x (partition on 'se\\|x' leaves 1 group(s) at min_group_size=30; nothing to compare)",
+            "- threshold_policy: youden",
+        ]
 
     def test_skip_for_one_model_is_listed_with_that_model(self, tmp_path):
         # "s2" scores only the sex=F records, so sex leaves it one group.

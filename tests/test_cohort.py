@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from biasaudit.audit import attribute_plan
 from biasaudit.cohort import (
     MISSING,
     MISSING_LABEL,
@@ -598,6 +599,26 @@ class TestSubgroupPartition:
         assert subset_positions([2, 2, 0], 3, distinct=False).tolist() == [2, 2, 0]
         with pytest.raises(ValueError, match="must not repeat"):
             subset_positions([2, 0, 2], 3)
+
+    def test_plan_partitions_share_its_read_only_subset(self):
+        cohort = build_cohort(labels=[0, 1] * 10, scores=[None, 0.5, 0.6, 0.7] * 5,
+                              protected={"g": ["A", "B"] * 10, "h": ["x"] * 10 + ["y"] * 10})
+        subset, partitions, _ = attribute_plan(cohort, 1, "score")
+        assert not subset.flags.writeable
+        assert len(partitions) == 2
+        for part in partitions:
+            assert np.shares_memory(part.positions, subset)
+            assert not part.positions.flags.writeable
+
+    def test_partition_copies_a_writable_subset(self):
+        cohort = build_cohort(labels=[0, 1] * 10, scores=[0.5] * 20, protected={"g": ["A", "A", "B", "B"] * 5})
+        for subset in (np.arange(1, 20, 2), np.arange(19, 0, -2)):  # sorted, and not
+            kept = subset.copy()
+            part = subgroup_partition(cohort, "g", min_group_size=1, subset=subset)
+            assert not np.shares_memory(part.positions, subset)
+            assert subset.flags.writeable
+            assert np.array_equal(subset, kept)
+            assert part.positions.tolist() == sorted(kept.tolist())
 
     def test_continuous_attribute_partitions_on_bins(self):
         rng = np.random.default_rng(7)

@@ -9,10 +9,13 @@ from hypothesis import given, strategies as st
 from xml.sax.saxutils import escape
 
 from biasaudit.audit import (
+    STATUS_FAILED,
     STATUS_INSUFFICIENT,
     STATUS_OK,
     STATUS_SKIPPED,
     AuditConfig,
+    ComparisonReport,
+    DeltaCell,
     DiscrepancySummary,
     MatchedAuditResult,
     MatchedCell,
@@ -380,3 +383,252 @@ class TestRender:
         text = (tmp_path / "report.md").read_text()
         assert "0.012" in text
         assert "0.0123" not in text
+
+
+def golden_bundle():
+    """Two models' worth of every report section, with names that need
+    escaping, every cell status and both balance row shapes."""
+
+    def sub(model, attr, level, metric, mean_diff=None, significant=False, status=STATUS_OK):
+        ok = status == STATUS_OK
+        return SubgroupAuditResult(
+            model=model, attribute=attr, level=level, metric=metric,
+            mean_diff=mean_diff, sd=0.0123 if ok else None, t_stat=1.5 if ok else None,
+            p_value=(0.001 if significant else 0.25) if ok else None,
+            significant=significant if ok else None, n_effective=150 if ok else 1, status=status,
+        )
+
+    def contrast(model, attr, level, opponent, diffs, status=STATUS_OK):
+        # diffs: {metric: mean_diff}, one cell with a result per metric; only
+        # a diff of 0.031 is significant.
+        return [MatchedCell(opponent=opponent, status=status, detail="40 pairs",
+                            result=sub(model, attr, level, metric, diff, significant=diff == 0.031,
+                                       status=status))
+                for metric, diff in diffs.items()]
+
+    subgroup = [
+        sub("m1", "race", "A", "AUROC", 0.031, significant=True),
+        sub("m1", "race", "A", "SENS", -0.0049),
+        sub("m1", "race", "B|x", "AUROC", -0.016),
+        sub("m1", "race", "B|x", "SENS", status=STATUS_INSUFFICIENT),
+        sub("m1", "race", "C", "AUROC", -0.015),  # no SENS cell for C
+        sub("m1", "sex", "F", "AUROC", 0.002),
+        sub("m1", "sex", "F", "SENS", 0.125),
+        sub("m1", "sex", "M", "AUROC", -0.002),
+        sub("m1", "sex", "M", "SENS", -0.125),
+        sub("m|2", "race", "A", "AUROC", 0.05),
+        sub("m|2", "race", "A", "SENS", 0.0),
+        sub("m|2", "race", "B|x", "AUROC", -0.05, significant=True),
+        sub("m|2", "race", "B|x", "SENS", -0.0),
+    ]
+    matched = [
+        MatchedAuditResult("m1", "race", "A", (
+            *contrast("m1", "race", "A", "B|x", {"AUROC": 0.031, "SENS": 0.011}),
+            *contrast("m1", "race", "A", "C", {"AUROC": None, "SENS": None}, status=STATUS_INSUFFICIENT),
+        )),
+        MatchedAuditResult("m1", "race", "B|x", (
+            *contrast("m1", "race", "B|x", "A", {"AUROC": -0.031, "SENS": -0.011}),
+            MatchedCell(opponent="C", status=STATUS_SKIPPED, detail="3 pairs (6 records) below min_matched_n=50"),
+        )),
+        MatchedAuditResult("m1", "race", "C", (
+            MatchedCell(opponent="A", status=STATUS_FAILED, detail="propensity fit failed: boom"),
+            MatchedCell(opponent="B|x", status=STATUS_SKIPPED, detail="3 pairs (6 records) below min_matched_n=50"),
+        )),
+        MatchedAuditResult("m|2", "race", "A", contrast("m|2", "race", "A", "B|x", {"AUROC": 0.044, "SENS": 0.0})),
+        MatchedAuditResult("m|2", "race", "B|x", contrast("m|2", "race", "B|x", "A", {"AUROC": -0.044, "SENS": -0.0})),
+    ]
+    discrepancy = [
+        DiscrepancySummary("m1", "race", "AUROC", "before", 0.047, 3),
+        DiscrepancySummary("m1", "race", "AUROC", "after", 0.062, 2),
+        DiscrepancySummary("m|2", "race", "AUROC", "before", 0.1, 2),
+    ]
+    covariates = [{"name": "age", "smd_before": 0.3125, "smd_after": 0.04},
+                  {"name": "sofa|x", "smd_before": -0.18, "smd_after": None}]
+    balance = [
+        # The audit's shape: led by the model; a failed row lists covariates first.
+        {"model": "m1", "attribute": "race", "treated_level": "C", "control_level": "A", "caliper": 0.2,
+         "unmatched_treated": 1, "matched_n": 80, "passes_min_n": True, "status": "ok", "detail": "",
+         "covariates": covariates},
+        {"model": "m1", "attribute": "race", "treated_level": "B|x", "control_level": "C", "caliper": None,
+         "unmatched_treated": 9, "matched_n": 6, "passes_min_n": False, "status": "skipped",
+         "detail": "3 pairs (6 records) below min_matched_n=50", "covariates": covariates[:1]},
+        {"model": "m|2", "attribute": "race", "treated_level": "A", "control_level": "C", "status": "failed",
+         "detail": "propensity fit failed: boom", "covariates": [], "matched_n": 0, "passes_min_n": False},
+        # match's shape: no model, counts before the covariates.
+        {"attribute": "sex", "treated_level": "F", "control_level": "M", "caliper": 0.1,
+         "unmatched_treated": 0, "matched_n": 200, "passes_min_n": True, "status": "ok", "detail": "",
+         "pairs_file": "pairs_sex_F_vs_M.csv", "covariates": covariates},
+        {"attribute": "race", "treated_level": "C", "control_level": "B|x", "caliper": 0.1,
+         "unmatched_treated": 3, "matched_n": 4, "passes_min_n": False, "status": "skipped",
+         "detail": "2 pairs (4 records) below min_matched_n=50", "pairs_file": "pairs_race_C_vs_B-x.csv",
+         "covariates": covariates[1:]},
+        {"attribute": "race", "treated_level": "A", "control_level": "C", "status": "failed",
+         "detail": "boom\nagain", "matched_n": 0, "passes_min_n": False, "covariates": []},
+    ]
+    comparison = ComparisonReport(
+        model_a="m1", model_b="m|2", subgroup_a=(), subgroup_b=(), matched_a=(), matched_b=(),
+        deltas=(
+            DeltaCell("race", "A", "AUROC", "before", None, 0.019),
+            DeltaCell("race", "B|x", "SENS", "before", None, None),
+            DeltaCell("race", "A", "AUROC", "after", "B|x", 0.013),
+            DeltaCell("race", "C", "AUROC", "after", "A", None),
+        ),
+        overall={"m1": {"n": 400, "threshold": 0.4375, "AUROC": 0.8123456, "SENS": None},
+                 "m|2": {"n": 380, "threshold": 0.5, "AUROC": 0.79, "SENS": 0.625}},
+    )
+    curve = calibration_curve([0, 1, 0, 1], [0.1, 0.9, 0.3, 0.7], n_bins=2)
+    return build_bundle(
+        metadata={"models": ["m1", "m|2"], "rounding": 2, "seed": 7, "skipped_attributes": [],
+                  "metrics": ["AUROC", "SENS"], "threshold_policy": "youden"},
+        subgroup=subgroup, matched=matched, discrepancy=discrepancy, balance=balance,
+        calibration={"m1": curve, "m|2": curve}, comparison=comparison,
+    )
+
+
+# golden_bundle's markdown report and CSVs, byte for byte.
+GOLDEN_TEXT = {
+    'subgroup.csv': (
+        'model,attribute,level,metric,mean_diff,sd,t_stat,p_value,significant,n_effective,status\n'
+        'm1,race,A,AUROC,0.03,0.0123,1.5,0.001,true,150,ok\n'
+        'm1,race,A,SENS,0.0,0.0123,1.5,0.25,false,150,ok\n'
+        'm1,race,B|x,AUROC,-0.02,0.0123,1.5,0.25,false,150,ok\n'
+        'm1,race,B|x,SENS,,,,,,1,insufficient\n'
+        'm1,race,C,AUROC,-0.02,0.0123,1.5,0.25,false,150,ok\n'
+        'm1,sex,F,AUROC,0.0,0.0123,1.5,0.25,false,150,ok\n'
+        'm1,sex,F,SENS,0.12,0.0123,1.5,0.25,false,150,ok\n'
+        'm1,sex,M,AUROC,0.0,0.0123,1.5,0.25,false,150,ok\n'
+        'm1,sex,M,SENS,-0.12,0.0123,1.5,0.25,false,150,ok\n'
+        'm|2,race,A,AUROC,0.05,0.0123,1.5,0.25,false,150,ok\n'
+        'm|2,race,A,SENS,0.0,0.0123,1.5,0.25,false,150,ok\n'
+        'm|2,race,B|x,AUROC,-0.05,0.0123,1.5,0.001,true,150,ok\n'
+        'm|2,race,B|x,SENS,0.0,0.0123,1.5,0.25,false,150,ok\n'
+    ),
+    'matched.csv': (
+        'model,attribute,level,opponent,metric,mean_diff,sd,t_stat,p_value,significant,n_effective,status,detail\n'
+        'm1,race,A,B|x,AUROC,0.03,0.0123,1.5,0.001,true,150,ok,40 pairs\n'
+        'm1,race,A,B|x,SENS,0.01,0.0123,1.5,0.25,false,150,ok,40 pairs\n'
+        'm1,race,A,C,AUROC,,,,,,1,insufficient,40 pairs\n'
+        'm1,race,A,C,SENS,,,,,,1,insufficient,40 pairs\n'
+        'm1,race,B|x,A,AUROC,-0.03,0.0123,1.5,0.25,false,150,ok,40 pairs\n'
+        'm1,race,B|x,A,SENS,-0.01,0.0123,1.5,0.25,false,150,ok,40 pairs\n'
+        'm1,race,B|x,C,,,,,,,,skipped,3 pairs (6 records) below min_matched_n=50\n'
+        'm1,race,C,A,,,,,,,,failed,propensity fit failed: boom\n'
+        'm1,race,C,B|x,,,,,,,,skipped,3 pairs (6 records) below min_matched_n=50\n'
+        'm|2,race,A,B|x,AUROC,0.04,0.0123,1.5,0.25,false,150,ok,40 pairs\n'
+        'm|2,race,A,B|x,SENS,0.0,0.0123,1.5,0.25,false,150,ok,40 pairs\n'
+        'm|2,race,B|x,A,AUROC,-0.04,0.0123,1.5,0.25,false,150,ok,40 pairs\n'
+        'm|2,race,B|x,A,SENS,0.0,0.0123,1.5,0.25,false,150,ok,40 pairs\n'
+    ),
+    'discrepancy.csv': (
+        'model,attribute,metric,matching,gap,n_levels\n'
+        'm1,race,AUROC,before,0.05,3\n'
+        'm1,race,AUROC,after,0.06,2\n'
+        'm|2,race,AUROC,before,0.1,2\n'
+    ),
+    'balance.csv': (
+        'model,attribute,treated_level,control_level,covariate,smd_before,smd_after,matched_n,passes_min_n,status,detail\n'
+        'm1,race,C,A,age,0.3125,0.04,80,true,ok,\n'
+        'm1,race,C,A,sofa|x,-0.18,,80,true,ok,\n'
+        'm1,race,B|x,C,age,0.3125,0.04,6,false,skipped,3 pairs (6 records) below min_matched_n=50\n'
+        'm|2,race,A,C,,,,0,false,failed,propensity fit failed: boom\n'
+        ',sex,F,M,age,0.3125,0.04,200,true,ok,\n'
+        ',sex,F,M,sofa|x,-0.18,,200,true,ok,\n'
+        ',race,C,B|x,sofa|x,-0.18,,4,false,skipped,2 pairs (4 records) below min_matched_n=50\n'
+        ',race,A,C,,,,0,false,failed,"boom\n'
+        'again"\n'
+    ),
+    'calibration.csv': (
+        'model,bin,mean_score,positive_fraction,count\n'
+        'm1,0,0.2,0,2\n'
+        'm1,1,0.8,1,2\n'
+        'm|2,0,0.2,0,2\n'
+        'm|2,1,0.8,1,2\n'
+    ),
+    'comparison.csv': (
+        'attribute,level,metric,phase,opponent,delta\n'
+        'race,A,AUROC,before,,0.02\n'
+        'race,B|x,SENS,before,,\n'
+        'race,A,AUROC,after,B|x,0.01\n'
+        'race,C,AUROC,after,A,\n'
+    ),
+    'report.md': (
+        '# Subgroup bias audit\n'
+        '\n'
+        '- metrics: AUROC, SENS\n'
+        '- models: m1, m\\|2\n'
+        '- rounding: 2\n'
+        '- seed: 7\n'
+        '- skipped_attributes: \n'
+        '- threshold_policy: youden\n'
+        '\n'
+        '## Subgroup audit: m1\n'
+        '\n'
+        '| Group | AUROC | AUROC (matched) | SENS | SENS (matched) |\n'
+        '|---|---|---|---|---|\n'
+        '| race = A | 0.03* | [0.03*, ins] | 0.0 | [0.01, ins] |\n'
+        '| race = B\\|x | -0.02 | [-0.03, skip] | insufficient | [-0.01, skip] |\n'
+        '| race = C | -0.02 | [fail, skip] |  | [fail, skip] |\n'
+        '| sex = F | 0.0 |  | 0.12 |  |\n'
+        '| sex = M | 0.0 |  | -0.12 |  |\n'
+        '\n'
+        '## Subgroup audit: m\\|2\n'
+        '\n'
+        '| Group | AUROC | AUROC (matched) | SENS | SENS (matched) |\n'
+        '|---|---|---|---|---|\n'
+        '| race = A | 0.05 | 0.04 | 0.0 | 0.0 |\n'
+        '| race = B\\|x | -0.05* | -0.04 | 0.0 | 0.0 |\n'
+        '\n'
+        '## Max discrepancy across subgroups\n'
+        '\n'
+        '| Model | Attribute | Metric | Matching | Gap | Levels |\n'
+        '|---|---|---|---|---|---|\n'
+        '| m1 | race | AUROC | before | 0.05 | 3 |\n'
+        '| m1 | race | AUROC | after | 0.06 | 2 |\n'
+        '| m\\|2 | race | AUROC | before | 0.1 | 2 |\n'
+        '\n'
+        '## Covariate balance (matched contrasts)\n'
+        '\n'
+        '| Model | Contrast | Covariate | SMD before | SMD after |\n'
+        '|---|---|---|---|---|\n'
+        '| m1 | race: C vs A | age | 0.3125 | 0.04 |\n'
+        '| m1 | race: C vs A | sofa\\|x | -0.18 |  |\n'
+        '| m1 | race: B\\|x vs C | (skipped: 3 pairs (6 records) below min_matched_n=50) | | |\n'
+        '| m\\|2 | race: A vs C | (failed: propensity fit failed: boom) | | |\n'
+        '|  | sex: F vs M | age | 0.3125 | 0.04 |\n'
+        '|  | sex: F vs M | sofa\\|x | -0.18 |  |\n'
+        '|  | race: C vs B\\|x | (skipped: 2 pairs (4 records) below min_matched_n=50) | | |\n'
+        '|  | race: A vs C | (failed: boom again) | | |\n'
+        '\n'
+        '## Calibration\n'
+        '\n'
+        '![calibration m1](calibration_m1.svg)\n'
+        '![calibration m-2](calibration_m-2.svg)\n'
+        '\n'
+        '## Model comparison: m\\|2 minus m1\n'
+        '\n'
+        '### Overall performance\n'
+        '\n'
+        '| Model | n | AUROC | SENS |\n'
+        '|---|---|---|---|\n'
+        '| m1 | 400 | 0.8123 |  |\n'
+        '| m\\|2 | 380 | 0.79 | 0.625 |\n'
+        '\n'
+        '### Cell deltas\n'
+        '\n'
+        '| Attribute | Level | Metric | Phase | Opponent | Delta |\n'
+        '|---|---|---|---|---|---|\n'
+        '| race | A | AUROC | before |  | 0.02 |\n'
+        '| race | B\\|x | SENS | before |  |  |\n'
+        '| race | A | AUROC | after | B\\|x | 0.01 |\n'
+        '| race | C | AUROC | after | A |  |\n'
+    ),
+}
+
+
+class TestGoldenText:
+    def test_report_text_is_unchanged(self, tmp_path):
+        written = render(golden_bundle(), tmp_path, formats=("csv", "markdown"))
+        texts = {p.split("/")[-1]: open(p, encoding="utf-8", newline="").read() for p in written}
+        assert list(texts) == list(GOLDEN_TEXT)
+        for name, expected in GOLDEN_TEXT.items():
+            assert texts[name] == "".join(expected), name
