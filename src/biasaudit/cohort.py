@@ -16,6 +16,7 @@ that "absent" is distinguishable from both legitimate data and from bugs.
 
 from __future__ import annotations
 
+import collections
 import csv
 import itertools
 import math
@@ -268,17 +269,6 @@ def _decode(codes: np.ndarray, levels: tuple) -> list:
     return lookup[codes].tolist()
 
 
-def _encode_levels(values) -> tuple[tuple[str, ...], np.ndarray]:
-    """Distinct non-None values in first-appearance order, and the code of
-    each value among them (-1 for None)."""
-    index: dict[str, int] = {}
-    codes = np.fromiter(
-        (-1 if v is None else index.setdefault(v, len(index)) for v in values),
-        dtype=np.int64, count=len(values),
-    )
-    return tuple(index), codes
-
-
 def _bin_labels(breakpoints: tuple[float, ...]) -> tuple[str, ...]:
     last = len(breakpoints) - 2
     return tuple(f"[{a:g} - {b:g}{']' if i == last else ')'}"
@@ -489,12 +479,24 @@ def _to_float(text) -> float:
 _ZERO_ONE = {"0": 0, "1": 1, None: 2}
 _ZERO_ONE_VALUES = np.array([0.0, 1.0, np.nan, 0.0])
 
+# Cohort text is read and written this many rows at a time, in the manner of
+# ``metrics._BLOCK_CELLS``, so no step holds every cell as a Python string.
+_BLOCK_ROWS = 4096
 
-def _read_table(fh, delimiter: str) -> tuple[list[str], list[str], list[int], list]:
-    """The stripped header of a delimited stream; the cells of every other
-    non-blank row of the header's width, in one flat row-major list; the
-    line number of each such row; and a (line, -1, issue) entry per ragged
-    row.
+
+def _file_columns(schema: CohortSchema) -> list[str]:
+    """The columns a schema reads, in column rank order: id, label, scores,
+    protected attributes, covariates."""
+    return [schema.id_column, schema.label_column, *(c for _, c in schema.score_columns),
+            *(p.name for p in schema.protected_columns), *(c.name for c in schema.covariate_columns)]
+
+
+def _read_table(fh, delimiter: str, issues: list):
+    """Yield the stripped header of a delimited stream, then its other
+    non-blank rows of the header's width in blocks of up to ``_BLOCK_ROWS``:
+    each the list of its rows' line numbers and their cells in one flat
+    row-major list.  A ragged row adds a (line, -1, issue) entry to
+    ``issues`` instead.
 
     A row's line number is the physical line its record starts on, so a
     quoted line break inside an earlier record moves it.  A record the csv
@@ -509,24 +511,28 @@ def _read_table(fh, delimiter: str) -> tuple[list[str], list[str], list[int], li
         if header is None:
             raise CohortValidationError([RowIssue(None, None, "empty cohort file")])
         last = reader.line_num
+        yield [h.strip() for h in header]
         width = len(header)
-        flat: list[str] = []
         lines: list[int] = []
-        ragged: list = []
+        flat: list[str] = []
         for row in reader:
             line_no, last = last + 1, reader.line_num
             if not "".join(row).strip():
                 continue
             if len(row) != width:
-                ragged.append((line_no, -1, RowIssue(line_no, None, f"expected {width} fields, found {len(row)}")))
+                issues.append((line_no, -1, RowIssue(line_no, None, f"expected {width} fields, found {len(row)}")))
                 continue
             lines.append(line_no)
             flat += row
+            if len(lines) == _BLOCK_ROWS:
+                yield lines, flat
+                lines, flat = [], []
+        if lines:
+            yield lines, flat
     except csv.Error as exc:
         # Drop the reader's hint about newline="", which does not apply here.
         reason = str(exc).split(" - do you need")[0]
         raise CohortValidationError([RowIssue(last + 1, None, f"unreadable csv record: {reason}")]) from None
-    return [h.strip() for h in header], flat, lines, ragged
 
 
 def parse_cohort(source, schema: CohortSchema) -> Cohort:
@@ -538,46 +544,51 @@ def parse_cohort(source, schema: CohortSchema) -> Cohort:
     [0, 1], missing or duplicate id, ragged row, continuous value outside its
     explicit bin edges) is collected and raised as a CohortValidationError
     listing each offending line.  So is a file that is not UTF-8 or holds a
-    record the csv reader rejects.
+    record the csv reader rejects, wherever it lies.
 
     Issues come in line order, and within a line in column order (id,
     label, scores, protected attributes, covariates).
 
     The csv reader runs on the open file or stream; a path is opened as
-    UTF-8 and split into lines at ``\\n`` only.  The kept rows' cells go into
-    one flat list, read back a column at a time.
+    UTF-8 and split into lines at ``\\n`` only.  Rows are read
+    ``_BLOCK_ROWS`` at a time, and each block's cells become column pieces
+    (numbers, 0/1 codes, level codes) before the next block is read, so
+    only one block's cell text is alive at once.  Each kept row leaves its
+    id, its values and its line number; continuous attributes are binned
+    after the last block.
     """
-    # issues: (line, column rank, issue), raised in line-then-column order.
-    try:
-        if hasattr(source, "read"):
-            header, flat, lines, issues = _read_table(source, schema.delimiter)
-        else:
-            with open(os.fspath(source), "r", encoding="utf-8", newline="\n") as fh:
-                header, flat, lines, issues = _read_table(fh, schema.delimiter)
-    except UnicodeDecodeError as exc:
-        where = "cohort stream" if hasattr(source, "read") else f"cohort file {os.fspath(source)!r}"
-        raise CohortValidationError([RowIssue(None, None, f"{where} is not valid UTF-8: {exc.reason}")]) from None
+    if hasattr(source, "read"):
+        return _parse(source, schema, "cohort stream")
+    with open(os.fspath(source), "r", encoding="utf-8", newline="\n") as fh:
+        return _parse(fh, schema, f"cohort file {os.fspath(source)!r}")
 
-    required = [schema.id_column, schema.label_column]
-    required += [c for _, c in schema.score_columns]
-    required += [p.name for p in schema.protected_columns]
-    required += [c.name for c in schema.covariate_columns]
-    absent = [c for c in required if c not in header]
-    if absent:
-        raise SchemaError(f"cohort header is missing column(s): {', '.join(absent)}")
+
+def _parse(fh, schema: CohortSchema, where: str) -> Cohort:
+    """``parse_cohort`` on an open text stream, which ``where`` names."""
+    required = _file_columns(schema)
     rank = {name: r for r, name in enumerate(required)}
-    table = {name: flat[header.index(name)::len(header)] for name in required}
-    del flat
-    m = len(lines)
     tokens = set(schema.missing_tokens)
+    # issues: (line, column rank, issue), raised in line-then-column order.
+    issues: list = []
+    seen: set = set()
+    ids: list[str] = []
+    dropped: list[RowIssue] = []
+    # Per kept row, gathered a block at a time: its line and each column's value.
+    kept_lines: list[np.ndarray] = []
+    pieces: dict[str, list[np.ndarray]] = {name: [] for name in required[1:]}
+    # Categorical levels, numbered in first-appearance order among kept rows.
+    level_index: dict[str, dict[str, int]] = {
+        col.name: {} for col in (*schema.protected_columns, *schema.covariate_columns) if col.kind == "categorical"}
 
     def check() -> None:
         if issues:
             raise CohortValidationError([issue for *_, issue in sorted(issues, key=lambda t: t[:2])])
 
+    # The helpers below read the block at hand: its ``lines``, ``table`` and size ``m``.
     def flag(rows_at, name: str, message) -> None:
         for k in np.asarray(rows_at, dtype=np.int64).tolist():
-            issues.append((lines[k], rank[name], RowIssue(lines[k], name, message(k))))
+            line = int(lines[k])
+            issues.append((line, rank[name], RowIssue(line, name, message(k))))
 
     def cells(name: str) -> list:
         """Stripped cells of one column, None for a missing token."""
@@ -601,105 +612,136 @@ def parse_cohort(source, schema: CohortSchema) -> Cohort:
         flag(np.flatnonzero(codes == 3), name, lambda k: f"{what} must be 0 or 1, got {raw[k]!r}")
         return _ZERO_ONE_VALUES[codes]
 
-    ids = cells(schema.id_column)
-    seen: set = set()
-    for k, rid in enumerate(ids):
-        if rid is None or rid in seen:
-            flag([k], schema.id_column, lambda k: "missing id" if ids[k] is None else f"duplicate id {ids[k]!r}")
-        seen.add(rid)
+    rows = _read_table(fh, schema.delimiter, issues)
+    try:
+        header = next(rows)
+        absent = [c for c in required if c not in header]
+        if absent:
+            collections.deque(rows, maxlen=0)  # an unreadable record or byte later on still wins
+            raise SchemaError(f"cohort header is missing column(s): {', '.join(absent)}")
+        position = {name: header.index(name) for name in required}
+        for lines, flat in rows:
+            m = len(lines)
+            table = {name: flat[position[name]::len(header)] for name in required}
+            del flat
 
-    # Categorical columns stay lists of text until the kept rows are known:
-    # their levels are numbered in first-appearance order among those rows.
-    read: dict[str, list | np.ndarray] = {schema.label_column: zero_one(schema.label_column, "label")}
-    for _, name in schema.score_columns:
-        values = read[name] = floats(name, "score")
-        flag(np.flatnonzero((values < 0.0) | (values > 1.0)), name, lambda k: f"score {float(values[k])} outside [0, 1]")
-    for col in (*schema.protected_columns, *schema.covariate_columns):
-        if col.kind == "categorical":
-            read[col.name] = cells(col.name)
-        elif col.kind == "binary":
-            read[col.name] = zero_one(col.name, "binary covariate")
-        else:
-            read[col.name] = floats(col.name, "numeric value")
-    del table
+            block_ids = cells(schema.id_column)
+            for k, rid in enumerate(block_ids):
+                if rid is None or rid in seen:
+                    flag([k], schema.id_column,
+                         lambda k: "missing id" if block_ids[k] is None else f"duplicate id {block_ids[k]!r}")
+                seen.add(rid)
+            read: dict[str, list | np.ndarray] = {schema.label_column: zero_one(schema.label_column, "label")}
+            for _, name in schema.score_columns:
+                values = read[name] = floats(name, "score")
+                flag(np.flatnonzero((values < 0.0) | (values > 1.0)), name,
+                     lambda k: f"score {float(values[k])} outside [0, 1]")
+            for col in (*schema.protected_columns, *schema.covariate_columns):
+                if col.kind == "categorical":
+                    read[col.name] = cells(col.name)
+                elif col.kind == "binary":
+                    read[col.name] = zero_one(col.name, "binary covariate")
+                else:
+                    read[col.name] = floats(col.name, "numeric value")
+            del table
+
+            unscored = ~np.any([np.isfinite(read[name]) for _, name in schema.score_columns], axis=0)
+            unlabelled = np.isnan(read[schema.label_column])
+            dropped += (
+                RowIssue(lines[k], schema.label_column, "label missing; row dropped") if unlabelled[k]
+                else RowIssue(lines[k], None, "all scores missing; row dropped")
+                for k in np.flatnonzero(unlabelled | unscored).tolist()
+            )
+            keep = np.flatnonzero(~(unlabelled | unscored))
+            # With no row dropped, every column is used as read.
+            kept = None if keep.size == m else keep.tolist()
+            ids += block_ids if kept is None else [block_ids[k] for k in kept]
+            kept_lines.append(np.asarray(lines, dtype=np.int64)[keep])
+            for name, values in read.items():
+                if isinstance(values, list):
+                    index = level_index[name]
+                    values = np.fromiter(
+                        (-1 if v is None else index.setdefault(v, len(index))
+                         for v in (values if kept is None else map(values.__getitem__, kept))),
+                        dtype=np.int64, count=keep.size)
+                elif kept is not None:
+                    values = values[keep]
+                pieces[name].append(values)
+            del read  # its categorical cells are the last of this block's text
+    except UnicodeDecodeError as exc:
+        raise CohortValidationError([RowIssue(None, None, f"{where} is not valid UTF-8: {exc.reason}")]) from None
     check()
-
-    unscored = ~np.any([np.isfinite(read[name]) for _, name in schema.score_columns], axis=0)
-    unlabelled = np.isnan(read[schema.label_column])
-    dropped = tuple(
-        RowIssue(lines[k], schema.label_column, "label missing; row dropped") if unlabelled[k]
-        else RowIssue(lines[k], None, "all scores missing; row dropped")
-        for k in np.flatnonzero(unlabelled | unscored).tolist()
-    )
-    keep = np.flatnonzero(~(unlabelled | unscored))
-    if keep.size == 0:
+    if not ids:
         raise CohortValidationError([RowIssue(None, None, "no usable rows after validation")])
-    # With no row dropped, every column is used as read.
-    kept = None if keep.size == m else keep.tolist()
 
-    level_of: dict[str, tuple[str, ...]] = {}
-
-    def column(name: str) -> np.ndarray:
-        values = read[name]
-        if not isinstance(values, list):
-            return values if kept is None else values[keep]
-        level_of[name], codes = _encode_levels(values if kept is None else [values[k] for k in kept])
-        return codes
-
+    # Each column is joined as its pieces are let go, so no two copies of all columns are alive.
+    columns = {name: np.concatenate(pieces.pop(name)) for name in required[1:]}
+    lines = np.concatenate(kept_lines)  # from here on, ``flag`` cites kept rows
+    del kept_lines
     codes: dict[str, np.ndarray] = {}
     continuous: dict[str, np.ndarray] = {}
     breakpoints: dict[str, tuple[float, ...]] = {}
     for col in schema.protected_columns:
         if col.kind == "categorical":
-            codes[col.name] = column(col.name)
+            codes[col.name] = columns[col.name]
             continue
-        values = continuous[col.name] = column(col.name)
+        values = continuous[col.name] = columns[col.name]
         try:
             bp = breakpoints[col.name] = _resolve_breakpoints(values[~np.isnan(values)], col.bin_edges)
         except ValueError as exc:
             raise CohortValidationError([RowIssue(None, None, str(exc))]) from exc
-        level_of[col.name] = _bin_labels(bp)
         codes[col.name] = _bin_codes(values, bp)
-        flag(keep[~np.isnan(values) & (codes[col.name] < 0)], col.name,
-             lambda k: _outside_message(float(read[col.name][k]), bp))
+        flag(np.flatnonzero(~np.isnan(values) & (codes[col.name] < 0)), col.name,
+             lambda k: _outside_message(float(values[k]), bp))
     check()
 
+    levels = {name: tuple(index) for name, index in level_index.items()}
+    levels.update((name, _bin_labels(bp)) for name, bp in breakpoints.items())
     return Cohort(
         schema=schema,
-        ids=tuple(ids if kept is None else (ids[k] for k in kept)),
-        labels=column(schema.label_column).astype(np.int64),
-        scores={model: column(name) for model, name in schema.score_columns},
+        ids=tuple(ids),
+        labels=columns[schema.label_column].astype(np.int64),
+        scores={model: columns[name] for model, name in schema.score_columns},
         codes=codes,
-        covariates={col.name: column(col.name) for col in schema.covariate_columns},
-        attribute_levels={col.name: level_of[col.name] for col in schema.protected_columns},
-        covariate_levels={col.name: level_of[col.name] for col in schema.covariate_columns
+        covariates={col.name: columns[col.name] for col in schema.covariate_columns},
+        attribute_levels={col.name: levels[col.name] for col in schema.protected_columns},
+        covariate_levels={col.name: levels[col.name] for col in schema.covariate_columns
                           if col.kind == "categorical"},
         continuous=continuous,
         breakpoints=breakpoints,
-        diagnostics=dropped,
+        diagnostics=tuple(dropped),
     )
 
 
-def _python_columns(cohort: Cohort) -> dict[str, list]:
-    """Every file column but the id, in file order, as per-row Python values:
-    int labels, float scores and numbers, int 0/1, str levels, and MISSING
-    where a value is absent."""
+def _python_columns(cohort: Cohort, rows: slice = slice(None)) -> dict[str, list]:
+    """Every file column but the id, in file order, as Python values of the
+    records in ``rows``: int labels, float scores and numbers, int 0/1, str
+    levels, and MISSING where a value is absent."""
     schema = cohort.schema
-    out = {schema.label_column: cohort.labels.tolist()}
+    out = {schema.label_column: cohort.labels[rows].tolist()}
     for model, name in schema.score_columns:
-        out[name] = _present(cohort.scores[model], float)
+        out[name] = _present(cohort.scores[model][rows], float)
     for col in schema.protected_columns:
         if col.kind == "continuous":
-            out[col.name] = _present(cohort.continuous[col.name], float)
+            out[col.name] = _present(cohort.continuous[col.name][rows], float)
         else:
-            out[col.name] = _decode(cohort.codes[col.name], cohort.attribute_levels[col.name])
+            out[col.name] = _decode(cohort.codes[col.name][rows], cohort.attribute_levels[col.name])
     for col in schema.covariate_columns:
-        values = cohort.covariates[col.name]
+        values = cohort.covariates[col.name][rows]
         if col.kind == "categorical":
             out[col.name] = _decode(values, cohort.covariate_levels[col.name])
         else:
             out[col.name] = _present(values, float if col.kind == "numeric" else int)
     return out
+
+
+def _has_missing(cohort: Cohort) -> bool:
+    """Whether a written column holds an absent value: nan in a float
+    column, -1 in a level-code column."""
+    schema = cohort.schema
+    written = [*cohort.scores.values(), *cohort.continuous.values(), *cohort.covariates.values()]
+    written += [cohort.codes[col.name] for col in schema.protected_columns if col.kind == "categorical"]
+    return any((np.isnan(a) if a.dtype.kind == "f" else a < 0).any() for a in written)
 
 
 def write_cohort(cohort: Cohort, path) -> None:
@@ -709,24 +751,29 @@ def write_cohort(cohort: Cohort, path) -> None:
     Floats are written with ``repr`` (exact round-trip); continuous protected
     attributes are written as their raw values, not bin labels, so the
     re-parsed cohort re-derives identical bins.  Fields are quoted as
-    ``_csv_fields`` says.
+    ``_csv_fields`` says.  Rows are formatted from the columns and written
+    ``_BLOCK_ROWS`` at a time, so one block's text is held at once.  A
+    ValueError for a missing value with no missing token to write comes
+    before any file is opened or byte written.
     """
     schema = cohort.schema
-    columns = _python_columns(cohort)
     if not schema.missing_tokens:
-        if any(v is MISSING for values in columns.values() for v in values):
+        if _has_missing(cohort):
             raise ValueError("cohort has missing values but the schema declares no missing tokens")
         token = ""
     else:
         token = schema.missing_tokens[0]
-    # str() of a float is its repr, so every value renders with str().
-    cells = [[token if v is MISSING else str(v) for v in values] for values in columns.values()]
     delimiter = schema.delimiter
-    rows = zip(*(_csv_fields(column, delimiter) for column in (list(cohort.ids), *cells)))
 
     def _emit(fh) -> None:
-        fh.write(delimiter.join(_csv_fields([schema.id_column, *columns], delimiter)) + "\n")
-        fh.writelines(delimiter.join(row) + "\n" for row in rows)
+        fh.write(delimiter.join(_csv_fields(_file_columns(schema), delimiter)) + "\n")
+        for start in range(0, cohort.n, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            # str() of a float is its repr, so every value renders with str().
+            cells = [list(cohort.ids[rows]), *([token if v is MISSING else str(v) for v in values]
+                                               for values in _python_columns(cohort, rows).values())]
+            fields = zip(*(_csv_fields(column, delimiter) for column in cells))
+            fh.write("".join([delimiter.join(row) + "\n" for row in fields]))
 
     if hasattr(path, "write"):
         _emit(path)

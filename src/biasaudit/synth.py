@@ -21,7 +21,6 @@ from .cohort import (
     CohortSchema,
     CovariateColumn,
     ProtectedColumn,
-    _encode_levels,
     label_values,
     score_values,
     with_score_column,
@@ -139,10 +138,12 @@ def _validate(config: SynthConfig) -> dict[str, dict[str, float]]:
         if len(set(spec.levels)) != len(spec.levels):
             raise ConfigError(f"protected {spec.name!r}: duplicate levels")
         w = np.asarray(spec.weights, dtype=float)
-        if np.any(w < 0) or not 0 < w.sum() < np.inf:
+        with np.errstate(over="ignore"):  # an overflowing sum is rejected just below
+            total = w.sum()
+        if np.any(w < 0) or not 0 < total < np.inf:
             raise ConfigError(f"protected {spec.name!r}: weights must be non-negative "
                               "with positive sum that does not overflow")
-        weights[spec.name] = dict(zip(spec.levels, (w / w.sum()).tolist()))
+        weights[spec.name] = dict(zip(spec.levels, (w / total).tolist()))
     cov_names = [c.name for c in config.covariates]
     if len(set(cov_names)) != len(cov_names):
         raise ConfigError("duplicate covariate names")
@@ -207,20 +208,26 @@ def generate(config: SynthConfig) -> tuple[Cohort, dict]:
     weights = _validate(config)
     n = config.n
 
+    # Each record's level of each attribute, as an index into the spec's
+    # levels: the same draws as choosing among the level names.
     level_draws: dict[str, np.ndarray] = {}
+    level_index: dict[str, dict[str, int]] = {}
     for spec in config.protected:
         rng = stream(config.seed, "protected", spec.name)
         p = np.asarray([weights[spec.name][lv] for lv in spec.levels])
-        level_draws[spec.name] = rng.choice(np.asarray(spec.levels, dtype=object), size=n, p=p)
+        level_draws[spec.name] = rng.choice(len(spec.levels), size=n, p=p)
+        level_index[spec.name] = {lv: i for i, lv in enumerate(spec.levels)}
+
+    def members(attribute: str, level: str) -> np.ndarray:
+        return level_draws[attribute] == level_index[attribute][level]
 
     cov_values: dict[str, np.ndarray] = {}
     for cov in config.covariates:
         rng = stream(config.seed, "covariate", cov.name)
         shift = np.zeros(n)
         for attr, by_level in cov.shifts.items():
-            drawn = level_draws[attr]
             for level, delta in by_level.items():
-                shift[drawn == level] += delta
+                shift[members(attr, level)] += delta
         if cov.kind == "gaussian":
             cov_values[cov.name] = rng.normal(cov.mu, cov.sigma, n) + shift
             if not np.all(np.isfinite(cov_values[cov.name])):
@@ -231,12 +238,12 @@ def generate(config: SynthConfig) -> tuple[Cohort, dict]:
             cov_values[cov.name] = (rng.random(n) < prob).astype(np.int64)
 
     eta = np.full(n, float(config.outcome.intercept))
-    for name, w in config.outcome.weights.items():
-        eta += float(w) * cov_values[name].astype(float)
-    for attr, by_level in config.outcome.protected_weights.items():
-        drawn = level_draws[attr]
-        for level, w in by_level.items():
-            eta[drawn == level] += float(w)
+    with np.errstate(over="ignore", invalid="ignore"):  # an undefined log-odds is rejected just below
+        for name, w in config.outcome.weights.items():
+            eta += float(w) * cov_values[name].astype(float)
+        for attr, by_level in config.outcome.protected_weights.items():
+            for level, w in by_level.items():
+                eta[members(attr, level)] += float(w)
     if np.isnan(eta).any():
         raise ConfigError("outcome model overflows: its weights and intercept give an undefined log-odds")
     p_true = expit(eta)
@@ -245,7 +252,7 @@ def generate(config: SynthConfig) -> tuple[Cohort, dict]:
     for i, inj in enumerate(config.injections):
         if inj.mechanism == "label_flip":
             u = stream(config.seed, "injection", i).random(n)
-            labels = np.where((level_draws[inj.attribute] == inj.level) & (u < inj.amount), 1 - labels, labels)
+            labels = np.where(members(inj.attribute, inj.level) & (u < inj.amount), 1 - labels, labels)
 
     width = max(4, len(str(n)))
     schema = CohortSchema(
@@ -259,12 +266,18 @@ def generate(config: SynthConfig) -> tuple[Cohort, dict]:
         ),
     )
 
+    # Levels are numbered in first-appearance order, as parsing the written cohort numbers them.
     levels, codes = {}, {}
     for spec in config.protected:
-        levels[spec.name], codes[spec.name] = _encode_levels(level_draws[spec.name].tolist())
+        present, first = np.unique(level_draws[spec.name], return_index=True)
+        present = present[np.argsort(first)]
+        code_of = np.full(len(spec.levels), -1, dtype=np.int64)
+        code_of[present] = np.arange(present.size)
+        levels[spec.name] = tuple(spec.levels[i] for i in present.tolist())
+        codes[spec.name] = code_of[level_draws[spec.name]]
     cohort = Cohort(
         schema=schema,
-        ids=tuple(f"r{i + 1:0{width}d}" for i in range(n)),
+        ids=tuple(map(f"r%0{width}d".__mod__, range(1, n + 1))),
         labels=labels,
         scores={config.score_name: np.full(n, np.nan)},
         codes=codes,
@@ -290,7 +303,7 @@ def generate(config: SynthConfig) -> tuple[Cohort, dict]:
             continue
         rng = stream(config.seed, "injection", i)
         extra = rng.normal(0.0, inj.amount, n) if inj.mechanism == "score_noise" else inj.amount
-        scores = np.clip(np.where(level_draws[inj.attribute] == inj.level, scores + extra, scores), 0.0, 1.0)
+        scores = np.clip(np.where(members(inj.attribute, inj.level), scores + extra, scores), 0.0, 1.0)
     cohort = replace(cohort, scores={config.score_name: scores})
 
     manifest = {

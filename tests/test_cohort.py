@@ -1,11 +1,16 @@
 import csv
 import io
+import json
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from biasaudit import cohort as cohort_module
 from biasaudit.audit import attribute_plan
 from biasaudit.cohort import (
     MISSING,
@@ -34,6 +39,7 @@ from biasaudit.errors import (
     RowIssue,
     SchemaError,
 )
+from biasaudit.synth import config_from_dict, generate
 
 from helpers import build_cohort
 from oracles import bucket_partition, record_attribute_values, record_parse_cohort, record_write_cohort
@@ -348,14 +354,26 @@ def _written(write, cohort):
     return buf.getvalue()
 
 
+# Block sizes small enough that a drawn cohort crosses block boundaries.
+_SMALL_BLOCKS = st.sampled_from([1, 2, 3, 5])
+
+
+def _blocks_of(rows: int):
+    """Read and write cohorts ``rows`` rows at a time."""
+    return mock.patch.object(cohort_module, "_BLOCK_ROWS", rows)
+
+
 class TestRecordParserEquivalence:
     """The columnar parser against the record-based one it replaced
-    (``oracles.record_parse_cohort``)."""
+    (``oracles.record_parse_cohort``), reading and writing in small blocks."""
 
     @settings(max_examples=400)
-    @given(_cohort_csv())
-    def test_same_cohort_or_same_issues(self, drawn):
-        text, schema = drawn
+    @given(_cohort_csv(), _SMALL_BLOCKS)
+    def test_same_cohort_or_same_issues(self, drawn, block_rows):
+        with _blocks_of(block_rows):
+            self._same_cohort_or_same_issues(*drawn)
+
+    def _same_cohort_or_same_issues(self, text, schema):
         old, old_issues = _outcome(record_parse_cohort, text, schema)
         new, new_issues = _outcome(parse_cohort, text, schema)
         if old is None:
@@ -396,8 +414,8 @@ class TestRecordParserEquivalence:
             assert replace(parse_text(written, schema), diagnostics=new.diagnostics) == new
 
     @settings(max_examples=100)
-    @given(_cohort_csv(), st.one_of(st.none(), st.integers(0, 2**16)))
-    def test_path_parses_like_stream(self, tmp_path_factory, drawn, cr_at):
+    @given(_cohort_csv(), st.one_of(st.none(), st.integers(0, 2**16)), _SMALL_BLOCKS)
+    def test_path_parses_like_stream(self, tmp_path_factory, drawn, cr_at, block_rows):
         """A path reads like its text as a stream, also with a bare carriage
         return put in anywhere."""
         text, schema = drawn
@@ -406,13 +424,109 @@ class TestRecordParserEquivalence:
             text = text[:cr_at] + "\r" + text[cr_at:]
         path = tmp_path_factory.mktemp("fuzz_path") / "cohort.csv"
         path.write_bytes(text.encode("utf-8"))
-        from_stream, stream_issues = _outcome(parse_cohort, text, schema)
-        try:
-            from_path, path_issues = parse_cohort(path, schema), None
-        except CohortValidationError as exc:
-            from_path, path_issues = None, exc.issues
+        with _blocks_of(block_rows):
+            from_stream, stream_issues = _outcome(parse_cohort, text, schema)
+            try:
+                from_path, path_issues = parse_cohort(path, schema), None
+            except CohortValidationError as exc:
+                from_path, path_issues = None, exc.issues
         assert path_issues == stream_issues
         assert from_path == from_stream
+
+
+def _parse_from(text: str, schema: CohortSchema, path: Path | None) -> Cohort:
+    """Parse ``text`` as a stream, or from ``path`` when one is given."""
+    if path is None:
+        return parse_text(text, schema)
+    path.write_text(text, encoding="utf-8")
+    return parse_cohort(path, schema)
+
+
+class TestBlockBoundaries:
+    """Named cases at two rows a block."""
+
+    @pytest.fixture(autouse=True)
+    def two_row_blocks(self):
+        with _blocks_of(2):
+            yield
+
+    def test_issue_on_the_first_row_of_a_later_block(self):
+        # Line 3 is ragged, so lines 2 and 4 fill the first block and line 5 starts the second.
+        text = "pid,label,score\na,0,0.1\nb,1\nc,1,0.2\nd,2,0.3\ne,0,1.5\n"
+        with pytest.raises(CohortValidationError) as err:
+            parse_text(text, simple_schema())
+        assert err.value.issues == [
+            RowIssue(3, None, "expected 3 fields, found 2"),
+            RowIssue(5, "label", "label must be 0 or 1, got '2'"),
+            RowIssue(6, "score", "score 1.5 outside [0, 1]"),
+        ]
+
+    def test_duplicate_id_across_blocks(self):
+        # Row c is dropped, yet its id still counts.
+        text = "pid,label,score\na,0,0.1\nc,,0.2\nb,1,0.3\na,0,0.4\nc,1,0.5\n"
+        with pytest.raises(CohortValidationError) as err:
+            parse_text(text, simple_schema())
+        assert err.value.issues == [
+            RowIssue(5, "pid", "duplicate id 'a'"),
+            RowIssue(6, "pid", "duplicate id 'c'"),
+        ]
+
+    def test_level_first_seen_in_a_dropped_row_is_numbered_where_kept(self):
+        text = "pid,label,score,g\na,0,0.1,A\nb,,0.2,C\nc,1,0.3,B\nd,0,0.4,C\ne,1,,D\nf,0,0.6,A\n"
+        cohort = parse_text(text, simple_schema(protected_columns=(ProtectedColumn("g"),)))
+        assert cohort.attribute_levels["g"] == ("A", "B", "C")
+        assert cohort.codes["g"].tolist() == [0, 1, 2, 0]
+        assert cohort.ids == ("a", "c", "d", "f")
+        assert [(i.line, i.message) for i in cohort.diagnostics] == [
+            (3, "label missing; row dropped"), (6, "all scores missing; row dropped")]
+
+    def test_continuous_values_are_binned_over_every_block(self):
+        text = "pid,label,score,age\n" + "".join(f"r{k},{k % 2},0.5,{k}\n" for k in range(1, 10))
+        schema = simple_schema(protected_columns=(ProtectedColumn("age", "continuous"),))
+        cohort = parse_text(text, schema)
+        assert cohort.breakpoints["age"] == (1.0, 11 / 3, 19 / 3, 9.0)
+        assert cohort.codes["age"].tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+
+    def test_outside_edges_cites_the_line_in_a_later_block(self):
+        text = "pid,label,score,age\na,0,0.1,30\nb,,0.2,99\nc,1,0.3,40\nd,0,0.4,95\n"
+        schema = simple_schema(protected_columns=(ProtectedColumn("age", "continuous", (18, 45, 90)),))
+        with pytest.raises(CohortValidationError) as err:
+            parse_text(text, schema)
+        assert err.value.issues == [RowIssue(5, "age", "value 95.0 falls outside the bin range [18.0, 90.0]")]
+
+    @pytest.mark.parametrize("from_path", [False, True])
+    def test_unreadable_record_in_a_later_block_wins(self, from_path, tmp_path):
+        # Line 2's bad label is in the first block, read before the record the
+        # csv reader rejects; only that record is reported.
+        text = "pid,label,score\na,7,0.1\nb,1,0.2\nc,0,0.3\nd,1,0.\r4\ne,0,0.5\n"
+        with pytest.raises(CohortValidationError) as err:
+            _parse_from(text, simple_schema(), tmp_path / "cohort.csv" if from_path else None)
+        assert err.value.issues == [
+            RowIssue(5, None, "unreadable csv record: new-line character seen in unquoted field")]
+
+    @pytest.mark.parametrize("from_path", [False, True])
+    def test_unreadable_record_wins_over_a_missing_header_column(self, from_path, tmp_path):
+        text = "pid,label\na,0\nb,1\nc,0\nd,1,0.\r4\n"
+        with pytest.raises(CohortValidationError) as err:
+            _parse_from(text, simple_schema(), tmp_path / "cohort.csv" if from_path else None)
+        assert err.value.issues == [
+            RowIssue(5, None, "unreadable csv record: new-line character seen in unquoted field")]
+
+    @pytest.mark.parametrize("from_path", [False, True])
+    def test_bytes_not_utf8_in_a_later_block(self, from_path, tmp_path):
+        # Past the text layer's first read of 8 KiB, so whole blocks are
+        # parsed before the bad byte is decoded.
+        rows = "".join(f"r{k:05d},{k % 2},0.5\n" for k in range(3000))
+        data = ("pid,label,score\nbad,9,0.5\n" + rows).encode("utf-8") + b"x\xff,0,0.5\n"
+        if from_path:
+            source = tmp_path / "latin1.csv"
+            source.write_bytes(data)
+            named = f"cohort file {str(source)!r}"
+        else:
+            source, named = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n"), "cohort stream"
+        with pytest.raises(CohortValidationError) as err:
+            parse_cohort(source, simple_schema())
+        assert err.value.issues == [RowIssue(None, None, f"{named} is not valid UTF-8: invalid start byte")]
 
 
 class TestBinContinuous:
@@ -786,6 +900,86 @@ class TestRoundTrip:
         again = parse_cohort(path, cohort.schema)
         assert [r.protected["age"] for r in again.records] == [1 / 3, 2 / 3, 0.1, 0.9]
         assert again.breakpoints == cohort.breakpoints
+
+
+class TestMissingTokenGuard:
+    """A cohort with a missing value cannot be written under a schema with no
+    missing token, and the refusal comes before anything is written."""
+
+    def cohort_missing(self, column: str) -> Cohort:
+        values = {"m1": [0.1, 0.2, 0.3], "m2": [0.4, 0.5, 0.6], "sex": ["F", "M", "F"], "age": [30.0, 40.0, 50.0],
+                  "bmi": [21.5, 22.5, 23.5], "dm": [0, 1, 0], "unit": ["icu", "ward", "icu"]}
+        values[column][1] = None
+        cohort = build_cohort(
+            labels=[0, 1, 0],
+            scores={m: values[m] for m in ("m1", "m2")},
+            protected={p: values[p] for p in ("sex", "age")},
+            covariates={c: values[c] for c in ("bmi", "dm", "unit")},
+            protected_kinds={"age": "continuous"},
+            bin_edges={"age": (18.0, 45.0, 90.0)},
+            covariate_kinds={"dm": "binary", "unit": "categorical"},
+        )
+        return replace(cohort, schema=replace(cohort.schema, missing_tokens=()))
+
+    @pytest.mark.parametrize("column", ["m1", "sex", "age", "bmi", "dm", "unit"])
+    def test_refused_before_a_byte_is_written(self, column, tmp_path):
+        cohort = self.cohort_missing(column)
+        path = tmp_path / "cohort.csv"
+        with pytest.raises(ValueError, match="declares no missing tokens"):
+            write_cohort(cohort, path)
+        assert not path.exists()
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="declares no missing tokens"):
+            write_cohort(cohort, buf)
+        assert buf.getvalue() == ""
+
+    def test_complete_cohort_writes_without_tokens(self):
+        cohort = self.cohort_missing("m1")
+        complete = replace(cohort, scores={**cohort.scores, "m1": np.array([0.1, 0.2, 0.3])})
+        buf = io.StringIO()
+        write_cohort(complete, buf)
+        assert buf.getvalue().splitlines()[2] == "r0001,1,0.2,0.5,M,40.0,22.5,1,ward"
+
+
+_DEMO_SYNTH = Path(__file__).resolve().parent.parent / "demos" / "synth_demo.json"
+
+
+def _demo_cohort(n: int) -> Cohort:
+    doc = json.loads(_DEMO_SYNTH.read_text(encoding="utf-8"))
+    return generate(config_from_dict(dict(doc, n=n)))[0]
+
+
+def _traced(call) -> tuple[object, int, int]:
+    """``call()``, with the bytes its result holds and its traced peak."""
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+class TestMemory:
+    """Cohort text is read and written a block of rows at a time, so the
+    text of the whole file is never held at once."""
+
+    def test_write_peak_does_not_grow_with_n(self, tmp_path):
+        peaks = []
+        for n in (20_000, 40_000):
+            cohort = _demo_cohort(n)
+            peaks.append(_traced(lambda: write_cohort(cohort, tmp_path / "cohort.csv"))[2])
+        # 6.7 and 13.2 MB when every cell's text was built before the first line was written.
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
+    def test_parse_holds_little_beyond_the_cohort(self, tmp_path):
+        cohort = _demo_cohort(40_000)
+        path = tmp_path / "cohort.csv"
+        write_cohort(cohort, path)
+        parsed, held, peak = _traced(lambda: parse_cohort(path, cohort.schema))
+        assert parsed == cohort
+        # 13.7 MB when every cell's text was held until all columns were read.
+        assert peak - held < 8e6, (peak, held)
 
 
 class TestWithScoreColumn:

@@ -167,6 +167,7 @@ class TestConfigValidation:
             ),
         ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_configs_rejected(self, overrides, fragment):
         with pytest.raises(ConfigError, match=fragment):
             generate(base_config(**overrides))
@@ -322,6 +323,7 @@ def synth_docs(draw):
 
 
 class TestGenerate:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(doc=synth_docs())
     def test_fuzzed_generate_fails_only_with_exit_2_errors(self, doc):
