@@ -270,9 +270,15 @@ def _decode(codes: np.ndarray, levels: tuple) -> list:
 
 
 def _bin_labels(breakpoints: tuple[float, ...]) -> tuple[str, ...]:
+    """Band labels with edges formatted ``:g``; where two such labels collide
+    (``:g`` keeps 6 significant digits), every edge is its exact ``repr``."""
     last = len(breakpoints) - 2
-    return tuple(f"[{a:g} - {b:g}{']' if i == last else ')'}"
-                 for i, (a, b) in enumerate(zip(breakpoints, breakpoints[1:])))
+    for edge in ("{:g}", "{!r}"):
+        labels = tuple(f"[{edge.format(a)} - {edge.format(b)}{']' if i == last else ')'}"
+                       for i, (a, b) in enumerate(zip(breakpoints, breakpoints[1:])))
+        if len(set(labels)) == len(labels):
+            break
+    return labels
 
 
 def _resolve_breakpoints(observed: np.ndarray, edges: tuple[float, ...] | None) -> tuple[float, ...]:
@@ -319,7 +325,7 @@ def bin_continuous(values, edges: tuple[float, ...] | None = None) -> list:
     minimum, the 1/3 and 2/3 quantiles (linear interpolation), and the
     maximum.  Explicit ``edges`` are taken as the full breakpoint list.  Bands
     are left-closed, the last band right-closed, labelled like
-    ``"[14 - 52)"`` and ``"[67 - 102]"``.
+    ``"[14 - 52)"`` and ``"[67 - 102]"`` (see ``_bin_labels``).
 
     Raises ValueError when breakpoints are not strictly increasing (tied
     data under tertiles) or an observed value falls outside explicit edges.

@@ -205,25 +205,24 @@ def greedy_match(
     disable the caliper (an empty input has none).  Rejected and unmatchable
     treated records are counted, never silently dropped.
 
-    The match is one sweep down the logits.  Controls sit in slots sorted by
-    (logit, index); equal logits form a run.  Since treated logits only
-    fall, every control at or above the current one has been passed, and the
-    live ones sit on a stack in slot order, lowest on top: the top is the
-    nearest control above.  The nearest below is the run ending at the claim
-    pointer, the highest slot not yet passed, which only moves down.  A
-    treated record compares the two and pops the top or claims below.  A run
-    gives up its members from its lowest slot, so its live members stay a
-    contiguous block of slots (and of stack entries).
+    The match is one sweep down the logits.  Controls sorted by (logit,
+    index) form runs of equal logits, and a run gives out its controls lowest
+    index first, so it is a queue: ``live[r]`` is its next slot, and it is
+    empty when that reaches ``end[r]``.  Since treated logits only fall, every
+    run at or above the current one has been passed; the passed runs sit on a
+    stack, lowest on top, so the top is the nearest run above.  The nearest
+    run below is ``q``, the highest run not yet passed, which only moves
+    down.  A treated record compares the two and takes the nearer front.
 
     Ties need a look past the nearest run on each side.  Two controls whose
     logits differ can round to the same distance only if they lie within
-    ``spacing(max logit - min logit)`` of each other, so only a gap of at
-    most four such spacings (the ``close`` flags) lets the search step on to
-    the next run.  A tie won below the nearest run leaves a claimed slot
-    under the pointer; once one exists, passing the pointer and reading
-    below it skip claimed slots.  Cost: an O(n log n) sort and an O(n)
-    sweep, since each control is pushed and removed at most once and the
-    tie steps only cross float-close runs.
+    ``spacing(max logit - min logit)`` of each other, so a tie walk steps to
+    the next run only across a gap of at most four such spacings (``close``),
+    and walks over empty runs while the distance still ties.  A tie can thus
+    empty a run inside the stack or below ``q``; from then on (``stale``)
+    empty runs are popped off the top and ``q`` moves past them.  Cost: an
+    O(n log n) sort and an O(n) sweep, since each run is pushed and popped at
+    most once and the tie walks only cross float-close runs.
     """
     prop = np.asarray(propensities, dtype=float)
     flags = np.asarray(treated, dtype=bool)
@@ -251,102 +250,71 @@ def greedy_match(
     visit = treated_pos[_ascending(-logits[treated_pos])]
     visit_logits = logits[visit]
 
-    # Slot k holds the control at position ``slot_control[k]``; a run of equal
-    # logits spans slots [run_start, run_end], ascending by position.
+    # Slot k holds the control at position ``slot_control[k]``; run r spans
+    # slots [live[r], end[r]) at logit ``run_logit[r]``.
     control_pos = np.flatnonzero(~flags)
     slot_control = control_pos[_ascending(logits[control_pos])]
     sorted_logits = logits[slot_control]
     m = sorted_logits.size
-    new_run = np.ones(m, dtype=bool)
-    new_run[1:] = sorted_logits[1:] != sorted_logits[:-1]
-    starts = np.flatnonzero(new_run)
-    run = np.cumsum(new_run) - 1
-    run_start = starts[run]
-    run_end = np.append(starts[1:], m)[run] - 1
+    starts = np.flatnonzero(np.diff(sorted_logits, prepend=-np.inf))
+    run_logits = sorted_logits[starts]
+    live, end = starts.tolist(), [*starts[1:].tolist(), m]
     tie_gap = 4 * np.spacing(logits.max() - logits.min()) if m else 0.0
-    close = np.diff(sorted_logits) <= tie_gap
-    close_up = np.append(close, False)[run_end].tolist()  # the gap above the slot's run
-    close_down = np.insert(close, 0, False)[run_start].tolist()  # the gap below it
-    c_logit = sorted_logits.tolist()
+    # close[r]: run r + 1 lies within tie_gap of run r; the trailing False
+    # also stops a walk below run 0, which reads close[-1].
+    close = np.append(np.diff(run_logits) <= tie_gap, False).tolist()
+    run_logit = run_logits.tolist()
 
     stack: list[int] = []
-    p = m - 1  # the claim pointer
-    low = run_start.tolist()  # at a run's last slot, its lowest live slot until passed
-    taken = [False] * m
-    holes = False
+    q = len(run_logit) - 1
+    stale, inf = False, np.inf
     limit = float(np.finfo(float).max) if caliper is None else caliper
     chosen: list[int] = []  # the claimed slot per visit, -1 when unmatched
 
-    def tie_above(best: int, d: float, tl: float) -> tuple[int, int]:
-        """The winning slot at or above ``tl`` and its stack index."""
-        i = best_i = len(stack) - 1
-        s = best
-        while close_up[s]:
-            i -= run_end[s] - s + 1
-            if i < 0:
-                break
-            s = stack[i]
-            if c_logit[s] - tl != d:
-                break
-            if slot_control[s] < slot_control[best]:
-                best, best_i = s, i
-        return best, best_i
-
-    def tie_below(best: int, k: int, d: float, tl: float) -> int:
-        """The winning slot below ``tl``; ``k`` ends the nearest live run."""
-        while close_down[k]:
-            k = run_start[k] - 1
-            if low[k] > k:  # every member claimed
-                continue
-            if tl - c_logit[k] != d:
-                break
-            if slot_control[low[k]] < slot_control[best]:
-                best = low[k]
-        return best
-
-    for tl, lo in zip(visit_logits.tolist(), np.searchsorted(sorted_logits, visit_logits).tolist()):
-        # Pass every slot with logit >= tl.
-        if p >= lo:
-            stack.extend([s for s in range(p, lo - 1, -1) if not taken[s]] if holes else range(p, lo - 1, -1))
-            p = lo - 1
-        if holes:
-            while p >= 0 and taken[p]:
-                p -= 1
-        up, d_up, up_i = -1, np.inf, -1
+    for tl, lo in zip(visit_logits.tolist(), np.searchsorted(run_logits, visit_logits).tolist()):
+        # Pass every run with logit >= tl.
+        if q >= lo:
+            stack.extend(range(q, lo - 1, -1))
+            q = lo - 1
+        if stale:
+            while stack and live[stack[-1]] == end[stack[-1]]:
+                stack.pop()
+            while q >= 0 and live[q] == end[q]:
+                q -= 1
+        best, d = -1, inf  # an empty side's infinite distance fails the limit
         if stack:
-            up = stack[-1]
-            d_up = c_logit[up] - tl
-            if close_up[up]:
-                up, up_i = tie_above(up, d_up, tl)
-        down, d_down = -1, np.inf
-        if p >= 0:
-            down = low[p]
-            d_down = tl - c_logit[p]
-            if close_down[p]:
-                down = tie_below(down, p, d_down, tl)
-        # An empty side's infinite distance always fails the limit.
-        if d_down < d_up or (d_down == d_up and d_down <= limit and slot_control[down] < slot_control[up]):
-            if d_down > limit:
-                chosen.append(-1)
-            elif down == p:
-                p -= 1
-                chosen.append(down)
-            else:
-                taken[down] = True
-                low[run_end[down]] = down + 1
-                holes = True
-                chosen.append(down)
-        elif d_up <= limit:
-            del stack[up_i]
-            chosen.append(up)
-        else:
+            r = best = stack[-1]
+            d = run_logit[r] - tl
+            while close[r] and run_logit[r + 1] - tl == d:
+                r += 1
+                if live[r] < end[r] and slot_control[live[r]] < slot_control[live[best]]:
+                    best = r
+        if q >= 0 and (dq := tl - run_logit[q]) <= d:
+            if dq < d or slot_control[live[q]] < slot_control[live[best]]:
+                best, d = q, dq
+            r = q
+            while close[r - 1] and tl - run_logit[r - 1] == d:
+                r -= 1
+                if live[r] < end[r] and slot_control[live[r]] < slot_control[live[best]]:
+                    best = r
+        if d > limit:
             chosen.append(-1)
+            continue
+        s = live[best]
+        chosen.append(s)
+        live[best] = s = s + 1
+        if s == end[best]:
+            if best == q:
+                q -= 1
+            elif stack and best == stack[-1]:
+                stack.pop()
+            else:
+                stale = True
 
     slots = np.asarray(chosen, dtype=np.int64)
-    hit = slots >= 0
-    by_treated = np.argsort(visit[hit])
-    treated_out = visit[hit][by_treated]
-    slots = slots[hit][by_treated]
+    hit = np.flatnonzero(slots >= 0)
+    by_treated = hit[np.argsort(visit[hit])]
+    treated_out, slots = visit[by_treated], slots[by_treated]
     return MatchedSample(treated_out, slot_control[slots], np.abs(sorted_logits[slots] - logits[treated_out]),
                          unmatched_treated=int(visit.size - treated_out.size), caliper=caliper)
 

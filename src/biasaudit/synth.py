@@ -229,7 +229,8 @@ def generate(config: SynthConfig) -> tuple[Cohort, dict]:
             for level, delta in by_level.items():
                 shift[members(attr, level)] += delta
         if cov.kind == "gaussian":
-            cov_values[cov.name] = rng.normal(cov.mu, cov.sigma, n) + shift
+            with np.errstate(over="ignore"):  # an overflow is rejected just below
+                cov_values[cov.name] = rng.normal(cov.mu, cov.sigma, n) + shift
             if not np.all(np.isfinite(cov_values[cov.name])):
                 raise ConfigError(f"covariate {cov.name!r}: mu, sigma and shifts overflow to non-finite values")
         else:

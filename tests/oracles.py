@@ -168,9 +168,9 @@ def scan_greedy_match(propensities, treated, caliper_multiplier=0.2) -> MatchedS
     logits = _logit(prop)
 
     caliper = None
-    if caliper_multiplier is not None:
+    if caliper_multiplier is not None and logits.size:
         # Equal logits are zero spread even where np.std rounds to a few ulps.
-        spread = 0.0 if logits.size and logits.min() == logits.max() else float(np.std(logits))
+        spread = 0.0 if logits.min() == logits.max() else float(np.std(logits))
         if spread == 0.0:
             warnings.warn(
                 "logit propensities have zero spread; caliper disabled for this match",
@@ -227,9 +227,9 @@ def linked_greedy_match(propensities, treated, caliper_multiplier=0.2) -> Matche
     logits = _logit(prop)
 
     caliper = None
-    if caliper_multiplier is not None:
+    if caliper_multiplier is not None and logits.size:
         # Equal logits are zero spread even where np.std rounds to a few ulps.
-        spread = 0.0 if logits.size and logits.min() == logits.max() else float(np.std(logits))
+        spread = 0.0 if logits.min() == logits.max() else float(np.std(logits))
         if spread == 0.0:
             warnings.warn(
                 "logit propensities have zero spread; caliper disabled for this match",
@@ -461,15 +461,13 @@ class RecordCohort:
         return len(self.records)
 
 
-def _fmt_edge(x: float) -> str:
-    return format(x, "g")
-
-
-def _bin_labels(breakpoints: tuple[float, ...]) -> tuple[str, ...]:
+def _bin_labels(breakpoints: tuple[float, ...], fmt_edge=lambda x: format(x, "g")) -> tuple[str, ...]:
     labels = []
     for i in range(len(breakpoints) - 1):
         close = "]" if i == len(breakpoints) - 2 else ")"
-        labels.append(f"[{_fmt_edge(breakpoints[i])} - {_fmt_edge(breakpoints[i + 1])}{close}")
+        labels.append(f"[{fmt_edge(breakpoints[i])} - {fmt_edge(breakpoints[i + 1])}{close}")
+    if len(set(labels)) < len(labels):  # colliding 6-digit labels: exact edges instead
+        return _bin_labels(breakpoints, repr)
     return tuple(labels)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
@@ -477,7 +478,7 @@ def test_criterion_09_worker_count_byte_identical(tmp_path):
     names_1 = sorted(n for n in os.listdir(dir_1) if n.endswith((".json", ".csv")))
     names_8 = sorted(n for n in os.listdir(dir_8) if n.endswith((".json", ".csv")))
     identical = names_1 == names_8 and all(
-        open(os.path.join(dir_1, n), "rb").read() == open(os.path.join(dir_8, n), "rb").read()
+        Path(dir_1, n).read_bytes() == Path(dir_8, n).read_bytes()
         for n in names_1
     )
     verdict(9, identical, f"{len(names_1)} csv/json files byte-identical "

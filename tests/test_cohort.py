@@ -747,6 +747,24 @@ class TestSubgroupPartition:
         assert part.levels == cohort.attribute_levels["age"]
         assert len(part.levels) == 3
 
+    def test_edges_equal_to_six_digits_keep_their_bands_apart(self):
+        # Formatted with :g, the first two bands would both read
+        # "[1.23456e+06 - 1.23456e+06)" and partition as one level.
+        edges = (1234560.0, 1234560.1, 1234560.2, 1234600.0)
+        income = [1234560.05, 1234560.15, 1234570.0] * 300
+        cohort = build_cohort(
+            labels=[i % 2 for i in range(900)],
+            scores=[0.5] * 900,
+            protected={"income": income},
+            protected_kinds={"income": "continuous"},
+            bin_edges={"income": edges},
+        )
+        part = subgroup_partition(cohort, "income", min_group_size=10)
+        assert part.levels == ("[1234560.0 - 1234560.1)", "[1234560.1 - 1234560.2)", "[1234560.2 - 1234600.0]")
+        assert [len(members) for _, members in part.groups] == [300, 300, 300]
+        assert part.excluded == ()
+        assert bin_continuous(income[:3], edges=edges) == list(part.levels)
+
     @given(
         st.lists(st.sampled_from(["A", "B", "C", None]), min_size=2, max_size=80),
         st.integers(min_value=0, max_value=10),

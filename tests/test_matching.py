@@ -57,7 +57,7 @@ tied_props = st.one_of(
     st.sampled_from([0.05, 0.2, 0.25, 0.5, 0.75, 0.8, 0.95]),
     st.floats(0.01, 0.99).map(lambda v: round(v, 2)),
 )
-tied_case = st.integers(2, 60).flatmap(
+tied_case = st.integers(0, 60).flatmap(
     lambda n: st.tuples(
         st.lists(tied_props, min_size=n, max_size=n),
         st.lists(st.booleans(), min_size=n, max_size=n),
@@ -74,7 +74,7 @@ ulp_props = st.one_of(
     st.integers(-4, 4).map(lambda j: expit(-20.0) * (1 + j * 2.0**-48)),
     st.sampled_from([expit(-30.0), expit(-10.0), expit(10.0), expit(30.0)]),
 )
-ulp_case = st.integers(2, 40).flatmap(
+ulp_case = st.integers(0, 40).flatmap(
     lambda n: st.tuples(
         st.lists(ulp_props, min_size=n, max_size=n),
         st.lists(st.booleans(), min_size=n, max_size=n),
@@ -292,11 +292,27 @@ class TestGreedyMatch:
         assert [(p.treated, p.control) for p in sample.pairs] == [(5, 4), (6, 0), (7, 1), (8, 2)]
         assert sample == scan_greedy_match(props, flags, caliper_multiplier=None)
 
+    @pytest.mark.parametrize("controls, treated", [
+        ([0.49999999999999967, 0.4999999999999999], 1 - 1e-12),
+        ([0.5000000000000003, 0.5000000000000002], 1e-12),
+    ], ids=["below", "above"])
+    def test_run_emptied_by_a_tie_is_skipped(self, controls, treated):
+        # Both control logits lie at one float distance from the treated
+        # logit at the clip edge, and control 0 sits in the farther run.  The
+        # first treated record empties that run by the tie; the second must
+        # take control 1, and the third must find no control left.
+        props = controls + [treated] * 3
+        flags = [False, False, True, True, True]
+        sample = greedy_match(props, flags, caliper_multiplier=None)
+        assert [(p.treated, p.control) for p in sample.pairs] == [(2, 0), (3, 1)]
+        assert sample.unmatched_treated == 1
+        assert sample == scan_greedy_match(props, flags, caliper_multiplier=None)
+
     @pytest.mark.parametrize("cm", [None, 0.2])
     def test_long_removed_chains_match_scan_oracle(self, cm):
         # ~3,000 records on 2-decimal propensities with nearly half treated:
-        # runs of equal logits empty out, so the live-slot search skips long
-        # stretches of removed controls.
+        # runs of equal logits empty out, control by control, while the
+        # sweep passes them.
         rng = np.random.default_rng(3001)
         n = 3000
         props = np.round(expit(rng.normal(0.0, 1.5, n)), 2).clip(0.01, 0.99)
@@ -327,6 +343,16 @@ class TestGreedyMatch:
             sample = greedy_match(props, flags, cm)
             assert sample == linked_greedy_match(props, flags, cm)
             assert sample.treated.size > 0.9 * flags.sum()
+
+    @pytest.mark.parametrize("n_values", [3, 30, 300])
+    @pytest.mark.parametrize("cm", [0.2, None])
+    def test_discrete_propensities_equal_linked_oracle(self, n_values, cm):
+        # 50k records on a few distinct propensities: long runs of equal
+        # logits, each emptied control by control.
+        rng = np.random.default_rng(n_values)
+        props = rng.choice(rng.uniform(0.02, 0.98, n_values), 50_000)
+        flags = rng.uniform(0, 1, 50_000) < 0.35
+        assert greedy_match(props, flags, cm) == linked_greedy_match(props, flags, cm)
 
     @given(match_case)
     def test_deterministic(self, case):

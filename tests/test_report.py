@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -321,7 +322,7 @@ class TestRender:
         paths_a = render(bundle, dir_a)
         paths_b = render(bundle, dir_b)
         for pa, pb in zip(paths_a, paths_b):
-            assert open(pa, "rb").read() == open(pb, "rb").read()
+            assert Path(pa).read_bytes() == Path(pb).read_bytes()
 
     def test_svg_plots_one_dot_per_bin(self, tmp_path):
         bundle = TestBundleRoundTrip().representative_bundle()
@@ -628,7 +629,7 @@ GOLDEN_TEXT = {
 class TestGoldenText:
     def test_report_text_is_unchanged(self, tmp_path):
         written = render(golden_bundle(), tmp_path, formats=("csv", "markdown"))
-        texts = {p.split("/")[-1]: open(p, encoding="utf-8", newline="").read() for p in written}
+        texts = {p.split("/")[-1]: Path(p).read_bytes().decode("utf-8") for p in written}
         assert list(texts) == list(GOLDEN_TEXT)
         for name, expected in GOLDEN_TEXT.items():
             assert texts[name] == "".join(expected), name

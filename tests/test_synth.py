@@ -165,6 +165,7 @@ class TestConfigValidation:
                  "score": ScoreModel(kind="trained_logistic", features=("x",))},
                 "needs both outcome classes",
             ),
+            ({"covariates": (CovariateSpec("x", mu=1e308, shifts={"g": {"a": 1e308}}),)}, "overflow to non-finite values"),
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
