@@ -219,10 +219,10 @@ def greedy_match(
     ``spacing(max logit - min logit)`` of each other, so a tie walk steps to
     the next run only across a gap of at most four such spacings (``close``),
     and walks over empty runs while the distance still ties.  A tie can thus
-    empty a run inside the stack or below ``q``; from then on (``stale``)
-    empty runs are popped off the top and ``q`` moves past them.  Cost: an
-    O(n log n) sort and an O(n) sweep, since each run is pushed and popped at
-    most once and the tie walks only cross float-close runs.
+    empty a run anywhere, so each visit first pops empty runs off the top and
+    moves ``q`` down past empty runs.  Cost: an O(n log n) sort and an O(n)
+    sweep, since each run is pushed and popped at most once and the tie walks
+    only cross float-close runs.
     """
     prop = np.asarray(propensities, dtype=float)
     flags = np.asarray(treated, dtype=bool)
@@ -267,7 +267,7 @@ def greedy_match(
 
     stack: list[int] = []
     q = len(run_logit) - 1
-    stale, inf = False, np.inf
+    inf = np.inf
     limit = float(np.finfo(float).max) if caliper is None else caliper
     chosen: list[int] = []  # the claimed slot per visit, -1 when unmatched
 
@@ -276,11 +276,11 @@ def greedy_match(
         if q >= lo:
             stack.extend(range(q, lo - 1, -1))
             q = lo - 1
-        if stale:
-            while stack and live[stack[-1]] == end[stack[-1]]:
-                stack.pop()
-            while q >= 0 and live[q] == end[q]:
-                q -= 1
+        # Drop emptied runs from both fronts.
+        while stack and live[stack[-1]] == end[stack[-1]]:
+            stack.pop()
+        while q >= 0 and live[q] == end[q]:
+            q -= 1
         best, d = -1, inf  # an empty side's infinite distance fails the limit
         if stack:
             r = best = stack[-1]
@@ -302,14 +302,7 @@ def greedy_match(
             continue
         s = live[best]
         chosen.append(s)
-        live[best] = s = s + 1
-        if s == end[best]:
-            if best == q:
-                q -= 1
-            elif stack and best == stack[-1]:
-                stack.pop()
-            else:
-                stale = True
+        live[best] = s + 1
 
     slots = np.asarray(chosen, dtype=np.int64)
     hit = np.flatnonzero(slots >= 0)

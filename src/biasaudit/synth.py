@@ -225,18 +225,20 @@ def generate(config: SynthConfig) -> tuple[Cohort, dict]:
     for cov in config.covariates:
         rng = stream(config.seed, "covariate", cov.name)
         shift = np.zeros(n)
-        for attr, by_level in cov.shifts.items():
-            for level, delta in by_level.items():
-                shift[members(attr, level)] += delta
-        if cov.kind == "gaussian":
-            with np.errstate(over="ignore"):  # an overflow is rejected just below
+        # A Gaussian that overflows is rejected; a Bernoulli log-odds that
+        # overflows to +-inf is a probability of 1 or 0.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for attr, by_level in cov.shifts.items():
+                for level, delta in by_level.items():
+                    shift[members(attr, level)] += delta
+            if cov.kind == "gaussian":
                 cov_values[cov.name] = rng.normal(cov.mu, cov.sigma, n) + shift
-            if not np.all(np.isfinite(cov_values[cov.name])):
-                raise ConfigError(f"covariate {cov.name!r}: mu, sigma and shifts overflow to non-finite values")
-        else:
-            base = np.log(cov.p) - np.log1p(-cov.p)
-            prob = expit(base + shift)
-            cov_values[cov.name] = (rng.random(n) < prob).astype(np.int64)
+                if not np.all(np.isfinite(cov_values[cov.name])):
+                    raise ConfigError(f"covariate {cov.name!r}: mu, sigma and shifts overflow to non-finite values")
+            else:
+                base = np.log(cov.p) - np.log1p(-cov.p)
+                prob = expit(base + shift)
+                cov_values[cov.name] = (rng.random(n) < prob).astype(np.int64)
 
     eta = np.full(n, float(config.outcome.intercept))
     with np.errstate(over="ignore", invalid="ignore"):  # an undefined log-odds is rejected just below

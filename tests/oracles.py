@@ -461,13 +461,18 @@ class RecordCohort:
         return len(self.records)
 
 
-def _bin_labels(breakpoints: tuple[float, ...], fmt_edge=lambda x: format(x, "g")) -> tuple[str, ...]:
-    labels = []
-    for i in range(len(breakpoints) - 1):
-        close = "]" if i == len(breakpoints) - 2 else ")"
-        labels.append(f"[{fmt_edge(breakpoints[i])} - {fmt_edge(breakpoints[i + 1])}{close}")
-    if len(set(labels)) < len(labels):  # colliding 6-digit labels: exact edges instead
-        return _bin_labels(breakpoints, repr)
+def _fmt_edge(x: float) -> str:
+    return format(x, "g")
+
+
+def _bin_labels(breakpoints: tuple[float, ...]) -> tuple[str, ...]:
+    for fmt_edge in (_fmt_edge, repr):  # colliding 6-digit labels: exact edges instead
+        labels = []
+        for i in range(len(breakpoints) - 1):
+            close = "]" if i == len(breakpoints) - 2 else ")"
+            labels.append(f"[{fmt_edge(breakpoints[i])} - {fmt_edge(breakpoints[i + 1])}{close}")
+        if len(set(labels)) == len(labels):
+            break
     return tuple(labels)
 
 

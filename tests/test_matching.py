@@ -310,14 +310,20 @@ class TestGreedyMatch:
 
     @pytest.mark.parametrize("cm", [None, 0.2])
     def test_long_removed_chains_match_scan_oracle(self, cm):
-        # ~3,000 records on 2-decimal propensities with nearly half treated:
-        # runs of equal logits empty out, control by control, while the
-        # sweep passes them.
+        # Runs of equal logits empty out, control by control, while the sweep
+        # passes them: ~3,000 records on 2-decimal propensities with nearly
+        # half treated, against the scan oracle; then 50k records on 3, 30 or
+        # 300 distinct propensities, against the linked oracle.
         rng = np.random.default_rng(3001)
         n = 3000
         props = np.round(expit(rng.normal(0.0, 1.5, n)), 2).clip(0.01, 0.99)
         flags = rng.uniform(0, 1, n) < 0.45
         assert greedy_match(props, flags, cm) == scan_greedy_match(props, flags, cm)
+        for n_values in (3, 30, 300):
+            rng = np.random.default_rng(n_values)
+            props = rng.choice(rng.uniform(0.02, 0.98, n_values), 50_000)
+            flags = rng.uniform(0, 1, 50_000) < 0.35
+            assert greedy_match(props, flags, cm) == linked_greedy_match(props, flags, cm)
 
     @given(ulp_case, st.sampled_from([None, 0.2]))
     def test_ulp_clusters_equal_scan_oracle(self, case, cm):
@@ -344,16 +350,22 @@ class TestGreedyMatch:
             assert sample == linked_greedy_match(props, flags, cm)
             assert sample.treated.size > 0.9 * flags.sum()
 
-    @pytest.mark.parametrize("n_values", [3, 30, 300])
-    @pytest.mark.parametrize("cm", [0.2, None])
-    def test_discrete_propensities_equal_linked_oracle(self, n_values, cm):
-        # 50k records on a few distinct propensities: long runs of equal
-        # logits, each emptied control by control.
-        rng = np.random.default_rng(n_values)
-        props = rng.choice(rng.uniform(0.02, 0.98, n_values), 50_000)
-        flags = rng.uniform(0, 1, 50_000) < 0.35
-        assert greedy_match(props, flags, cm) == linked_greedy_match(props, flags, cm)
-
+    @pytest.mark.parametrize("cm", [None, 0.2])
+    def test_long_removed_chains_match_scan_oracle(self, cm):
+        # Runs of equal logits empty out, control by control, while the sweep
+        # passes them: ~3,000 records on 2-decimal propensities with nearly
+        # half treated, against the scan oracle; then 50k records on 3, 30 or
+        # 300 distinct propensities, against the linked oracle.
+        rng = np.random.default_rng(3001)
+        n = 3000
+        props = np.round(expit(rng.normal(0.0, 1.5, n)), 2).clip(0.01, 0.99)
+        flags = rng.uniform(0, 1, n) < 0.45
+        assert greedy_match(props, flags, cm) == scan_greedy_match(props, flags, cm)
+        for n_values in (3, 30, 300):
+            rng = np.random.default_rng(n_values)
+            props = rng.choice(rng.uniform(0.02, 0.98, n_values), 50_000)
+            flags = rng.uniform(0, 1, 50_000) < 0.35
+            assert greedy_match(props, flags, cm) == linked_greedy_match(props, flags, cm)
     @given(match_case)
     def test_deterministic(self, case):
         props, flags = case

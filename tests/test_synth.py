@@ -166,6 +166,11 @@ class TestConfigValidation:
                 "needs both outcome classes",
             ),
             ({"covariates": (CovariateSpec("x", mu=1e308, shifts={"g": {"a": 1e308}}),)}, "overflow to non-finite values"),
+            (
+                {"protected": (ProtectedSpec("g", ("a", "b"), (0.6, 0.4)), ProtectedSpec("h", ("a", "b"), (0.5, 0.5))),
+                 "covariates": (CovariateSpec("x", shifts={"g": {"a": 1e308}, "h": {"b": 1e308}}),)},
+                "overflow to non-finite values",
+            ),
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
