@@ -140,6 +140,9 @@ class CohortSchema:
         object.__setattr__(self, "missing_tokens", tuple(self.missing_tokens))
         if not self.score_columns:
             raise SchemaError("schema needs at least one score column")
+        if self.delimiter in ('"', "\r", "\n"):
+            raise SchemaError(f"delimiter {self.delimiter!r} cannot separate fields: "
+                              "csv keeps the quote and line breaks for quoting and records")
         names = [self.id_column, self.label_column]
         names += [c for _, c in self.score_columns]
         names += [p.name for p in self.protected_columns]

@@ -22,6 +22,8 @@ from .errors import PropensityError
 from .glm import LogisticModel, encode_design, fit_logistic, predict_proba
 
 _CLIP = 1e-12
+# The visits ``greedy_match`` takes as Python numbers at a time.
+_VISIT_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -222,7 +224,10 @@ def greedy_match(
     empty a run anywhere, so each visit first pops empty runs off the top and
     moves ``q`` down past empty runs.  Cost: an O(n log n) sort and an O(n)
     sweep, since each run is pushed and popped at most once and the tie walks
-    only cross float-close runs.
+    only cross float-close runs.  The visits arrive ``_VISIT_BLOCK`` at a
+    time, each block's logits and nearest runs as Python numbers and its
+    claimed slots written into one int64 array, so the sweep never holds
+    every visit as Python objects at once.
     """
     prop = np.asarray(propensities, dtype=float)
     flags = np.asarray(treated, dtype=bool)
@@ -248,18 +253,35 @@ def greedy_match(
     # visit order is deterministic.
     treated_pos = np.flatnonzero(flags)
     visit = treated_pos[_ascending(-logits[treated_pos])]
-    visit_logits = logits[visit]
 
-    # Slot k holds the control at position ``slot_control[k]``; run r spans
-    # slots [live[r], end[r]) at logit ``run_logit[r]``.
+    # Slot k holds the control at position ``slot_control[k]``.
     control_pos = np.flatnonzero(~flags)
     slot_control = control_pos[_ascending(logits[control_pos])]
     sorted_logits = logits[slot_control]
+    tie_gap = 4 * np.spacing(logits.max() - logits.min()) if sorted_logits.size else 0.0
+    limit = float(np.finfo(float).max) if caliper is None else caliper
+    # The sweep's Python lists are gone before the pairs are built.
+    slots = _sweep(logits[visit], sorted_logits, slot_control, tie_gap, limit)
+
+    hit = np.flatnonzero(slots >= 0)
+    by_treated = hit[np.argsort(visit[hit])]
+    treated_out, slots = visit[by_treated], slots[by_treated]
+    return MatchedSample(treated_out, slot_control[slots], np.abs(sorted_logits[slots] - logits[treated_out]),
+                         unmatched_treated=int(visit.size - treated_out.size), caliper=caliper)
+
+
+def _sweep(visit_logits: np.ndarray, sorted_logits: np.ndarray, slot_control: np.ndarray,
+           tie_gap: float, limit: float) -> np.ndarray:
+    """The control slot each visit of ``greedy_match`` claims, -1 where the
+    nearest is farther than ``limit``: the sweep its docstring describes,
+    over the visits' logits in visit order and the controls' ascending
+    ``sorted_logits``, slot k holding the control at ``slot_control[k]``."""
+    # Run r spans slots [live[r], end[r]) at logit ``run_logit[r]``.
     m = sorted_logits.size
     starts = np.flatnonzero(np.diff(sorted_logits, prepend=-np.inf))
     run_logits = sorted_logits[starts]
-    live, end = starts.tolist(), [*starts[1:].tolist(), m]
-    tie_gap = 4 * np.spacing(logits.max() - logits.min()) if m else 0.0
+    live = starts.tolist()
+    end = [*live[1:], m]
     # close[r]: run r + 1 lies within tie_gap of run r; the trailing False
     # also stops a walk below run 0, which reads close[-1].
     close = np.append(np.diff(run_logits) <= tie_gap, False).tolist()
@@ -268,48 +290,46 @@ def greedy_match(
     stack: list[int] = []
     q = len(run_logit) - 1
     inf = np.inf
-    limit = float(np.finfo(float).max) if caliper is None else caliper
-    chosen: list[int] = []  # the claimed slot per visit, -1 when unmatched
+    slots = np.empty(visit_logits.size, dtype=np.int64)
 
-    for tl, lo in zip(visit_logits.tolist(), np.searchsorted(run_logits, visit_logits).tolist()):
-        # Pass every run with logit >= tl.
-        if q >= lo:
-            stack.extend(range(q, lo - 1, -1))
-            q = lo - 1
-        # Drop emptied runs from both fronts.
-        while stack and live[stack[-1]] == end[stack[-1]]:
-            stack.pop()
-        while q >= 0 and live[q] == end[q]:
-            q -= 1
-        best, d = -1, inf  # an empty side's infinite distance fails the limit
-        if stack:
-            r = best = stack[-1]
-            d = run_logit[r] - tl
-            while close[r] and run_logit[r + 1] - tl == d:
-                r += 1
-                if live[r] < end[r] and slot_control[live[r]] < slot_control[live[best]]:
-                    best = r
-        if q >= 0 and (dq := tl - run_logit[q]) <= d:
-            if dq < d or slot_control[live[q]] < slot_control[live[best]]:
-                best, d = q, dq
-            r = q
-            while close[r - 1] and tl - run_logit[r - 1] == d:
-                r -= 1
-                if live[r] < end[r] and slot_control[live[r]] < slot_control[live[best]]:
-                    best = r
-        if d > limit:
-            chosen.append(-1)
-            continue
-        s = live[best]
-        chosen.append(s)
-        live[best] = s + 1
+    for b in range(0, visit_logits.size, _VISIT_BLOCK):
+        block = visit_logits[b:b + _VISIT_BLOCK]
+        chosen: list[int] = []
+        for tl, lo in zip(block.tolist(), np.searchsorted(run_logits, block).tolist()):
+            # Pass every run with logit >= tl.
+            if q >= lo:
+                stack.extend(range(q, lo - 1, -1))
+                q = lo - 1
+            # Drop emptied runs from both fronts.
+            while stack and live[stack[-1]] == end[stack[-1]]:
+                stack.pop()
+            while q >= 0 and live[q] == end[q]:
+                q -= 1
+            best, d = -1, inf  # an empty side's infinite distance fails the limit
+            if stack:
+                r = best = stack[-1]
+                d = run_logit[r] - tl
+                while close[r] and run_logit[r + 1] - tl == d:
+                    r += 1
+                    if live[r] < end[r] and slot_control[live[r]] < slot_control[live[best]]:
+                        best = r
+            if q >= 0 and (dq := tl - run_logit[q]) <= d:
+                if dq < d or slot_control[live[q]] < slot_control[live[best]]:
+                    best, d = q, dq
+                r = q
+                while close[r - 1] and tl - run_logit[r - 1] == d:
+                    r -= 1
+                    if live[r] < end[r] and slot_control[live[r]] < slot_control[live[best]]:
+                        best = r
+            if d > limit:
+                chosen.append(-1)
+                continue
+            s = live[best]
+            chosen.append(s)
+            live[best] = s + 1
+        slots[b:b + block.size] = chosen
 
-    slots = np.asarray(chosen, dtype=np.int64)
-    hit = np.flatnonzero(slots >= 0)
-    by_treated = hit[np.argsort(visit[hit])]
-    treated_out, slots = visit[by_treated], slots[by_treated]
-    return MatchedSample(treated_out, slot_control[slots], np.abs(sorted_logits[slots] - logits[treated_out]),
-                         unmatched_treated=int(visit.size - treated_out.size), caliper=caliper)
+    return slots
 
 
 def match_contrast(

@@ -158,31 +158,34 @@ def block_size(width: int) -> int:
 class _LevelGrids:
     """Each level's distinct scores, laid out as one segment of a count table.
 
-    Built from the records' ranks on a pooled grid of ``n_grid`` scores and
-    their level ``codes`` in ``range(n_levels)``, or -1 for a record in no
-    level.  ``keys`` lists the (level, rank) pairs present as
-    ``level * (n_grid + 1) + rank`` in ascending order, so column j of a
-    table holds the score ranked ``keys[j] % (n_grid + 1)`` and each level's
-    columns are one ascending run.  A scalar code (0 or more) puts every
-    record in that level; the ranks of a sample cover its pooled grid, so
-    that segment is the whole grid and a record's column is its rank, with
-    no ``np.unique``.  A table has ``width = size + 1`` columns; the last one
-    collects the records in no level.  A level's segment ends where the next
-    one's starts.
+    Built from the records' ranks on a pooled grid of ``n_grid`` scores,
+    their ``labels`` and their level ``codes`` in ``range(n_levels)``, or -1
+    for a record in no level.  ``keys`` lists the (level, rank) pairs
+    present as ``level * (n_grid + 1) + rank`` in ascending order, so column
+    j of a table holds the score ranked ``keys[j] % (n_grid + 1)`` and each
+    level's columns are one ascending run.  A scalar code (0 or more) puts
+    every record in that level; the ranks of a sample cover its pooled grid,
+    so that segment is the whole grid and a record's column is its rank,
+    with no ``np.unique``.  A table has ``width = size + 1`` columns; the
+    last one collects the records in no level.  A level's segment ends where
+    the next one's starts.  ``records`` holds each record's count key
+    ``label * width + column``; the columns themselves are not kept.
     """
 
-    def __init__(self, ranks: np.ndarray, codes, n_levels: int, n_grid: int):
+    def __init__(self, ranks: np.ndarray, labels: np.ndarray, codes, n_levels: int, n_grid: int):
         codes = np.asarray(codes, dtype=np.int64)
         if codes.ndim:
             in_level = codes >= 0
             self.keys, inverse = np.unique(codes[in_level] * (n_grid + 1) + ranks[in_level], return_inverse=True)
-            self.positions = np.full(ranks.shape, self.keys.size, dtype=np.int64)
-            self.positions[in_level] = inverse
+            columns = np.full(ranks.shape, self.keys.size, dtype=np.int64)
+            columns[in_level] = inverse
         else:
             self.keys = codes * (n_grid + 1) + np.arange(n_grid, dtype=np.int64)
-            self.positions = np.asarray(ranks, dtype=np.int64)
+            columns = ranks
         self.size = int(self.keys.size)
         self.width = self.size + 1
+        self.records = labels * self.width
+        self.records += columns
         self._offsets = np.arange(n_levels, dtype=np.int64) * (n_grid + 1)
         self.starts, self.ends = self.cuts(np.array([0, n_grid]))
         self._spans = np.stack([self.starts, self.ends], axis=-1).ravel()
@@ -368,10 +371,10 @@ class _Sample:
     def __init__(self, scores: np.ndarray, labels: np.ndarray, partitions, units: int = 1):
         self.grid, ranks = np.unique(scores, return_inverse=True)
         self.n = scores.size // units
-        grids = [_LevelGrids(ranks, codes, n_levels, self.grid.size) for codes, n_levels in [(0, 1), *partitions]]
         labels = np.asarray(labels, dtype=np.int64)
-        self.whole, *self.parts = [(levels, (labels * levels.width + levels.positions).reshape(units, self.n))
-                                   for levels in grids]
+        grids = [_LevelGrids(ranks, labels, codes, n_levels, self.grid.size)
+                 for codes, n_levels in [(0, 1), *partitions]]
+        self.whole, *self.parts = [(levels, levels.records.reshape(units, self.n)) for levels in grids]
         self.k = block_size(max(levels.width for levels, _ in (self.whole, *self.parts)))
 
     def evaluate(self, names: tuple[str, ...], policy: ThresholdPolicy | None = None,

@@ -22,7 +22,6 @@ from .cohort import (
     CovariateColumn,
     ProtectedColumn,
     label_values,
-    score_values,
     with_score_column,
 )
 from .errors import ConfigError, _check_keys, _convert, _names, _typed
@@ -206,113 +205,12 @@ def generate(config: SynthConfig) -> tuple[Cohort, dict]:
     injection touched.
     """
     weights = _validate(config)
-    n = config.n
-
-    # Each record's level of each attribute, as an index into the spec's
-    # levels: the same draws as choosing among the level names.
-    level_draws: dict[str, np.ndarray] = {}
-    level_index: dict[str, dict[str, int]] = {}
-    for spec in config.protected:
-        rng = stream(config.seed, "protected", spec.name)
-        p = np.asarray([weights[spec.name][lv] for lv in spec.levels])
-        level_draws[spec.name] = rng.choice(len(spec.levels), size=n, p=p)
-        level_index[spec.name] = {lv: i for i, lv in enumerate(spec.levels)}
-
-    def members(attribute: str, level: str) -> np.ndarray:
-        return level_draws[attribute] == level_index[attribute][level]
-
-    cov_values: dict[str, np.ndarray] = {}
-    for cov in config.covariates:
-        rng = stream(config.seed, "covariate", cov.name)
-        shift = np.zeros(n)
-        # A Gaussian that overflows is rejected; a Bernoulli log-odds that
-        # overflows to +-inf is a probability of 1 or 0.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for attr, by_level in cov.shifts.items():
-                for level, delta in by_level.items():
-                    shift[members(attr, level)] += delta
-            if cov.kind == "gaussian":
-                cov_values[cov.name] = rng.normal(cov.mu, cov.sigma, n) + shift
-                if not np.all(np.isfinite(cov_values[cov.name])):
-                    raise ConfigError(f"covariate {cov.name!r}: mu, sigma and shifts overflow to non-finite values")
-            else:
-                base = np.log(cov.p) - np.log1p(-cov.p)
-                prob = expit(base + shift)
-                cov_values[cov.name] = (rng.random(n) < prob).astype(np.int64)
-
-    eta = np.full(n, float(config.outcome.intercept))
-    with np.errstate(over="ignore", invalid="ignore"):  # an undefined log-odds is rejected just below
-        for name, w in config.outcome.weights.items():
-            eta += float(w) * cov_values[name].astype(float)
-        for attr, by_level in config.outcome.protected_weights.items():
-            for level, w in by_level.items():
-                eta[members(attr, level)] += float(w)
-    if np.isnan(eta).any():
-        raise ConfigError("outcome model overflows: its weights and intercept give an undefined log-odds")
-    p_true = expit(eta)
-    labels = (stream(config.seed, "outcome").random(n) < p_true).astype(np.int64)
-
-    for i, inj in enumerate(config.injections):
-        if inj.mechanism == "label_flip":
-            u = stream(config.seed, "injection", i).random(n)
-            labels = np.where(members(inj.attribute, inj.level) & (u < inj.amount), 1 - labels, labels)
-
-    width = max(4, len(str(n)))
-    schema = CohortSchema(
-        id_column="id",
-        label_column="label",
-        score_columns=((config.score_name, config.score_name),),
-        protected_columns=tuple(ProtectedColumn(name=s.name) for s in config.protected),
-        covariate_columns=tuple(
-            CovariateColumn(name=c.name, kind="numeric" if c.kind == "gaussian" else "binary")
-            for c in config.covariates
-        ),
-    )
-
-    # Levels are numbered in first-appearance order, as parsing the written cohort numbers them.
-    levels, codes = {}, {}
-    for spec in config.protected:
-        present, first = np.unique(level_draws[spec.name], return_index=True)
-        present = present[np.argsort(first)]
-        code_of = np.full(len(spec.levels), -1, dtype=np.int64)
-        code_of[present] = np.arange(present.size)
-        levels[spec.name] = tuple(spec.levels[i] for i in present.tolist())
-        codes[spec.name] = code_of[level_draws[spec.name]]
-    cohort = Cohort(
-        schema=schema,
-        ids=tuple(map(f"r%0{width}d".__mod__, range(1, n + 1))),
-        labels=labels,
-        scores={config.score_name: np.full(n, np.nan)},
-        codes=codes,
-        covariates={c.name: cov_values[c.name].astype(float) for c in config.covariates},
-        attribute_levels=levels,
-    )
-
-    if config.score.kind == "oracle_noise":
-        noise = stream(config.seed, "score").normal(0.0, config.score.noise_sd, n) \
-            if config.score.noise_sd > 0 else np.zeros(n)
-        scores = np.clip(p_true + noise, 0.0, 1.0)
-    else:
-        # trained scores see post-injection labels, as a refit in the wild would
-        if labels.min() == labels.max():
-            raise ConfigError(f"trained_logistic score model needs both outcome classes, "
-                              f"but all {n} labels are {labels[0]}")
-        design = encode_design(cohort, range(n), config.score.features)
-        model = fit_logistic(design, labels.astype(float), ridge=1e-6)
-        scores = predict_proba(model, design)
-
-    for i, inj in enumerate(config.injections):
-        if inj.mechanism == "label_flip":
-            continue
-        rng = stream(config.seed, "injection", i)
-        extra = rng.normal(0.0, inj.amount, n) if inj.mechanism == "score_noise" else inj.amount
-        scores = np.clip(np.where(members(inj.attribute, inj.level), scores + extra, scores), 0.0, 1.0)
-    cohort = replace(cohort, scores={config.score_name: scores})
-
+    # The draws die with ``_draw_cohort``, before the summary counts the cohort.
+    cohort = _draw_cohort(config, weights)
     manifest = {
         "schema_version": 1,
         "seed": config.seed,
-        "n": n,
+        "n": config.n,
         "score_name": config.score_name,
         "protected": [
             {"name": s.name, "levels": list(s.levels), "weights": [weights[s.name][lv] for lv in s.levels]}
@@ -342,11 +240,117 @@ def generate(config: SynthConfig) -> tuple[Cohort, dict]:
     return cohort, manifest
 
 
+def _draw_cohort(config: SynthConfig, weights: dict[str, dict[str, float]]) -> Cohort:
+    """The scored cohort of a validated config, ``weights`` its normalized
+    level weights.  It keeps only the arrays the cohort holds."""
+    n = config.n
+
+    # Each record's level of each attribute, drawn as an index into the
+    # spec's levels (the same draws as choosing among the level names) and
+    # kept as its code: levels are numbered in first-appearance order, as
+    # parsing the written cohort numbers them.  ``code_of`` maps each spec
+    # level to its code, -1 for a level no record drew.
+    levels, codes, code_of = {}, {}, {}
+    for spec in config.protected:
+        rng = stream(config.seed, "protected", spec.name)
+        p = np.asarray([weights[spec.name][lv] for lv in spec.levels])
+        draws = rng.choice(len(spec.levels), size=n, p=p)
+        present, first = np.unique(draws, return_index=True)
+        present = present[np.argsort(first)]
+        code = np.full(len(spec.levels), -1, dtype=np.int64)
+        code[present] = np.arange(present.size)
+        levels[spec.name] = tuple(spec.levels[i] for i in present.tolist())
+        codes[spec.name] = code[draws]
+        code_of[spec.name] = dict(zip(spec.levels, code.tolist()))
+
+    def members(attribute: str, level: str) -> np.ndarray:
+        return codes[attribute] == code_of[attribute][level]
+
+    # Float from the draw on: the cohort holds these arrays themselves.
+    cov_values: dict[str, np.ndarray] = {}
+    for cov in config.covariates:
+        rng = stream(config.seed, "covariate", cov.name)
+        shift = np.zeros(n)
+        # A Gaussian that overflows is rejected; a Bernoulli log-odds that
+        # overflows to +-inf is a probability of 1 or 0.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for attr, by_level in cov.shifts.items():
+                for level, delta in by_level.items():
+                    shift[members(attr, level)] += delta
+            if cov.kind == "gaussian":
+                cov_values[cov.name] = rng.normal(cov.mu, cov.sigma, n) + shift
+                if not np.all(np.isfinite(cov_values[cov.name])):
+                    raise ConfigError(f"covariate {cov.name!r}: mu, sigma and shifts overflow to non-finite values")
+            else:
+                base = np.log(cov.p) - np.log1p(-cov.p)
+                prob = expit(base + shift)
+                cov_values[cov.name] = (rng.random(n) < prob).astype(float)
+
+    eta = np.full(n, float(config.outcome.intercept))
+    with np.errstate(over="ignore", invalid="ignore"):  # an undefined log-odds is rejected just below
+        for name, w in config.outcome.weights.items():
+            eta += float(w) * cov_values[name]
+        for attr, by_level in config.outcome.protected_weights.items():
+            for level, w in by_level.items():
+                eta[members(attr, level)] += float(w)
+    if np.isnan(eta).any():
+        raise ConfigError("outcome model overflows: its weights and intercept give an undefined log-odds")
+    p_true = expit(eta)
+    labels = (stream(config.seed, "outcome").random(n) < p_true).astype(np.int64)
+
+    for i, inj in enumerate(config.injections):
+        if inj.mechanism == "label_flip":
+            u = stream(config.seed, "injection", i).random(n)
+            labels = np.where(members(inj.attribute, inj.level) & (u < inj.amount), 1 - labels, labels)
+
+    width = max(4, len(str(n)))
+    schema = CohortSchema(
+        id_column="id",
+        label_column="label",
+        score_columns=((config.score_name, config.score_name),),
+        protected_columns=tuple(ProtectedColumn(name=s.name) for s in config.protected),
+        covariate_columns=tuple(
+            CovariateColumn(name=c.name, kind="numeric" if c.kind == "gaussian" else "binary")
+            for c in config.covariates
+        ),
+    )
+    cohort = Cohort(
+        schema=schema,
+        ids=tuple(map(f"r%0{width}d".__mod__, range(1, n + 1))),
+        labels=labels,
+        scores={config.score_name: np.full(n, np.nan)},
+        codes=codes,
+        covariates=cov_values,
+        attribute_levels=levels,
+    )
+
+    if config.score.kind == "oracle_noise":
+        noise = stream(config.seed, "score").normal(0.0, config.score.noise_sd, n) \
+            if config.score.noise_sd > 0 else np.zeros(n)
+        scores = np.clip(p_true + noise, 0.0, 1.0)
+    else:
+        # trained scores see post-injection labels, as a refit in the wild would
+        if labels.min() == labels.max():
+            raise ConfigError(f"trained_logistic score model needs both outcome classes, "
+                              f"but all {n} labels are {labels[0]}")
+        design = encode_design(cohort, range(n), config.score.features)
+        model = fit_logistic(design, labels.astype(float), ridge=1e-6)
+        scores = predict_proba(model, design)
+
+    for i, inj in enumerate(config.injections):
+        if inj.mechanism == "label_flip":
+            continue
+        rng = stream(config.seed, "injection", i)
+        extra = rng.normal(0.0, inj.amount, n) if inj.mechanism == "score_noise" else inj.amount
+        scores = np.clip(np.where(members(inj.attribute, inj.level), scores + extra, scores), 0.0, 1.0)
+    return replace(cohort, scores={config.score_name: scores})
+
+
 def _empirical_summary(cohort: Cohort, model: str) -> dict:
-    y = label_values(cohort)
+    y = cohort.labels
     columns = cohort.schema.protected_columns
     partitions = [(cohort.codes[col.name], len(cohort.attribute_levels[col.name])) for col in columns]
-    whole, *parts = _Sample(score_values(cohort, model), y, [(0, 1), *partitions]).evaluate(("AUROC", "n"))
+    whole, *parts = _Sample(cohort.scores[model], y, [(0, 1), *partitions]).evaluate(("AUROC", "n"))
     auc = whole[0, 0, 0]
     out: dict = {
         "prevalence": float(y.mean()),

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import tracemalloc
 from pathlib import Path
 
 from biasaudit.cohort import (
@@ -98,3 +99,14 @@ def read_csv_outputs(directory) -> dict[str, list[list[str]]]:
         assert rows and widths == {len(rows[0])}, (path.name, widths)
         tables[path.name] = rows
     return tables
+
+
+def traced(call) -> tuple[object, int, int]:
+    """``call()``, with the bytes its result holds and its traced peak."""
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak

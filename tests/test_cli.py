@@ -441,6 +441,9 @@ class TestValidateCommand:
              "bin_edges must be a number"),
             ({"delimiter": ";;"}, "delimiter must be one character"),
             ({"id_column": 5}, "id_column must be a string"),
+            ({"delimiter": '"'}, "delimiter '\"' cannot separate fields"),
+            ({"delimiter": "\r"}, "delimiter '\\r' cannot separate fields"),
+            ({"delimiter": "\n"}, "delimiter '\\n' cannot separate fields"),
         ],
     )
     def test_malformed_schema_entry_exits_2(self, tmp_path, capsys, entries, fragment):

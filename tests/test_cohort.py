@@ -1,7 +1,7 @@
 import csv
 import io
 import json
-import tracemalloc
+import re
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -41,7 +41,7 @@ from biasaudit.errors import (
 )
 from biasaudit.synth import config_from_dict, generate
 
-from helpers import build_cohort
+from helpers import build_cohort, traced
 from oracles import bucket_partition, record_attribute_values, record_parse_cohort, record_write_cohort
 
 
@@ -83,6 +83,21 @@ class TestSchema:
     def test_unknown_attribute_lookup(self):
         with pytest.raises(ConfigError, match="unknown protected attribute"):
             simple_schema().protected("ghost")
+
+    @pytest.mark.parametrize("delimiter", ['"', "\r", "\n"])
+    def test_rejects_a_delimiter_csv_reserves(self, delimiter):
+        # Written with such a delimiter, a cohort does not parse back.
+        with pytest.raises(SchemaError, match=f"delimiter {re.escape(repr(delimiter))} cannot separate fields"):
+            simple_schema(delimiter=delimiter)
+
+    @pytest.mark.parametrize("delimiter", [",", ";", "\t", " ", "|"])
+    def test_quoted_cells_round_trip_at_an_accepted_delimiter(self, tmp_path, delimiter):
+        schema = simple_schema(protected_columns=(ProtectedColumn(name="g"),))
+        text = 'pid,label,score,g\nr1,1,0.7,a\n"r""2",0,0.2,"b""x"\n"r,3",1,0.5,a\n'
+        cohort = replace(parse_text(text, schema), schema=replace(schema, delimiter=delimiter))
+        assert cohort.ids == ("r1", 'r"2', "r,3")
+        write_cohort(cohort, tmp_path / "c.csv")
+        assert parse_cohort(tmp_path / "c.csv", cohort.schema) == cohort
 
 
 class TestParseCohort:
@@ -967,17 +982,6 @@ def _demo_cohort(n: int) -> Cohort:
     return generate(config_from_dict(dict(doc, n=n)))[0]
 
 
-def _traced(call) -> tuple[object, int, int]:
-    """``call()``, with the bytes its result holds and its traced peak."""
-    tracemalloc.start()
-    try:
-        result = call()
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, held, peak
-
-
 class TestMemory:
     """Cohort text is read and written a block of rows at a time, so the
     text of the whole file is never held at once."""
@@ -986,7 +990,7 @@ class TestMemory:
         peaks = []
         for n in (20_000, 40_000):
             cohort = _demo_cohort(n)
-            peaks.append(_traced(lambda: write_cohort(cohort, tmp_path / "cohort.csv"))[2])
+            peaks.append(traced(lambda: write_cohort(cohort, tmp_path / "cohort.csv"))[2])
         # 6.7 and 13.2 MB when every cell's text was built before the first line was written.
         assert peaks[1] <= 1.25 * peaks[0], peaks
 
@@ -994,7 +998,7 @@ class TestMemory:
         cohort = _demo_cohort(40_000)
         path = tmp_path / "cohort.csv"
         write_cohort(cohort, path)
-        parsed, held, peak = _traced(lambda: parse_cohort(path, cohort.schema))
+        parsed, held, peak = traced(lambda: parse_cohort(path, cohort.schema))
         assert parsed == cohort
         # 13.7 MB when every cell's text was held until all columns were read.
         assert peak - held < 8e6, (peak, held)

@@ -24,7 +24,7 @@ from biasaudit.matching import (
 )
 from biasaudit.synth import config_from_dict, generate
 
-from helpers import build_cohort
+from helpers import build_cohort, traced
 from oracles import linked_greedy_match, scan_greedy_match, walk_contrast, writer_export_pairs
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -166,6 +166,15 @@ class TestEstimatePropensity:
 
 
 class TestGreedyMatch:
+    def test_sweep_holds_little_beyond_its_pairs(self):
+        rng = np.random.default_rng(29)
+        for n in (20_000, 40_000):
+            prop, flags = rng.random(n), rng.random(n) < 0.5
+            _, held, peak = traced(lambda: greedy_match(prop, flags))
+            # 143 bytes a record while every visit's logit, nearest run and
+            # claimed slot were Python objects at once, next to the sweep's lists.
+            assert peak - held < 125 * n, (n, held, peak)
+
     def test_distance_tie_goes_to_lower_control_index(self):
         # logits are exactly {0, -log 3, +log 3}: both controls are equally
         # far from the single treated record, down to the last bit

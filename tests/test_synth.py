@@ -31,7 +31,9 @@ from biasaudit.synth import (
 )
 
 import io
+from pathlib import Path
 
+from helpers import traced
 from oracles import pairwise_auroc
 
 
@@ -526,6 +528,16 @@ class TestGenerate:
             {"attribute": "g", "level": "b", "mechanism": "score_noise", "amount": 0.3}
         ]
         assert manifest["schema_version"] == 1
+
+    def test_draws_are_let_go_before_the_manifest_pass(self):
+        demo = Path(__file__).resolve().parent.parent / "demos" / "synth_demo.json"
+        doc = json.loads(demo.read_text(encoding="utf-8"))
+        for n in (20_000, 40_000):
+            config = config_from_dict(dict(doc, n=n))
+            _, held, peak = traced(lambda: generate(config))
+            # 202 bytes a record while the level and covariate draws, eta and
+            # the true probabilities lived through the manifest's count.
+            assert peak - held < 160 * n, (n, held, peak)
 
 
 class TestSplitTrainTest:
