@@ -322,11 +322,23 @@ def _bootstrap_sample(cohort: Cohort, model: str, plan):
     return _Sample(scores, y, codes), [(part.attribute, part.levels) for part in partitions]
 
 
-def _run_replicates(fn, items, workers: int) -> list:
-    if workers <= 1:
+def _run_replicates(fn, items: range, workers: int) -> list:
+    """``[fn(item) for item in items]`` on ``n = min(workers, len(items))``
+    threads: thread ``w`` runs items ``w``, ``w + n``, ``w + 2n`` and so on,
+    the calling thread being thread 0 and ``n - 1`` helpers the rest, so the
+    list does not depend on which thread finished first.  A helper's
+    exception reaches the caller through its future.
+    """
+    n = min(workers, len(items))
+    if n <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    results = [None] * len(items)
+    with ThreadPoolExecutor(max_workers=n - 1) as pool:
+        futures = [pool.submit(lambda w: [fn(item) for item in items[w::n]], w) for w in range(1, n)]
+        results[0::n] = [fn(item) for item in items[0::n]]
+        for w, future in enumerate(futures, 1):
+            results[w::n] = future.result()
+    return results
 
 
 def _bootstrap_reduce(values: list[np.ndarray]) -> np.ndarray:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
+from numpy.dtypes import StringDType
 
 from .errors import (
     CohortValidationError,
@@ -197,6 +198,7 @@ class Cohort:
     and binary covariates (nan where missing) and codes into
     ``covariate_levels`` for categorical ones.
 
+    ``ids`` is a ``StringDType`` array, made from any sequence of ``str``.
     ``attribute_levels`` fixes the reporting order of subgroup levels: for
     categorical attributes (and categorical covariates), distinct values in
     first-appearance order; for continuous attributes, bin labels in
@@ -205,7 +207,7 @@ class Cohort:
     """
 
     schema: CohortSchema
-    ids: tuple[str, ...]
+    ids: np.ndarray
     labels: np.ndarray
     scores: dict[str, np.ndarray]
     codes: dict[str, np.ndarray]
@@ -217,7 +219,9 @@ class Cohort:
     diagnostics: tuple[RowIssue, ...] = ()
 
     def __post_init__(self):
-        for arr in self._arrays():
+        if not (isinstance(self.ids, np.ndarray) and self.ids.dtype == StringDType()):
+            object.__setattr__(self, "ids", np.array(self.ids, dtype=StringDType()))
+        for arr in (self.ids, *self._arrays()):
             arr.flags.writeable = False
 
     def _arrays(self) -> tuple[np.ndarray, ...]:
@@ -227,11 +231,9 @@ class Cohort:
     def __eq__(self, other):
         if not isinstance(other, Cohort):
             return NotImplemented
-        fields = ("schema", "ids", "attribute_levels", "covariate_levels", "breakpoints", "diagnostics")
-        return all(getattr(self, f) == getattr(other, f) for f in fields) and all(
-            np.array_equal(a, b, equal_nan=True)
-            for a, b in zip(self._arrays(), other._arrays())
-        )
+        fields = ("schema", "attribute_levels", "covariate_levels", "breakpoints", "diagnostics")
+        return (all(getattr(self, f) == getattr(other, f) for f in fields) and np.array_equal(self.ids, other.ids)
+                and all(np.array_equal(a, b, equal_nan=True) for a, b in zip(self._arrays(), other._arrays())))
 
     @property
     def n(self) -> int:
@@ -256,13 +258,16 @@ class Cohort:
                 protected={name: v[i] for name, v in protected},
                 covariates={name: v[i] for name, v in covariates},
             )
-            for i, (rid, label) in enumerate(zip(self.ids, columns[self.schema.label_column]))
+            for i, (rid, label) in enumerate(zip(self.ids.tolist(), columns[self.schema.label_column]))
         )
 
 
 def _present(values: np.ndarray, cast) -> list:
     """Python values of a float column, MISSING where nan."""
-    return [MISSING if v != v else cast(v) for v in values.tolist()]
+    out = values.tolist() if cast is float else [v if v != v else cast(v) for v in values.tolist()]
+    for k in np.flatnonzero(np.isnan(values)).tolist():
+        out[k] = MISSING
+    return out
 
 
 def _decode(codes: np.ndarray, levels: tuple) -> list:
@@ -505,7 +510,7 @@ def _read_table(fh, delimiter: str, issues: list):
     non-blank rows of the header's width in blocks of up to ``_BLOCK_ROWS``:
     each the list of its rows' line numbers and their cells in one flat
     row-major list.  A ragged row adds a (line, -1, issue) entry to
-    ``issues`` instead.
+    ``issues`` instead.  A byte order mark opening the header is dropped.
 
     A row's line number is the physical line its record starts on, so a
     quoted line break inside an earlier record moves it.  A record the csv
@@ -520,6 +525,8 @@ def _read_table(fh, delimiter: str, issues: list):
         if header is None:
             raise CohortValidationError([RowIssue(None, None, "empty cohort file")])
         last = reader.line_num
+        if header:
+            header[0] = header[0].removeprefix("\ufeff")  # a stream's byte order mark
         yield [h.strip() for h in header]
         width = len(header)
         lines: list[int] = []
@@ -553,22 +560,24 @@ def parse_cohort(source, schema: CohortSchema) -> Cohort:
     [0, 1], missing or duplicate id, ragged row, continuous value outside its
     explicit bin edges) is collected and raised as a CohortValidationError
     listing each offending line.  So is a file that is not UTF-8 or holds a
-    record the csv reader rejects, wherever it lies.
+    record the csv reader rejects, wherever it lies.  A header that lacks a
+    column the schema reads, or names one more than once, is a SchemaError.
 
     Issues come in line order, and within a line in column order (id,
     label, scores, protected attributes, covariates).
 
     The csv reader runs on the open file or stream; a path is opened as
-    UTF-8 and split into lines at ``\\n`` only.  Rows are read
-    ``_BLOCK_ROWS`` at a time, and each block's cells become column pieces
-    (numbers, 0/1 codes, level codes) before the next block is read, so
-    only one block's cell text is alive at once.  Each kept row leaves its
-    id, its values and its line number; continuous attributes are binned
-    after the last block.
+    UTF-8, with or without a byte order mark, and split into lines at
+    ``\\n`` only.  Rows are read ``_BLOCK_ROWS`` at a time, and each block's
+    cells become column pieces (ids, numbers, 0/1 codes, level codes) before
+    the next block is read, so only one block's cell text is alive at once.
+    Each row leaves its id and its line number, and each kept row its
+    values.  After the last block, duplicate ids are found by one stable
+    sort of every row's id, and continuous attributes are binned.
     """
     if hasattr(source, "read"):
         return _parse(source, schema, "cohort stream")
-    with open(os.fspath(source), "r", encoding="utf-8", newline="\n") as fh:
+    with open(os.fspath(source), "r", encoding="utf-8-sig", newline="\n") as fh:
         return _parse(fh, schema, f"cohort file {os.fspath(source)!r}")
 
 
@@ -577,13 +586,16 @@ def _parse(fh, schema: CohortSchema, where: str) -> Cohort:
     required = _file_columns(schema)
     rank = {name: r for r, name in enumerate(required)}
     tokens = set(schema.missing_tokens)
+    token_ids = np.array(schema.missing_tokens, dtype=StringDType())
     # issues: (line, column rank, issue), raised in line-then-column order.
     issues: list = []
-    seen: set = set()
-    ids: list[str] = []
     dropped: list[RowIssue] = []
-    # Per kept row, gathered a block at a time: its line and each column's value.
-    kept_lines: list[np.ndarray] = []
+    # Per row, gathered a block at a time after an empty first piece: its id,
+    # its line and whether it is kept.
+    row_ids: list[np.ndarray] = [np.array([], dtype=StringDType())]
+    row_lines: list[np.ndarray] = [np.array([], dtype=np.int64)]
+    row_kept: list[np.ndarray] = [np.array([], dtype=bool)]
+    # Per kept row, each column's value.
     pieces: dict[str, list[np.ndarray]] = {name: [] for name in required[1:]}
     # Categorical levels, numbered in first-appearance order among kept rows.
     level_index: dict[str, dict[str, int]] = {
@@ -625,21 +637,19 @@ def _parse(fh, schema: CohortSchema, where: str) -> Cohort:
     try:
         header = next(rows)
         absent = [c for c in required if c not in header]
-        if absent:
+        repeated = [c for c in required if header.count(c) > 1]
+        if absent or repeated:
             collections.deque(rows, maxlen=0)  # an unreadable record or byte later on still wins
-            raise SchemaError(f"cohort header is missing column(s): {', '.join(absent)}")
+            raise SchemaError(f"cohort header is missing column(s): {', '.join(absent)}" if absent else
+                              f"cohort header names column(s) more than once: {', '.join(repeated)}")
         position = {name: header.index(name) for name in required}
         for lines, flat in rows:
             m = len(lines)
             table = {name: flat[position[name]::len(header)] for name in required}
             del flat
 
-            block_ids = cells(schema.id_column)
-            for k, rid in enumerate(block_ids):
-                if rid is None or rid in seen:
-                    flag([k], schema.id_column,
-                         lambda k: "missing id" if block_ids[k] is None else f"duplicate id {block_ids[k]!r}")
-                seen.add(rid)
+            block_ids = np.array(list(map(str.strip, table[schema.id_column])), dtype=StringDType())
+            flag(np.flatnonzero(np.isin(block_ids, token_ids)), schema.id_column, lambda k: "missing id")
             read: dict[str, list | np.ndarray] = {schema.label_column: zero_one(schema.label_column, "label")}
             for _, name in schema.score_columns:
                 values = read[name] = floats(name, "score")
@@ -661,32 +671,46 @@ def _parse(fh, schema: CohortSchema, where: str) -> Cohort:
                 else RowIssue(lines[k], None, "all scores missing; row dropped")
                 for k in np.flatnonzero(unlabelled | unscored).tolist()
             )
-            keep = np.flatnonzero(~(unlabelled | unscored))
+            usable = ~(unlabelled | unscored)
+            keep = np.flatnonzero(usable)
             # With no row dropped, every column is used as read.
             kept = None if keep.size == m else keep.tolist()
-            ids += block_ids if kept is None else [block_ids[k] for k in kept]
-            kept_lines.append(np.asarray(lines, dtype=np.int64)[keep])
+            row_ids.append(block_ids)
+            row_lines.append(np.asarray(lines, dtype=np.int64))
+            row_kept.append(usable)
             for name, values in read.items():
                 if isinstance(values, list):
                     index = level_index[name]
-                    values = np.fromiter(
-                        (-1 if v is None else index.setdefault(v, len(index))
-                         for v in (values if kept is None else map(values.__getitem__, kept))),
-                        dtype=np.int64, count=keep.size)
+                    if kept is not None:
+                        values = [values[k] for k in kept]
+                    for v in dict.fromkeys(values):  # the block's levels in first-appearance order
+                        if v is not None:
+                            index.setdefault(v, len(index))
+                    values = np.fromiter(map(index.get, values, itertools.repeat(-1)),
+                                         dtype=np.int64, count=keep.size)
                 elif kept is not None:
                     values = values[keep]
                 pieces[name].append(values)
             del read  # its categorical cells are the last of this block's text
-    except UnicodeDecodeError as exc:
+    except UnicodeError as exc:  # undecodable bytes, or a lone surrogate in a stream's id
         raise CohortValidationError([RowIssue(None, None, f"{where} is not valid UTF-8: {exc.reason}")]) from None
+
+    ids, lines, kept_rows = np.concatenate(row_ids), np.concatenate(row_lines), np.concatenate(row_kept)
+    del row_ids, row_lines, row_kept
+    # A stable sort keeps each id's rows in file order, so every row after its id's first is a repeat.
+    order = np.argsort(ids, kind="stable")
+    ranked = ids[order]
+    again = order[1:][ranked[1:] == ranked[:-1]]
+    del order, ranked
+    flag(again[~np.isin(ids[again], token_ids)], schema.id_column, lambda k: f"duplicate id {ids[k]!r}")
     check()
-    if not ids:
+    if not kept_rows.any():
         raise CohortValidationError([RowIssue(None, None, "no usable rows after validation")])
+    if not kept_rows.all():
+        ids, lines = ids[kept_rows], lines[kept_rows]  # from here on, ``flag`` cites kept rows
 
     # Each column is joined as its pieces are let go, so no two copies of all columns are alive.
     columns = {name: np.concatenate(pieces.pop(name)) for name in required[1:]}
-    lines = np.concatenate(kept_lines)  # from here on, ``flag`` cites kept rows
-    del kept_lines
     codes: dict[str, np.ndarray] = {}
     continuous: dict[str, np.ndarray] = {}
     breakpoints: dict[str, tuple[float, ...]] = {}
@@ -708,7 +732,7 @@ def _parse(fh, schema: CohortSchema, where: str) -> Cohort:
     levels.update((name, _bin_labels(bp)) for name, bp in breakpoints.items())
     return Cohort(
         schema=schema,
-        ids=tuple(ids),
+        ids=ids,
         labels=columns[schema.label_column].astype(np.int64),
         scores={model: columns[name] for model, name in schema.score_columns},
         codes=codes,
@@ -779,7 +803,7 @@ def write_cohort(cohort: Cohort, path) -> None:
         for start in range(0, cohort.n, _BLOCK_ROWS):
             rows = slice(start, start + _BLOCK_ROWS)
             # str() of a float is its repr, so every value renders with str().
-            cells = [list(cohort.ids[rows]), *([token if v is MISSING else str(v) for v in values]
+            cells = [cohort.ids[rows].tolist(), *([token if v is MISSING else str(v) for v in values]
                                                for values in _python_columns(cohort, rows).values())]
             fields = zip(*(_csv_fields(column, delimiter) for column in cells))
             fh.write("".join([delimiter.join(row) + "\n" for row in fields]))

@@ -460,13 +460,14 @@ def balance_report(
 def export_pairs(cohort: Cohort, matched: MatchedSample, path) -> None:
     """Write matched pairs as csv: treated_id, control_id, distance.
 
-    The id column is encoded once per call, quoted as
+    Only the matched ids are gathered, each side quoted as
     ``cohort._csv_fields`` says (only an id that holds a comma, a quote or a
     line break needs quotes), and the rows, each distance as its repr, are
     joined and written in one piece.
     """
-    ids = np.asarray(_csv_fields(list(cohort.ids)), dtype=object)
-    treated, control = ids[matched.treated].tolist(), ids[matched.control].tolist()
+    ids = cohort.ids  # indexing one id at a time is faster than gathering a block, then converting it
+    treated = _csv_fields([ids[i] for i in matched.treated.tolist()])
+    control = _csv_fields([ids[i] for i in matched.control.tolist()])
     body = "".join([f"{t},{c},{d!r}\n" for t, c, d in zip(treated, control, matched.distance.tolist())])
     with open(os.fspath(path), "w", encoding="utf-8", newline="") as fh:
         fh.write("treated_id,control_id,distance\n" + body)

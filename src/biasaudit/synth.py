@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.dtypes import StringDType
 
 from ._rng import stream
 from .cohort import (
@@ -316,7 +317,7 @@ def _draw_cohort(config: SynthConfig, weights: dict[str, dict[str, float]]) -> C
     )
     cohort = Cohort(
         schema=schema,
-        ids=tuple(map(f"r%0{width}d".__mod__, range(1, n + 1))),
+        ids=np.strings.add("r", np.strings.zfill(np.arange(1, n + 1).astype(StringDType()), width)),
         labels=labels,
         scores={config.score_name: np.full(n, np.nan)},
         codes=codes,

@@ -591,6 +591,9 @@ def record_parse_cohort(source, schema: CohortSchema) -> RecordCohort:
     absent = [c for c in required if c not in header]
     if absent:
         raise SchemaError(f"cohort header is missing column(s): {', '.join(absent)}")
+    repeated = [c for c in required if header.count(c) > 1]
+    if repeated:
+        raise SchemaError(f"cohort header names column(s) more than once: {', '.join(repeated)}")
     pos = {name: header.index(name) for name in required}
 
     tokens = set(schema.missing_tokens)

@@ -1,7 +1,9 @@
 """Subgroup audits: t-tests, diff-from-average, bootstrap cells, matching, comparison."""
 
 import math
+import threading
 import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -900,6 +902,72 @@ class TestReplicateEngine:
         assert metrics.block_size(2**14 + 1) == 1
         assert metrics.block_size(50_001) == 1
         assert metrics.block_size(1) == 2**14
+
+
+class TestReplicatePool:
+    """``audit._run_replicates``: the calling thread runs its share of the
+    blocks next to its helper threads."""
+
+    def test_helpers_are_at_most_blocks_less_one(self, monkeypatch):
+        created = []
+
+        class RecordingExecutor:
+            """Records the pool asked for and runs each helper's share inline: no thread starts."""
+
+            def __init__(self, max_workers):
+                created.append(max_workers)
+                self.submitted = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                created.append(("submitted", self.submitted))
+
+            def submit(self, fn, *args):
+                self.submitted += 1
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(audit, "ThreadPoolExecutor", RecordingExecutor)
+        assert audit._run_replicates(lambda i: i * i, range(5), 10**6) == [0, 1, 4, 9, 16]
+        assert created == [4, ("submitted", 4)]
+        assert audit._run_replicates(lambda i: i * i, range(7), 3) == [i * i for i in range(7)]
+        assert created[2:] == [2, ("submitted", 2)]
+        assert audit._run_replicates(lambda i: i, range(1), 10**6) == [0]
+        assert audit._run_replicates(lambda i: i, range(0), 10**6) == []
+        assert len(created) == 4  # one block or none: the caller alone, no pool
+
+    def test_bootstrap_matrix_equal_at_any_worker_count(self, monkeypatch):
+        matrices = []
+
+        def spy(*args):
+            matrices.append(replicates(*args))
+            return matrices[-1]
+
+        replicates = audit._replicates
+        monkeypatch.setattr(audit, "_replicates", spy)
+        monkeypatch.setattr(metrics, "_BLOCK_CELLS", 1)  # one replicate a block: 25 blocks
+        cohort = signal_cohort(1, 150, ("a", "b", "c"))
+        config = AuditConfig(n_bootstrap=25, min_group_size=10, seed=11)
+        results = [bootstrap_audit(cohort, "score", config, workers=w) for w in (1, 2, 3, 100)]
+        assert all(r == results[0] for r in results)
+        assert matrices[0].shape[0] == 25
+        assert all(m.tobytes() == matrices[0].tobytes() for m in matrices)
+
+    def test_a_helpers_exception_reaches_the_caller(self):
+        helper_started = threading.Event()
+
+        def fn(item):
+            if threading.current_thread() is threading.main_thread():
+                assert helper_started.wait(timeout=30)  # the caller holds its blocks until a helper fails
+                return item
+            helper_started.set()
+            raise RuntimeError(f"block {item} failed")
+
+        with pytest.raises(RuntimeError, match=r"block 1 failed"):  # only a helper raises
+            audit._run_replicates(fn, range(6), 2)
 
 
 class TestSummarizeDiscrepancy:

@@ -515,6 +515,32 @@ class TestMalformedCohortBytes:
         assert fragment in capsys.readouterr().err
 
 
+class TestCohortHeader:
+    """The header of the 4k demo cohort, written by ``biasaudit synth``."""
+
+    @pytest.fixture()
+    def demo(self, tmp_path):
+        demos = Path(__file__).resolve().parent.parent / "demos"
+        cohort = tmp_path / "demo_cohort.csv"
+        assert main(["synth", str(demos / "synth_demo.json"), str(cohort)]) == EXIT_OK
+        doc = json.loads((demos / "audit_demo.json").read_text())
+        return cohort, write_json(tmp_path / "demo_run.json",
+                                  dict(doc, cohort=str(cohort), output_dir=str(tmp_path / "report")))
+
+    def test_byte_order_mark_validates(self, demo, capsys):
+        cohort, config = demo
+        cohort.write_bytes(b"\xef\xbb\xbf" + cohort.read_bytes())
+        assert main(["validate", config]) == EXIT_OK
+        assert json.loads(Path(capsys.readouterr().out.strip()).read_text())["n_records"] == 4000
+
+    def test_a_second_score_column_exits_2(self, demo, capsys):
+        cohort, config = demo
+        lines = cohort.read_text().splitlines()
+        cohort.write_text("\n".join([lines[0] + ",score", *(line + ",0.5" for line in lines[1:])]) + "\n")
+        assert main(["validate", config]) == EXIT_CONFIG
+        assert "invalid: cohort header names column(s) more than once: score" in capsys.readouterr().err
+
+
 class TestAuditCommand:
     def test_end_to_end_outputs(self, tmp_path, capsys):
         cohort = make_cohort(tmp_path)

@@ -95,7 +95,7 @@ class TestSchema:
         schema = simple_schema(protected_columns=(ProtectedColumn(name="g"),))
         text = 'pid,label,score,g\nr1,1,0.7,a\n"r""2",0,0.2,"b""x"\n"r,3",1,0.5,a\n'
         cohort = replace(parse_text(text, schema), schema=replace(schema, delimiter=delimiter))
-        assert cohort.ids == ("r1", 'r"2', "r,3")
+        assert cohort.ids.tolist() == ["r1", 'r"2', "r,3"]
         write_cohort(cohort, tmp_path / "c.csv")
         assert parse_cohort(tmp_path / "c.csv", cohort.schema) == cohort
 
@@ -117,6 +117,14 @@ class TestParseCohort:
         assert list(score_values(cohort, "m")) == [0.1, 0.4, 0.35, 0.8]
         assert cohort.attribute_levels["sex"] == ("F", "M")
         assert cohort.diagnostics == ()
+
+    def test_ids_are_a_read_only_string_column(self):
+        cohort = parse_text("pid,label,score\na,0,0.1\nb,1,0.4\n", simple_schema())
+        assert cohort.ids.dtype == np.dtypes.StringDType() and not cohort.ids.flags.writeable
+        again = replace(cohort, ids=("a", "b"))
+        assert again.ids.dtype == np.dtypes.StringDType() and not again.ids.flags.writeable
+        assert again == cohort
+        assert replace(cohort, ids=["a", "c"]) != cohort
 
     def test_bad_label_cites_its_line(self):
         text = "pid,label,score\na,0,0.1\nb,2,0.4\n"
@@ -186,6 +194,31 @@ class TestParseCohort:
         text = "pid,label\na,0\n"
         with pytest.raises(SchemaError, match="score"):
             parse_text(text, simple_schema())
+
+    def test_header_naming_a_read_column_twice_is_a_schema_error(self):
+        text = "pid,label,score,score\na,0,0.1,0.5\n"
+        for parse in (parse_text, lambda text, schema: record_parse_cohort(io.StringIO(text), schema)):
+            with pytest.raises(SchemaError, match=r"more than once: score$"):
+                parse(text, simple_schema())
+        # A column the schema does not read may repeat.
+        assert parse_text("pid,label,score,x,x\na,0,0.1,1,2\n", simple_schema()).n == 1
+
+    def test_lone_surrogate_id_in_a_stream_is_an_issue(self):
+        # A StringDType id is UTF-8 inside, which a lone surrogate cannot be.
+        with pytest.raises(CohortValidationError) as err:
+            parse_text("pid,label,score\na\ud800,0,0.1\n", simple_schema())
+        assert err.value.issues == [RowIssue(None, None, "cohort stream is not valid UTF-8: surrogates not allowed")]
+
+    @pytest.mark.parametrize("from_path", [False, True])
+    def test_byte_order_mark_opening_the_file_is_dropped(self, from_path, tmp_path):
+        text = "pid,label,score\na,0,0.1\nb,1,0.4\n"
+        if from_path:
+            source = tmp_path / "bom.csv"
+            source.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+            cohort = parse_cohort(source, simple_schema())
+        else:
+            cohort = parse_text("\ufeff" + text, simple_schema())
+        assert cohort == parse_text(text, simple_schema())
 
     def test_all_issues_collected_not_just_first(self):
         text = "pid,label,score\na,2,0.1\nb,0,1.5\nb,1,0.4\n"
@@ -486,12 +519,30 @@ class TestBlockBoundaries:
             RowIssue(6, "pid", "duplicate id 'c'"),
         ]
 
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 4096])
+    def test_id_issues_across_a_block_boundary_and_on_a_dropped_row(self, block_rows):
+        # Rows b (line 3) and e (line 6) are dropped for a missing label; the
+        # ids of dropped rows still count, and a missing id is never a repeat.
+        text = ("pid,label,score\na,0,0.1\nb,,0.2\nNA,1,0.3\n,0,0.4\ne,,0.5\n"
+                "b,1,0.6\na,0,0.7\nNA,,0.8\ne,1,0.9\nb,0,0.1\n")
+        with _blocks_of(block_rows), pytest.raises(CohortValidationError) as err:
+            parse_text(text, simple_schema())
+        assert err.value.issues == [
+            RowIssue(4, "pid", "missing id"),
+            RowIssue(5, "pid", "missing id"),
+            RowIssue(7, "pid", "duplicate id 'b'"),
+            RowIssue(8, "pid", "duplicate id 'a'"),
+            RowIssue(9, "pid", "missing id"),
+            RowIssue(10, "pid", "duplicate id 'e'"),
+            RowIssue(11, "pid", "duplicate id 'b'"),
+        ]
+
     def test_level_first_seen_in_a_dropped_row_is_numbered_where_kept(self):
         text = "pid,label,score,g\na,0,0.1,A\nb,,0.2,C\nc,1,0.3,B\nd,0,0.4,C\ne,1,,D\nf,0,0.6,A\n"
         cohort = parse_text(text, simple_schema(protected_columns=(ProtectedColumn("g"),)))
         assert cohort.attribute_levels["g"] == ("A", "B", "C")
         assert cohort.codes["g"].tolist() == [0, 1, 2, 0]
-        assert cohort.ids == ("a", "c", "d", "f")
+        assert cohort.ids.tolist() == ["a", "c", "d", "f"]
         assert [(i.line, i.message) for i in cohort.diagnostics] == [
             (3, "label missing; row dropped"), (6, "all scores missing; row dropped")]
 
@@ -912,7 +963,7 @@ class TestRoundTrip:
             ids=['"x\ry"', "plain", '"p\rq"'],
             protected={"unit": ['"a\rb"', "icu", "icu"]},
         )
-        assert cohort.ids == ("x\ry", "plain", "p\rq")
+        assert cohort.ids.tolist() == ["x\ry", "plain", "p\rq"]
         path = tmp_path / "c.csv"
         write_cohort(cohort, path)
         assert path.read_bytes().split(b"\n")[1] == b'"x\ry",0,0.1,"a\rb"'
@@ -1002,6 +1053,15 @@ class TestMemory:
         assert parsed == cohort
         # 13.7 MB when every cell's text was held until all columns were read.
         assert peak - held < 8e6, (peak, held)
+
+    def test_ids_hold_under_20_bytes_a_record(self, tmp_path):
+        cohort = _demo_cohort(20_000)
+        path = tmp_path / "cohort.csv"
+        write_cohort(cohort, path)
+        parse_cohort(path, cohort.schema)  # numpy's first use of the string type allocates once
+        ids, held, _ = traced(lambda: parse_cohort(path, cohort.schema).ids)
+        # About 63 bytes a record when the ids were a tuple of str.
+        assert held < 20 * len(ids), held
 
 
 class TestWithScoreColumn:
