@@ -14,6 +14,7 @@ Layout:
 ``matching``  propensity estimation, greedy caliper matching, balance checks
 ``audit``     bootstrap subgroup audits, matched audits, discrepancy summaries
 ``synth``     synthetic cohort generation with controllable bias injection
+              (loaded on first use of ``biasaudit.synth`` or one of its names)
 ``report``    report bundle assembly and rendering (json/csv/markdown/svg)
 ``cli``       command-line front end
 """
@@ -106,17 +107,6 @@ from .audit import (
     matched_audit,
     summarize_discrepancy,
     t_test_one_sample,
-)
-from .synth import (
-    CovariateSpec,
-    Injection,
-    OutcomeModel,
-    ProtectedSpec,
-    ScoreModel,
-    SynthConfig,
-    demo_train,
-    generate,
-    split_train_test,
 )
 from .errors import (
     AuditError,
@@ -213,3 +203,21 @@ __all__ = [
     "SchemaError",
     "UndefinedMetricError",
 ]
+
+# Only the ``synth`` subcommand generates cohorts, so synth loads on first
+# access to the module or one of its names here (PEP 562).
+_SYNTH_NAMES = frozenset({"CovariateSpec", "Injection", "OutcomeModel", "ProtectedSpec", "ScoreModel",
+                          "SynthConfig", "demo_train", "generate", "split_train_test"})
+
+
+def __getattr__(name: str):
+    if name == "synth" or name in _SYNTH_NAMES:
+        import importlib
+
+        synth = importlib.import_module(".synth", __name__)
+        return synth if name == "synth" else getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _SYNTH_NAMES)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -332,6 +331,8 @@ def _run_replicates(fn, items: range, workers: int) -> list:
     n = min(workers, len(items))
     if n <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor  # loaded only by a run that starts a pool
+
     results = [None] * len(items)
     with ThreadPoolExecutor(max_workers=n - 1) as pool:
         futures = [pool.submit(lambda w: [fn(item) for item in items[w::n]], w) for w in range(1, n)]

@@ -15,7 +15,6 @@ failure (every audited cell insufficient), 4 report rendering failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -57,8 +56,6 @@ from .errors import (
 from .matching import balance_report, export_pairs
 from .metrics import ThresholdPolicy, calibration_curve
 from .report import _FORMATS, build_bundle, render, safe_name
-from .synth import config_from_dict as synth_config_from_dict
-from .synth import generate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -84,7 +81,13 @@ class RunConfig:
     workers: int = 1
     calibration_bins: int = 10
     models: tuple[str, ...] | None = None
-    config_hash: str = ""
+    canonical: str = ""  # the hashed config text (see load_run_config)
+
+    @property
+    def config_hash(self) -> str:
+        import hashlib  # here, not at import: only a report needs OpenSSL
+
+        return hashlib.sha256(self.canonical.encode("utf-8")).hexdigest()[:16]
 
 
 def _schema_from_dict(doc: dict) -> CohortSchema:
@@ -194,8 +197,8 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     for key in ("cohort", "output_dir"):
         _typed(doc.get(key, ""), str, key)
     formats = _names(doc.get("formats", list(_FORMATS)), "formats")
-    if not set(formats) <= set(_FORMATS):
-        raise ConfigError(f"formats must be among {_FORMATS}, got {list(formats)}")
+    if not formats or not set(formats) <= set(_FORMATS):
+        raise ConfigError(f"formats must be a non-empty list among {_FORMATS}, got {list(formats)}")
 
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
     output_dir = overrides.get("output_dir", doc.get("output_dir", "report"))
@@ -226,7 +229,6 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     hashed_overrides = {k: v for k, v in overrides.items() if k not in execution_keys}
     canonical = json.dumps({"config": hashed_doc, "overrides": hashed_overrides},
                            sort_keys=True, separators=(",", ":"))
-    config_hash = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
     calibration_bins = _convert(int, doc.get("calibration_bins", 10), "calibration_bins")
     if not 2 <= calibration_bins <= 2**53:  # beyond 2**53 bin indices are no longer exact
@@ -248,7 +250,7 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
         workers=workers,
         calibration_bins=calibration_bins,
         models=models,
-        config_hash=config_hash,
+        canonical=canonical,
     )
 
 
@@ -456,13 +458,17 @@ def cmd_match(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    config = synth_config_from_dict(_read_json(args.config))
+    from .synth import config_from_dict, generate  # the one subcommand that needs synth
+
+    manifest_path = args.manifest or f"{args.output}.manifest.json"
+    if os.path.realpath(manifest_path) == os.path.realpath(args.output):
+        raise ConfigError(f"the manifest and the cohort would both be written to {args.output!r}")
+    config = config_from_dict(_read_json(args.config))
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     cohort, manifest = generate(config)
     try:
         write_cohort(cohort, args.output)
-        manifest_path = args.manifest or f"{args.output}.manifest.json"
         with open(manifest_path, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2)
             fh.write("\n")

@@ -480,9 +480,10 @@ def calibration_curve(labels, scores, n_bins: int = 10) -> CalibrationCurve:
         raise ValueError("calibration expects scores in [0, 1]")
     idx = np.minimum((s * n_bins).astype(int), n_bins - 1)
     bins = []
-    for b in np.unique(idx).tolist():
+    # Asking for the counts keeps np.unique off the path that imports numpy.ma.
+    levels, counts = np.unique(idx, return_counts=True)
+    for b, count in zip(levels.tolist(), counts.tolist()):
         mask = idx == b
-        count = int(np.sum(mask))
         bins.append(
             CalibrationBin(
                 mean_score=float(np.mean(s[mask])),

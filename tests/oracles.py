@@ -15,8 +15,10 @@ time with a column loop for the diffs instead of blocks of replicates, a
 contrast's records by walking the pool in Python instead of one array of
 side codes, cohort reading and writing by per-row
 records instead of columns, pair files and cohorts through ``csv.writer``
-instead of joined rows, and design matrices by one loop that fits and
-builds each column together instead of descriptors applied afterwards.
+instead of joined rows, design matrices by one loop that fits and
+builds each column together instead of descriptors applied afterwards, and
+calibration bins by a mask per ``np.unique`` level instead of the level
+counts ``np.unique`` returns.
 """
 
 from __future__ import annotations
@@ -122,6 +124,19 @@ def masked_youden_cut(pooled: np.ndarray) -> int | None:
     j_num = tp * n_neg + tn * n_pos
     j_num[neg + pos == 0] = -1
     return int(np.argmax(j_num))
+
+
+def masked_calibration_bins(labels, scores, n_bins: int) -> list[tuple[float, float, int]]:
+    """(mean score, positive fraction, count) of each non-empty bin: a mask
+    and a sum per level of ``np.unique``."""
+    y = np.asarray(labels, dtype=np.int64)
+    s = np.asarray(scores, dtype=float)
+    idx = np.minimum((s * n_bins).astype(int), n_bins - 1)
+    rows = []
+    for b in np.unique(idx).tolist():
+        mask = idx == b
+        rows.append((float(np.mean(s[mask])), float(np.mean(y[mask])), int(np.sum(mask))))
+    return rows
 
 
 def t_two_sided_p(t_stat: float, df: int) -> float:

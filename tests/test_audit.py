@@ -4,6 +4,7 @@ import math
 import threading
 import warnings
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -592,6 +593,27 @@ class TestMatchedAudit:
         assert cell_a.result.p_value == cell_b.result.p_value
         assert cell_a.result.n_effective == cell_b.result.n_effective
 
+    def test_numpy_string_levels_draw_the_same_replicates(self):
+        # repr(np.str_('a')) is "np.str_('a')": the replicate streams key on
+        # the level's Python value, so an equal cohort gives equal cells.
+        rng = np.random.default_rng(10)
+        n = 1500
+        x = rng.normal(0, 1, n)
+        group = rng.choice(["Black", "White", "Other"], n)
+        y = (rng.uniform(0, 1, n) < expit(x)).astype(int)
+        s = expit(x + rng.normal(0, 1, n))
+        cohort = build_cohort(labels=y.tolist(), scores=s.tolist(), protected={"race": group.tolist()},
+                              covariates={"x": x.tolist()})
+        numpy_levels = replace(cohort, attribute_levels={
+            name: tuple(np.str_(level) for level in levels) for name, levels in cohort.attribute_levels.items()})
+        assert numpy_levels == cohort
+        assert type(numpy_levels.attribute_levels["race"][0]) is np.str_
+        config = AuditConfig(metrics=("AUROC",), n_bootstrap=20, min_group_size=50, min_matched_n=50,
+                             propensity_covariates=("x",), seed=2)
+        want = matched_audit(cohort, "score", config)
+        assert all(cell.status == "ok" for row in want for cell in row.cells)
+        assert matched_audit(numpy_levels, "score", config) == want
+
     def test_three_levels_audit_every_pairing_in_level_order(self):
         rng = np.random.default_rng(9)
         n = 150
@@ -904,6 +926,15 @@ class TestReplicateEngine:
         assert metrics.block_size(1) == 2**14
 
 
+def test_numpy_scalar_tokens_key_as_their_python_values():
+    def draws(*tokens):
+        return stream(7, *tokens).integers(0, 2**62, 4).tolist()
+
+    assert draws(np.int64(3)) == draws(3)
+    assert draws(np.str_("Black"), np.int64(3), np.float64(0.5)) == draws("Black", 3, 0.5)
+    assert draws(np.int64(3)) != draws("3")
+
+
 class TestReplicatePool:
     """``audit._run_replicates``: the calling thread runs its share of the
     blocks next to its helper threads."""
@@ -930,7 +961,7 @@ class TestReplicatePool:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(audit, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingExecutor)
         assert audit._run_replicates(lambda i: i * i, range(5), 10**6) == [0, 1, 4, 9, 16]
         assert created == [4, ("submitted", 4)]
         assert audit._run_replicates(lambda i: i * i, range(7), 3) == [i * i for i in range(7)]

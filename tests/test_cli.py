@@ -151,6 +151,15 @@ class TestLoadRunConfig:
         with pytest.raises(ConfigError, match=missing):
             load_run_config(path)
 
+    def test_empty_formats_exit_2_before_the_cohort_is_read(self, tmp_path, capsys):
+        # An audit that renders no format would run in full and write nothing.
+        config = make_run_config(tmp_path, str(tmp_path / "absent.csv"), formats=[])
+        with pytest.raises(ConfigError, match="formats must be a non-empty list"):
+            load_run_config(config)
+        assert main(["audit", config]) == EXIT_CONFIG
+        assert "formats must be a non-empty list" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
     def test_relative_cohort_path_resolves_against_config_dir(self, tmp_path):
         sub = tmp_path / "configs"
         sub.mkdir()
@@ -324,6 +333,17 @@ class TestSynthCommand:
         manifest = str(tmp_path / "truth.json")
         assert main(["synth", config, out, "--manifest", manifest]) == EXIT_OK
         assert json.loads(Path(manifest).read_text())["seed"] == 11
+
+    def test_manifest_on_the_cohort_path_exits_2(self, tmp_path, monkeypatch, capsys):
+        # The manifest would overwrite the cohort it describes.
+        config = write_json(tmp_path / "synth.json", SYNTH_DOC)
+        monkeypatch.chdir(tmp_path)
+        for manifest in ("c.csv", str(tmp_path / "sub" / ".." / "c.csv")):
+            assert main(["synth", config, "c.csv", "--manifest", manifest]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert "manifest and the cohort would both be written to 'c.csv'" in captured.err
+            assert captured.out == ""
+        assert os.listdir(tmp_path) == ["synth.json"]
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         doc = dict(SYNTH_DOC)
@@ -1333,6 +1353,62 @@ def test_runtime_imports_no_scipy():
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_the_package_loads_synth_on_first_use():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = (
+        "import sys, biasaudit\n"
+        "assert 'biasaudit.synth' not in sys.modules\n"
+        "assert {'generate', 'SynthConfig', 'split_train_test'} <= set(dir(biasaudit))\n"
+        "synth = biasaudit.synth\n"
+        "assert sys.modules['biasaudit.synth'] is synth\n"
+        "from biasaudit import generate, SynthConfig\n"
+        "assert (generate, SynthConfig) == (synth.generate, synth.SynthConfig)\n"
+        "names = {}\n"
+        "exec('from biasaudit import *', names)\n"
+        "assert set(biasaudit.__all__) <= names.keys() and names['demo_train'] is synth.demo_train\n"
+        "try:\n"
+        "    biasaudit.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert 'no_such_name' in str(exc)\n"
+        "else:\n"
+        "    raise AssertionError('no AttributeError')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
+    # On the 4k demo an audit on one worker loads no thread pool, no synth
+    # and no numpy.ma; match draws no random numbers, so it also leaves
+    # OpenSSL's _hashlib unloaded.  A second worker loads the pool.
+    demos = Path(__file__).resolve().parent.parent / "demos"
+    cohort = tmp_path / "demo_cohort.csv"
+    assert main(["synth", str(demos / "synth_demo.json"), str(cohort)]) == EXIT_OK
+    doc = json.loads((demos / "audit_demo.json").read_text())
+    config = write_json(tmp_path / "demo_run.json", dict(doc, cohort=str(cohort), formats=["json"]))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = (
+        "import sys\n"
+        "from biasaudit.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(*(m for m in ('numpy.ma', 'biasaudit.synth', 'concurrent.futures', '_hashlib') if m in sys.modules))\n"
+        "sys.exit(code)\n"
+    )
+
+    def loaded(*args) -> set[str]:
+        argv = [sys.executable, "-c", code, *args, config, "--output-dir", str(tmp_path / "out")]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        return set(proc.stdout.splitlines()[-1].split())
+
+    lazy = {"numpy.ma", "biasaudit.synth", "concurrent.futures"}
+    assert not loaded("audit", "--workers", "1", "--n-bootstrap", "20") & lazy
+    assert loaded("match") == set()
+    assert loaded("audit", "--workers", "2", "--n-bootstrap", "20") & lazy == {"concurrent.futures"}
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts OS threads through /proc/self/task")

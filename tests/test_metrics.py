@@ -20,8 +20,8 @@ from biasaudit.metrics import (
 )
 from biasaudit.metrics import _Sample, _youden_cuts
 
-from oracles import (block_exhaustive_youden, delong_auroc_se, exhaustive_youden, masked_youden_cut, pairwise_auroc,
-                     rank_metric_matrix)
+from oracles import (block_exhaustive_youden, delong_auroc_se, exhaustive_youden, masked_calibration_bins,
+                     masked_youden_cut, pairwise_auroc, rank_metric_matrix)
 
 LABELS4 = [0, 0, 1, 1]
 SCORES4 = [0.1, 0.4, 0.35, 0.8]
@@ -427,6 +427,19 @@ class TestCalibrationCurve:
     def test_rejects_scores_outside_unit_interval(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             calibration_curve([0, 1], [0.5, 1.2], n_bins=5)
+
+    @pytest.mark.parametrize("n_bins", [2, 7, 10, 1000, 2**53])
+    def test_matches_a_mask_per_level_oracle(self, n_bins):
+        # Coarse scores leave bins empty at every size; 0.0 and exactly 1.0
+        # are always drawn, 1.0 landing in the last bin.
+        rng = np.random.default_rng(n_bins % 2**32)
+        for n in (1, 2, 50, 800):
+            s = np.concatenate([[0.0, 1.0], rng.choice([0.0, 0.05, 0.3, 0.31, 0.999, 1.0], n),
+                                rng.uniform(0, 1, n)])
+            y = rng.integers(0, 2, s.size)
+            curve = calibration_curve(y, s, n_bins)
+            got = [(b.mean_score, b.positive_fraction, b.count) for b in curve.bins]
+            assert got == masked_calibration_bins(y, s, n_bins)
 
     def test_result_type(self):
         curve = calibration_curve([0, 1], [0.2, 0.8], n_bins=4)
