@@ -18,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -47,6 +47,7 @@ from .errors import (
     CohortValidationError,
     ConfigError,
     InsufficientDataError,
+    RowIssue,
     SchemaError,
     _check_keys,
     _convert,
@@ -96,8 +97,8 @@ def _schema_from_dict(doc: dict) -> CohortSchema:
     for entry in _typed(doc["score_columns"], list, "score_columns"):
         if isinstance(entry, str):
             score_columns.append((entry, entry))
-        elif isinstance(entry, (list, tuple)) and len(entry) == 2:
-            score_columns.append((str(entry[0]), str(entry[1])))
+        elif isinstance(entry, list) and len(entry) == 2 and all(isinstance(e, str) for e in entry):
+            score_columns.append(tuple(entry))
         else:
             raise ConfigError(
                 "score_columns entries must be 'name' or ['model', 'column'], "
@@ -135,18 +136,18 @@ def _schema_from_dict(doc: dict) -> CohortSchema:
 
 
 def _threshold_from_value(value) -> ThresholdPolicy:
-    if value is None or value == "youden":
-        return ThresholdPolicy.youden()
+    """``"youden"``, a number (a fixed threshold) or ``{"kind", "value"}``
+    with ``"value"`` optional; ThresholdPolicy refuses a kind and value that
+    do not go together."""
+    if value == "youden":
+        return ThresholdPolicy("youden")
     if isinstance(value, (int, float)):
-        return ThresholdPolicy.fixed(_convert(float, value, "threshold"))
+        return ThresholdPolicy("fixed", _convert(float, value, "threshold"))
     if isinstance(value, dict):
-        _check_keys(value, ("kind", "value"), "threshold policy")
-        kind = value.get("kind", "youden")
-        if kind == "youden":
-            return ThresholdPolicy.youden()
-        if kind == "fixed":
-            _check_keys(value, ("kind", "value"), "fixed threshold policy", required=("value",))
-            return ThresholdPolicy.fixed(_convert(float, value["value"], "threshold value"))
+        _check_keys(value, ("kind", "value"), "threshold policy", required=("kind",))
+        if "value" in value:
+            value = {**value, "value": _convert(float, value["value"], "threshold value")}
+        return ThresholdPolicy(**value)
     raise ConfigError(f"cannot interpret threshold policy {value!r}")
 
 
@@ -349,10 +350,7 @@ def _match_rows(cohort, cfg: AuditConfig, model: str | None = None,
             export_pairs(cohort, sample, pair_path)
             print(pair_path)
             row["pairs_file"] = name
-        row["covariates"] = [
-            {"name": c.name, "smd_before": c.smd_before, "smd_after": c.smd_after}
-            for c in bal.covariates
-        ]
+        row["covariates"] = [asdict(c) for c in bal.covariates]
         rows.append(row)
     return rows
 
@@ -500,13 +498,12 @@ def cmd_validate(args) -> int:
     try:
         cohort = _read_cohort(rc)
     except CohortValidationError as exc:
-        emit({"valid": False, "issues": [i.to_dict() for i in exc.issues], "dropped_rows": []})
+        emit({"valid": False, "issues": [asdict(i) for i in exc.issues], "dropped_rows": []})
         _print_issues(exc.issues, "invalid")
         print(report_path)
         return EXIT_CONFIG
     except SchemaError as exc:
-        emit({"valid": False, "issues": [{"line": None, "column": None, "message": str(exc)}],
-              "dropped_rows": []})
+        emit({"valid": False, "issues": [asdict(RowIssue(None, None, str(exc)))], "dropped_rows": []})
         print(f"invalid: {exc}", file=sys.stderr)
         print(report_path)
         return EXIT_CONFIG
@@ -514,7 +511,7 @@ def cmd_validate(args) -> int:
         "valid": True,
         "n_records": cohort.n,
         "issues": [],
-        "dropped_rows": [i.to_dict() for i in cohort.diagnostics],
+        "dropped_rows": [asdict(i) for i in cohort.diagnostics],
     })
     print(report_path)
     return EXIT_OK

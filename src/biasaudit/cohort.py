@@ -22,7 +22,7 @@ import itertools
 import math
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -71,6 +71,25 @@ def _level_members(level: str) -> tuple:
     MISSING_LABEL stands for the records missing the attribute, merged with a
     literal level of that name."""
     return (level, MISSING) if level == MISSING_LABEL else (level,)
+
+
+def _same(a, b) -> bool:
+    """Field values equal: arrays by value (nan equals nan in float ones),
+    dicts key by key whatever their order, anything else by ``==``."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(_same(v, b[k]) for k, v in a.items())
+    return a == b
+
+
+def _fields_equal(a, b):
+    """``__eq__`` of a dataclass that holds arrays: ``b`` of the same class
+    whose every field is ``_same`` as ``a``'s."""
+    if not isinstance(b, type(a)):
+        return NotImplemented
+    return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+
 
 _PROTECTED_KINDS = ("categorical", "continuous")
 _COVARIATE_KINDS = ("numeric", "binary", "categorical")
@@ -228,12 +247,7 @@ class Cohort:
         return (self.labels, *self.scores.values(), *self.codes.values(),
                 *self.continuous.values(), *self.covariates.values())
 
-    def __eq__(self, other):
-        if not isinstance(other, Cohort):
-            return NotImplemented
-        fields = ("schema", "attribute_levels", "covariate_levels", "breakpoints", "diagnostics")
-        return (all(getattr(self, f) == getattr(other, f) for f in fields) and np.array_equal(self.ids, other.ids)
-                and all(np.array_equal(a, b, equal_nan=True) for a, b in zip(self._arrays(), other._arrays())))
+    __eq__ = _fields_equal
 
     @property
     def n(self) -> int:
@@ -390,11 +404,7 @@ class SubgroupPartition:
         for arr in (self.positions, self.codes):
             arr.flags.writeable = False
 
-    def __eq__(self, other):
-        if not isinstance(other, SubgroupPartition):
-            return NotImplemented
-        return ((self.attribute, self.levels, self.excluded) == (other.attribute, other.levels, other.excluded)
-                and np.array_equal(self.positions, other.positions) and np.array_equal(self.codes, other.codes))
+    __eq__ = _fields_equal
 
     @cached_property
     def groups(self) -> tuple[tuple[str, tuple[int, ...]], ...]:

@@ -73,9 +73,6 @@ class RowIssue:
     column: str | None
     message: str
 
-    def to_dict(self) -> dict:
-        return {"line": self.line, "column": self.column, "message": self.message}
-
 
 class CohortValidationError(AuditError):
     """Raised when cohort rows are malformed beyond repair.

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -280,15 +280,7 @@ def predict_proba(model: LogisticModel, design: DesignMatrix) -> np.ndarray:
 
 def export_model(model: LogisticModel, path=None) -> str:
     """Serialize a fitted model to JSON; optionally write it to ``path``."""
-    doc = {
-        "schema_version": 1,
-        "columns": [asdict(c) for c in model.columns],
-        "coefficients": [float(b) for b in model.coefficients],
-        "converged": model.converged,
-        "iterations": model.iterations,
-        "final_gradient_norm": model.final_gradient_norm,
-        "ridge": model.ridge,
-    }
+    doc = {"schema_version": 1, **asdict(model), "coefficients": model.coefficients.tolist()}
     text = json.dumps(doc, indent=2)
     if path is not None:
         with open(os.fspath(path), "w", encoding="utf-8") as fh:
@@ -303,12 +295,8 @@ def load_model(source) -> LogisticModel:
             doc = json.load(fh)
     else:
         doc = json.loads(source)
-    columns = tuple(FeatureColumn(**c) for c in doc["columns"])
-    return LogisticModel(
-        columns=columns,
-        coefficients=np.asarray(doc["coefficients"], dtype=float),
-        converged=bool(doc["converged"]),
-        iterations=int(doc["iterations"]),
-        final_gradient_norm=float(doc["final_gradient_norm"]),
-        ridge=float(doc["ridge"]),
-    )
+    return LogisticModel(**{
+        **{f.name: doc[f.name] for f in fields(LogisticModel)},
+        "columns": tuple(FeatureColumn(**c) for c in doc["columns"]),
+        "coefficients": np.asarray(doc["coefficients"], dtype=float),
+    })

@@ -17,7 +17,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .cohort import Cohort, _csv_fields, _level_members, attribute_values, subset_positions
+from .cohort import Cohort, _csv_fields, _fields_equal, _level_members, attribute_values, subset_positions
 from .errors import PropensityError
 from .glm import LogisticModel, encode_design, fit_logistic, predict_proba
 
@@ -55,13 +55,7 @@ class MatchedSample:
         for arr in (self.treated, self.control, self.distance):
             arr.flags.writeable = False
 
-    def __eq__(self, other):
-        if not isinstance(other, MatchedSample):
-            return NotImplemented
-        scalars = ("unmatched_treated", "caliper", "attribute", "treated_level", "control_level")
-        columns = ("treated", "control", "distance")
-        return (all(getattr(self, f) == getattr(other, f) for f in scalars)
-                and all(np.array_equal(getattr(self, f), getattr(other, f)) for f in columns))
+    __eq__ = _fields_equal
 
     @property
     def n_matched(self) -> int:

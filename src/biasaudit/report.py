@@ -124,17 +124,10 @@ def bundle_to_json(bundle: ReportBundle) -> str:
 
 
 def parse_bundle(text: str) -> ReportBundle:
+    """The bundle ``bundle_to_json`` wrote; a key that names no field is
+    ignored and a missing one takes the field's default."""
     doc = json.loads(text)
-    return ReportBundle(
-        metadata=doc["metadata"],
-        subgroup=doc.get("subgroup", []),
-        matched=doc.get("matched", []),
-        discrepancy=doc.get("discrepancy", []),
-        balance=doc.get("balance", []),
-        calibration=doc.get("calibration", {}),
-        comparison=doc.get("comparison"),
-        schema_version=doc.get("schema_version", 1),
-    )
+    return ReportBundle(**{f.name: doc[f.name] for f in fields(ReportBundle) if f.name in doc})
 
 
 def _star(row: dict) -> str:

@@ -11,7 +11,7 @@ two configs differing only in injections share identical base data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from numpy.dtypes import StringDType
@@ -208,34 +208,18 @@ def generate(config: SynthConfig) -> tuple[Cohort, dict]:
     weights = _validate(config)
     # The draws die with ``_draw_cohort``, before the summary counts the cohort.
     cohort = _draw_cohort(config, weights)
+    # Each block is its spec's fields in declaration order; protected
+    # weights are the normalized ones the draws used.
     manifest = {
         "schema_version": 1,
         "seed": config.seed,
         "n": config.n,
         "score_name": config.score_name,
-        "protected": [
-            {"name": s.name, "levels": list(s.levels), "weights": [weights[s.name][lv] for lv in s.levels]}
-            for s in config.protected
-        ],
-        "covariates": [
-            {"name": c.name, "kind": c.kind, "mu": c.mu, "sigma": c.sigma, "p": c.p,
-             "shifts": {a: dict(b) for a, b in c.shifts.items()}}
-            for c in config.covariates
-        ],
-        "outcome": {
-            "intercept": config.outcome.intercept,
-            "weights": dict(config.outcome.weights),
-            "protected_weights": {a: dict(b) for a, b in config.outcome.protected_weights.items()},
-        },
-        "score_model": {
-            "kind": config.score.kind,
-            "noise_sd": config.score.noise_sd,
-            "features": list(config.score.features),
-        },
-        "injections": [
-            {"attribute": j.attribute, "level": j.level, "mechanism": j.mechanism, "amount": j.amount}
-            for j in config.injections
-        ],
+        "protected": [{**asdict(s), "weights": [weights[s.name][lv] for lv in s.levels]} for s in config.protected],
+        "covariates": [asdict(c) for c in config.covariates],
+        "outcome": asdict(config.outcome),
+        "score_model": asdict(config.score),
+        "injections": [asdict(j) for j in config.injections],
         "empirical": _empirical_summary(cohort, config.score_name),
     }
     return cohort, manifest

@@ -215,12 +215,16 @@ class TestLoadRunConfig:
         assert policy.kind == kind
         assert policy.value == fixed
 
-    def test_bad_threshold_rejected(self, tmp_path):
-        path = write_json(tmp_path / "run.json",
-                          {"cohort": "c.csv", "schema": RUN_SCHEMA,
-                           "audit": {"threshold": "best"}})
-        with pytest.raises(ConfigError, match="threshold policy"):
-            load_run_config(path)
+    def test_bad_threshold_rejected(self, tmp_path, capsys):
+        # A value beside "youden", or with no kind, is refused, not dropped.
+        for value in ("best", {"kind": "youden", "value": 0.3}, {"value": 0.3}):
+            path = write_json(tmp_path / "run.json",
+                              {"cohort": "c.csv", "schema": RUN_SCHEMA,
+                               "audit": {"threshold": value}})
+            with pytest.raises(ConfigError, match="threshold policy"):
+                load_run_config(path)
+            assert main(["audit", str(path)]) == EXIT_CONFIG
+            assert "threshold policy" in capsys.readouterr().err
 
     def test_unknown_audit_key(self, tmp_path):
         path = write_json(tmp_path / "run.json",
@@ -333,6 +337,13 @@ class TestSynthCommand:
         manifest = str(tmp_path / "truth.json")
         assert main(["synth", config, out, "--manifest", manifest]) == EXIT_OK
         assert json.loads(Path(manifest).read_text())["seed"] == 11
+
+    def test_unwritable_manifest_exits_4(self, tmp_path, capsys):
+        config = write_json(tmp_path / "synth.json", SYNTH_DOC)
+        manifest = tmp_path / "truth.json"
+        manifest.mkdir()
+        assert main(["synth", config, str(tmp_path / "c.csv"), "--manifest", str(manifest)]) == EXIT_RENDER
+        assert "error: could not write output" in capsys.readouterr().err
 
     def test_manifest_on_the_cohort_path_exits_2(self, tmp_path, monkeypatch, capsys):
         # The manifest would overwrite the cohort it describes.
@@ -464,6 +475,8 @@ class TestValidateCommand:
             ({"delimiter": '"'}, "delimiter '\"' cannot separate fields"),
             ({"delimiter": "\r"}, "delimiter '\\r' cannot separate fields"),
             ({"delimiter": "\n"}, "delimiter '\\n' cannot separate fields"),
+            ({"score_columns": [["m", None]]}, "score_columns entries must be"),
+            ({"score_columns": [[1, 2]]}, "score_columns entries must be"),
         ],
     )
     def test_malformed_schema_entry_exits_2(self, tmp_path, capsys, entries, fragment):
@@ -558,7 +571,13 @@ class TestCohortHeader:
         lines = cohort.read_text().splitlines()
         cohort.write_text("\n".join([lines[0] + ",score", *(line + ",0.5" for line in lines[1:])]) + "\n")
         assert main(["validate", config]) == EXIT_CONFIG
-        assert "invalid: cohort header names column(s) more than once: score" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "invalid: cohort header names column(s) more than once: score" in captured.err
+        # A schema error is one issue of the whole file.
+        doc = json.loads(Path(captured.out.strip()).read_text())
+        issue = {"line": None, "column": None, "message": "cohort header names column(s) more than once: score"}
+        assert doc == {"valid": False, "issues": [issue], "dropped_rows": []}
+        assert list(doc) == ["valid", "issues", "dropped_rows"] and list(doc["issues"][0]) == list(issue)
 
 
 class TestAuditCommand:
@@ -1195,6 +1214,13 @@ class TestMatchCommand:
             assert "Black" in (row["treated_level"], row["control_level"])
             assert row["detail"].startswith("propensity fit did not converge after")
         assert not any("Black" in name for name in printed)
+
+    def test_unwritable_summary_exits_4(self, tmp_path, capsys):
+        cohort = make_cohort(tmp_path)
+        config = make_run_config(tmp_path, cohort)
+        (tmp_path / "report" / "matching.json").mkdir(parents=True)
+        assert main(["match", config]) == EXIT_RENDER
+        assert "error: could not write matching summary" in capsys.readouterr().err
 
     def test_match_needs_covariates(self, tmp_path, capsys):
         cohort = make_cohort(tmp_path)

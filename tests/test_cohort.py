@@ -2,7 +2,7 @@ import csv
 import io
 import json
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from unittest import mock
 
@@ -321,7 +321,7 @@ class TestParseCohort:
         )
         with pytest.raises(CohortValidationError) as info:
             parse_text(text, schema)
-        assert [i.to_dict() for i in info.value.issues] == [
+        assert [asdict(i) for i in info.value.issues] == [
             {"line": 3, "column": "age", "message": "value 100.0 falls outside the bin range [18.0, 90.0]"},
             {"line": 4, "column": "age", "message": "value 17.5 falls outside the bin range [18.0, 90.0]"},
         ]
@@ -916,6 +916,32 @@ class TestSubgroupPartition:
                 arr[:] = 0
         assert groups == tuple((level, tuple(part.positions[part.codes == g].tolist()))
                                for g, level in enumerate(part.levels))
+
+
+class TestCohortEquality:
+    def two_codings(self):
+        """A 2-record cohort whose attributes ``a`` and ``b`` hold codes
+        [0, 1] and [1, 0], and one where they hold [1, 0] and [0, 1], its
+        dict listing ``b`` first: both list the arrays [0, 1], [1, 0]."""
+        base = build_cohort(labels=[0, 1], scores=[0.2, 0.7], protected={"a": ["x", "y"], "b": ["x", "y"]})
+        one = replace(base, codes={"a": np.array([0, 1]), "b": np.array([1, 0])})
+        return one, replace(base, codes={"b": np.array([0, 1]), "a": np.array([1, 0])})
+
+    def test_swapped_attribute_codes_compare_unequal(self):
+        one, swapped = self.two_codings()
+        assert one != swapped and swapped != one
+
+    def test_dict_order_does_not_matter(self):
+        one, _ = self.two_codings()
+        reordered = replace(one, **{name: dict(reversed(getattr(one, name).items()))
+                                    for name in ("codes", "attribute_levels")})
+        assert list(reordered.codes) == ["b", "a"]
+        assert reordered == one and one == reordered
+
+    def test_a_missing_key_compares_unequal(self):
+        one, _ = self.two_codings()
+        assert one != replace(one, codes={"a": one.codes["a"]})
+        assert one != "not a cohort"
 
 
 class TestRoundTrip:

@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 import re
@@ -443,6 +444,15 @@ class TestModelSerialization:
         assert again.converged == model.converged
         assert again.ridge == model.ridge
         assert np.array_equal(predict_proba(again, design), predict_proba(model, design))
+
+    def test_export_lists_the_model_fields_in_order(self):
+        design, y = random_fit_problem(63)
+        model = fit_logistic(design, y, ridge=1e-3)
+        doc = json.loads(export_model(model))
+        assert list(doc) == ["schema_version", "columns", "coefficients", "converged", "iterations",
+                             "final_gradient_norm", "ridge"]
+        assert list(doc["columns"][0]) == ["kind", "name", "level", "center", "scale", "impute"]
+        assert doc["coefficients"] == model.coefficients.tolist()
 
     def test_load_from_text(self):
         design, y = random_fit_problem(62)

@@ -179,6 +179,10 @@ class TestBundleRoundTrip:
     def test_bundle_json_ends_with_newline(self):
         assert bundle_to_json(self.representative_bundle()).endswith("\n")
 
+    def test_parse_ignores_unknown_keys_and_defaults_absent_ones(self):
+        text = json.dumps({"metadata": {"seed": 7}, "subgroup": [{"level": "x"}], "extra": [1]})
+        assert parse_bundle(text) == build_bundle(metadata={"seed": 7}, subgroup=[{"level": "x"}])
+
 
 class TestMarkdown:
     def render_markdown(self, bundle, tmp_path):

@@ -521,6 +521,34 @@ class TestGenerate:
         assert cohort.model_names == ("risk_v2",)
         assert manifest["score_name"] == "risk_v2"
 
+    def test_manifest_layout(self):
+        doc = {
+            "n": 60, "seed": 5, "score_name": "risk",
+            "protected": [{"name": "g", "levels": ["a", "b"], "weights": [3, 1]}],
+            "covariates": [{"name": "x", "kind": "gaussian", "mu": 0.5, "sigma": 2,
+                            "shifts": {"g": {"b": 0.25}}},
+                           {"name": "z", "kind": "bernoulli", "p": 0.3}],
+            "outcome": {"intercept": -0.5, "weights": {"x": 1.5}, "protected_weights": {"g": {"b": 0.1}}},
+            "score": {"kind": "trained_logistic", "noise_sd": 0.1, "features": ["x", "z"]},
+            "injections": [{"attribute": "g", "level": "a", "mechanism": "score_shift", "amount": 0.05}],
+        }
+        _, manifest = generate(config_from_dict(doc))
+        # The manifest as written: its blocks and keys in this order, the
+        # protected weights normalized.  "empirical" is measured, not echoed.
+        written = json.loads(json.dumps(manifest))
+        assert list(written.pop("empirical")) == ["prevalence", "auroc_overall", "subgroups"]
+        expected = {
+            "schema_version": 1, "seed": 5, "n": 60, "score_name": "risk",
+            "protected": [{"name": "g", "levels": ["a", "b"], "weights": [0.75, 0.25]}],
+            "covariates": [{"name": "x", "kind": "gaussian", "mu": 0.5, "sigma": 2.0, "p": 0.5,
+                            "shifts": {"g": {"b": 0.25}}},
+                           {"name": "z", "kind": "bernoulli", "mu": 0.0, "sigma": 1.0, "p": 0.3, "shifts": {}}],
+            "outcome": {"intercept": -0.5, "weights": {"x": 1.5}, "protected_weights": {"g": {"b": 0.1}}},
+            "score_model": {"kind": "trained_logistic", "noise_sd": 0.1, "features": ["x", "z"]},
+            "injections": [{"attribute": "g", "level": "a", "mechanism": "score_shift", "amount": 0.05}],
+        }
+        assert json.dumps(written) == json.dumps(expected)
+
     def test_manifest_echoes_injections(self):
         config = base_config(injections=(Injection("g", "b", "score_noise", 0.3),))
         _, manifest = generate(config)
